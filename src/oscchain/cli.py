@@ -338,7 +338,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except VerificationFailure as e:
         print(f"verification failed: {e.args[0]}", file=sys.stderr)
         return 1
-    except (CaseError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (spectra.DefectiveBlock, spectra.InvariantSubspaceViolation) as e:
+        print(f"verification failed: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return 1
+    except (CaseError, ValueError, OSError, json.JSONDecodeError,
+            argparse.ArgumentTypeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     return 0

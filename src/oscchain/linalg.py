@@ -1,7 +1,13 @@
-"""Small exact linear-algebra toolkit over Fraction.
+"""Exact linear algebra over Q, and certified real roots.
 
-Dense matrices are lists of lists of Fraction.  Sizes here are desk-scale
-(basis dimension <= 84), so cubic algorithms are fine.
+Matrices enter and leave as lists of rows of Fraction.  Rank, nullspaces,
+linear solves and characteristic polynomials are sympy's: each matrix goes
+to a sparse `DomainMatrix` over QQ (the spectral blocks are mostly zeros),
+where one reduced row echelon form does all elimination and `charpoly` is
+division-free Berkowitz on the matrix's own block structure.  sympy is
+imported inside the functions, so commands that do no linear algebra never
+load it.  Real roots are factored by sympy and their isolating intervals
+refined here by exact sign-change bisection over Fraction.
 """
 from __future__ import annotations
 
@@ -11,33 +17,25 @@ from typing import List, Optional, Sequence, Tuple
 Matrix = List[List[Fraction]]
 
 
-def mat_zero(n: int, m: Optional[int] = None) -> Matrix:
-    m = n if m is None else m
-    return [[Fraction(0)] * m for _ in range(n)]
+def _domain_matrix(A: Matrix):
+    """Sparse DomainMatrix over QQ of a Fraction matrix.
+
+    Zero rows are left out of the row dict: sympy's sparse elimination
+    fails on a row stored with no entries.
+    """
+    from sympy.polys.domains import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = {}
+    for i, row in enumerate(A):
+        entries = {j: QQ(x) for j, x in enumerate(row) if x}
+        if entries:
+            rows[i] = entries
+    return DomainMatrix(rows, (len(A), len(A[0]) if A else 0), QQ)
 
 
-def mat_identity(n: int) -> Matrix:
-    out = mat_zero(n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    n, k, m = len(A), len(B), len(B[0])
-    out = mat_zero(n, m)
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a == 0:
-                continue
-            Bt = B[t]
-            row = out[i]
-            for j in range(m):
-                if Bt[j] != 0:
-                    row[j] += a * Bt[j]
-    return out
+def _fraction(q) -> Fraction:
+    return Fraction(q.numerator, q.denominator)
 
 
 def mat_sub_scaled_identity(A: Matrix, lam: Fraction) -> Matrix:
@@ -47,116 +45,40 @@ def mat_sub_scaled_identity(A: Matrix, lam: Fraction) -> Matrix:
     return out
 
 
-def mat_trace(A: Matrix) -> Fraction:
-    return sum((A[i][i] for i in range(len(A))), Fraction(0))
-
-
 def rank(A: Matrix) -> int:
-    if not A:
-        return 0
-    M = [row[:] for row in A]
-    n, m = len(M), len(M[0])
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, n) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][col]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(n):
-            if i != r and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        r += 1
-        if r == n:
-            break
-    return r
+    return _domain_matrix(A).rank()
 
 
 def nullspace(A: Matrix) -> List[List[Fraction]]:
     """Basis of the right nullspace (list of vectors)."""
     if not A:
         return []
-    M = [row[:] for row in A]
-    n, m = len(M), len(M[0])
-    pivots = []
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, n) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][col]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(n):
-            if i != r and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * m
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -M[i][fc]
-        basis.append(v)
-    return basis
+    null = _domain_matrix(A).nullspace().to_dod()
+    m = len(A[0])
+    return [[_fraction(v.get(j, 0)) for j in range(m)]
+            for _, v in sorted(null.items())]
 
 
 def solve(A: Matrix, b: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """One solution of A x = b, or None if inconsistent/singular-square."""
-    n = len(A)
-    if n == 0:
+    """One solution of A x = b, or None if the system is inconsistent."""
+    if not A:
         return []
     m = len(A[0])
-    M = [A[i][:] + [Fraction(b[i])] for i in range(n)]
-    pivots = []
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, n) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][col]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(n):
-            if i != r and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if M[i][m] != 0:
-            return None
+    reduced, pivots = _domain_matrix(
+        [list(row) + [Fraction(bi)] for row, bi in zip(A, b)]).rref()
+    if m in pivots:
+        return None
+    rows = reduced.to_dod()
     x = [Fraction(0)] * m
     for i, pc in enumerate(pivots):
-        x[pc] = M[i][m]
+        x[pc] = _fraction(rows[i].get(m, 0))
     return x
 
 
 def char_poly(A: Matrix) -> List[Fraction]:
-    """Characteristic polynomial coefficients [c0, ..., cn] of det(lam*I - A).
-
-    Faddeev-LeVerrier; cn = 1.
-    """
-    n = len(A)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    M = mat_identity(n)
-    for k in range(1, n + 1):
-        M = mat_mul(A, M)
-        c = -mat_trace(M) / k
-        coeffs[n - k] = c
-        for i in range(n):
-            M[i][i] += c
-    return coeffs
+    """Characteristic polynomial coefficients [c0, ..., cn] of det(lam*I - A);
+    cn = 1."""
+    return [_fraction(c) for c in reversed(_domain_matrix(A).charpoly())]
 
 
 # -- univariate polynomial utilities over Fraction ---------------------------
@@ -168,57 +90,11 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return out
 
 
-def poly_deriv(coeffs: Sequence[Fraction]) -> List[Fraction]:
-    return [k * c for k, c in enumerate(coeffs)][1:] or [Fraction(0)]
-
-
 def poly_trim(coeffs: Sequence[Fraction]) -> List[Fraction]:
     out = list(coeffs)
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out or [Fraction(0)]
-
-
-def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = poly_trim(a)
-    b = poly_trim(b)
-    if b == [Fraction(0)]:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    r = list(a)
-    while len(r) >= len(b) and poly_trim(r) != [Fraction(0)]:
-        r = poly_trim(r)
-        if len(r) < len(b):
-            break
-        k = len(r) - len(b)
-        f = r[-1] / b[-1]
-        q[k] = f
-        for i in range(len(b)):
-            r[i + k] -= f * b[i]
-        r.pop()
-    return poly_trim(q), poly_trim(r)
-
-
-def poly_gcd(a, b) -> List[Fraction]:
-    a, b = poly_trim(a), poly_trim(b)
-    while b != [Fraction(0)]:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a[-1] != 0:
-        a = [c / a[-1] for c in a]
-    return a
-
-
-def square_free(coeffs) -> List[Fraction]:
-    coeffs = poly_trim(coeffs)
-    if len(coeffs) <= 2:
-        return coeffs
-    g = poly_gcd(coeffs, poly_deriv(coeffs))
-    if len(g) == 1:
-        return coeffs
-    q, r = poly_divmod(coeffs, g)
-    assert r == [Fraction(0)]
-    return q
 
 
 def _refine_sign_change(coeffs, lo: Fraction, hi: Fraction,

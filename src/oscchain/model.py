@@ -444,13 +444,15 @@ def build_h_algebraic(case: Case, p: Params) -> DiffOp:
         return DiffOp(RHO1, {(2,): -4 * rho,
                              (1,): 2 * (2 * om * rho
                                         - MultiPoly.const(RHO1, d))})
-    A, N = p.A, Fraction(p.N if p.N is not None else 0)
-    return DiffOp(RHO1, {
-        (2,): -4 * rho,
-        (1,): 2 * (2 * A * rho ** 2 + 2 * om * rho
-                   - MultiPoly.const(RHO1, d)),
-        (0,): -4 * A * N * rho,
-    })
+    if case is Case.TWO_BODY_QES:
+        A, N = p.A, Fraction(p.N if p.N is not None else 0)
+        return DiffOp(RHO1, {
+            (2,): -4 * rho,
+            (1,): 2 * (2 * A * rho ** 2 + 2 * om * rho
+                       - MultiPoly.const(RHO1, d)),
+            (0,): -4 * A * N * rho,
+        })
+    raise CaseError(f"no gauged operator is transcribed for {case.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +584,16 @@ def lie_form(case: Case, p: Params) -> DiffOp:
             + c * mu23 * (m1 - mu13) * (J(1, 1) - J(0, 1))))
         return -second + first
 
-    # 2-body sl(2) forms
-    N = p.N if p.N is not None else 0
-    jp, j0, jm = sl2_generators(N)
-    base = (-4 * j0.compose(jm) - 2 * (d + 2 * N) * jm + 4 * om * j0
-            + 4 * N * om * DiffOp.identity(RHO1))
-    if case is Case.TWO_BODY_QES:
-        return base + 4 * p.A * jp
-    return base
+    if case in (Case.TWO_BODY_ES, Case.TWO_BODY_QES):
+        # 2-body sl(2) forms
+        N = p.N if p.N is not None else 0
+        jp, j0, jm = sl2_generators(N)
+        base = (-4 * j0.compose(jm) - 2 * (d + 2 * N) * jm + 4 * om * j0
+                + 4 * N * om * DiffOp.identity(RHO1))
+        if case is Case.TWO_BODY_QES:
+            return base + 4 * p.A * jp
+        return base
+    raise CaseError(f"no Lie-algebraic form is transcribed for {case.value}")
 
 
 # ---------------------------------------------------------------------------

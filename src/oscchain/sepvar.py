@@ -21,6 +21,7 @@ RHO3 = ("rho12", "rho13", "rho23")
 W3 = ("w1", "w2", "w3")
 
 MAX_RESAMPLES = 100
+MIN_POINTS = 50         # fewest sample points verify_pushforward accepts
 
 
 class TemplateMismatch(RuntimeError):
@@ -250,8 +251,12 @@ def verify_pushforward(p: Params, d: Optional[int] = None, seed: int = 0,
     Route 1: apply Delta_rad (rho-space) to f(W(rho)), evaluated at a
     random rational point via exact second-order jet arithmetic.
     Route 2: apply the w-space operator to f and evaluate at W(point).
-    True iff every (function, point) pair agrees exactly.
+    True iff every (function, point) pair agrees exactly.  At least
+    MIN_POINTS points are required.
     """
+    if n_points < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} sample points, "
+                         f"got {n_points}")
     d = p.d if d is None else d
     from dataclasses import replace
     p = replace(p, d=d)
@@ -265,7 +270,7 @@ def verify_pushforward(p: Params, d: Optional[int] = None, seed: int = 0,
     rng = random.Random(seed)
     points = []
     guard = 0
-    while len(points) < max(n_points, 50):
+    while len(points) < n_points:
         pt = random_point(RHO3, rng)
         if wmap.denominator_root.eval(pt) == 0 or wmap.w2.eval(pt) == 0 \
                 or pt["rho23"] == 0 or wmap.w3.eval(pt) == 0:

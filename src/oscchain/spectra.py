@@ -3,9 +3,12 @@
 The gauged operators of the solvable cases preserve the space P_N of
 polynomials of total degree <= N and never raise the total degree, so their
 matrices are block upper-triangular in the degree grading and the spectrum
-is the union of the diagonal-block spectra.  Everything here is exact:
-rational eigenvalues are reported as Fractions, irrational ones as certified
-Sturm-bisection isolating intervals.
+is the union of the diagonal-block spectra.  Everything here is exact: each
+block's characteristic polynomial is factored over Q; rational eigenvalues
+are reported as Fractions, irrational ones as sympy's isolating intervals
+refined by exact sign-change bisection.  The eigenvector of a rational
+level that is simple across the grading is the null vector of its own
+block, back-substituted through the blocks below it.
 """
 from __future__ import annotations
 
@@ -29,7 +32,12 @@ class InvariantSubspaceViolation(RuntimeError):
 
 
 class DefectiveBlock(RuntimeError):
-    pass
+    """Fewer real eigenvalues than the basis size; `.report` keeps the
+    spectrum that was found."""
+
+    def __init__(self, message, report):
+        self.report = report
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -90,9 +98,6 @@ class OpMatrix:
     @property
     def size(self) -> int:
         return self.basis.size
-
-    def rows(self):
-        return [list(r) for r in self.entries]
 
     def diagonal_block(self, start: int, stop: int):
         return [[self.entries[i][j] for j in range(start, stop)]
@@ -250,6 +255,60 @@ def _block_eigenvalues(block, degree: int):
     return out
 
 
+def _eigenfunctions(M: OpMatrix, slices, evs) -> List[Eigenfunction]:
+    """Eigenvectors of the rational levels that are simple across `slices`.
+
+    `M` is block upper-triangular over `slices` ([(degree, start, stop)]).
+    For a level lam of the block of degree n, the eigenvector vanishes on
+    the blocks above n; its part in block n spans the null space of
+    B_n - lam; each lower block k is back-substituted from
+    (B_k - lam) v_k = -sum_{j>k} M_kj v_j, which is invertible because lam
+    is simple.  The first nonzero coordinate is normalised to 1.
+    """
+    counts: dict = {}
+    for ev in evs:
+        if ev.value is not None:
+            counts[ev.value] = counts.get(ev.value, 0) + ev.multiplicity
+    at = {degree: k for k, (degree, _, _) in enumerate(slices)}
+    out = []
+    for ev in evs:
+        if ev.value is None or counts[ev.value] != 1:
+            continue
+        top = at[ev.degree]
+        _, start, stop = slices[top]
+        v = [Fraction(0)] * M.size
+        (v[start:stop],) = linalg.nullspace(linalg.mat_sub_scaled_identity(
+            M.diagonal_block(start, stop), ev.value))
+        for _, lo, hi in reversed(slices[:top]):
+            rhs = [-sum(M.entries[i][j] * v[j] for j in range(hi, stop))
+                   for i in range(lo, hi)]
+            v[lo:hi] = linalg.solve(linalg.mat_sub_scaled_identity(
+                M.diagonal_block(lo, hi), ev.value), rhs)
+        lead = next(c for c in v if c != 0)
+        out.append(Eigenfunction(ev.value, tuple(c / lead for c in v)))
+    return out
+
+
+def _spectrum_report(M: OpMatrix, slices, case, params, ground_energy,
+                     want_eigenfunctions: bool) -> SpectrumReport:
+    """Spectrum of a matrix block upper-triangular over `slices`: the
+    union of the diagonal-block spectra."""
+    evs: List[Eigenvalue] = []
+    for degree, start, stop in slices:
+        evs.extend(_block_eigenvalues(M.diagonal_block(start, stop), degree))
+    eigenfunctions = _eigenfunctions(M, slices, evs) \
+        if want_eigenfunctions else []
+    evs.sort(key=lambda e: (e.approx(), e.degree))
+    report = SpectrumReport(case, params, M.basis, tuple(evs),
+                            ground_energy, tuple(eigenfunctions))
+    total = sum(ev.multiplicity for ev in evs)
+    if total != M.size:
+        raise DefectiveBlock(
+            f"eigenvalue count {total} != basis size {M.size} "
+            "(complex eigenvalues in a diagonal block)", report)
+    return report
+
+
 def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
                        params: Optional[Params] = None,
                        ground_energy: Optional[Fraction] = None,
@@ -261,44 +320,8 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
     """
     if not M.is_graded_triangular():
         raise ValueError("matrix is not block-triangular in the grading")
-    evs: List[Eigenvalue] = []
-    slices = M.basis.degree_slices()
-    for degree, start, stop in slices:
-        if start == stop:
-            continue
-        evs.extend(_block_eigenvalues(M.diagonal_block(start, stop), degree))
-    total = sum(ev.multiplicity for ev in evs)
-    # complex pairs (possible in principle) would make total < size
-    eigenfunctions = []
-    if want_eigenfunctions:
-        rational_counts: dict = {}
-        for ev in evs:
-            if ev.value is not None:
-                rational_counts[ev.value] = rational_counts.get(ev.value, 0) \
-                    + ev.multiplicity
-        rows = M.rows()
-        n = M.size
-        for ev in evs:
-            if ev.value is None or rational_counts[ev.value] != 1:
-                continue
-            shifted = linalg.mat_sub_scaled_identity(rows, ev.value)
-            null = linalg.nullspace(shifted)
-            if len(null) != 1:
-                continue
-            v = null[0]
-            # normalize: first nonzero coordinate -> 1
-            lead = next(c for c in v if c != 0)
-            v = [c / lead for c in v]
-            eigenfunctions.append(Eigenfunction(ev.value, tuple(v)))
-    evs.sort(key=lambda e: (e.approx(), e.degree))
-    report = SpectrumReport(case, params, M.basis, tuple(evs),
-                            ground_energy, tuple(eigenfunctions))
-    if total != M.size:
-        # keep the report but record the discrepancy loudly
-        raise DefectiveBlock(
-            f"eigenvalue count {total} != basis size {M.size} "
-            "(complex eigenvalues in a diagonal block)")
-    return report
+    return _spectrum_report(M, M.basis.degree_slices(), case, params,
+                            ground_energy, want_eigenfunctions)
 
 
 # ---------------------------------------------------------------------------
@@ -337,42 +360,15 @@ def spectrum(case: Case, p: Params, N: int,
 
 
 def qes_2body_block(p: Params) -> SpectrumReport:
-    """Exact (N+1)x(N+1) spectral problem of the sextic 2-body operator."""
+    """Exact (N+1)x(N+1) spectral problem of the sextic 2-body operator.
+
+    The operator raises the degree, so the whole matrix is one block.
+    """
     validate_case(Case.TWO_BODY_QES, p)
     h = build_h_algebraic(Case.TWO_BODY_QES, p)
-    basis = enumerate_basis(h.variables, p.N)
-    n = basis.size
-    index = {m: i for i, m in enumerate(basis.monomials)}
-    cols = []
-    for mono in basis.monomials:
-        image = h.apply(MultiPoly(basis.variables, {mono: 1}))
-        col = [Fraction(0)] * n
-        for exps, c in image.terms.items():
-            i = index.get(exps)
-            if i is None:
-                raise InvariantSubspaceViolation(
-                    MultiPoly(basis.variables, {mono: 1}),
-                    MultiPoly(basis.variables, {exps: c}))
-            col[i] = c
-        cols.append(col)
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    evs = _block_eigenvalues(rows, p.N)
-    eigenfunctions = []
-    counts: dict = {}
-    for ev in evs:
-        if ev.value is not None:
-            counts[ev.value] = counts.get(ev.value, 0) + ev.multiplicity
-    for ev in evs:
-        if ev.value is None or counts[ev.value] != 1:
-            continue
-        null = linalg.nullspace(linalg.mat_sub_scaled_identity(rows, ev.value))
-        if len(null) == 1:
-            lead = next(c for c in null[0] if c != 0)
-            eigenfunctions.append(
-                Eigenfunction(ev.value, tuple(c / lead for c in null[0])))
-    evs.sort(key=lambda e: (e.approx(), e.degree))
-    return SpectrumReport(Case.TWO_BODY_QES, p, basis, tuple(evs),
-                          p.omega * p.d, tuple(eigenfunctions))
+    M = assemble_matrix(h, enumerate_basis(h.variables, p.N))
+    return _spectrum_report(M, [(p.N, 0, M.size)], Case.TWO_BODY_QES, p,
+                            p.omega * p.d, True)
 
 
 # ---------------------------------------------------------------------------

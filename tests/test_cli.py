@@ -132,3 +132,42 @@ def test_verify_all(capsys):
     doc = json.loads(out)
     assert doc["results"]["all_ok"] is True
     assert all(doc["results"]["checks"].values())
+
+
+def test_case_without_a_gauged_operator_is_rejected(capsys):
+    # only the ground state of the 3-body QES case is transcribed
+    code, out, err = run(capsys, "spectrum", "--case", "primitive3_qes",
+                         "--N", "2", "--A12", "1")
+    assert code == 2 and out == ""
+    assert "input error" in err and "primitive3_qes" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve", "--rho23-range", "0:1:0"),
+    ("sepvar", "--m1", "1", "--m2", "1", "--m3", "1", "--points", "0"),
+])
+def test_bad_ranges_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "input error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", ["defective", "violation"])
+def test_spectral_failures_exit_1(capsys, monkeypatch, error):
+    from oscchain import spectra
+    from oscchain.exact import MultiPoly
+
+    def fail(*args, **kwargs):
+        if error == "defective":
+            raise spectra.DefectiveBlock("eigenvalue count 1 != basis size 3",
+                                         report=None)
+        one = MultiPoly.const(("rho",), 1)
+        raise spectra.InvariantSubspaceViolation(one, one)
+
+    monkeypatch.setattr(spectra, "spectrum", fail)
+    code, out, err = run(capsys, "spectrum", "--case", "twobody_es",
+                         "--N", "2")
+    assert code == 1
+    assert "verification failed" in err and "Traceback" not in err
+    assert ("DefectiveBlock" if error == "defective"
+            else "InvariantSubspaceViolation") in err

@@ -28,7 +28,7 @@ def test_char_poly_trace_and_det(rng):
     A = rand_matrix(rng, 4)
     coeffs = linalg.char_poly(A)          # ascending, monic
     assert coeffs[-1] == 1
-    assert coeffs[-2] == -linalg.mat_trace(A)
+    assert coeffs[-2] == -sum(A[i][i] for i in range(4))
     det = Fraction(round(np.linalg.det(np.array(A, dtype=float))))
     assert coeffs[0] == det
 
@@ -99,3 +99,29 @@ def test_eigenvalues_of_exact_matrix_match_numpy(rng):
         got = sorted(mids)
         for g, w in zip(got, want):
             assert abs(g - w) < 1e-6
+
+
+def test_wrappers_on_zero_rows():
+    Z = Fraction(0)
+    A = [[Z, Z, Z],
+         [Fraction(1), Fraction(2), Z],
+         [Z, Z, Z]]
+    assert linalg.rank(A) == 1
+    null = linalg.nullspace(A)
+    assert len(null) == 2
+    for v in null:
+        assert [sum(r * x for r, x in zip(row, v)) for row in A] == [Z] * 3
+    assert linalg.solve(A, [Z, Fraction(3), Z]) == [Fraction(3), Z, Z]
+    assert linalg.solve(A, [Fraction(1), Fraction(3), Z]) is None
+    assert linalg.char_poly([[Z, Z], [Fraction(5), Fraction(2)]]) \
+        == [Z, Fraction(-2), Fraction(1)]
+
+
+def test_wrappers_on_the_zero_block():
+    # the degree-0 block of every gauged operator
+    Z = [[Fraction(0)]]
+    assert linalg.rank(Z) == 0
+    assert linalg.nullspace(Z) == [[Fraction(1)]]
+    assert linalg.char_poly(Z) == [Fraction(0), Fraction(1)]
+    assert linalg.solve(Z, [Fraction(0)]) == [Fraction(0)]
+    assert linalg.solve(Z, [Fraction(1)]) is None

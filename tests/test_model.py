@@ -210,3 +210,12 @@ def test_molecular_ground_energy_is_linear_in_separation():
     # E0(rho23) = omega d (a+b) + 2 m omega^2 a b rho23
     assert gs.energy.eval({"rho12": 0, "rho13": 0, "rho23": Fraction(5)}) \
         == 12 + 2 * 2 * 3 * 5
+
+
+@pytest.mark.parametrize("build", [build_h_algebraic, lie_form],
+                         ids=lambda f: f.__name__)
+def test_untranscribed_case_raises(build, rng):
+    # only the ground state of the 3-body QES chain is transcribed
+    p = draw_case_params(rng, Case.PRIMITIVE3_QES)
+    with pytest.raises(CaseError, match="primitive3_qes"):
+        build(Case.PRIMITIVE3_QES, p)

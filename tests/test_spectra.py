@@ -2,6 +2,7 @@
 eigenvalues with certified intervals, and closed-form cross-checks."""
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -116,6 +117,45 @@ def test_eigenfunctions_satisfy_operator_exactly(rng):
     for ef in rep.eigenfunctions:
         f = ef.as_poly(rep.basis)
         assert h.apply(f) == ef.eigenvalue * f
+
+
+@pytest.mark.parametrize(
+    "case", [Case.GENERAL3, Case.EQUAL_MASS3, Case.ATOMIC3, Case.ONE_DIM3,
+             Case.MOLECULAR3, Case.TWO_BODY_ES], ids=lambda c: c.value)
+def test_eigenfunctions_match_full_matrix_nullspace(case, rng):
+    """Back-substituted eigenvectors equal the normalised null vectors of
+    the whole shifted matrix (sympy's nullspace as the oracle), one per
+    rational level that is simple across the grading."""
+    import sympy
+    from test_model import draw_case_params
+    for _ in range(3):
+        p = draw_case_params(rng, case)
+        rep = spectra.spectrum(case, p, rng.randint(1, 4))
+        M = spectra.assemble_matrix(spectra.case_operator(case, p),
+                                    rep.basis)
+        counts = Counter()
+        for ev in rep.gauged:
+            if ev.value is not None:
+                counts[ev.value] += ev.multiplicity
+        assert sorted(ef.eigenvalue for ef in rep.eigenfunctions) \
+            == sorted(v for v, c in counts.items() if c == 1)
+        full = sympy.Matrix(M.entries)
+        for ef in rep.eigenfunctions:
+            (null,) = (full - ef.eigenvalue * sympy.eye(M.size)).nullspace()
+            lead = next(x for x in null if x != 0)
+            assert ef.coeffs == tuple(Fraction(int(x.p), int(x.q))
+                                      for x in null / lead)
+
+
+def test_defective_block_keeps_report():
+    # a rotation in the degree-1 block: two complex levels
+    basis = spectra.enumerate_basis(("x12", "x13"), 1)
+    Z, one = Fraction(0), Fraction(1)
+    M = spectra.OpMatrix(basis, ((Z, Z, Z), (Z, Z, -one), (Z, one, Z)))
+    with pytest.raises(spectra.DefectiveBlock) as info:
+        spectra.eigenvalues_graded(M)
+    assert [ev.value for ev in info.value.report.gauged] == [0]
+    assert info.value.report.eigenfunctions[0].coeffs == (one, Z, Z)
 
 
 def test_molecular_spectrum():
