@@ -12,15 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import List, Optional
 
 from . import __version__
-from .model import (Case, CaseError, Params, case_variables, ground_state,
-                    nu_coefficients, params_from_json, validate_case)
+from .model import (Case, CaseError, Params, case_variables, degenerate,
+                    params_from_json, validate_case)
 from . import integrals as integrals_mod
-from . import numerics, sepvar, spectra
+from . import linalg, numerics, sepvar, spectra
 
 
 class VerificationFailure(RuntimeError):
@@ -215,7 +214,7 @@ def cmd_verify_all(args) -> None:
 
     for c in (Case.GENERAL3, Case.EQUAL_MASS3, Case.ISOTROPIC3,
               Case.TWO_BODY_ES):
-        q = _specialize(p, c)
+        q = degenerate(p, c)
         run(f"ground-state-annihilation-{c.value}",
             lambda q=q, c=c: spectra.case_operator(c, q).apply(
                 _one(c)).is_zero())
@@ -233,16 +232,6 @@ def cmd_verify_all(args) -> None:
 def _one(case: Case):
     from .exact import MultiPoly
     return MultiPoly.const(case_variables(case), Fraction(1))
-
-
-def _specialize(p: Params, case: Case) -> Params:
-    if case is Case.EQUAL_MASS3:
-        return replace(p, m2=p.m1, m3=p.m1)
-    if case is Case.ISOTROPIC3:
-        return replace(p, m2=p.m1, m3=p.m1, b=p.a, c=p.a)
-    if case is Case.TWO_BODY_ES:
-        return Params(m1=p.m1, m2=p.m1, omega=p.omega, d=p.d)
-    return p
 
 
 def _check_es_spectrum() -> bool:
@@ -338,7 +327,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except VerificationFailure as e:
         print(f"verification failed: {e.args[0]}", file=sys.stderr)
         return 1
-    except (spectra.DefectiveBlock, spectra.InvariantSubspaceViolation) as e:
+    except (spectra.DefectiveBlock, spectra.InvariantSubspaceViolation,
+            linalg.RootCertificateError) as e:
         print(f"verification failed: {type(e).__name__}: {e}",
               file=sys.stderr)
         return 1

@@ -7,13 +7,12 @@ from .diffop import DiffOp, RatDiffOp
 from .phase import (CANONICAL_PAIRS, MOM_VARS, PHASE_VARS, RHO_VARS,
                     phase_const, phase_poly, phase_var, poisson_bracket)
 from .idtest import (SingularSampleError, identity_test, random_point,
-                     random_points, random_rational)
+                     random_rational)
 
 __all__ = [
     "MultiPoly", "RationalFn", "VariableMismatch", "poly_from_coeffs",
     "GaussFn", "DiffOp", "RatDiffOp",
     "CANONICAL_PAIRS", "MOM_VARS", "PHASE_VARS", "RHO_VARS",
     "phase_const", "phase_poly", "phase_var", "poisson_bracket",
-    "SingularSampleError", "identity_test", "random_point", "random_points",
-    "random_rational",
+    "SingularSampleError", "identity_test", "random_point", "random_rational",
 ]

@@ -13,6 +13,7 @@ from typing import Sequence
 from .poly import MultiPoly, RationalFn
 
 MAX_RETRIES = 100
+MIN_POINTS = 25
 
 
 class SingularSampleError(RuntimeError):
@@ -27,17 +28,17 @@ def random_point(variables: Sequence[str], rng: random.Random) -> dict:
     return {v: random_rational(rng) for v in variables}
 
 
-def random_points(variables: Sequence[str], count: int, seed: int) -> list:
-    rng = random.Random(seed)
-    return [random_point(variables, rng) for _ in range(count)]
-
-
 def identity_test(f, g, points=None, seed: int = 0, n_points: int = 25) -> bool:
     """True iff f and g agree exactly at every sample point.
 
-    f, g: MultiPoly or RationalFn over the same variables.  Points hitting
-    a denominator zero are resampled (at most MAX_RETRIES times overall).
+    f, g: MultiPoly or RationalFn over the same variables.  Without
+    `points`, n_points >= MIN_POINTS random points are drawn.  Points
+    hitting a denominator zero are resampled (at most MAX_RETRIES times
+    overall).
     """
+    if points is None and n_points < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} sample points, "
+                         f"got {n_points}")
     if isinstance(f, MultiPoly):
         f = RationalFn(f)
     if isinstance(g, MultiPoly):
@@ -46,7 +47,7 @@ def identity_test(f, g, points=None, seed: int = 0, n_points: int = 25) -> bool:
         raise ValueError(f"variable mismatch: {f.variables} vs {g.variables}")
     rng = random.Random(seed)
     if points is None:
-        points = [random_point(f.variables, rng) for _ in range(max(n_points, 25))]
+        points = [random_point(f.variables, rng) for _ in range(n_points)]
     retries = 0
     for point in points:
         while True:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .exact import (DiffOp, MultiPoly, PHASE_VARS, RHO_VARS, phase_const,
-                    phase_var, poisson_bracket)
+from .exact import (DiffOp, MultiPoly, PHASE_VARS, RHO_VARS, phase_var,
+                    poisson_bracket)
 from .model import (Case, Params, build_potential, build_radial_laplacian,
                     nu_coefficients, reduced_masses)
 
@@ -269,14 +269,6 @@ def build_integral_set(p: Params) -> IntegralSet:
         "S3tq": prolonged_s3_quantum(p),
     }
     return IntegralSet(classical, quantum, prolonged)
-
-
-def conservation_check_classical(H: MultiPoly, I: MultiPoly) -> MultiPoly:
-    return poisson_bracket(H, I)
-
-
-def conservation_check_quantum(H: DiffOp, I: DiffOp) -> DiffOp:
-    return H.commutator(I)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,21 @@ to a sparse `DomainMatrix` over QQ (the spectral blocks are mostly zeros),
 where one reduced row echelon form does all elimination and `charpoly` is
 division-free Berkowitz on the matrix's own block structure.  sympy is
 imported inside the functions, so commands that do no linear algebra never
-load it.  Real roots are factored by sympy and their isolating intervals
-refined here by exact sign-change bisection over Fraction.
+load it.
+
+Real roots: sympy factors the characteristic polynomial over Q, built
+straight from its coefficient list, and isolates the real roots of each
+factor.  A factor of degree >= 2 is irreducible, so its roots are
+irrational; each isolating interval is refined here by sign-change
+bisection in integers: both ends over one denominator q, and the sign of
+f at p/q taken from q^d f(p/q) by integer Horner.  The decisions are
+those of the same bisection over Fraction, so the intervals are identical
+to it, without a gcd per step.  An interval whose ends do not have
+strictly opposite signs raises `RootCertificateError`.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -81,13 +91,10 @@ def char_poly(A: Matrix) -> List[Fraction]:
     return [_fraction(c) for c in reversed(_domain_matrix(A).charpoly())]
 
 
-# -- univariate polynomial utilities over Fraction ---------------------------
+# -- certified real roots ----------------------------------------------------
 
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
+class RootCertificateError(RuntimeError):
+    """An isolating interval whose ends do not have strictly opposite signs."""
 
 
 def poly_trim(coeffs: Sequence[Fraction]) -> List[Fraction]:
@@ -97,27 +104,50 @@ def poly_trim(coeffs: Sequence[Fraction]) -> List[Fraction]:
     return out or [Fraction(0)]
 
 
-def _refine_sign_change(coeffs, lo: Fraction, hi: Fraction,
+def _scaled_value(coeffs: Sequence[int], p: int, q: int) -> int:
+    """q^d f(p/q) = sum c_i p^i q^(d-i) for integer coefficients (highest
+    degree first) by integer Horner; it has the sign of f(p/q) when q > 0."""
+    acc = coeffs[0]
+    qk = q
+    for c in coeffs[1:]:
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
+def _refine_sign_change(coeffs: Sequence[int], lo: Fraction, hi: Fraction,
                         width: Fraction) -> Tuple[Fraction, Fraction]:
-    """Shrink [lo, hi] (with a sign change of coeffs) below `width` by
-    exact bisection, keeping the sign change inside."""
-    flo = poly_eval(coeffs, lo)
-    fhi = poly_eval(coeffs, hi)
-    if flo == 0:
-        return (lo, lo)
-    if fhi == 0:
-        return (hi, hi)
-    assert (flo > 0) != (fhi > 0), "no sign change over isolating interval"
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = poly_eval(coeffs, mid)
-        if fm == 0:
-            return (mid, mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+    """Shrink [lo, hi] below `width` by exact bisection, keeping the sign
+    change of the integer polynomial `coeffs` (highest degree first) inside.
+
+    The ends are a/q and b/q over one denominator q.  Each step doubles a,
+    b and q, so that the midpoint is a + b.  `coeffs` is irreducible of
+    degree >= 2, so it has no rational root and no sign met here is zero.
+    Raises RootCertificateError unless the signs at lo and hi are strictly
+    opposite.
+    """
+    q = lo.denominator * hi.denominator
+    a = lo.numerator * hi.denominator
+    b = hi.numerator * lo.denominator
+    fa = _scaled_value(coeffs, a, q)
+    if fa * _scaled_value(coeffs, b, q) >= 0:
+        raise RootCertificateError(
+            f"no sign change over isolating interval [{lo}, {hi}]")
+    positive = fa > 0
+    while (b - a) * width.denominator > width.numerator * q:
+        m = a + b
+        a, b, q = 2 * a, 2 * b, 2 * q
+        if (_scaled_value(coeffs, m, q) > 0) == positive:
+            a = m
         else:
-            hi, fhi = mid, fm
-    return (lo, hi)
+            b = m
+    return Fraction(a, q), Fraction(b, q)
+
+
+def _integer_coeffs(coeffs) -> List[int]:
+    """A rational coefficient list times the lcm of its denominators."""
+    den = math.lcm(*(int(c.denominator) for c in coeffs))
+    return [int(c.numerator) * (den // int(c.denominator)) for c in coeffs]
 
 
 def real_roots_exact(coeffs, width: Fraction = Fraction(1, 2 ** 64)):
@@ -125,36 +155,32 @@ def real_roots_exact(coeffs, width: Fraction = Fraction(1, 2 ** 64)):
 
     Returns (rational, irrational): rational as [(Fraction, multiplicity)],
     irrational as [((lo, hi), multiplicity)] with certified isolating
-    intervals of width <= `width` refined by exact sign-change bisection.
-    Factorization over Q is delegated to sympy; the interval refinement and
-    the final sign-change certificates are done in-house over Fraction.
+    intervals of width <= `width`.  sympy factors the polynomial over Q and
+    isolates the roots of each factor; every factor of degree >= 2 is
+    irreducible, so its roots are irrational, and each interval is refined
+    here by sign-change bisection in integers.
     """
-    import sympy
+    from sympy import Poly, Symbol
+    from sympy.polys.domains import QQ
 
     coeffs = poly_trim(coeffs)
     if len(coeffs) <= 1:
         return [], []
-    lam = sympy.Symbol("lam")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * lam ** k
-               for k, c in enumerate(coeffs))
-    poly = sympy.Poly(expr, lam, domain="QQ")
-    _, factors = poly.factor_list()
+    poly = Poly.from_list([QQ(c.numerator, c.denominator)
+                           for c in reversed(coeffs)], Symbol("lam"),
+                          domain=QQ)
     rational: List[Tuple[Fraction, int]] = []
     irrational = []
-    for fac, mult in factors:
-        fcoeffs = [Fraction(str(c)) for c in reversed(fac.all_coeffs())]
-        if fac.degree() == 1:
-            # c0 + c1 lam
-            rational.append((-fcoeffs[0] / fcoeffs[1], mult))
+    for fac, mult in poly.factor_list()[1]:
+        fcoeffs = _integer_coeffs(fac.rep.to_list())
+        if len(fcoeffs) == 2:
+            # c1 lam + c0
+            rational.append((Fraction(-fcoeffs[1], fcoeffs[0]), mult))
             continue
         for (lo, hi), _m in fac.intervals():
-            lo = Fraction(str(lo))
-            hi = Fraction(str(hi))
-            if lo == hi:
-                rational.append((lo, mult))
-                continue
-            irrational.append((_refine_sign_change(fcoeffs, lo, hi, width),
-                               mult))
+            irrational.append((_refine_sign_change(
+                fcoeffs, Fraction(int(lo.p), int(lo.q)),
+                Fraction(int(hi.p), int(hi.q)), width), mult))
     rational.sort(key=lambda t: t[0])
     irrational.sort(key=lambda t: t[0][0])
     return rational, irrational

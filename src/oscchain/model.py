@@ -16,11 +16,10 @@ Conventions:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .exact import DiffOp, GaussFn, MultiPoly, RationalFn
 
@@ -752,42 +751,6 @@ def build_qes_primitive(p: Params):
 
 
 # ---------------------------------------------------------------------------
-# Jacobi coordinates (numeric)
-
-def jacobi_coordinates(masses: Sequence[float],
-                       positions: Sequence[Sequence[float]]):
-    """Mass-weighted relative coordinates diagonalizing the kinetic energy."""
-    n = len(masses)
-    if n < 2:
-        raise ValueError("need at least two bodies")
-    if any(m <= 0 for m in masses):
-        raise ValueError("masses must be positive")
-    if len(positions) != n:
-        raise ValueError("positions/masses length mismatch")
-    dims = len(positions[0])
-    M = [0.0] * n
-    M[0] = float(masses[0])
-    for j in range(1, n):
-        M[j] = M[j - 1] + float(masses[j])
-    out = []
-    for j in range(1, n):
-        factor = math.sqrt(float(masses[j]) * M[j - 1] / M[j])
-        com = [sum(float(masses[k]) * positions[k][t] for k in range(j)) / M[j - 1]
-               for t in range(dims)]
-        out.append([factor * (positions[j][t] - com[t]) for t in range(dims)])
-    return out
-
-
-def jacobi_reduced_mass(masses: Sequence[float]) -> float:
-    """(prod m_j / M)^(1/(n-1))."""
-    n = len(masses)
-    prod = 1.0
-    for m in masses:
-        prod *= float(m)
-    return (prod / sum(float(m) for m in masses)) ** (1.0 / (n - 1))
-
-
-# ---------------------------------------------------------------------------
 # JSON params
 
 def params_from_json(data: dict) -> Tuple[Case, Params]:
@@ -822,9 +785,12 @@ def params_from_json(data: dict) -> Tuple[Case, Params]:
 
 
 def degenerate(p: Params, case: Case) -> Params:
-    """Specialize params along the degeneration chain general -> equal -> isotropic."""
+    """Specialize params along the degeneration chain general -> equal ->
+    isotropic, or to the equal-mass 2-body chain."""
     if case is Case.EQUAL_MASS3:
         return replace(p, m2=p.m1, m3=p.m1)
     if case is Case.ISOTROPIC3:
         return replace(p, m2=p.m1, m3=p.m1, b=p.a, c=p.a)
+    if case is Case.TWO_BODY_ES:
+        return Params(m1=p.m1, m2=p.m1, omega=p.omega, d=p.d)
     return p

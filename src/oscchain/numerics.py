@@ -3,7 +3,9 @@
 A finite-difference radial eigensolver cross-checks the exact 2-body
 algebraic energies; Born-Oppenheimer routines quantify the approximation
 error against the exactly known ground energy; potential-curve tables are
-emitted exactly (the curve is linear).
+emitted exactly (the curve is linear).  numpy and scipy are imported
+inside the two functions that use them, so commands without a grid or a
+fit never load them.
 """
 from __future__ import annotations
 
@@ -11,9 +13,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .model import Case, Params, build_potential, reduced_masses, \
     nu_coefficients, validate_case
@@ -69,6 +68,9 @@ def fd_radial_eigen(potential: Sequence[float], d: int,
     conditions; symmetric second-order stencil, Richardson-extrapolated
     over grids (h, h/2).
     """
+    import numpy as np
+    from scipy.linalg import eigh_tridiagonal
+
     potential = list(potential)
     if not potential or potential[-1] <= 0:
         raise NonConfiningPotential("leading potential coefficient must be > 0")
@@ -77,7 +79,7 @@ def fd_radial_eigen(potential: Sequence[float], d: int,
             (12 * math.log(10.0) / potential[-1]) ** (1.0 / (len(potential)))),
             4000)
 
-    def solve(g: Grid1D) -> np.ndarray:
+    def solve(g: Grid1D):
         h = g.spacing
         r = np.arange(1, g.npoints - 1) * h
         rho = r * r
@@ -176,6 +178,8 @@ def bo_series_fit(p: Params, m1_grid: Sequence[float] = DEFAULT_FIT_GRID
     A quartic (no constant term) least-squares model absorbs the cubic and
     quartic tail so c1, c2 are clean on grids up to m1 ~ 0.05.
     """
+    import numpy as np
+
     m1_grid = [float(m) for m in m1_grid]
     if len(m1_grid) < 6:
         raise ValueError("need at least 6 grid points")

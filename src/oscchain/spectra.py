@@ -12,15 +12,15 @@ block, back-substituted through the blocks below it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .exact import DiffOp, MultiPoly
-from .model import (Case, CaseError, GroundState, Params, build_h_algebraic,
-                    case_variables, ground_state, validate_case)
+from .model import (Case, CaseError, Params, build_h_algebraic, ground_state,
+                    validate_case)
 
 
 class InvariantSubspaceViolation(RuntimeError):

@@ -171,3 +171,36 @@ def test_spectral_failures_exit_1(capsys, monkeypatch, error):
     assert "verification failed" in err and "Traceback" not in err
     assert ("DefectiveBlock" if error == "defective"
             else "InvariantSubspaceViolation") in err
+
+
+def test_broken_root_certificate_exits_1(capsys, monkeypatch):
+    # every sign reads positive, so no isolating interval is certified
+    from oscchain import linalg
+    monkeypatch.setattr(linalg, "_scaled_value", lambda coeffs, p, q: 1)
+    code, out, err = run(capsys, "spectrum", "--case", "general3", "--N",
+                         "1", "--m1", "2", "--m2", "3", "--m3", "5/2",
+                         "--b", "2", "--c", "3/2")
+    assert code == 1 and out == ""
+    assert "verification failed: RootCertificateError" in err
+    assert "Traceback" not in err
+
+
+def test_commands_without_a_grid_do_not_load_numpy_or_scipy():
+    import os
+    import subprocess
+    import sys
+
+    import oscchain
+    script = (
+        "import contextlib, io, sys\n"
+        "from oscchain.cli import main\n"
+        "loaded = lambda: sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['spectrum', '--case', 'general3', '--N', '2'])\n"
+        "print(code, loaded())\n")
+    src = os.path.dirname(os.path.dirname(oscchain.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "0 []"]

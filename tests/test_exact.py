@@ -11,6 +11,8 @@ from oscchain.exact import (DiffOp, GaussFn, MultiPoly, RationalFn,
                             phase_var, poisson_bracket, random_point,
                             random_rational)
 
+from oscchain.exact import idtest
+
 from conftest import draw_poly, fractions_st, polys_st
 
 XY = ("x", "y")
@@ -233,6 +235,13 @@ def test_random_rational_range():
     for _ in range(200):
         q = random_rational(rng)
         assert 1 <= q.numerator <= 1000 and 1 <= q.denominator <= 1000
+
+
+def test_identity_test_rejects_too_few_points():
+    x = MultiPoly.var(("x",), "x")
+    with pytest.raises(ValueError, match="at least 25"):
+        identity_test(x, x, n_points=1)
+    assert identity_test(x, x, n_points=idtest.MIN_POINTS)
 
 
 def test_identity_test_resamples_singular_points():

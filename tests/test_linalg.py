@@ -1,10 +1,13 @@
 """Exact linear algebra: characteristic polynomials, nullspaces, and
-certified real-root extraction, cross-checked against numpy."""
+certified real-root extraction, cross-checked against numpy and against
+the Fraction bisection that the integer one replaced."""
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscchain import linalg
 
@@ -125,3 +128,92 @@ def test_wrappers_on_the_zero_block():
     assert linalg.char_poly(Z) == [Fraction(0), Fraction(1)]
     assert linalg.solve(Z, [Fraction(0)]) == [Fraction(0)]
     assert linalg.solve(Z, [Fraction(1)]) is None
+
+
+def test_refine_rejects_an_interval_without_a_sign_change():
+    # 3 lam^2 - 2 is positive at both ends of [1, 2]
+    with pytest.raises(linalg.RootCertificateError):
+        linalg._refine_sign_change([3, 0, -2], Fraction(1), Fraction(2),
+                                   Fraction(1, 2 ** 64))
+
+
+def test_refine_matches_width_exactly():
+    # lam^2 - 2 on [1, 2]: 64 halvings reach width 2^-64
+    lo, hi = linalg._refine_sign_change([1, 0, -2], Fraction(1), Fraction(2),
+                                        Fraction(1, 2 ** 64))
+    assert hi - lo == Fraction(1, 2 ** 64)
+    assert lo * lo < 2 < hi * hi
+
+
+# -- real_roots_exact against the Fraction bisection it replaced -------------
+
+def _fraction_eval(coeffs, x):
+    out = Fraction(0)
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def _reference_roots(coeffs, width=Fraction(1, 2 ** 64)):
+    """sympy factors and intervals, refined by Fraction bisection."""
+    import sympy
+    lam = sympy.Symbol("lam")
+    poly = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator)
+                          * lam ** k for k, c in enumerate(coeffs)),
+                      lam, domain="QQ")
+    rational, irrational = [], []
+    for fac, mult in poly.factor_list()[1]:
+        fc = [Fraction(str(c)) for c in reversed(fac.all_coeffs())]
+        if fac.degree() == 1:
+            rational.append((-fc[0] / fc[1], mult))
+            continue
+        for (lo, hi), _ in fac.intervals():
+            lo, hi = Fraction(str(lo)), Fraction(str(hi))
+            flo = _fraction_eval(fc, lo)
+            while hi - lo > width:
+                mid = (lo + hi) / 2
+                if (_fraction_eval(fc, mid) > 0) == (flo > 0):
+                    lo = mid
+                else:
+                    hi = mid
+            irrational.append(((lo, hi), mult, fc))
+    return (sorted(rational),
+            sorted(irrational, key=lambda t: t[0][0]))
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def factored_polys(draw):
+    """Ascending coefficients of a product of rational linear factors and
+    quadratics/cubics with small coefficients, multiplicities 1-3."""
+    coeffs = [Fraction(1)]
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, 3))
+        factor = [draw(small_rationals) for _ in range(degree)] + [Fraction(1)]
+        for _ in range(draw(st.integers(1, 3))):
+            out = [Fraction(0)] * (len(coeffs) + len(factor) - 1)
+            for i, a in enumerate(coeffs):
+                for j, b in enumerate(factor):
+                    out[i + j] += a * b
+            coeffs = out
+    scale = draw(st.fractions(min_value=1, max_value=5, max_denominator=3))
+    return [scale * c for c in coeffs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(factored_polys())
+def test_real_roots_match_fraction_bisection(coeffs):
+    rational, irrational = linalg.real_roots_exact(coeffs)
+    want_rational, want_irrational = _reference_roots(coeffs)
+    assert rational == want_rational
+    assert irrational == [(iv, m) for iv, m, _ in want_irrational]
+    for (lo, hi), _, fc in want_irrational:
+        assert 0 < hi - lo <= Fraction(1, 2 ** 64)
+        assert _fraction_eval(fc, lo) * _fraction_eval(fc, hi) < 0
+    import sympy
+    lam = sympy.Symbol("lam")
+    poly = sympy.Poly(list(reversed(coeffs)), lam, domain="QQ")
+    assert sum(m for _, m in rational) + sum(m for _, m in irrational) \
+        == len(sympy.real_roots(poly))

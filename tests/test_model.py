@@ -176,6 +176,7 @@ def test_degeneration_chain(rng):
     pi = degenerate(p, Case.ISOTROPIC3)
     assert build_h_algebraic(Case.ISOTROPIC3, pi) \
         == build_h_algebraic(Case.GENERAL3, pi)
+    assert degenerate(p, Case.TWO_BODY_ES) == Params(m1=p.m1, m2=p.m1, omega=p.omega, d=p.d)
 
 
 def test_validate_case_rejects_bad_params():
