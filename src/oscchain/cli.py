@@ -27,33 +27,43 @@ class VerificationFailure(RuntimeError):
 
 
 _INF = "__infinite__"   # sentinel distinguishing an explicit 'inf' flag
+MAX_RANGE_VALUES = 10_000   # most values one lo:hi:step range may produce
 
 
-def _parse_fraction(text: str):
-    if text in ("inf", "infinite", "none"):
-        return _INF
+def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from e
 
 
+def _parse_mass(text: str):
+    if text in ("inf", "infinite", "none"):
+        return _INF
+    return _parse_fraction(text)
+
+
 def parse_range(text: str) -> List[Fraction]:
-    """lo:hi:step (inclusive endpoints up to rounding) or a single value."""
+    """lo:hi:step (inclusive endpoints up to rounding) or a single value;
+    at most MAX_RANGE_VALUES values."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [Fraction(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise argparse.ArgumentTypeError(
             f"range must be lo:hi:step, got {text!r}")
-    lo, hi, step = (Fraction(t) for t in parts)
+    try:
+        values = [Fraction(t) for t in parts]
+    except ZeroDivisionError as e:
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from e
+    if len(values) == 1:
+        return values
+    lo, hi, step = values
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError("need step > 0 and hi >= lo")
-    out, v = [], lo
-    while v <= hi:
-        out.append(v)
-        v += step
-    return out
+    count = (hi - lo) // step + 1
+    if count > MAX_RANGE_VALUES:
+        raise argparse.ArgumentTypeError(
+            f"range has {count} values, more than {MAX_RANGE_VALUES}")
+    return [lo + k * step for k in range(count)]
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
@@ -61,7 +71,7 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
                      help="JSON parameter file; flags below override it")
     sub.add_argument("--case", choices=[c.value for c in Case])
     for name in ("m1", "m2", "m3"):
-        sub.add_argument(f"--{name}", type=_parse_fraction,
+        sub.add_argument(f"--{name}", type=_parse_mass,
                          help=f"mass {name} (rational or 'inf')")
     for name in ("a", "b", "c", "omega", "A", "A12", "A13", "A23", "rho23"):
         sub.add_argument(f"--{name}", type=_parse_fraction)

@@ -1,18 +1,18 @@
 """Exact computer-algebra kernel: rationals, polynomials, differential
 operators, Gaussian-weighted functions, Poisson brackets, identity testing."""
 
-from .poly import MultiPoly, RationalFn, VariableMismatch, poly_from_coeffs
+from .poly import MultiPoly, RationalFn, VariableMismatch
 from .gaussian import GaussFn
 from .diffop import DiffOp, RatDiffOp
 from .phase import (CANONICAL_PAIRS, MOM_VARS, PHASE_VARS, RHO_VARS,
-                    phase_const, phase_poly, phase_var, poisson_bracket)
+                    phase_var, poisson_bracket)
 from .idtest import (SingularSampleError, identity_test, random_point,
                      random_rational)
 
 __all__ = [
-    "MultiPoly", "RationalFn", "VariableMismatch", "poly_from_coeffs",
+    "MultiPoly", "RationalFn", "VariableMismatch",
     "GaussFn", "DiffOp", "RatDiffOp",
     "CANONICAL_PAIRS", "MOM_VARS", "PHASE_VARS", "RHO_VARS",
-    "phase_const", "phase_poly", "phase_var", "poisson_bracket",
+    "phase_var", "poisson_bracket",
     "SingularSampleError", "identity_test", "random_point", "random_rational",
 ]

@@ -16,16 +16,8 @@ PHASE_VARS = RHO_VARS + MOM_VARS
 CANONICAL_PAIRS: Tuple[Tuple[str, str], ...] = tuple(zip(RHO_VARS, MOM_VARS))
 
 
-def phase_poly(terms=None) -> MultiPoly:
-    return MultiPoly(PHASE_VARS, terms or {})
-
-
 def phase_var(name: str) -> MultiPoly:
     return MultiPoly.var(PHASE_VARS, name)
-
-
-def phase_const(c) -> MultiPoly:
-    return MultiPoly.const(PHASE_VARS, c)
 
 
 def poisson_bracket(f: MultiPoly, g: MultiPoly,

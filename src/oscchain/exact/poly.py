@@ -80,12 +80,6 @@ class MultiPoly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        i = self.variables.index(name)
-        if not self.terms:
-            return 0
-        return max(e[i] for e in self.terms)
-
     def coeff(self, exps: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
@@ -296,10 +290,6 @@ class RationalFn:
     def variables(self):
         return self.num.variables
 
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "RationalFn":
-        return cls(p)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -361,11 +351,3 @@ class RationalFn:
     def __repr__(self):
         return f"({self.num!r}) / ({self.den!r})"
 
-
-def poly_from_coeffs(variables, name: str, coeffs: Sequence[Scalar]) -> MultiPoly:
-    """Univariate-style helper: sum coeffs[k] * name**k inside `variables`."""
-    x = MultiPoly.var(variables, name)
-    out = MultiPoly.zero(variables)
-    for k, c in enumerate(coeffs):
-        out = out + MultiPoly.const(variables, c) * x ** k
-    return out

@@ -14,21 +14,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .exact import (DiffOp, MultiPoly, PHASE_VARS, RHO_VARS, phase_var,
                     poisson_bracket)
-from .model import (Case, Params, build_potential, build_radial_laplacian,
-                    nu_coefficients, reduced_masses)
-
-
-def _pv(name: str) -> MultiPoly:
-    return phase_var(name)
-
-
-def _area_neg(variables) -> MultiPoly:
-    """rho12^2 + rho13^2 + rho23^2 - 2(rho12 rho13 + rho12 rho23 + rho13 rho23)."""
-    r12 = MultiPoly.var(variables, "rho12")
-    r13 = MultiPoly.var(variables, "rho13")
-    r23 = MultiPoly.var(variables, "rho23")
-    return (r12 ** 2 + r13 ** 2 + r23 ** 2
-            - 2 * (r12 * r13 + r12 * r23 + r13 * r23))
+from .model import (Case, Params, area_square_expr, build_potential,
+                    build_radial_laplacian, nu_coefficients, reduced_masses,
+                    validate_case)
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +25,8 @@ def _area_neg(variables) -> MultiPoly:
 def classical_s1(p: Params) -> MultiPoly:
     mu12, mu13, mu23 = reduced_masses(p)
     m1, m2, m3 = p.masses
-    r12, r13, r23 = _pv("rho12"), _pv("rho13"), _pv("rho23")
-    p1, p2, p3 = _pv("p1"), _pv("p2"), _pv("p3")
+    r12, r13, r23 = phase_var("rho12"), phase_var("rho13"), phase_var("rho23")
+    p1, p2, p3 = phase_var("p1"), phase_var("p2"), phase_var("p3")
     return ((1 / mu12) * r12 * p1 ** 2 + (1 / mu13) * r13 * p2 ** 2
             + (1 / mu23) * r23 * p3 ** 2
             + (1 / m1) * (r12 + r13 - r23) * p1 * p2
@@ -47,24 +35,24 @@ def classical_s1(p: Params) -> MultiPoly:
 
 
 def classical_s2() -> MultiPoly:
-    r12, r13, r23 = _pv("rho12"), _pv("rho13"), _pv("rho23")
-    p1, p2, p3 = _pv("p1"), _pv("p2"), _pv("p3")
+    r12, r13, r23 = phase_var("rho12"), phase_var("rho13"), phase_var("rho23")
+    p1, p2, p3 = phase_var("p1"), phase_var("p2"), phase_var("p3")
     return (r13 * p2 ** 2 - r12 * p1 ** 2
             + (r23 + r13 - r12) * p2 * p3
             + (r13 - r12 - r23) * p1 * p3)
 
 
 def classical_s3() -> MultiPoly:
-    r12, r13, r23 = _pv("rho12"), _pv("rho13"), _pv("rho23")
-    p1, p2 = _pv("p1"), _pv("p2")
+    r12, r13, r23 = phase_var("rho12"), phase_var("rho13"), phase_var("rho23")
+    p1, p2 = phase_var("p1"), phase_var("p2")
     return (-r13 * p2 ** 2 - r12 * p1 ** 2
             + (r23 - r13 - r12) * p1 * p2)
 
 
 def classical_l0(p: Params) -> MultiPoly:
     m1, m2, m3 = p.masses
-    r12, r13, r23 = _pv("rho12"), _pv("rho13"), _pv("rho23")
-    p1, p2, p3 = _pv("p1"), _pv("p2"), _pv("p3")
+    r12, r13, r23 = phase_var("rho12"), phase_var("rho13"), phase_var("rho23")
+    p1, p2, p3 = phase_var("p1"), phase_var("p2"), phase_var("p3")
     return (m3 * ((m1 + m2) * r13 - (m1 + m2) * r23 + (m1 - m2) * r12) * p1
             + m2 * ((m1 + m3) * r23 - (m1 + m3) * r12 + (m3 - m1) * r13) * p2
             + m1 * ((m2 + m3) * r12 - (m2 + m3) * r13 + (m2 - m3) * r23) * p3)
@@ -72,8 +60,8 @@ def classical_l0(p: Params) -> MultiPoly:
 
 def classical_f(p: Params, which: int) -> MultiPoly:
     m1, m2, m3 = p.masses
-    p1, p2, p3 = _pv("p1"), _pv("p2"), _pv("p3")
-    area = _area_neg(PHASE_VARS)
+    p1, p2, p3 = phase_var("p1"), phase_var("p2"), phase_var("p3")
+    area = -area_square_expr(PHASE_VARS)
     if which == 1:
         return area * (m2 * p2 - m3 * p1) ** 2
     if which == 2:
@@ -90,7 +78,7 @@ def classical_hamiltonian(p: Params, nus=None) -> MultiPoly:
     conservation statements are conditions on the nu's directly.
     """
     nu12, nu13, nu23 = nus if nus is not None else nu_coefficients(p)
-    r12, r13, r23 = _pv("rho12"), _pv("rho13"), _pv("rho23")
+    r12, r13, r23 = phase_var("rho12"), phase_var("rho13"), phase_var("rho23")
     return 2 * classical_s1(p) + 2 * p.omega ** 2 * (
         nu12 * r12 + nu13 * r13 + nu23 * r23)
 
@@ -99,7 +87,7 @@ def prolonged_s2(p: Params, nus=None) -> MultiPoly:
     m1, m2, m3 = p.masses
     nu13 = (nus if nus is not None else nu_coefficients(p))[1]
     M = m1 + m2 + m3
-    r12, r13, r23 = _pv("rho12"), _pv("rho13"), _pv("rho23")
+    r12, r13, r23 = phase_var("rho12"), phase_var("rho13"), phase_var("rho23")
     return classical_s2() + (p.omega ** 2 * nu13 / (m3 * M)) * (
         m3 * (m2 ** 2 + m1 * m3 + m2 * m3) * r13
         - m2 * (m3 ** 2 + m1 * m2 + m2 * m3) * r12
@@ -110,7 +98,7 @@ def _prolong_s3_shift(p: Params, nus=None) -> MultiPoly:
     m1, m2, m3 = p.masses
     nu13 = (nus if nus is not None else nu_coefficients(p))[1]
     M = m1 + m2 + m3
-    r12, r13, r23 = _pv("rho12"), _pv("rho13"), _pv("rho23")
+    r12, r13, r23 = phase_var("rho12"), phase_var("rho13"), phase_var("rho23")
     return (p.omega ** 2 * m1 * nu13 / (m3 * M)) * (
         m2 * m3 * r23 - m2 * (m2 + m3) * r12 - m3 * (m2 + m3) * r13)
 
@@ -159,7 +147,7 @@ def quantum_s3(d: int) -> DiffOp:
 def quantum_f(p: Params, which: int, d: Optional[int] = None) -> DiffOp:
     m1, m2, m3 = p.masses
     d = p.d if d is None else d
-    area = _area_neg(RHO_VARS)
+    area = -area_square_expr(RHO_VARS)
     r12, r13, r23 = _rv("rho12"), _rv("rho13"), _rv("rho23")
     dd = Fraction(d - 1)
     if which == 1:
@@ -318,10 +306,6 @@ def classify_superintegrability(masses: Sequence[Fraction],
     return SuperintegrabilityVerdict("none", (r1, r2, r3), ())
 
 
-def classify_params(p: Params) -> SuperintegrabilityVerdict:
-    return classify_superintegrability(p.masses, nu_coefficients(p))
-
-
 def involution_triplets(p: Params):
     """The three commuting triplets, each verified by exact brackets.
 
@@ -445,6 +429,7 @@ def battery(p: Params, nus: Optional[Sequence[Fraction]] = None
             ) -> BatteryReport:
     """Bracket every candidate integral with the Hamiltonian and compare
     the vanishing pattern against the mass-frequency classification."""
+    validate_case(Case.GENERAL3, p)
     if nus is None:
         nus = maximal_nus(p)
     verdict = classify_superintegrability(p.masses, nus)

@@ -1,12 +1,11 @@
-"""Exact linear algebra over Q, and certified real roots.
+"""Characteristic polynomials and certified real roots over Q.
 
-Matrices enter and leave as lists of rows of Fraction.  Rank, nullspaces,
-linear solves and characteristic polynomials are sympy's: each matrix goes
-to a sparse `DomainMatrix` over QQ (the spectral blocks are mostly zeros),
-where one reduced row echelon form does all elimination and `charpoly` is
-division-free Berkowitz on the matrix's own block structure.  sympy is
-imported inside the functions, so commands that do no linear algebra never
-load it.
+The spectral engine holds each operator matrix as one sparse sympy
+`DomainMatrix` over QQ and does its own ranks, nullspaces and solves on
+it.  `char_poly` is the one matrix stage here: sympy's division-free
+Berkowitz `charpoly`, returned as Fraction coefficients.  sympy is
+imported inside the functions, so commands that do no linear algebra
+never load it.
 
 Real roots: sympy factors the characteristic polynomial over Q, built
 straight from its coefficient list, and isolates the real roots of each
@@ -22,73 +21,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
-
-Matrix = List[List[Fraction]]
+from typing import List, Sequence, Tuple
 
 
-def _domain_matrix(A: Matrix):
-    """Sparse DomainMatrix over QQ of a Fraction matrix.
-
-    Zero rows are left out of the row dict: sympy's sparse elimination
-    fails on a row stored with no entries.
-    """
-    from sympy.polys.domains import QQ
-    from sympy.polys.matrices import DomainMatrix
-
-    rows = {}
-    for i, row in enumerate(A):
-        entries = {j: QQ(x) for j, x in enumerate(row) if x}
-        if entries:
-            rows[i] = entries
-    return DomainMatrix(rows, (len(A), len(A[0]) if A else 0), QQ)
-
-
-def _fraction(q) -> Fraction:
-    return Fraction(q.numerator, q.denominator)
-
-
-def mat_sub_scaled_identity(A: Matrix, lam: Fraction) -> Matrix:
-    out = [row[:] for row in A]
-    for i in range(len(A)):
-        out[i][i] -= lam
-    return out
-
-
-def rank(A: Matrix) -> int:
-    return _domain_matrix(A).rank()
-
-
-def nullspace(A: Matrix) -> List[List[Fraction]]:
-    """Basis of the right nullspace (list of vectors)."""
-    if not A:
-        return []
-    null = _domain_matrix(A).nullspace().to_dod()
-    m = len(A[0])
-    return [[_fraction(v.get(j, 0)) for j in range(m)]
-            for _, v in sorted(null.items())]
-
-
-def solve(A: Matrix, b: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """One solution of A x = b, or None if the system is inconsistent."""
-    if not A:
-        return []
-    m = len(A[0])
-    reduced, pivots = _domain_matrix(
-        [list(row) + [Fraction(bi)] for row, bi in zip(A, b)]).rref()
-    if m in pivots:
-        return None
-    rows = reduced.to_dod()
-    x = [Fraction(0)] * m
-    for i, pc in enumerate(pivots):
-        x[pc] = _fraction(rows[i].get(m, 0))
-    return x
-
-
-def char_poly(A: Matrix) -> List[Fraction]:
-    """Characteristic polynomial coefficients [c0, ..., cn] of det(lam*I - A);
-    cn = 1."""
-    return [_fraction(c) for c in reversed(_domain_matrix(A).charpoly())]
+def char_poly(A) -> List[Fraction]:
+    """Coefficients [c0, ..., cn] of det(lam*I - A) for a square
+    `DomainMatrix` A over QQ; cn = 1."""
+    return [Fraction(c.numerator, c.denominator)
+            for c in reversed(A.charpoly())]
 
 
 # -- certified real roots ----------------------------------------------------

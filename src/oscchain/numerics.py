@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .model import Case, Params, build_potential, reduced_masses, \
-    nu_coefficients, validate_case
+from .model import Case, Params, build_potential, ground_state, \
+    reduced_masses, nu_coefficients, validate_case
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,7 @@ def bo_energies(p: Params) -> BOReport:
     """Zero-point nuclear energy, exact energy, and their gap."""
     if p.m2 is None or p.m3 is None or p.m2 != p.m3:
         raise ValueError("Born-Oppenheimer analysis expects finite m2 = m3")
+    validate_case(Case.GENERAL3, p)
     if p.a <= 0 or p.b <= 0:
         raise ValueError("need a, b > 0")
     m = float(p.m1)
@@ -216,14 +217,11 @@ def bo_mu_scan(p: Params, mu_factors: Sequence[float]) -> List[Tuple[float, floa
 
 def potential_curve(p: Params, rho23_values: Sequence[Fraction]
                     ) -> List[Tuple[Fraction, Fraction]]:
-    """(rho23, ground energy) rows of the molecular curve, exact and linear."""
-    validate_case(Case.MOLECULAR3, p)
-    m, a, b, om, d = p.m1, p.a, p.b, p.omega, Fraction(p.d)
-    rows = []
-    for r in rho23_values:
-        r = Fraction(r) if not isinstance(r, Fraction) else r
-        rows.append((r, om * d * (a + b) + 2 * m * om ** 2 * a * b * r))
-    return rows
+    """(rho23, ground energy) rows of the molecular curve, exact and linear:
+    the molecular ground energy E0(rho23) of `model.ground_state`."""
+    energy = ground_state(Case.MOLECULAR3, p).energy
+    return [(r, energy.eval({"rho12": 0, "rho13": 0, "rho23": r}))
+            for r in map(Fraction, rho23_values)]
 
 
 def curve_csv(rows, header=("rho23", "E0")) -> str:

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .exact import (DiffOp, MultiPoly, RatDiffOp, RationalFn, random_point)
-from .model import Case, Params, build_radial_laplacian, nu_coefficients
+from .exact import MultiPoly, RatDiffOp, RationalFn, random_point
+from .model import RHO3, Case, Params, build_radial_laplacian, nu_coefficients
 
-RHO3 = ("rho12", "rho13", "rho23")
 W3 = ("w1", "w2", "w3")
 
 MAX_RESAMPLES = 100
@@ -64,31 +63,6 @@ def _wconst(c) -> MultiPoly:
     return MultiPoly.const(W3, c)
 
 
-def build_opham(p: Params, d: Optional[int] = None) -> RatDiffOp:
-    """Delta_rad in w-coordinates: rational-coefficient operator."""
-    m1, m2, m3 = p.masses
-    d = p.d if d is None else d
-    M = m1 + m2 + m3
-    A = Fraction(m2 + m3, 1) / (m2 * m3)
-    B = (m2 + m3) * M / m1
-    w1 = MultiPoly.var(W3, "w1")
-    w2 = MultiPoly.var(W3, "w2")
-    w3 = MultiPoly.var(W3, "w3")
-    weight = RationalFn(_wconst(Fraction(m2 + m3, 1) / (m2 * m3)), w1) \
-        + RationalFn(_wconst((m2 + m3) * M / m1), w2)
-    c2 = 2 * w3 ** 2 * (4 * (m2 + m3) * w3 - _wconst(1))
-    c1 = w3 * (12 * (m2 + m3) * w3 + _wconst(d - 4))
-    terms = {
-        (2, 0, 0): RationalFn(2 * A * w1),
-        (1, 0, 0): RationalFn(_wconst(A * d)),
-        (0, 2, 0): RationalFn(2 * B * w2),
-        (0, 1, 0): RationalFn(_wconst(B * d)),
-        (0, 0, 2): weight * c2,
-        (0, 0, 1): weight * c1,
-    }
-    return RatDiffOp(W3, terms)
-
-
 @dataclass(frozen=True)
 class SeparatedForm:
     A: Fraction               # coefficient of the w1 one-variable operator
@@ -97,12 +71,50 @@ class SeparatedForm:
     w3_first: RationalFn      # shared w3-operator, first-order coefficient
     weight: RationalFn        # 1/w1- and 1/w2-type multiplier of the w3 part
 
+    def operator(self, d: int) -> RatDiffOp:
+        """Delta_rad in w-coordinates, assembled from the three terms."""
+        w1 = MultiPoly.var(W3, "w1")
+        w2 = MultiPoly.var(W3, "w2")
+        return RatDiffOp(W3, {
+            (2, 0, 0): RationalFn(2 * self.A * w1),
+            (1, 0, 0): RationalFn(_wconst(self.A * d)),
+            (0, 2, 0): RationalFn(2 * self.B * w2),
+            (0, 1, 0): RationalFn(_wconst(self.B * d)),
+            (0, 0, 2): self.weight * self.w3_second,
+            (0, 0, 1): self.weight * self.w3_first,
+        })
+
+
+def separated_form(p: Params, d: int) -> SeparatedForm:
+    """The pieces of Delta_rad in w-coordinates in dimension d: A, B, the
+    shared w3 operator and its weight A/w1 + B/w2."""
+    m1, m2, m3 = p.masses
+    A = Fraction(m2 + m3, 1) / (m2 * m3)
+    B = (m2 + m3) * (m1 + m2 + m3) / m1
+    w1 = MultiPoly.var(W3, "w1")
+    w2 = MultiPoly.var(W3, "w2")
+    w3 = MultiPoly.var(W3, "w3")
+    return SeparatedForm(
+        A=A,
+        B=B,
+        w3_second=RationalFn(2 * w3 ** 2 * (4 * (m2 + m3) * w3 - _wconst(1))),
+        w3_first=RationalFn(w3 * (12 * (m2 + m3) * w3 + _wconst(d - 4))),
+        weight=RationalFn(_wconst(A), w1) + RationalFn(_wconst(B), w2),
+    )
+
+
+def build_opham(p: Params, d: Optional[int] = None) -> RatDiffOp:
+    """Delta_rad in w-coordinates: rational-coefficient operator."""
+    d = p.d if d is None else d
+    return separated_form(p, d).operator(d)
+
 
 def match_separated_template(op: RatDiffOp, p: Params,
                              d: Optional[int] = None) -> SeparatedForm:
     """Check `op` against the three-term separated structure and extract it."""
     d = p.d if d is None else d
-    expected = build_opham(p, d)
+    form = separated_form(p, d)
+    expected = form.operator(d)
     residuals = []
     for derivs in set(op.terms) | set(expected.terms):
         zero = RationalFn(MultiPoly.zero(W3))
@@ -112,37 +124,11 @@ def match_separated_template(op: RatDiffOp, p: Params,
             residuals.append(derivs)
     if residuals:
         raise TemplateMismatch(residuals)
-    m1, m2, m3 = p.masses
-    M = m1 + m2 + m3
-    w1 = MultiPoly.var(W3, "w1")
-    w2 = MultiPoly.var(W3, "w2")
-    w3 = MultiPoly.var(W3, "w3")
-    weight = RationalFn(_wconst(Fraction(m2 + m3, 1) / (m2 * m3)), w1) \
-        + RationalFn(_wconst((m2 + m3) * M / m1), w2)
-    return SeparatedForm(
-        A=Fraction(m2 + m3, 1) / (m2 * m3),
-        B=(m2 + m3) * M / m1,
-        w3_second=RationalFn(2 * w3 ** 2 * (4 * (m2 + m3) * w3 - _wconst(1))),
-        w3_first=RationalFn(w3 * (12 * (m2 + m3) * w3 + _wconst(d - 4))),
-        weight=weight,
-    )
+    return form
 
 
 # ---------------------------------------------------------------------------
 # push-forward verification
-
-def _compose_poly(f: MultiPoly, values: Dict[str, RationalFn],
-                  variables) -> RationalFn:
-    """f(w1, w2, w3) with each w replaced by a rational function of rho."""
-    out = RationalFn(MultiPoly.zero(variables))
-    for exps, c in f.terms.items():
-        term = RationalFn(MultiPoly.const(variables, c))
-        for name, e in zip(f.variables, exps):
-            for _ in range(e):
-                term = term * values[name]
-        out = out + term
-    return out
-
 
 def default_test_functions():
     """Twelve polynomials of degree <= 2 in (w1, w2, w3)."""

@@ -3,12 +3,19 @@
 The gauged operators of the solvable cases preserve the space P_N of
 polynomials of total degree <= N and never raise the total degree, so their
 matrices are block upper-triangular in the degree grading and the spectrum
-is the union of the diagonal-block spectra.  Everything here is exact: each
-block's characteristic polynomial is factored over Q; rational eigenvalues
-are reported as Fractions, irrational ones as sympy's isolating intervals
-refined by exact sign-change bisection.  The eigenvector of a rational
-level that is simple across the grading is the null vector of its own
-block, back-substituted through the blocks below it.
+is the union of the diagonal-block spectra.
+
+The matrix lives in one form from assembly to eigenvectors: a sparse sympy
+`DomainMatrix` over QQ, written row by row from the images of the basis
+monomials (only nonzero entries are stored).  Diagonal blocks, shifted
+blocks and the triangular solves are slices of it.  Everything here is
+exact: each block's characteristic polynomial is factored over Q; rational
+eigenvalues are reported as Fractions, irrational ones as sympy's isolating
+intervals refined by exact sign-change bisection.  The eigenvector of a
+rational level that is simple across the grading is the null vector of its
+own block, back-substituted through the blocks below it.  sympy is imported
+inside the functions that build matrices, so importing this module does not
+load it.
 """
 from __future__ import annotations
 
@@ -93,45 +100,46 @@ def enumerate_basis(variables: Sequence[str], N: int) -> MonomialBasis:
 @dataclass(frozen=True)
 class OpMatrix:
     basis: MonomialBasis
-    entries: tuple  # row-major tuple of tuples of Fraction
+    matrix: object  # sparse sympy DomainMatrix over QQ, rows x columns
 
     @property
     def size(self) -> int:
         return self.basis.size
 
-    def diagonal_block(self, start: int, stop: int):
-        return [[self.entries[i][j] for j in range(start, stop)]
-                for i in range(start, stop)]
+    @property
+    def entries(self) -> tuple:
+        """The dense rows, as tuples of Fraction."""
+        return tuple(tuple(Fraction(x.numerator, x.denominator) for x in row)
+                     for row in self.matrix.to_list())
 
     def is_graded_triangular(self) -> bool:
-        for _, start, stop in self.basis.degree_slices():
-            for i in range(stop, self.size):
-                for j in range(start, stop):
-                    if self.entries[i][j] != 0:
-                        return False
-        return True
+        degree = [sum(m) for m in self.basis.monomials]
+        return all(degree[i] <= degree[j]
+                   for i, row in self.matrix.to_dod().items() for j in row)
 
 
 def assemble_matrix(op: DiffOp, basis: MonomialBasis) -> OpMatrix:
+    """Matrix of `op` on the span of `basis`: column j is the image of
+    monomial j.  Only nonzero entries are stored, so a zero row is absent
+    from the row dict."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.matrices import DomainMatrix
+
     if op.variables != basis.variables:
         raise ValueError(
             f"operator variables {op.variables} != basis {basis.variables}")
-    n = basis.size
-    cols = []
     index = {m: i for i, m in enumerate(basis.monomials)}
-    for mono in basis.monomials:
+    rows: dict = {}
+    for j, mono in enumerate(basis.monomials):
         image = op.apply(MultiPoly(basis.variables, {mono: 1}))
-        col = [Fraction(0)] * n
         for exps, c in image.terms.items():
             i = index.get(exps)
             if i is None:
                 raise InvariantSubspaceViolation(
                     MultiPoly(basis.variables, {mono: 1}),
                     MultiPoly(basis.variables, {exps: c}))
-            col[i] = c
-        cols.append(col)
-    entries = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return OpMatrix(basis, entries)
+            rows.setdefault(i, {})[j] = QQ(c)
+    return OpMatrix(basis, DomainMatrix(rows, (basis.size, basis.size), QQ))
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +210,6 @@ class SpectrumReport:
                                       ev.eigenspace_dim))
         return tuple(out)
 
-    def gauged_values(self) -> list:
-        """Flat multiset of approximate gauged eigenvalues."""
-        out = []
-        for ev in self.gauged:
-            out.extend([ev.approx()] * ev.multiplicity)
-        return sorted(out)
-
     def rational_gauged(self) -> list:
         out = []
         for ev in self.gauged:
@@ -235,20 +236,22 @@ class SpectrumReport:
         return out
 
 
+def _shifted(A, lam: Fraction):
+    """A - lam I for a square DomainMatrix over QQ."""
+    return A - A.eye(A.shape[0], A.domain) * A.domain(lam)
+
+
 def _block_eigenvalues(block, degree: int):
-    """Eigenvalues of one exact diagonal block, with eigenspace dims for
-    repeated rational eigenvalues."""
-    n = len(block)
+    """Eigenvalues of one exact diagonal block (a DomainMatrix), with
+    eigenspace dims for repeated rational eigenvalues."""
+    n = block.shape[0]
     if n == 0:
         return []
     cp = linalg.char_poly(block)
     rational, irrational = linalg.real_roots_exact(cp)
     out = []
     for root, mult in rational:
-        dim = None
-        if mult > 1:
-            shifted = linalg.mat_sub_scaled_identity(block, root)
-            dim = n - linalg.rank(shifted)
+        dim = n - _shifted(block, root).rank() if mult > 1 else None
         out.append(Eigenvalue(root, None, mult, degree, dim))
     for (lo, hi), mult in irrational:
         out.append(Eigenvalue(None, (lo, hi), mult, degree, None))
@@ -276,15 +279,13 @@ def _eigenfunctions(M: OpMatrix, slices, evs) -> List[Eigenfunction]:
             continue
         top = at[ev.degree]
         _, start, stop = slices[top]
-        v = [Fraction(0)] * M.size
-        (v[start:stop],) = linalg.nullspace(linalg.mat_sub_scaled_identity(
-            M.diagonal_block(start, stop), ev.value))
+        S = _shifted(M.matrix[:stop, :stop], ev.value)
+        x = S[start:stop, start:stop].nullspace().transpose()
         for _, lo, hi in reversed(slices[:top]):
-            rhs = [-sum(M.entries[i][j] * v[j] for j in range(hi, stop))
-                   for i in range(lo, hi)]
-            v[lo:hi] = linalg.solve(linalg.mat_sub_scaled_identity(
-                M.diagonal_block(lo, hi), ev.value), rhs)
+            x = S[lo:hi, lo:hi].lu_solve(-(S[lo:hi, hi:stop] * x)).vstack(x)
+        v = [Fraction(c.numerator, c.denominator) for c in x.to_list_flat()]
         lead = next(c for c in v if c != 0)
+        v += [Fraction(0)] * (M.size - stop)
         out.append(Eigenfunction(ev.value, tuple(c / lead for c in v)))
     return out
 
@@ -295,7 +296,8 @@ def _spectrum_report(M: OpMatrix, slices, case, params, ground_energy,
     union of the diagonal-block spectra."""
     evs: List[Eigenvalue] = []
     for degree, start, stop in slices:
-        evs.extend(_block_eigenvalues(M.diagonal_block(start, stop), degree))
+        evs.extend(_block_eigenvalues(M.matrix[start:stop, start:stop],
+                                      degree))
     eigenfunctions = _eigenfunctions(M, slices, evs) \
         if want_eigenfunctions else []
     evs.sort(key=lambda e: (e.approx(), e.degree))

@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, deterministic output, and formats."""
+import argparse
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oscchain.cli import main, parse_range
+from oscchain.cli import MAX_RANGE_VALUES, main, parse_range
+from oscchain.model import Case
 from fractions import Fraction
 
 
@@ -18,6 +22,14 @@ def test_parse_range():
                                       Fraction(1), Fraction(3, 2),
                                       Fraction(2)]
     assert parse_range("3/4") == [Fraction(3, 4)]
+
+
+def test_parse_range_is_bounded():
+    assert len(parse_range(f"1:{MAX_RANGE_VALUES}:1")) == MAX_RANGE_VALUES
+    for text in (f"0:{MAX_RANGE_VALUES}:1", "0:1000000000:1", "0:1:1/0",
+                 "1/0"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_range(text)
 
 
 def test_spectrum_success(capsys):
@@ -145,11 +157,71 @@ def test_case_without_a_gauged_operator_is_rejected(capsys):
 @pytest.mark.parametrize("argv", [
     ("curve", "--rho23-range", "0:1:0"),
     ("sepvar", "--m1", "1", "--m2", "1", "--m3", "1", "--points", "0"),
+    ("curve", "--rho23-range", "0:1000000000:1"),
+    ("bo", "--m1-grid", "0:1000000000:1"),
+    ("curve", "--rho23-range", "1/0"),
 ])
 def test_bad_ranges_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "input error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["integrals", "bo"])
+def test_three_finite_masses_are_required(capsys, command):
+    # atomic3 is a valid case, but the battery and the Born-Oppenheimer
+    # analysis are built for three finite masses
+    code, out, err = run(capsys, command, "--case", "atomic3", "--m1", "inf")
+    assert code == 2 and out == ""
+    assert "input error" in err and "general3" in err
+    assert "Traceback" not in err
+
+
+VALUES = st.sampled_from(("1", "2", "3/2", "1/3")) | st.sampled_from(
+    ("inf", "0", "-1", "-5/2", "x", "1/0", ""))
+INFINITE_MASSES = st.just(()) | st.sampled_from(
+    (("--m1", "inf"), ("--m2", "inf", "--m3", "inf")))
+RANGES = ("0:3:1/2", "1/500:1/50:1/500", "0:1:0", "1:0:1", "0:20000:1",
+          "1/0", "a:b:c", "1:2", "1/4")
+
+
+@st.composite
+def cli_calls(draw):
+    """argv for one of five subcommands, a case, and flag values drawn
+    from small rationals, inf, 0, negatives and malformed strings."""
+    command = draw(st.sampled_from(
+        ("spectrum", "integrals", "sepvar", "bo", "curve")))
+    argv = [command]
+    case = draw(st.none() | st.sampled_from([c.value for c in Case]))
+    if case is not None:
+        argv += ["--case", case]
+    argv += draw(INFINITE_MASSES)
+    for flag in draw(st.lists(st.sampled_from(
+            ("m1", "m2", "m3", "a", "b", "c", "omega", "A", "rho23")),
+            unique=True, max_size=3)):
+        argv += [f"--{flag}", draw(VALUES)]
+    if draw(st.booleans()):
+        argv += ["--d", draw(st.sampled_from(("1", "2", "3", "0", "-1", "x")))]
+    if command == "spectrum":
+        argv += ["--N", draw(st.sampled_from(("0", "1", "2", "-1", "x")))]
+    option = {"curve": "--rho23-range", "bo": "--m1-grid"}.get(command)
+    if option is not None and draw(st.booleans()):
+        argv += [option, draw(st.sampled_from(RANGES))]
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(cli_calls())
+@example(["integrals", "--case", "atomic3", "--m1", "inf"])
+@example(["bo", "--case", "atomic3", "--m1", "inf"])
+def test_cli_holds_the_exit_contract(argv):
+    import contextlib
+    import io
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("error", ["defective", "violation"])

@@ -81,10 +81,10 @@ def test_equal_mass_degree_one_brute_force_oracle():
     basis = spectra.enumerate_basis(h.variables, 1)
     M = spectra.assemble_matrix(h, basis)
     _, start, stop = basis.degree_slices()[1]
-    block = M.diagonal_block(start, stop)
     exact = sorted(v for v, _ in linalg.real_roots_exact(
-        linalg.char_poly(block))[0])
-    brute = np.linalg.eigvals(np.array(block, dtype=float))
+        linalg.char_poly(M.matrix[start:stop, start:stop]))[0])
+    brute = np.linalg.eigvals(
+        np.array(M.entries, dtype=float)[start:stop, start:stop])
     assert sorted(round(float(v), 9) for v in exact) \
         == sorted(round(v.real, 9) for v in brute)
 
@@ -147,13 +147,59 @@ def test_eigenfunctions_match_full_matrix_nullspace(case, rng):
                                       for x in null / lead)
 
 
+def op_matrix(variables, N, rows):
+    """A hand-built OpMatrix from a row dict {i: {j: value}}."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.matrices import DomainMatrix
+    basis = spectra.enumerate_basis(variables, N)
+    dod = {i: {j: QQ(x) for j, x in row.items()} for i, row in rows.items()}
+    return spectra.OpMatrix(
+        basis, DomainMatrix(dod, (basis.size, basis.size), QQ))
+
+
+def test_eigenvalues_graded_on_a_hand_built_matrix():
+    """Zero rows, the 1x1 zero block of degree 0, and repeated levels with
+    eigenspaces of dimension 1 and 2; each level that is simple across
+    the grading gets the normalised null vector of the whole shifted
+    matrix (sympy's nullspace as the oracle)."""
+    import sympy
+    M = op_matrix(("x12", "x13"), 2, {
+        # row 0 is zero: the degree-0 block is [0]
+        1: {1: 3, 2: 1, 4: 1},           # degree 1: [[3, 1], [0, 3]]
+        2: {2: 3, 4: 2, 5: -1},
+        3: {3: 5},                       # degree 2: [[5, 0, 0],
+        4: {3: 1, 4: 7},                 #            [1, 7, 0],
+        5: {5: 5},                       #            [0, 0, 5]]
+    })
+    assert M.is_graded_triangular()
+    assert M.entries[0] == (Fraction(0),) * 6
+    rep = spectra.eigenvalues_graded(M)
+    assert [(ev.value, ev.multiplicity, ev.degree, ev.eigenspace_dim)
+            for ev in rep.gauged] \
+        == [(0, 1, 0, None), (3, 2, 1, 1), (5, 2, 2, 2), (7, 1, 2, None)]
+    full = sympy.Matrix(M.entries)
+    assert [ef.eigenvalue for ef in rep.eigenfunctions] == [0, 7]
+    for ef in rep.eigenfunctions:
+        (null,) = (full - ef.eigenvalue * sympy.eye(M.size)).nullspace()
+        lead = next(x for x in null if x != 0)
+        assert ef.coeffs == tuple(Fraction(int(x.p), int(x.q))
+                                  for x in null / lead)
+
+
+def test_graded_triangularity_reads_the_stored_entries():
+    # an entry from degree 1 down into degree 0 breaks the grading
+    M = op_matrix(("x12", "x13"), 1, {1: {0: 1}})
+    assert not M.is_graded_triangular()
+    with pytest.raises(ValueError):
+        spectra.eigenvalues_graded(M)
+
+
 def test_defective_block_keeps_report():
     # a rotation in the degree-1 block: two complex levels
-    basis = spectra.enumerate_basis(("x12", "x13"), 1)
-    Z, one = Fraction(0), Fraction(1)
-    M = spectra.OpMatrix(basis, ((Z, Z, Z), (Z, Z, -one), (Z, one, Z)))
+    M = op_matrix(("x12", "x13"), 1, {1: {2: -1}, 2: {1: 1}})
     with pytest.raises(spectra.DefectiveBlock) as info:
         spectra.eigenvalues_graded(M)
+    Z, one = Fraction(0), Fraction(1)
     assert [ev.value for ev in info.value.report.gauged] == [0]
     assert info.value.report.eigenfunctions[0].coeffs == (one, Z, Z)
 
