@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import __version__
+from .exact import SingularSampleError
 from .model import (Case, CaseError, Params, case_variables, degenerate,
                     params_from_json, validate_case)
 from . import integrals as integrals_mod
@@ -81,7 +82,9 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_params(args, default_case: Optional[Case] = None,
-                  overrides: Optional[dict] = None):
+                  overrides: Optional[dict] = None, fixed: bool = False):
+    """(case, params) from --params and the flags.  With `fixed`, the
+    command computes only `default_case`, and any other case is rejected."""
     case = default_case
     kwargs = {}
     if args.params:
@@ -95,6 +98,9 @@ def _build_params(args, default_case: Optional[Case] = None,
         case = Case(args.case)
     if case is None:
         raise CaseError("no case given (use --case or --params)")
+    if fixed and case is not default_case:
+        raise CaseError(f"{args.command} computes only the "
+                        f"{default_case.value} case, not {case.value}")
     if overrides:
         kwargs.update(overrides)
     for f in ("m1", "m2", "m3", "a", "b", "c", "omega", "d",
@@ -148,7 +154,7 @@ def cmd_spectrum(args) -> None:
 
 
 def cmd_integrals(args) -> None:
-    case, p = _build_params(args, Case.GENERAL3)
+    case, p = _build_params(args, Case.GENERAL3, fixed=True)
     rep = integrals_mod.battery(p)
     _emit(args, case, p, rep.to_json())
     if not rep.consistent:
@@ -157,20 +163,20 @@ def cmd_integrals(args) -> None:
 
 
 def cmd_sepvar(args) -> None:
-    case, p = _build_params(args, Case.GENERAL3)
-    ok = sepvar.verify_pushforward(p, seed=args.seed, n_points=args.points)
+    case, p = _build_params(args, Case.GENERAL3, fixed=True)
+    if not sepvar.verify_pushforward(p, seed=args.seed,
+                                     n_points=args.points):
+        raise VerificationFailure("w-coordinate-pushforward")
     form = sepvar.match_separated_template(sepvar.build_opham(p), p)
     pot = sepvar.potential_in_w(p)
-    results = {"pushforward_ok": ok,
+    results = {"pushforward_ok": True,
                "A": _fr_str(form.A), "B": _fr_str(form.B),
                "potential": pot.to_json()}
     _emit(args, case, p, results)
-    if not ok:
-        raise VerificationFailure("w-coordinate-pushforward")
 
 
 def cmd_bo(args) -> None:
-    case, p = _build_params(args, Case.GENERAL3)
+    case, p = _build_params(args, Case.GENERAL3, fixed=True)
     grid = None
     if args.m1_grid:
         grid = parse_range(args.m1_grid)
@@ -213,7 +219,7 @@ def cmd_curve(args) -> None:
 
 
 def cmd_verify_all(args) -> None:
-    case, p = _build_params(args, Case.GENERAL3)
+    case, p = _build_params(args, Case.GENERAL3, fixed=True)
     checks = {}
 
     def run(name, fn):
@@ -338,7 +344,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"verification failed: {e.args[0]}", file=sys.stderr)
         return 1
     except (spectra.DefectiveBlock, spectra.InvariantSubspaceViolation,
-            linalg.RootCertificateError) as e:
+            linalg.RootCertificateError, sepvar.TemplateMismatch,
+            sepvar.PotentialMismatch, SingularSampleError) as e:
         print(f"verification failed: {type(e).__name__}: {e}",
               file=sys.stderr)
         return 1

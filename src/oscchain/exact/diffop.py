@@ -3,7 +3,9 @@
 Canonical form is normal-ordered: every term is a coefficient on the left
 times a mixed partial-derivative multi-index.  Composition re-normal-orders
 via the Leibniz expansion, so equality of operators is syntactic equality
-of the canonical term maps.
+of the canonical term maps.  The expansion runs on integer term maps over
+one common denominator; a commutator leaves out the leading Leibniz terms,
+which cancel.
 """
 from __future__ import annotations
 
@@ -12,7 +14,8 @@ from math import comb
 from typing import Mapping, Sequence, Union
 
 from .gaussian import GaussFn
-from .poly import MultiPoly, RationalFn, VariableMismatch
+from .poly import (MultiPoly, RationalFn, VariableMismatch, add_product,
+                   diff_terms, from_integer_terms, integer_terms)
 
 Coeffable = Union[int, Fraction, MultiPoly]
 
@@ -30,6 +33,32 @@ def _sub_multi_indices(alpha):
     for a in alpha:
         idx = [g + (k,) for g in idx for k in range(a + 1)]
     return idx
+
+
+def _leibniz_into(a: dict, b: dict, acc: dict, sign: int,
+                  skip_leading: bool) -> None:
+    """Add sign * (A o B) to acc, for operators given as maps
+    derivs -> integer term map; acc maps derivs -> term map.
+
+    P d^alpha (Q d^beta f) = sum_gamma C(alpha,gamma) P (d^gamma Q)
+    d^(alpha-gamma+beta) f; skip_leading leaves out gamma = 0, the term
+    P Q d^(alpha+beta) that cancels in a commutator.
+    """
+    for alpha, P in a.items():
+        gammas = _sub_multi_indices(alpha)   # gammas[0] is gamma = 0
+        if skip_leading:
+            gammas = gammas[1:]
+        for beta, Q in b.items():
+            for gamma in gammas:
+                dq = Q
+                for i, k in enumerate(gamma):
+                    for _ in range(k):
+                        dq = diff_terms(dq, i)
+                if not dq:
+                    continue
+                derivs = tuple(x - g + y for x, g, y in zip(alpha, gamma, beta))
+                add_product(acc.setdefault(derivs, {}), P, dq,
+                            sign * _binom_multi(alpha, gamma))
 
 
 class DiffOp:
@@ -186,42 +215,40 @@ class DiffOp:
             return out
         raise TypeError(f"cannot apply DiffOp to {type(f).__name__}")
 
+    def _integer_coefficients(self, other: "DiffOp"):
+        """(a, b, den): the coefficients of self and other as integer term
+        maps keyed by derivative index, over one common denominator."""
+        maps, den = integer_terms([*self.terms.values(),
+                                   *other.terms.values()])
+        n = len(self.terms)
+        return (dict(zip(self.terms, maps[:n])),
+                dict(zip(other.terms, maps[n:])), den)
+
+    def _from_acc(self, acc: dict, den: int) -> "DiffOp":
+        out = DiffOp(self.variables)
+        for derivs, terms in acc.items():
+            coeff = from_integer_terms(self.variables, terms, den)
+            if not coeff.is_zero():
+                out.terms[derivs] = coeff
+        return out
+
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Operator product self o other in canonical form."""
         self._check(other)
-        out = DiffOp.zero(self.variables)
+        a, b, den = self._integer_coefficients(other)
         acc: dict = {}
-        for alpha, P in self.terms.items():
-            for beta, Q in other.terms.items():
-                # P d^alpha (Q d^beta f) = sum_gamma C(alpha,gamma) P (d^gamma Q) d^(alpha-gamma+beta) f
-                for gamma in _sub_multi_indices(alpha):
-                    dq = Q
-                    for v, k in zip(self.variables, gamma):
-                        for _ in range(k):
-                            dq = dq.diff(v)
-                            if dq.is_zero():
-                                break
-                        if dq.is_zero():
-                            break
-                    if dq.is_zero():
-                        continue
-                    c = _binom_multi(alpha, gamma)
-                    coeff = P * dq * c
-                    derivs = tuple(a - g + b for a, g, b
-                                   in zip(alpha, gamma, beta))
-                    if derivs in acc:
-                        s = acc[derivs] + coeff
-                        if s.is_zero():
-                            del acc[derivs]
-                        else:
-                            acc[derivs] = s
-                    else:
-                        acc[derivs] = coeff
-        out.terms = acc
-        return out
+        _leibniz_into(a, b, acc, 1, False)
+        return self._from_acc(acc, den * den)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
-        return self.compose(other) - other.compose(self)
+        """self o other - other o self, without the gamma = 0 Leibniz terms,
+        which cancel because polynomial multiplication commutes."""
+        self._check(other)
+        a, b, den = self._integer_coefficients(other)
+        acc: dict = {}
+        _leibniz_into(a, b, acc, 1, True)
+        _leibniz_into(b, a, acc, -1, True)
+        return self._from_acc(acc, den * den)
 
     def order(self) -> int:
         if not self.terms:

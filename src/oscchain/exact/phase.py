@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .poly import MultiPoly
+from .poly import (MultiPoly, add_product, diff_terms, from_integer_terms,
+                   integer_terms)
 
 RHO_VARS = ("rho12", "rho13", "rho23")
 MOM_VARS = ("p1", "p2", "p3")
@@ -25,7 +26,10 @@ def poisson_bracket(f: MultiPoly, g: MultiPoly,
     """{f, g} = sum_i df/dq_i dg/dp_i - df/dp_i dg/dq_i, exact."""
     if f.variables != g.variables:
         raise ValueError("f and g must share a phase space")
-    out = MultiPoly.zero(f.variables)
+    (F, G), den = integer_terms((f, g))
+    acc: dict = {}
     for q, p in pairs:
-        out = out + f.diff(q) * g.diff(p) - f.diff(p) * g.diff(q)
-    return out
+        i, j = f.variables.index(q), f.variables.index(p)
+        add_product(acc, diff_terms(F, i), diff_terms(G, j))
+        add_product(acc, diff_terms(F, j), diff_terms(G, i), -1)
+    return from_integer_terms(f.variables, acc, den * den)

@@ -6,6 +6,7 @@ Fraction coefficients; the variable list is fixed per polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -269,6 +270,46 @@ class MultiPoly:
         terms = {tuple(t["powers"]): Fraction(t["coeff"])
                  for t in data["terms"]}
         return cls(variables, terms)
+
+
+# -- integer term maps --------------------------------------------------------
+# The products inside operator composition and Poisson brackets run on term
+# maps {exps: int} over one common denominator, so their inner loops do
+# integer arithmetic and each result coefficient becomes a Fraction once.
+
+def integer_terms(polys: Sequence[MultiPoly]):
+    """([term map of each poly], den): poly == term map / den, integer
+    coefficients, one den for all."""
+    den = lcm(*(c.denominator for q in polys for c in q.terms.values()))
+    return [{e: c.numerator * (den // c.denominator)
+             for e, c in q.terms.items()} for q in polys], den
+
+
+def diff_terms(terms: dict, i: int) -> dict:
+    """Derivative of a term map in its i-th variable."""
+    out = {}
+    for e, c in terms.items():
+        k = e[i]
+        if k:
+            out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+    return out
+
+
+def add_product(acc: dict, p: dict, q: dict, scale: int = 1) -> None:
+    """acc += scale * p * q, on term maps."""
+    for e1, c1 in p.items():
+        c1 *= scale
+        for e2, c2 in q.items():
+            e = tuple([x + y for x, y in zip(e1, e2)])
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def from_integer_terms(variables: Sequence[str], terms: dict,
+                       den: int) -> MultiPoly:
+    """The MultiPoly term map / den."""
+    out = MultiPoly(variables)
+    out.terms = {e: Fraction(c, den) for e, c in terms.items() if c}
+    return out
 
 
 class RationalFn:

@@ -306,15 +306,17 @@ def classify_superintegrability(masses: Sequence[Fraction],
     return SuperintegrabilityVerdict("none", (r1, r2, r3), ())
 
 
-def involution_triplets(p: Params):
+def involution_triplets(p: Params, integral_set: Optional[IntegralSet] = None):
     """The three commuting triplets, each verified by exact brackets.
 
     Returns [(name, members, ok)]; ok is True iff all pairwise Poisson
-    brackets vanish identically.
+    brackets vanish identically.  `integral_set` is build_integral_set(p),
+    built here when not given.
     """
     m1, m2, m3 = p.masses
-    s = build_integral_set(p)
-    c = s.classical
+    if integral_set is None:
+        integral_set = build_integral_set(p)
+    c = integral_set.classical
     weighted = ((m1 ** 2 + m1 * (m2 + m3) - m2 * m3) * c["F1"]
                 + (m2 ** 2 + m2 * (m1 + m3) - m1 * m3) * c["F2"]
                 + (m3 ** 2 + m3 * (m1 + m2) - m1 * m2) * c["F3"])
@@ -455,7 +457,7 @@ def battery(p: Params, nus: Optional[Sequence[Fraction]] = None
                       for n, f in classical.items()}
     quantum_zero = {n: Hq.commutator(op).is_zero()
                     for n, op in quantum.items()}
-    triplets_ok = {name: ok for name, _, ok in involution_triplets(p)}
+    triplets_ok = {name: ok for name, _, ok in involution_triplets(p, s)}
     expected = _expected_zero(verdict)
     consistent = all(triplets_ok.values()) and all(
         classical_zero.get(n, quantum_zero.get(n)) == v

@@ -3,24 +3,35 @@
 The coordinates (w1, w2, w3) turn Delta_rad into a three-term form whose
 w3 part is shared between two one-variable operators; the oscillator
 potential becomes w3-independent exactly on the minimal superintegrability
-locus.  Verification is by exact evaluation at random rational points
+locus.
+
+The push-forward is verified by exact evaluation at random rational points
 (the closed-form push-forward would be a rational-function expression
-swell for no gain).
+swell for no gain).  At each point rho the chain rule turns Delta_rad's
+coefficients and the 2-jets (value, gradient, Hessian) of w1, w2, w3 into
+the coefficients of Delta_rad on w-derivatives; through every test
+function these are compared with the w-space operator's coefficients at
+W(rho).
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from .exact import MultiPoly, RatDiffOp, RationalFn, random_point
+from .exact import (MultiPoly, RatDiffOp, RationalFn,
+                    SingularSampleError, random_point)
 from .model import RHO3, Case, Params, build_radial_laplacian, nu_coefficients
 
 W3 = ("w1", "w2", "w3")
 
 MAX_RESAMPLES = 100
 MIN_POINTS = 50         # fewest sample points verify_pushforward accepts
+
+
+class PotentialMismatch(RuntimeError):
+    """The w-coordinate potential does not reproduce the rho-space one."""
 
 
 class TemplateMismatch(RuntimeError):
@@ -141,104 +152,120 @@ def default_test_functions():
             w1 * w2 + w3 ** 2, w1 - 2 * w2 + 3 * w3]
 
 
-class Jet2:
-    """Second-order truncated Taylor expansion in k variables, exact.
-
-    Coefficients are Fractions indexed by exponent tuples of total degree
-    <= 2; enough to read off value, gradient and Hessian at the base point.
-    """
-
-    __slots__ = ("k", "coeffs")
-
-    def __init__(self, k: int, coeffs=None):
-        self.k = k
-        self.coeffs = dict(coeffs or {})
-
-    @classmethod
-    def const(cls, k: int, c: Fraction):
-        c = Fraction(c)
-        return cls(k, {(0,) * k: c} if c else {})
-
-    @classmethod
-    def variable(cls, k: int, i: int, value: Fraction):
-        e = tuple(1 if j == i else 0 for j in range(k))
-        return cls(k, {(0,) * k: Fraction(value), e: Fraction(1)})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Jet2(self.k, out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Jet2(self.k)
-            return Jet2(self.k, {e: c * other for e, c in self.coeffs.items()})
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > 2:
-                    continue
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Jet2(self.k, out)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        zero = (0,) * self.k
-        c = self.coeffs.get(zero, Fraction(0))
-        if c == 0:
-            raise ZeroDivisionError("jet has zero value part")
-        u = Jet2(self.k, {e: v / c for e, v in self.coeffs.items()
-                          if e != zero})
-        # 1/(c(1+u)) = (1 - u + u^2)/c, truncated
-        one = Jet2.const(self.k, 1)
-        return (one + (-1) * u + u * u) * (Fraction(1) / c)
-
-    def value(self) -> Fraction:
-        return self.coeffs.get((0,) * self.k, Fraction(0))
-
-    def derivative(self, derivs: Tuple[int, ...]) -> Fraction:
-        """Exact partial derivative at the base point, order <= 2."""
-        total = sum(derivs)
-        if total > 2:
-            raise ValueError("jet only carries derivatives up to order 2")
-        c = self.coeffs.get(tuple(derivs), Fraction(0))
-        if total == 2 and max(derivs) == 2:
-            c *= 2
-        return c
+_ZERO = (0, 0, 0)
+_UNIT = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+_PAIR = tuple(tuple(tuple(x + y for x, y in zip(ea, eb)) for eb in _UNIT)
+              for ea in _UNIT)          # e_a + e_b
+_ORDER2 = (_ZERO,) + _UNIT + tuple(
+    _PAIR[a][b] for a in range(3) for b in range(a, 3))   # |alpha| <= 2
 
 
-def _poly_jet(poly: MultiPoly, jets: Dict[str, Jet2], k: int) -> Jet2:
-    out = Jet2(k)
-    for exps, c in poly.terms.items():
-        term = Jet2.const(k, c)
-        for name, e in zip(poly.variables, exps):
-            for _ in range(e):
-                term = term * jets[name]
-        out = out + term
+def _partial(poly: MultiPoly, alpha) -> MultiPoly:
+    """d^alpha poly for a multi-index alpha."""
+    for v, k in zip(poly.variables, alpha):
+        for _ in range(k):
+            poly = poly.diff(v)
+    return poly
+
+
+def _fold_constants(polys: Dict[tuple, MultiPoly]) -> dict:
+    """`polys` with each constant polynomial held as its Fraction value
+    and the zero ones dropped."""
+    out = {}
+    for key, q in polys.items():
+        if q.is_constant():
+            q = q.constant_value()
+            if not q:
+                continue
+        out[key] = q
     return out
+
+
+def _eval_at(table: dict, pt) -> Dict[tuple, Fraction]:
+    """Evaluate a _fold_constants table at pt."""
+    return {key: q if isinstance(q, Fraction) else q.eval(pt)
+            for key, q in table.items()}
+
+
+def _derivative_polys(poly: MultiPoly, indices) -> dict:
+    """d^alpha poly for alpha in `indices`, constants folded."""
+    return _fold_constants({alpha: _partial(poly, alpha) for alpha in indices})
+
+
+def _jet(derivs: dict, pt) -> tuple:
+    """(value, gradient, Hessian) at pt from _derivative_polys(poly, _ORDER2)."""
+    at = _eval_at(derivs, pt)
+    zero = Fraction(0)
+    return (at.get(_ZERO, zero),
+            tuple(at.get(e, zero) for e in _UNIT),
+            tuple(tuple(at.get(e, zero) for e in row) for row in _PAIR))
+
+
+def _quotient_jet(num: tuple, den: tuple) -> tuple:
+    """2-jet of num/den from the 2-jets of num and den (quotient rule)."""
+    n, ng, nh = num
+    d, dg, dh = den
+    q = n / d
+    g = tuple((ng[i] - q * dg[i]) / d for i in range(3))
+    h = tuple(tuple((nh[i][j] - g[i] * dg[j] - g[j] * dg[i] - q * dh[i][j])
+                    / d for j in range(3)) for i in range(3))
+    return q, g, h
+
+
+def _pushed_coefficients(delta_at: Dict[tuple, Fraction],
+                         jets: Sequence[tuple]) -> Dict[tuple, Fraction]:
+    """Coefficients C_alpha with Delta (f o W) = sum_alpha C_alpha (d^alpha f)(W)
+    at one point, by the chain rule.
+
+    `delta_at` maps each derivative index of Delta to its coefficient at
+    the point; `jets` are the 2-jets of w1, w2, w3 there.  A term
+    d_i d_j of Delta gives delta W_a,ij to C_{e_a} and delta W_a,i W_b,j
+    to C_{e_a+e_b} for every ordered pair (a, b).
+    """
+    C: Dict[tuple, Fraction] = {}
+
+    def add(alpha, x):
+        C[alpha] = C.get(alpha, 0) + x
+
+    for derivs, c in delta_at.items():
+        pos = [i for i, k in enumerate(derivs) for _ in range(k)]
+        if not pos:
+            add(_ZERO, c)
+        elif len(pos) == 1:
+            i, = pos
+            for a, (_, g, _) in enumerate(jets):
+                if g[i]:
+                    add(_UNIT[a], c * g[i])
+        elif len(pos) == 2:
+            i, j = pos
+            for a, (_, ga, ha) in enumerate(jets):
+                if ha[i][j]:
+                    add(_UNIT[a], c * ha[i][j])
+                if not ga[i]:
+                    continue
+                cg = c * ga[i]
+                for b, (_, gb, _) in enumerate(jets):
+                    if gb[j]:
+                        add(_PAIR[a][b], cg * gb[j])
+        else:
+            raise ValueError("push-forward carries derivatives up to order 2")
+    return C
 
 
 def verify_pushforward(p: Params, d: Optional[int] = None, seed: int = 0,
                        n_points: int = 50, test_functions=None) -> bool:
     """Exact two-route check of the w-coordinate form of Delta_rad.
 
-    Route 1: apply Delta_rad (rho-space) to f(W(rho)), evaluated at a
-    random rational point via exact second-order jet arithmetic.
-    Route 2: apply the w-space operator to f and evaluate at W(point).
-    True iff every (function, point) pair agrees exactly.  At least
-    MIN_POINTS points are required.
+    At each random rational point rho, with W = (w1, w2, w3):
+    Route 1 pushes Delta_rad (rho-space) onto w-derivatives by the chain
+    rule, from its coefficients at rho and the exact 2-jets (value,
+    gradient, Hessian) of w1, w2, w3 at rho, giving Delta (f o W) =
+    sum_alpha C_alpha (d^alpha f)(W(rho)).
+    Route 2 evaluates the w-space operator's coefficients O_alpha at W(rho).
+    For every test function f (any degree), the two sums
+    sum_alpha C_alpha (d^alpha f)(W(rho)) and sum_alpha O_alpha (d^alpha f)(W(rho))
+    are compared exactly.  True iff every (function, point) pair agrees.
+    At least MIN_POINTS points are required.
     """
     if n_points < MIN_POINTS:
         raise ValueError(f"need at least {MIN_POINTS} sample points, "
@@ -262,25 +289,28 @@ def verify_pushforward(p: Params, d: Optional[int] = None, seed: int = 0,
                 or pt["rho23"] == 0 or wmap.w3.eval(pt) == 0:
             guard += 1
             if guard > MAX_RESAMPLES:
-                raise RuntimeError("cannot sample away from singular locus")
+                raise SingularSampleError(
+                    "cannot sample away from singular locus")
             continue
         points.append(pt)
-    rhs_fns = {id(f): opham.apply(f) for f in fns}
+    jet_polys = [_derivative_polys(q, _ORDER2) for q in
+                 (wmap.w1, wmap.w2, wmap.w3.num, wmap.w3.den)]
+    delta_polys = _fold_constants(delta.terms)
+    needed = set(_ORDER2) | set(opham.terms)
+    fn_polys = [_derivative_polys(f, needed) for f in fns]
     for pt in points:
-        base = {v: Jet2.variable(3, i, pt[v]) for i, v in enumerate(RHO3)}
-        w_jets = {
-            "w1": _poly_jet(wmap.w1, base, 3),
-            "w2": _poly_jet(wmap.w2, base, 3),
-            "w3": _poly_jet(wmap.w3.num, base, 3)
-            * _poly_jet(wmap.w3.den, base, 3).inverse(),
-        }
-        wpt = wmap.eval(pt)
-        for f in fns:
-            jet = _poly_jet(f, w_jets, 3)
-            lhs = Fraction(0)
-            for derivs, coeff in delta.terms.items():
-                lhs += coeff.eval(pt) * jet.derivative(derivs)
-            if lhs != rhs_fns[id(f)].eval(wpt):
+        w1, w2, num, den = (_jet(polys, pt) for polys in jet_polys)
+        jets = (w1, w2, _quotient_jet(num, den))
+        C = _pushed_coefficients(_eval_at(delta_polys, pt), jets)
+        wpt = dict(zip(W3, (jet[0] for jet in jets)))
+        O = {alpha: c.eval(wpt) for alpha, c in opham.terms.items()}
+        used = C.keys() | O.keys()
+        for polys in fn_polys:
+            at = _eval_at({alpha: q for alpha, q in polys.items()
+                           if alpha in used}, wpt)
+            lhs = sum(c * at[alpha] for alpha, c in C.items() if alpha in at)
+            rhs = sum(c * at[alpha] for alpha, c in O.items() if alpha in at)
+            if lhs != rhs:
                 return False
     return True
 
@@ -333,14 +363,16 @@ def potential_in_w(p: Params, nus: Optional[Sequence[Fraction]] = None
     sign: Optional[int] = None
     if num == 0:
         if base != target:
-            raise AssertionError("potential identity fails at zero sqrt term")
+            raise PotentialMismatch(
+                "potential identity fails at zero sqrt term")
     else:
         for cand in (1, -1):
             if base + cand * (num / s ** 2) * wmap.denominator_root == target:
                 sign = cand
                 break
         if sign is None:
-            raise AssertionError("potential identity fails for both signs")
+            raise PotentialMismatch(
+                "potential identity fails for both signs")
     return PotentialInW(c1, c2, num, Fraction(s), num == 0, sign)
 
 

@@ -1,13 +1,14 @@
 """Command-line interface: exit codes, deterministic output, and formats."""
 import argparse
 import json
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscchain.cli import MAX_RANGE_VALUES, main, parse_range
-from oscchain.model import Case
+from oscchain.model import Case, case_variables
 from fractions import Fraction
 
 
@@ -177,6 +178,26 @@ def test_three_finite_masses_are_required(capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("integrals", "--case", "twobody_es"),
+    ("bo", "--case", "twobody_es"),
+    ("sepvar", "--case", "equalmass3", "--m1", "1", "--m2", "1",
+     "--m3", "1"),
+    ("verify-all", "--case", "atomic3", "--m1", "inf"),
+    ("integrals", "--params", "PARAMS"),
+])
+def test_general3_commands_reject_other_cases(capsys, tmp_path, argv):
+    # these commands compute only the general 3-body problem; they must not
+    # echo another case over its results
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"case": "isotropic3", "m": [1, 1, 1]}))
+    code, out, err = run(capsys, *(str(f) if a == "PARAMS" else a
+                                   for a in argv))
+    assert code == 2 and out == ""
+    assert "input error" in err and "general3" in err
+    assert "Traceback" not in err
+
+
 VALUES = st.sampled_from(("1", "2", "3/2", "1/3")) | st.sampled_from(
     ("inf", "0", "-1", "-5/2", "x", "1/0", ""))
 INFINITE_MASSES = st.just(()) | st.sampled_from(
@@ -214,6 +235,11 @@ def cli_calls(draw):
 @given(cli_calls())
 @example(["integrals", "--case", "atomic3", "--m1", "inf"])
 @example(["bo", "--case", "atomic3", "--m1", "inf"])
+@example(["spectrum", "--case", "general3", "--N", "2"])
+@example(["spectrum", "--case", "molecular3", "--m2", "inf", "--m3", "inf",
+          "--c", "0", "--rho23", "2", "--N", "2"])
+@example(["spectrum", "--case", "onedim3", "--d", "1", "--N", "2"])
+@example(["spectrum", "--case", "primitive3_qes", "--A12", "1", "--N", "2"])
 def test_cli_holds_the_exit_contract(argv):
     import contextlib
     import io
@@ -222,6 +248,14 @@ def test_cli_holds_the_exit_contract(argv):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if argv[0] == "spectrum" and code == 0:
+        # the basis is every monomial of degree <= N in the case's dynamical
+        # variables; molecular3's rho23 is a given number, not one of them
+        case = Case(argv[argv.index("--case") + 1])
+        k = len(case_variables(case)) - (case is Case.MOLECULAR3)
+        N = int(argv[argv.index("--N") + 1])
+        assert json.loads(out.getvalue())["results"]["basis_size"] \
+            == comb(N + k, k)
 
 
 @pytest.mark.parametrize("error", ["defective", "violation"])
@@ -243,6 +277,54 @@ def test_spectral_failures_exit_1(capsys, monkeypatch, error):
     assert "verification failed" in err and "Traceback" not in err
     assert ("DefectiveBlock" if error == "defective"
             else "InvariantSubspaceViolation") in err
+
+
+def _perturbed_template_check(monkeypatch):
+    from oscchain import sepvar
+    from oscchain.exact import MultiPoly, RationalFn
+    match = sepvar.match_separated_template
+
+    def check(op, p, d=None):
+        terms = dict(op.terms)
+        terms[(0, 0, 1)] = terms[(0, 0, 1)] + RationalFn(
+            MultiPoly.const(op.variables, Fraction(1, 10 ** 6)))
+        return match(type(op)(op.variables, terms), p, d)
+
+    monkeypatch.setattr(sepvar, "match_separated_template", check)
+
+
+def _singular_samples(monkeypatch):
+    # with equal masses the w-map is singular at rho12 = rho13 = rho23
+    from oscchain import sepvar
+    monkeypatch.setattr(sepvar, "random_point", lambda variables, rng:
+                        dict.fromkeys(variables, Fraction(1)))
+
+
+def _broken_wmap(monkeypatch):
+    from dataclasses import replace
+    from oscchain import sepvar
+    build_wmap = sepvar.build_wmap
+
+    def broken(p):
+        w = build_wmap(p)
+        return replace(w, denominator_root=w.denominator_root + 1)
+
+    monkeypatch.setattr(sepvar, "build_wmap", broken)
+
+
+@pytest.mark.parametrize("fault, masses, name", [
+    (_perturbed_template_check, ("1", "1", "1"), "TemplateMismatch"),
+    (_singular_samples, ("1", "1", "1"), "SingularSampleError"),
+    (_broken_wmap, ("1", "2", "3"), "PotentialMismatch"),
+])
+def test_sepvar_failures_exit_1(capsys, monkeypatch, fault, masses, name):
+    fault(monkeypatch)
+    m1, m2, m3 = masses
+    code, out, err = run(capsys, "sepvar", "--m1", m1, "--m2", m2,
+                         "--m3", m3)
+    assert code == 1 and out == ""
+    assert f"verification failed: {name}: " in err
+    assert "Traceback" not in err
 
 
 def test_broken_root_certificate_exits_1(capsys, monkeypatch):

@@ -1,15 +1,17 @@
 """Kernel correctness: polynomial ring laws, calculus rules, operator
 composition, gauge conjugation, and randomized identity testing."""
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oscchain.exact import (DiffOp, GaussFn, MultiPoly, RationalFn,
-                            SingularSampleError, identity_test,
-                            phase_var, poisson_bracket, random_point,
-                            random_rational)
+from oscchain.exact import (CANONICAL_PAIRS, PHASE_VARS, DiffOp, GaussFn,
+                            MultiPoly, RationalFn, SingularSampleError,
+                            identity_test, phase_var, poisson_bracket,
+                            random_point, random_rational)
 
 from oscchain.exact import idtest
 
@@ -144,6 +146,42 @@ def test_commutator_bilinearity_and_jacobi(rng):
     assert jac.is_zero()
 
 
+SMALL_FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def diffops_and_poly(draw):
+    """Two operators over 2 or 3 shared variables (orders 0..2, each with a
+    zeroth-order term drawn, coefficients of degree <= 2 with small
+    rational coefficients) and a polynomial to apply them to."""
+    n = draw(st.integers(2, 3))
+    variables = ("x", "y", "z")[:n]
+    indices = [e for e in itertools.product(range(3), repeat=n)
+               if sum(e) <= 2]
+
+    def coefficient():
+        exps = draw(st.lists(st.sampled_from(indices), max_size=3))
+        return MultiPoly(variables, {e: draw(SMALL_FRACTIONS) for e in exps})
+
+    def operator():
+        derivs = draw(st.lists(st.sampled_from(indices[1:]), unique=True,
+                               max_size=3))
+        return DiffOp(variables, {d: coefficient()
+                                  for d in [(0,) * n] + derivs})
+
+    f = MultiPoly(variables, {e: draw(SMALL_FRACTIONS) for e in draw(
+        st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4))})
+    return operator(), operator(), f
+
+
+@settings(max_examples=80, deadline=None)
+@given(diffops_and_poly())
+def test_commutator_is_the_difference_of_the_products(ops):
+    A, B, f = ops
+    assert A.compose(B).apply(f) == A.apply(B.apply(f))
+    assert A.commutator(B) == A.compose(B) - B.compose(A)
+
+
 def test_normal_order_canonical_form(rng):
     x = MultiPoly.var(XY, "x")
     dx = DiffOp.partial(XY, "x")
@@ -198,7 +236,6 @@ def test_poisson_bracket_canonical_pairs():
 
 
 def test_poisson_bracket_properties(rng):
-    from oscchain.exact import PHASE_VARS
     f = draw_poly(rng, PHASE_VARS, max_degree=2, n_terms=3)
     g = draw_poly(rng, PHASE_VARS, max_degree=2, n_terms=3)
     h = draw_poly(rng, PHASE_VARS, max_degree=2, n_terms=3)
@@ -209,6 +246,17 @@ def test_poisson_bracket_properties(rng):
            + poisson_bracket(g, poisson_bracket(h, f))
            + poisson_bracket(h, poisson_bracket(f, g)))
     assert jac.is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys_st(PHASE_VARS, max_degree=2, max_terms=5),
+       polys_st(PHASE_VARS, max_degree=2, max_terms=5))
+def test_poisson_bracket_matches_the_fraction_formula(f, g):
+    # reference: the bracket in MultiPoly arithmetic, term by term
+    want = MultiPoly.zero(PHASE_VARS)
+    for q, p in CANONICAL_PAIRS:
+        want = want + f.diff(q) * g.diff(p) - f.diff(p) * g.diff(q)
+    assert poisson_bracket(f, g) == want
 
 
 # ---------------------------------------------------------------------------
