@@ -82,9 +82,9 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_params(args, default_case: Optional[Case] = None,
-                  overrides: Optional[dict] = None, fixed: bool = False):
-    """(case, params) from --params and the flags.  With `fixed`, the
-    command computes only `default_case`, and any other case is rejected."""
+                  overrides: Optional[dict] = None):
+    """(case, params) from --params and the flags.  A command that gives
+    `default_case` computes only that case, and any other is rejected."""
     case = default_case
     kwargs = {}
     if args.params:
@@ -98,7 +98,7 @@ def _build_params(args, default_case: Optional[Case] = None,
         case = Case(args.case)
     if case is None:
         raise CaseError("no case given (use --case or --params)")
-    if fixed and case is not default_case:
+    if default_case is not None and case is not default_case:
         raise CaseError(f"{args.command} computes only the "
                         f"{default_case.value} case, not {case.value}")
     if overrides:
@@ -154,7 +154,7 @@ def cmd_spectrum(args) -> None:
 
 
 def cmd_integrals(args) -> None:
-    case, p = _build_params(args, Case.GENERAL3, fixed=True)
+    case, p = _build_params(args, Case.GENERAL3)
     rep = integrals_mod.battery(p)
     _emit(args, case, p, rep.to_json())
     if not rep.consistent:
@@ -163,20 +163,20 @@ def cmd_integrals(args) -> None:
 
 
 def cmd_sepvar(args) -> None:
-    case, p = _build_params(args, Case.GENERAL3, fixed=True)
-    if not sepvar.verify_pushforward(p, seed=args.seed,
-                                     n_points=args.points):
-        raise VerificationFailure("w-coordinate-pushforward")
-    form = sepvar.match_separated_template(sepvar.build_opham(p), p)
-    pot = sepvar.potential_in_w(p)
-    results = {"pushforward_ok": True,
-               "A": _fr_str(form.A), "B": _fr_str(form.B),
-               "potential": pot.to_json()}
+    case, p = _build_params(args, Case.GENERAL3)
+    ok = sepvar.verify_pushforward(p, seed=args.seed, n_points=args.points)
+    results = {"pushforward_ok": ok, "A": None, "B": None, "potential": None}
+    if ok:   # the template and potential checks presume the push-forward
+        form = sepvar.match_separated_template(sepvar.build_opham(p), p)
+        results.update(A=_fr_str(form.A), B=_fr_str(form.B),
+                       potential=sepvar.potential_in_w(p).to_json())
     _emit(args, case, p, results)
+    if not ok:
+        raise VerificationFailure("w-coordinate-pushforward")
 
 
 def cmd_bo(args) -> None:
-    case, p = _build_params(args, Case.GENERAL3, fixed=True)
+    case, p = _build_params(args, Case.GENERAL3)
     grid = None
     if args.m1_grid:
         grid = parse_range(args.m1_grid)
@@ -219,7 +219,7 @@ def cmd_curve(args) -> None:
 
 
 def cmd_verify_all(args) -> None:
-    case, p = _build_params(args, Case.GENERAL3, fixed=True)
+    case, p = _build_params(args, Case.GENERAL3)
     checks = {}
 
     def run(name, fn):

@@ -14,8 +14,8 @@ from math import comb
 from typing import Mapping, Sequence, Union
 
 from .gaussian import GaussFn
-from .poly import (MultiPoly, RationalFn, VariableMismatch, add_product,
-                   diff_terms, from_integer_terms, integer_terms)
+from .poly import (MultiPoly, RationalFn, VariableMismatch,
+                   sums_of_products)
 
 Coeffable = Union[int, Fraction, MultiPoly]
 
@@ -35,30 +35,25 @@ def _sub_multi_indices(alpha):
     return idx
 
 
-def _leibniz_into(a: dict, b: dict, acc: dict, sign: int,
-                  skip_leading: bool) -> None:
-    """Add sign * (A o B) to acc, for operators given as maps
-    derivs -> integer term map; acc maps derivs -> term map.
+def _leibniz_into(a, b, sums: dict, sign: int, skip_leading: bool) -> None:
+    """Add the products of sign * (A o B) to sums, for operators given as
+    (derivs, index of the coefficient) pairs; sums maps derivs to the
+    (i, di, j, dj, scale) products of sums_of_products.
 
     P d^alpha (Q d^beta f) = sum_gamma C(alpha,gamma) P (d^gamma Q)
     d^(alpha-gamma+beta) f; skip_leading leaves out gamma = 0, the term
     P Q d^(alpha+beta) that cancels in a commutator.
     """
-    for alpha, P in a.items():
+    for alpha, i in a:
+        zero = (0,) * len(alpha)
         gammas = _sub_multi_indices(alpha)   # gammas[0] is gamma = 0
         if skip_leading:
             gammas = gammas[1:]
-        for beta, Q in b.items():
+        for beta, j in b:
             for gamma in gammas:
-                dq = Q
-                for i, k in enumerate(gamma):
-                    for _ in range(k):
-                        dq = diff_terms(dq, i)
-                if not dq:
-                    continue
                 derivs = tuple(x - g + y for x, g, y in zip(alpha, gamma, beta))
-                add_product(acc.setdefault(derivs, {}), P, dq,
-                            sign * _binom_multi(alpha, gamma))
+                sums.setdefault(derivs, []).append(
+                    (i, zero, j, gamma, sign * _binom_multi(alpha, gamma)))
 
 
 class DiffOp:
@@ -215,40 +210,30 @@ class DiffOp:
             return out
         raise TypeError(f"cannot apply DiffOp to {type(f).__name__}")
 
-    def _integer_coefficients(self, other: "DiffOp"):
-        """(a, b, den): the coefficients of self and other as integer term
-        maps keyed by derivative index, over one common denominator."""
-        maps, den = integer_terms([*self.terms.values(),
-                                   *other.terms.values()])
+    def _products(self, other: "DiffOp", commutator: bool) -> "DiffOp":
+        """self o other, or with `commutator` self o other - other o self."""
+        self._check(other)
         n = len(self.terms)
-        return (dict(zip(self.terms, maps[:n])),
-                dict(zip(other.terms, maps[n:])), den)
-
-    def _from_acc(self, acc: dict, den: int) -> "DiffOp":
+        a = list(zip(self.terms, range(n)))
+        b = list(zip(other.terms, range(n, n + len(other.terms))))
+        sums: dict = {}
+        _leibniz_into(a, b, sums, 1, commutator)
+        if commutator:
+            _leibniz_into(b, a, sums, -1, True)
+        coeffs = sums_of_products(self.variables, [*self.terms.values(),
+                                                   *other.terms.values()], sums)
         out = DiffOp(self.variables)
-        for derivs, terms in acc.items():
-            coeff = from_integer_terms(self.variables, terms, den)
-            if not coeff.is_zero():
-                out.terms[derivs] = coeff
+        out.terms = {d: c for d, c in coeffs.items() if not c.is_zero()}
         return out
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Operator product self o other in canonical form."""
-        self._check(other)
-        a, b, den = self._integer_coefficients(other)
-        acc: dict = {}
-        _leibniz_into(a, b, acc, 1, False)
-        return self._from_acc(acc, den * den)
+        return self._products(other, False)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         """self o other - other o self, without the gamma = 0 Leibniz terms,
         which cancel because polynomial multiplication commutes."""
-        self._check(other)
-        a, b, den = self._integer_coefficients(other)
-        acc: dict = {}
-        _leibniz_into(a, b, acc, 1, True)
-        _leibniz_into(b, a, acc, -1, True)
-        return self._from_acc(acc, den * den)
+        return self._products(other, True)
 
     def order(self) -> int:
         if not self.terms:

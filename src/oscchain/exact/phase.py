@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .poly import (MultiPoly, add_product, diff_terms, from_integer_terms,
-                   integer_terms)
+from .poly import MultiPoly, sums_of_products
 
 RHO_VARS = ("rho12", "rho13", "rho23")
 MOM_VARS = ("p1", "p2", "p3")
@@ -26,10 +25,10 @@ def poisson_bracket(f: MultiPoly, g: MultiPoly,
     """{f, g} = sum_i df/dq_i dg/dp_i - df/dp_i dg/dq_i, exact."""
     if f.variables != g.variables:
         raise ValueError("f and g must share a phase space")
-    (F, G), den = integer_terms((f, g))
-    acc: dict = {}
+    n = len(f.variables)
+    unit = {v: tuple(int(k == i) for k in range(n))
+            for i, v in enumerate(f.variables)}
+    products = []
     for q, p in pairs:
-        i, j = f.variables.index(q), f.variables.index(p)
-        add_product(acc, diff_terms(F, i), diff_terms(G, j))
-        add_product(acc, diff_terms(F, j), diff_terms(G, i), -1)
-    return from_integer_terms(f.variables, acc, den * den)
+        products += [(0, unit[q], 1, unit[p], 1), (0, unit[p], 1, unit[q], -1)]
+    return sums_of_products(f.variables, (f, g), {0: products})[0]

@@ -6,7 +6,7 @@ Fraction coefficients; the variable list is fixed per polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, perm
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -272,43 +272,59 @@ class MultiPoly:
         return cls(variables, terms)
 
 
-# -- integer term maps --------------------------------------------------------
-# The products inside operator composition and Poisson brackets run on term
-# maps {exps: int} over one common denominator, so their inner loops do
-# integer arithmetic and each result coefficient becomes a Fraction once.
+# -- sums of products ---------------------------------------------------------
 
-def integer_terms(polys: Sequence[MultiPoly]):
-    """([term map of each poly], den): poly == term map / den, integer
-    coefficients, one den for all."""
-    den = lcm(*(c.denominator for q in polys for c in q.terms.values()))
-    return [{e: c.numerator * (den // c.denominator)
-             for e, c in q.terms.items()} for q in polys], den
-
-
-def diff_terms(terms: dict, i: int) -> dict:
-    """Derivative of a term map in its i-th variable."""
+def _diff_terms(terms: dict, d: tuple) -> dict:
+    """Mixed partial derivative d^d of a term map."""
+    steps = [(i, m) for i, m in enumerate(d) if m]
+    if not steps:
+        return terms
     out = {}
     for e, c in terms.items():
-        k = e[i]
-        if k:
-            out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        e = list(e)
+        for i, m in steps:
+            if e[i] < m:
+                break
+            c *= perm(e[i], m)
+            e[i] -= m
+        else:
+            out[tuple(e)] = c
     return out
 
 
-def add_product(acc: dict, p: dict, q: dict, scale: int = 1) -> None:
-    """acc += scale * p * q, on term maps."""
-    for e1, c1 in p.items():
-        c1 *= scale
-        for e2, c2 in q.items():
-            e = tuple([x + y for x, y in zip(e1, e2)])
-            acc[e] = acc.get(e, 0) + c1 * c2
+def sums_of_products(variables: Sequence[str], polys: Sequence[MultiPoly],
+                     sums: Mapping) -> dict:
+    """{key: MultiPoly} with each value the sum of scale * d^di polys[i] *
+    d^dj polys[j] over the (i, di, j, dj, scale) of sums[key], where d^di
+    is the mixed partial derivative with exponent tuple di.
 
+    Operator products and Poisson brackets are such sums.  They run on
+    integer term maps over one common denominator, so the inner loops do
+    integer arithmetic and each result coefficient becomes a Fraction once.
+    """
+    den = lcm(*(c.denominator for q in polys for c in q.terms.values()))
+    ints = [{e: c.numerator * (den // c.denominator)
+             for e, c in q.terms.items()} for q in polys]
+    derived: dict = {}
 
-def from_integer_terms(variables: Sequence[str], terms: dict,
-                       den: int) -> MultiPoly:
-    """The MultiPoly term map / den."""
-    out = MultiPoly(variables)
-    out.terms = {e: Fraction(c, den) for e, c in terms.items() if c}
+    def deriv(i, d):
+        if (i, d) not in derived:
+            derived[i, d] = _diff_terms(ints[i], d)
+        return derived[i, d]
+
+    out = {}
+    for key, products in sums.items():
+        acc: dict = {}
+        for i, di, j, dj, scale in products:
+            q = deriv(j, dj)
+            for e1, c1 in deriv(i, di).items():
+                c1 *= scale
+                for e2, c2 in q.items():
+                    e = tuple([x + y for x, y in zip(e1, e2)])
+                    acc[e] = acc.get(e, 0) + c1 * c2
+        p = MultiPoly(variables)
+        p.terms = {e: Fraction(c, den * den) for e, c in acc.items() if c}
+        out[key] = p
     return out
 
 

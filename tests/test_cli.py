@@ -185,16 +185,18 @@ def test_three_finite_masses_are_required(capsys, command):
      "--m3", "1"),
     ("verify-all", "--case", "atomic3", "--m1", "inf"),
     ("integrals", "--params", "PARAMS"),
+    ("curve", "--case", "twobody_es", "--rho23-range", "0:1:1/2"),
 ])
-def test_general3_commands_reject_other_cases(capsys, tmp_path, argv):
-    # these commands compute only the general 3-body problem; they must not
-    # echo another case over its results
+def test_single_case_commands_reject_other_cases(capsys, tmp_path, argv):
+    # these commands compute one case only (curve: molecular3, the others:
+    # general3); they must not echo another case over its results
     f = tmp_path / "p.json"
     f.write_text(json.dumps({"case": "isotropic3", "m": [1, 1, 1]}))
     code, out, err = run(capsys, *(str(f) if a == "PARAMS" else a
                                    for a in argv))
+    computed = "molecular3" if argv[0] == "curve" else "general3"
     assert code == 2 and out == ""
-    assert "input error" in err and "general3" in err
+    assert "input error" in err and f"only the {computed} case" in err
     assert "Traceback" not in err
 
 

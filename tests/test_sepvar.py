@@ -1,6 +1,7 @@
 """Change of variables to the separating coordinates: exact push-forward
 of the radial operator, the separated template, and the transformed
 potential."""
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -238,7 +239,9 @@ def test_pushforward_rejects_a_perturbed_operator(monkeypatch, capsys):
     assert not sepvar.verify_pushforward(p, seed=1)
     code = main(["sepvar", "--m1", "2", "--m2", "3", "--m3", "5"])
     out, err = capsys.readouterr()
-    assert code == 1 and out == ""
+    assert code == 1
+    assert json.loads(out)["results"] == {
+        "pushforward_ok": False, "A": None, "B": None, "potential": None}
     assert "verification failed: w-coordinate-pushforward" in err
 
 
