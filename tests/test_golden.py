@@ -1,6 +1,10 @@
-"""Byte-identical CLI output: the stdout of the README `spectrum` and `qes`
-commands, and of spectra across the cases, against sha256 digests recorded
-before the spectral pipeline moved to sympy's DomainMatrix."""
+"""Byte-identical CLI output against recorded sha256 digests: the stdout of
+the README `spectrum`, `qes`, `integrals`, `sepvar`, `curve --format csv` and
+`verify-all` commands, and of spectra across the cases.  The `spectrum` and
+`qes` digests were recorded before the spectral pipeline moved to sympy's
+DomainMatrix, the other four before the exact kernel moved to integer
+numerators.  `bo` is left out: its floats come from BLAS and can differ
+between machines."""
 import hashlib
 import json
 from pathlib import Path
