@@ -3,7 +3,7 @@ operators, Gaussian-weighted functions, Poisson brackets, identity testing."""
 
 from .poly import MultiPoly, RationalFn, VariableMismatch
 from .gaussian import GaussFn
-from .diffop import DiffOp, RatDiffOp
+from .diffop import DiffOp
 from .phase import (CANONICAL_PAIRS, MOM_VARS, PHASE_VARS, RHO_VARS,
                     phase_var, poisson_bracket)
 from .idtest import (SingularSampleError, identity_test, random_point,
@@ -11,7 +11,7 @@ from .idtest import (SingularSampleError, identity_test, random_point,
 
 __all__ = [
     "MultiPoly", "RationalFn", "VariableMismatch",
-    "GaussFn", "DiffOp", "RatDiffOp",
+    "GaussFn", "DiffOp",
     "CANONICAL_PAIRS", "MOM_VARS", "PHASE_VARS", "RHO_VARS",
     "phase_var", "poisson_bracket",
     "SingularSampleError", "identity_test", "random_point", "random_rational",

@@ -3,9 +3,10 @@
 Canonical form is normal-ordered: every term is a coefficient on the left
 times a mixed partial-derivative multi-index.  Composition re-normal-orders
 via the Leibniz expansion, so equality of operators is syntactic equality
-of the canonical term maps.  The expansion runs on integer term maps over
-one common denominator; a commutator leaves out the leading Leibniz terms,
-which cancel.
+of the canonical term maps.  Coefficients are MultiPoly (integer numerators
+over one denominator) or RationalFn, and the expansion is MultiPoly
+arithmetic; a commutator leaves out the leading Leibniz terms, which
+cancel.
 """
 from __future__ import annotations
 
@@ -14,10 +15,9 @@ from math import comb
 from typing import Mapping, Sequence, Union
 
 from .gaussian import GaussFn
-from .poly import (MultiPoly, RationalFn, VariableMismatch,
-                   sums_of_products)
+from .poly import MultiPoly, RationalFn, VariableMismatch
 
-Coeffable = Union[int, Fraction, MultiPoly]
+Coeffable = Union[int, Fraction, MultiPoly, RationalFn]
 
 
 def _binom_multi(alpha, gamma) -> int:
@@ -35,25 +35,39 @@ def _sub_multi_indices(alpha):
     return idx
 
 
-def _leibniz_into(a, b, sums: dict, sign: int, skip_leading: bool) -> None:
-    """Add the products of sign * (A o B) to sums, for operators given as
-    (derivs, index of the coefficient) pairs; sums maps derivs to the
-    (i, di, j, dj, scale) products of sums_of_products.
+def _leibniz_into(a: dict, b: dict, out: dict, sign: int,
+                  skip_leading: bool) -> None:
+    """Add the terms of sign * (A o B) to out, for operators A and B given
+    by their term maps {derivs: MultiPoly}.
 
     P d^alpha (Q d^beta f) = sum_gamma C(alpha,gamma) P (d^gamma Q)
     d^(alpha-gamma+beta) f; skip_leading leaves out gamma = 0, the term
-    P Q d^(alpha+beta) that cancels in a commutator.
+    P Q d^(alpha+beta) that cancels in a commutator.  Each d^gamma Q is
+    formed once, and the factors that multiply one P in one derivative
+    term are summed before the product.
     """
-    for alpha, i in a:
-        zero = (0,) * len(alpha)
+    derived: dict = {}
+    for alpha, P in a.items():
         gammas = _sub_multi_indices(alpha)   # gammas[0] is gamma = 0
         if skip_leading:
             gammas = gammas[1:]
-        for beta, j in b:
-            for gamma in gammas:
+        factors: dict = {}
+        for gamma in gammas:
+            scale = sign * _binom_multi(alpha, gamma)
+            for beta, Q in b.items():
+                if (beta, gamma) not in derived:
+                    derived[beta, gamma] = Q.partial(gamma)
+                dQ = derived[beta, gamma]
+                if dQ.is_zero():
+                    continue
+                if scale != 1:
+                    dQ = dQ * scale
                 derivs = tuple(x - g + y for x, g, y in zip(alpha, gamma, beta))
-                sums.setdefault(derivs, []).append(
-                    (i, zero, j, gamma, sign * _binom_multi(alpha, gamma)))
+                factors[derivs] = factors[derivs] + dQ if derivs in factors \
+                    else dQ
+        for derivs, S in factors.items():
+            term = P * S
+            out[derivs] = out[derivs] + term if derivs in out else term
 
 
 class DiffOp:
@@ -171,59 +185,33 @@ class DiffOp:
 
     # -- action ------------------------------------------------------------
     def apply(self, f):
-        """Apply to a MultiPoly, GaussFn, or RationalFn; result same kind."""
-        if isinstance(f, MultiPoly):
-            if f.variables != self.variables:
-                raise VariableMismatch(f"{f.variables} vs {self.variables}")
-            out = MultiPoly.zero(self.variables)
-            for derivs, coeff in self.terms.items():
-                g = f
-                for v, k in zip(self.variables, derivs):
-                    for _ in range(k):
-                        g = g.diff(v)
-                        if g.is_zero():
-                            break
-                if not g.is_zero():
-                    out = out + coeff * g
-            return out
-        if isinstance(f, GaussFn):
-            if f.variables != self.variables:
-                raise VariableMismatch(f"{f.variables} vs {self.variables}")
-            out = GaussFn(MultiPoly.zero(self.variables), f.exponent)
-            for derivs, coeff in self.terms.items():
-                g = f
-                for v, k in zip(self.variables, derivs):
-                    for _ in range(k):
-                        g = g.diff(v)
-                out = out + coeff * g
-            return out
-        if isinstance(f, RationalFn):
-            if f.variables != self.variables:
-                raise VariableMismatch(f"{f.variables} vs {self.variables}")
-            out = RationalFn(MultiPoly.zero(self.variables))
-            for derivs, coeff in self.terms.items():
-                g = f
-                for v, k in zip(self.variables, derivs):
-                    for _ in range(k):
-                        g = g.diff(v)
-                out = out + coeff * g
-            return out
-        raise TypeError(f"cannot apply DiffOp to {type(f).__name__}")
+        """Apply to a MultiPoly, GaussFn, or RationalFn; the result is of
+        the same kind, or a RationalFn where the coefficients are."""
+        if not isinstance(f, (MultiPoly, GaussFn, RationalFn)):
+            raise TypeError(f"cannot apply DiffOp to {type(f).__name__}")
+        if f.variables != self.variables:
+            raise VariableMismatch(f"{f.variables} vs {self.variables}")
+        out = None
+        for derivs, coeff in self.terms.items():
+            g = f
+            for v, k in zip(self.variables, derivs):
+                for _ in range(k):
+                    g = g.diff(v)
+            if g.is_zero():
+                continue
+            term = coeff * g
+            out = term if out is None else out + term
+        return f * 0 if out is None else out
 
     def _products(self, other: "DiffOp", commutator: bool) -> "DiffOp":
         """self o other, or with `commutator` self o other - other o self."""
         self._check(other)
-        n = len(self.terms)
-        a = list(zip(self.terms, range(n)))
-        b = list(zip(other.terms, range(n, n + len(other.terms))))
-        sums: dict = {}
-        _leibniz_into(a, b, sums, 1, commutator)
+        terms: dict = {}
+        _leibniz_into(self.terms, other.terms, terms, 1, commutator)
         if commutator:
-            _leibniz_into(b, a, sums, -1, True)
-        coeffs = sums_of_products(self.variables, [*self.terms.values(),
-                                                   *other.terms.values()], sums)
+            _leibniz_into(other.terms, self.terms, terms, -1, True)
         out = DiffOp(self.variables)
-        out.terms = {d: c for d, c in coeffs.items() if not c.is_zero()}
+        out.terms = {d: c for d, c in terms.items() if not c.is_zero()}
         return out
 
     def compose(self, other: "DiffOp") -> "DiffOp":
@@ -324,68 +312,4 @@ class DiffOp:
             out = out - DiffOp.mul_by(shift)
         elif shift != 0:
             out = out - shift * DiffOp.identity(self.variables)
-        return out
-
-    # -- serialization -----------------------------------------------------
-    def to_json(self) -> dict:
-        term_list = []
-        for derivs in sorted(self.terms, key=lambda d: (sum(d), d)):
-            for exps, c in self.terms[derivs].sorted_terms():
-                term_list.append({"coeff": f"{c.numerator}/{c.denominator}",
-                                  "powers": list(exps),
-                                  "derivs": list(derivs)})
-        return {"variables": list(self.variables), "terms": term_list}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DiffOp":
-        variables = tuple(data["variables"])
-        terms: dict = {}
-        for t in data["terms"]:
-            derivs = tuple(t["derivs"])
-            mono = MultiPoly(variables,
-                             {tuple(t["powers"]): Fraction(t["coeff"])})
-            terms[derivs] = terms.get(derivs, MultiPoly.zero(variables)) + mono
-        return cls(variables, terms)
-
-
-class RatDiffOp:
-    """Differential operator with RationalFn coefficients (used in w-coordinates)."""
-
-    __slots__ = ("variables", "terms")
-
-    def __init__(self, variables: Sequence[str],
-                 terms: Mapping[tuple, RationalFn] | None = None):
-        self.variables = tuple(variables)
-        self.terms = {}
-        if terms:
-            for derivs, coeff in terms.items():
-                derivs = tuple(derivs)
-                if isinstance(coeff, MultiPoly):
-                    coeff = RationalFn(coeff)
-                if not coeff.is_zero():
-                    if derivs in self.terms:
-                        self.terms[derivs] = self.terms[derivs] + coeff
-                    else:
-                        self.terms[derivs] = coeff
-
-    def __add__(self, other: "RatDiffOp") -> "RatDiffOp":
-        out = RatDiffOp(self.variables, dict(self.terms))
-        for derivs, coeff in other.terms.items():
-            if derivs in out.terms:
-                out.terms[derivs] = out.terms[derivs] + coeff
-            else:
-                out.terms[derivs] = coeff
-        out.terms = {d: c for d, c in out.terms.items() if not c.is_zero()}
-        return out
-
-    def apply(self, f) -> RationalFn:
-        if isinstance(f, MultiPoly):
-            f = RationalFn(f)
-        out = RationalFn(MultiPoly.zero(self.variables))
-        for derivs, coeff in self.terms.items():
-            g = f
-            for v, k in zip(self.variables, derivs):
-                for _ in range(k):
-                    g = g.diff(v)
-            out = out + coeff * g
         return out

@@ -62,15 +62,6 @@ class GaussFn:
     def __neg__(self):
         return GaussFn(-self.prefactor, self.exponent)
 
-    def inverse(self) -> "GaussFn":
-        if not self.prefactor.is_constant():
-            raise ValueError("only unit-prefactor GaussFn can be inverted")
-        c = self.prefactor.constant_value()
-        if c == 0:
-            raise ZeroDivisionError
-        return GaussFn(MultiPoly.const(self.variables, Fraction(1, 1) / c),
-                       -self.exponent)
-
     def __eq__(self, other):
         if not isinstance(other, GaussFn):
             return NotImplemented

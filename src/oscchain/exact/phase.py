@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .poly import MultiPoly, sums_of_products
+from .poly import MultiPoly
 
 RHO_VARS = ("rho12", "rho13", "rho23")
 MOM_VARS = ("p1", "p2", "p3")
@@ -25,10 +25,7 @@ def poisson_bracket(f: MultiPoly, g: MultiPoly,
     """{f, g} = sum_i df/dq_i dg/dp_i - df/dp_i dg/dq_i, exact."""
     if f.variables != g.variables:
         raise ValueError("f and g must share a phase space")
-    n = len(f.variables)
-    unit = {v: tuple(int(k == i) for k in range(n))
-            for i, v in enumerate(f.variables)}
-    products = []
+    out = MultiPoly.zero(f.variables)
     for q, p in pairs:
-        products += [(0, unit[q], 1, unit[p], 1), (0, unit[p], 1, unit[q], -1)]
-    return sums_of_products(f.variables, (f, g), {0: products})[0]
+        out = out + f.diff(q) * g.diff(p) - f.diff(p) * g.diff(q)
+    return out

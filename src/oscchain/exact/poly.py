@@ -1,12 +1,18 @@
-"""Exact multivariate polynomials and rational functions over Fraction.
+"""Exact multivariate polynomials and rational functions over Q.
 
-Terms are stored sparsely as a map from exponent tuples to nonzero
-Fraction coefficients; the variable list is fixed per polynomial.
+A polynomial is stored as integer numerators over one positive common
+denominator, the form of FLINT's fmpq_poly: a sparse map from exponent
+tuples to nonzero integers, and `den`, normalised so that gcd(numerators,
+den) = 1.  Equal polynomials therefore have equal representations.  The
+arithmetic runs on integers; Fractions appear only at the interfaces
+(constructors, `terms`, `coeff`, `eval`).  The variable list is fixed per
+polynomial.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, perm
+from math import gcd, lcm, perm
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -21,26 +27,44 @@ class VariableMismatch(ValueError):
 
 
 class MultiPoly:
-    """Polynomial in named variables with Fraction coefficients."""
+    """Polynomial in named variables with rational coefficients: `num` maps
+    exponent tuples to integer numerators over the denominator `den`."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "num", "den")
 
     def __init__(self, variables: Sequence[str],
                  terms: Mapping[tuple, Scalar] | None = None):
         self.variables = tuple(variables)
-        clean = {}
+        fracs = {}
         if terms:
             n = len(self.variables)
             for exps, c in terms.items():
                 exps = tuple(exps)
                 if len(exps) != n:
                     raise ValueError(f"exponent {exps} has wrong length")
-                c = _frac(c)
-                if c != 0:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
-                    if clean[exps] == 0:
-                        del clean[exps]
-        self.terms = clean
+                fracs[exps] = fracs.get(exps, 0) + _frac(c)
+        den = lcm(*(c.denominator for c in fracs.values()))
+        self._set({e: c.numerator * (den // c.denominator)
+                   for e, c in fracs.items()}, den)
+
+    def _set(self, num: dict, den: int) -> None:
+        """Store num/den (den > 0) in normal form: no zero numerators, and
+        gcd(numerators, den) = 1."""
+        if 0 in num.values():
+            num = {e: c for e, c in num.items() if c}
+        g = gcd(den, *num.values()) if num else den
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def _make(cls, variables: tuple, num: dict, den: int) -> "MultiPoly":
+        out = cls.__new__(cls)
+        out.variables = variables
+        out._set(num, den)
+        return out
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -50,14 +74,24 @@ class MultiPoly:
     @classmethod
     def const(cls, variables, c: Scalar):
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): _frac(c)})
+        return cls(variables, {(0,) * len(variables): c})
 
     @classmethod
     def var(cls, variables, name: str):
         variables = tuple(variables)
         i = variables.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {exps: Fraction(1)})
+        return cls._make(variables, {exps: 1}, 1)
+
+    # -- read-only views ---------------------------------------------------
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: Fraction coefficient}, built on each access."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.num.items()}
+
+    def coeff(self, exps: Iterable[int]) -> Fraction:
+        return Fraction(self.num.get(tuple(exps), 0), self.den)
 
     # -- helpers -----------------------------------------------------------
     def _check(self, other: "MultiPoly"):
@@ -66,46 +100,40 @@ class MultiPoly:
                 f"{self.variables} vs {other.variables}")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return not any(any(exps) for exps in self.num)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+        return self.coeff((0,) * len(self.variables))
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.num:
             return 0
-        return max(sum(e) for e in self.terms)
-
-    def coeff(self, exps: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return max(sum(e) for e in self.num)
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.variables, other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, Fraction(0)) + c
-            if s == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = s
-        out = MultiPoly(self.variables)
-        out.terms = terms
-        return out
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        num = {e: c * a for e, c in self.num.items()}
+        for e, c in other.num.items():
+            num[e] = num.get(e, 0) + c * b
+        return MultiPoly._make(self.variables, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly(self.variables)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MultiPoly._make(self.variables,
+                               {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -117,26 +145,20 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            out = MultiPoly(self.variables)
-            if c != 0:
-                out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
+            k, d = other.numerator, other.denominator
+            return MultiPoly._make(self.variables,
+                                   {e: c * k for e, c in self.num.items()},
+                                   self.den * d)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        out = MultiPoly(self.variables)
-        out.terms = terms
-        return out
+        num: dict = {}
+        second = list(other.num.items())
+        for e1, c1 in self.num.items():
+            for e2, c2 in second:
+                e = tuple(map(add, e1, e2))
+                num[e] = num.get(e, 0) + c1 * c2
+        return MultiPoly._make(self.variables, num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -157,57 +179,80 @@ class MultiPoly:
             other = MultiPoly.const(self.variables, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (self.variables == other.variables and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self.den, frozenset(self.num.items())))
 
     # -- calculus / evaluation ---------------------------------------------
+    def partial(self, alpha: Sequence[int]) -> "MultiPoly":
+        """The mixed partial derivative d^alpha, alpha one order per
+        variable."""
+        steps = [(i, m) for i, m in enumerate(alpha) if m]
+        if not steps:
+            return self
+        num = {}
+        for e, c in self.num.items():
+            e = list(e)
+            for i, m in steps:
+                if e[i] < m:
+                    break
+                c *= perm(e[i], m)
+                e[i] -= m
+            else:
+                num[tuple(e)] = c
+        return MultiPoly._make(self.variables, num, self.den)
+
     def diff(self, name: str) -> "MultiPoly":
         i = self.variables.index(name)
-        terms = {}
-        for exps, c in self.terms.items():
-            if exps[i] == 0:
+        return self.partial([int(j == i) for j in range(len(self.variables))])
+
+    def _power_tables(self, values: Sequence):
+        """For each variable with a value a/b (None: not substituted), the
+        integers a^k b^(D-k), k = 0..D, with D its highest exponent here;
+        and the product of the b^D, the denominator they clear."""
+        tops = [max(col) for col in zip(*self.num)] if self.num \
+            else [0] * len(self.variables)
+        tables, scale = [], 1
+        for x, top in zip(values, tops):
+            if x is None:
+                tables.append(None)
                 continue
-            e = list(exps)
-            k = e[i]
-            e[i] = k - 1
-            e = tuple(e)
-            terms[e] = terms.get(e, Fraction(0)) + c * k
-        out = MultiPoly(self.variables)
-        out.terms = {e: c for e, c in terms.items() if c != 0}
-        return out
+            x = _frac(x)
+            pa, pb = [1], [1]
+            for _ in range(top):
+                pa.append(pa[-1] * x.numerator)
+                pb.append(pb[-1] * x.denominator)
+            tables.append([pa[k] * pb[top - k] for k in range(top + 1)])
+            scale *= pb[top]
+        return tables, scale
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
-        vals = [_frac(point[v]) for v in self.variables]
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            prod = c
-            for x, e in zip(vals, exps):
-                if e:
-                    prod *= x ** e
-            total += prod
-        return total
+        """The value at `point`, on integers: each variable's denominator
+        is cleared once, and the result becomes a Fraction once."""
+        tables, scale = self._power_tables([point[v] for v in self.variables])
+        total = 0
+        for exps, c in self.num.items():
+            for table, k in zip(tables, exps):
+                c *= table[k]
+            total += c
+        return Fraction(total, self.den * scale)
 
     def subs_values(self, point: Mapping[str, Scalar]) -> "MultiPoly":
         """Substitute numeric values for a subset of variables."""
-        keep = [v for v in self.variables if v not in point]
-        idx = [self.variables.index(v) for v in keep]
-        out_terms: dict = {}
-        for exps, c in self.terms.items():
-            prod = c
-            for i, v in enumerate(self.variables):
-                if v in point and exps[i]:
-                    prod *= _frac(point[v]) ** exps[i]
-            e = tuple(exps[i] for i in idx)
-            s = out_terms.get(e, Fraction(0)) + prod
-            if s == 0:
-                out_terms.pop(e, None)
-            else:
-                out_terms[e] = s
-        out = MultiPoly(keep)
-        out.terms = out_terms
-        return out
+        keep = [i for i, v in enumerate(self.variables) if v not in point]
+        tables, scale = self._power_tables([point.get(v)
+                                            for v in self.variables])
+        num: dict = {}
+        for exps, c in self.num.items():
+            for table, k in zip(tables, exps):
+                if table is not None:
+                    c *= table[k]
+            e = tuple(exps[i] for i in keep)
+            num[e] = num.get(e, 0) + c
+        return MultiPoly._make(tuple(self.variables[i] for i in keep), num,
+                               self.den * scale)
 
     def rename(self, mapping: Mapping[str, str], order: Sequence[str] | None = None):
         """Relabel variables; `order` fixes the output variable list."""
@@ -216,25 +261,22 @@ class MultiPoly:
             order = sorted(new_names)
         order = tuple(order)
         perm = [new_names.index(v) for v in order]
-        out = MultiPoly(order)
-        out.terms = {tuple(exps[p] for p in perm): c
-                     for exps, c in self.terms.items()}
-        return out
+        return MultiPoly._make(order, {tuple(exps[p] for p in perm): c
+                                       for exps, c in self.num.items()},
+                               self.den)
 
     def extend(self, variables: Sequence[str]) -> "MultiPoly":
         """Re-express over a larger variable list (superset of current)."""
         variables = tuple(variables)
         pos = [variables.index(v) for v in self.variables]
         n = len(variables)
-        out = MultiPoly(variables)
-        terms = {}
-        for exps, c in self.terms.items():
+        num = {}
+        for exps, c in self.num.items():
             e = [0] * n
             for p, k in zip(pos, exps):
                 e[p] = k
-            terms[tuple(e)] = c
-        out.terms = terms
-        return out
+            num[tuple(e)] = c
+        return MultiPoly._make(variables, num, self.den)
 
     # -- presentation ------------------------------------------------------
     def sorted_terms(self):
@@ -243,7 +285,7 @@ class MultiPoly:
                       key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for exps, c in self.sorted_terms():
@@ -254,78 +296,6 @@ class MultiPoly:
             else:
                 parts.append(str(c))
         return " + ".join(parts)
-
-    # -- serialization -----------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "terms": [{"coeff": f"{c.numerator}/{c.denominator}",
-                       "powers": list(exps)}
-                      for exps, c in self.sorted_terms()],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MultiPoly":
-        variables = data["variables"]
-        terms = {tuple(t["powers"]): Fraction(t["coeff"])
-                 for t in data["terms"]}
-        return cls(variables, terms)
-
-
-# -- sums of products ---------------------------------------------------------
-
-def _diff_terms(terms: dict, d: tuple) -> dict:
-    """Mixed partial derivative d^d of a term map."""
-    steps = [(i, m) for i, m in enumerate(d) if m]
-    if not steps:
-        return terms
-    out = {}
-    for e, c in terms.items():
-        e = list(e)
-        for i, m in steps:
-            if e[i] < m:
-                break
-            c *= perm(e[i], m)
-            e[i] -= m
-        else:
-            out[tuple(e)] = c
-    return out
-
-
-def sums_of_products(variables: Sequence[str], polys: Sequence[MultiPoly],
-                     sums: Mapping) -> dict:
-    """{key: MultiPoly} with each value the sum of scale * d^di polys[i] *
-    d^dj polys[j] over the (i, di, j, dj, scale) of sums[key], where d^di
-    is the mixed partial derivative with exponent tuple di.
-
-    Operator products and Poisson brackets are such sums.  They run on
-    integer term maps over one common denominator, so the inner loops do
-    integer arithmetic and each result coefficient becomes a Fraction once.
-    """
-    den = lcm(*(c.denominator for q in polys for c in q.terms.values()))
-    ints = [{e: c.numerator * (den // c.denominator)
-             for e, c in q.terms.items()} for q in polys]
-    derived: dict = {}
-
-    def deriv(i, d):
-        if (i, d) not in derived:
-            derived[i, d] = _diff_terms(ints[i], d)
-        return derived[i, d]
-
-    out = {}
-    for key, products in sums.items():
-        acc: dict = {}
-        for i, di, j, dj, scale in products:
-            q = deriv(j, dj)
-            for e1, c1 in deriv(i, di).items():
-                c1 *= scale
-                for e2, c2 in q.items():
-                    e = tuple([x + y for x, y in zip(e1, e2)])
-                    acc[e] = acc.get(e, 0) + c1 * c2
-        p = MultiPoly(variables)
-        p.terms = {e: Fraction(c, den * den) for e, c in acc.items() if c}
-        out[key] = p
-    return out
 
 
 class RationalFn:

@@ -1,8 +1,10 @@
 """Builders for the 2- and 3-body oscillator models.
 
 Every operator, potential, ground state, co-metric and Lie-algebraic
-decomposition is constructed exactly over Fraction coefficients,
-parameterized by masses, spring constants, frequency and dimension.
+decomposition is constructed exactly over Q, parameterized by masses,
+spring constants, frequency and dimension.  Parameters are Fractions; the
+polynomials built from them hold integer numerators over one denominator
+(`exact.MultiPoly`) and give Fractions back at the interfaces.
 
 Conventions:
   * 3-body cases live in squared-distance variables (rho12, rho13, rho23).

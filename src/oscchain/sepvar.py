@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
-from .exact import (MultiPoly, RatDiffOp, RationalFn,
-                    SingularSampleError, random_point)
+from .exact import (DiffOp, MultiPoly, RationalFn, SingularSampleError,
+                    random_point)
 from .model import RHO3, Case, Params, build_radial_laplacian, nu_coefficients
 
 W3 = ("w1", "w2", "w3")
@@ -82,11 +82,11 @@ class SeparatedForm:
     w3_first: RationalFn      # shared w3-operator, first-order coefficient
     weight: RationalFn        # 1/w1- and 1/w2-type multiplier of the w3 part
 
-    def operator(self, d: int) -> RatDiffOp:
+    def operator(self, d: int) -> DiffOp:
         """Delta_rad in w-coordinates, assembled from the three terms."""
         w1 = MultiPoly.var(W3, "w1")
         w2 = MultiPoly.var(W3, "w2")
-        return RatDiffOp(W3, {
+        return DiffOp(W3, {
             (2, 0, 0): RationalFn(2 * self.A * w1),
             (1, 0, 0): RationalFn(_wconst(self.A * d)),
             (0, 2, 0): RationalFn(2 * self.B * w2),
@@ -114,13 +114,13 @@ def separated_form(p: Params, d: int) -> SeparatedForm:
     )
 
 
-def build_opham(p: Params, d: Optional[int] = None) -> RatDiffOp:
+def build_opham(p: Params, d: Optional[int] = None) -> DiffOp:
     """Delta_rad in w-coordinates: rational-coefficient operator."""
     d = p.d if d is None else d
     return separated_form(p, d).operator(d)
 
 
-def match_separated_template(op: RatDiffOp, p: Params,
+def match_separated_template(op: DiffOp, p: Params,
                              d: Optional[int] = None) -> SeparatedForm:
     """Check `op` against the three-term separated structure and extract it."""
     d = p.d if d is None else d
@@ -160,14 +160,6 @@ _ORDER2 = (_ZERO,) + _UNIT + tuple(
     _PAIR[a][b] for a in range(3) for b in range(a, 3))   # |alpha| <= 2
 
 
-def _partial(poly: MultiPoly, alpha) -> MultiPoly:
-    """d^alpha poly for a multi-index alpha."""
-    for v, k in zip(poly.variables, alpha):
-        for _ in range(k):
-            poly = poly.diff(v)
-    return poly
-
-
 def _fold_constants(polys: Dict[tuple, MultiPoly]) -> dict:
     """`polys` with each constant polynomial held as its Fraction value
     and the zero ones dropped."""
@@ -189,7 +181,7 @@ def _eval_at(table: dict, pt) -> Dict[tuple, Fraction]:
 
 def _derivative_polys(poly: MultiPoly, indices) -> dict:
     """d^alpha poly for alpha in `indices`, constants folded."""
-    return _fold_constants({alpha: _partial(poly, alpha) for alpha in indices})
+    return _fold_constants({alpha: poly.partial(alpha) for alpha in indices})
 
 
 def _jet(derivs: dict, pt) -> tuple:
@@ -374,20 +366,3 @@ def potential_in_w(p: Params, nus: Optional[Sequence[Fraction]] = None
             raise PotentialMismatch(
                 "potential identity fails for both signs")
     return PotentialInW(c1, c2, num, Fraction(s), num == 0, sign)
-
-
-# ---------------------------------------------------------------------------
-# one-variable separated operator
-
-def one_variable_operator(lam: Fraction, d: int) -> RatDiffOp:
-    """2 w d^2/dw^2 + d d/dw + lam/w on functions of one variable w."""
-    var = ("w",)
-    w = MultiPoly.var(var, "w")
-    terms = {
-        (2,): RationalFn(2 * w),
-        (1,): RationalFn(MultiPoly.const(var, Fraction(d))),
-    }
-    lam = Fraction(lam)
-    if lam != 0:
-        terms[(0,)] = RationalFn(MultiPoly.const(var, lam), w)
-    return RatDiffOp(var, terms)

@@ -132,13 +132,14 @@ def assemble_matrix(op: DiffOp, basis: MonomialBasis) -> OpMatrix:
     rows: dict = {}
     for j, mono in enumerate(basis.monomials):
         image = op.apply(MultiPoly(basis.variables, {mono: 1}))
-        for exps, c in image.terms.items():
+        for exps, c in image.num.items():
             i = index.get(exps)
             if i is None:
                 raise InvariantSubspaceViolation(
                     MultiPoly(basis.variables, {mono: 1}),
-                    MultiPoly(basis.variables, {exps: c}))
-            rows.setdefault(i, {})[j] = QQ(c)
+                    MultiPoly(basis.variables,
+                              {exps: Fraction(c, image.den)}))
+            rows.setdefault(i, {})[j] = QQ(c, image.den)
     return OpMatrix(basis, DomainMatrix(rows, (basis.size, basis.size), QQ))
 
 

@@ -266,11 +266,3 @@ def test_potential_coefficients_closed_form(rng):
                       + s ** 2 * nus[2]) / s ** 2
     assert pot.c2 == (nus[0] + nus[1]) / s ** 2
     assert pot.w3_independent == (m2 * nus[1] == m3 * nus[0])
-
-
-def test_one_variable_operator_action():
-    op = sepvar.one_variable_operator(Fraction(6), 3)
-    w = MultiPoly.var(("w",), "w")
-    got = op.apply(w * w)
-    # (2w d^2 + 3 d + 6/w) w^2 = 4w + 6w + 6w = 16w
-    assert got.equals(RationalFn(16 * w))
