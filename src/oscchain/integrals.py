@@ -280,6 +280,13 @@ def classify_superintegrability(masses: Sequence[Fraction],
 
     relations = (m2 nu13 == m3 nu12, m1 nu23 == m2 nu13,
                  m3 nu12 == m1 nu23); any two imply the third.
+
+    The single relations r2 and r3 are r1 with the particles relabelled:
+    the swap (1 3), applied to the integrals by `permutation_action` and to
+    the masses by `permute_masses`, takes r1 to r2 and F1 to F3; the swap
+    (1 2) takes r1 to r3 and F1 to F2.  So F3 survives alone on r2 and F2
+    on r3.  The image of S3t is not among the named integrals, so it is
+    not listed there.
     """
     m1, m2, m3 = masses
     nu12, nu13, nu23 = nus
@@ -299,10 +306,10 @@ def classify_superintegrability(masses: Sequence[Fraction],
         # surviving set is the pair below.
         return SuperintegrabilityVerdict("minimal", (r1, r2, r3),
                                          ("S3t", "F1"))
-    if count == 1:
-        # a single relation not of the documented form; survivors follow by
-        # relabeling symmetry but are not asserted here
-        return SuperintegrabilityVerdict("minimal", (r1, r2, r3), ())
+    if r2:
+        return SuperintegrabilityVerdict("minimal", (r1, r2, r3), ("F3",))
+    if r3:
+        return SuperintegrabilityVerdict("minimal", (r1, r2, r3), ("F2",))
     return SuperintegrabilityVerdict("none", (r1, r2, r3), ())
 
 
@@ -408,15 +415,28 @@ class BatteryReport:
                 "consistent": self.consistent}
 
 
+_R1_EXPECTED = {"S3t": True, "F1": True, "S3tq": True, "F1q": True,
+                "S2t": False, "F2": False, "F3": False, "L0": False,
+                "F2q": False, "F3q": False, "L0q": False}
+# The particle swaps that take r1 to r2 and to r3 (see
+# classify_superintegrability), on the names of the F integrals.  Both send
+# L0 to -L0, which is conserved exactly when L0 is; the images of the
+# S-integrals are not named integrals.
+_SWAPPED_F = {2: {"F1": "F3", "F3": "F1"}, 3: {"F1": "F2", "F2": "F1"}}
+
+
 def _expected_zero(verdict: SuperintegrabilityVerdict) -> Dict[str, bool]:
     if verdict.kind == "maximal":
         return {n: True for n in ("S2t", "S3t", "F1", "F2", "F3", "L0",
                                   "S3tq", "F1q", "F2q", "F3q", "L0q")}
-    if verdict.kind == "minimal" and verdict.relations[0]:
-        return {"S3t": True, "F1": True, "S3tq": True, "F1q": True,
-                "S2t": False, "F2": False, "F3": False, "L0": False,
-                "F2q": False, "F3q": False, "L0q": False}
-    return {}
+    if verdict.kind != "minimal":
+        return {}
+    r1, r2, _ = verdict.relations
+    if r1:
+        return dict(_R1_EXPECTED)
+    swap = _SWAPPED_F[2 if r2 else 3]
+    return {swap.get(n[:2], n[:2]) + n[2:]: zero
+            for n, zero in _R1_EXPECTED.items() if not n.startswith("S")}
 
 
 def maximal_nus(p: Params, lam: Fraction = Fraction(1)):

@@ -59,6 +59,54 @@ def test_minimal_l0_bracket_exact_counterexample():
     assert br == 8 * (r12 - r13)
 
 
+PAIRS = ((1, 2), (1, 3), (2, 3))
+
+
+@pytest.mark.parametrize("perm, relation, image", [
+    ({1: 3, 2: 2, 3: 1}, 1, 3),       # the swap (1 3): r1 -> r2, F1 -> F3
+    ({1: 2, 2: 1, 3: 3}, 2, 2)])      # the swap (1 2): r1 -> r3, F1 -> F2
+def test_swaps_take_r1_to_r2_and_r3(perm, relation, image):
+    """Relabelling the particles takes the r1 locus to the r2 or r3 locus,
+    F1 to F3 or F2 and L0 to -L0, classically and quantum."""
+    p = Params(m1=2, m2=3, m3=Fraction(5, 2))
+    q = itg.permute_masses(perm, p)
+    nus = dict(zip(PAIRS, (Fraction(1), Fraction(5, 6), Fraction(9))))
+    moved = {tuple(sorted((perm[i], perm[j]))): nu
+             for (i, j), nu in nus.items()}
+    assert itg.classify_superintegrability(
+        p.masses, [nus[ij] for ij in PAIRS]).relations == (True, False, False)
+    assert itg.classify_superintegrability(
+        q.masses, [moved[ij] for ij in PAIRS]).relations \
+        == tuple(k == relation for k in range(3))
+    assert itg.permutation_action(perm, itg.classical_f(p, 1)) \
+        == itg.classical_f(q, image)
+    assert itg.permutation_action(perm, itg.quantum_f(p, 1)) \
+        == itg.quantum_f(q, image)
+    assert itg.permutation_action(perm, itg.classical_l0(p)) \
+        == -itg.classical_l0(q)
+    assert itg.permutation_action(perm, itg.quantum_l0(p)) \
+        == -itg.quantum_l0(q)
+
+
+@pytest.mark.parametrize("nus, relations, survivor", [
+    ((7, 1, Fraction(3, 2)), (False, True, False), "F3"),
+    ((1, 7, Fraction(5, 4)), (False, False, True), "F2")])
+def test_battery_on_the_r2_and_r3_loci(nus, relations, survivor):
+    p = Params(m1=2, m2=3, m3=Fraction(5, 2))
+    rep = itg.battery(p, nus)
+    assert rep.verdict.kind == "minimal"
+    assert rep.verdict.relations == relations
+    assert rep.verdict.surviving == (survivor,)
+    for name in ("F1", "F2", "F3", "L0"):
+        conserved = name == survivor
+        assert rep.classical_zero[name] is conserved
+        assert rep.quantum_zero[name + "q"] is conserved
+    assert rep.consistent
+    # the battery asserts all eight of these, and none of the S-integrals
+    assert set(itg._expected_zero(rep.verdict)) == {
+        n + q for n in ("F1", "F2", "F3", "L0") for q in ("", "q")}
+
+
 def test_none_verdict(rng):
     p = Params(m1=2, m2=3, m3=5)
     nus = (Fraction(1), Fraction(1), Fraction(1))
