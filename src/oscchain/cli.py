@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 from typing import List, Optional
 
 from . import __version__
-from .exact import SingularSampleError
+from .exact import SingularSampleError, ratio_str
 from .model import (Case, CaseError, Params, case_variables, degenerate,
                     params_from_json, validate_case)
 from . import integrals as integrals_mod
@@ -85,15 +86,10 @@ def _build_params(args, default_case: Optional[Case] = None,
                   overrides: Optional[dict] = None):
     """(case, params) from --params and the flags.  A command that gives
     `default_case` computes only that case, and any other is rejected."""
-    case = default_case
-    kwargs = {}
+    case, base = default_case, Params()
     if args.params:
         with open(args.params) as fh:
-            data = json.load(fh)
-        case, base = params_from_json(data)
-        kwargs = {f: getattr(base, f) for f in
-                  ("m1", "m2", "m3", "a", "b", "c", "omega", "d",
-                   "A12", "A13", "A23", "A", "N", "rho23")}
+            case, base = params_from_json(json.load(fh))
     if args.case:
         case = Case(args.case)
     if case is None:
@@ -101,32 +97,24 @@ def _build_params(args, default_case: Optional[Case] = None,
     if default_case is not None and case is not default_case:
         raise CaseError(f"{args.command} computes only the "
                         f"{default_case.value} case, not {case.value}")
-    if overrides:
-        kwargs.update(overrides)
-    for f in ("m1", "m2", "m3", "a", "b", "c", "omega", "d",
-              "A12", "A13", "A23", "A", "N", "rho23"):
-        v = getattr(args, f, None)
+    changes = dict(overrides or {})
+    for f in fields(Params):
+        v = getattr(args, f.name, None)
         if v is not None:
-            kwargs[f] = None if v is _INF else v
-    p = Params(**kwargs)
+            changes[f.name] = None if v is _INF else v
+    p = replace(base, **changes)
     validate_case(case, p)
     return case, p
 
 
-def _fr_str(x) -> Optional[str]:
-    if x is None:
-        return None
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _params_json(case: Case, p: Params) -> dict:
     return {"case": case.value,
-            "m": [_fr_str(m) or "inf" for m in p.masses],
-            "springs": [_fr_str(p.a), _fr_str(p.b), _fr_str(p.c)],
-            "omega": _fr_str(p.omega), "d": p.d, "N": p.N,
-            "A": _fr_str(p.A),
-            "A12": _fr_str(p.A12), "A13": _fr_str(p.A13),
-            "A23": _fr_str(p.A23), "rho23": _fr_str(p.rho23)}
+            "m": [ratio_str(m) or "inf" for m in p.masses],
+            "springs": [ratio_str(x) for x in (p.a, p.b, p.c)],
+            "omega": ratio_str(p.omega), "d": p.d, "N": p.N,
+            "A": ratio_str(p.A),
+            "A12": ratio_str(p.A12), "A13": ratio_str(p.A13),
+            "A23": ratio_str(p.A23), "rho23": ratio_str(p.rho23)}
 
 
 def _emit(args, case, p, results) -> None:
@@ -168,7 +156,7 @@ def cmd_sepvar(args) -> None:
     results = {"pushforward_ok": ok, "A": None, "B": None, "potential": None}
     if ok:   # the template and potential checks presume the push-forward
         form = sepvar.match_separated_template(sepvar.build_opham(p), p)
-        results.update(A=_fr_str(form.A), B=_fr_str(form.B),
+        results.update(A=ratio_str(form.A), B=ratio_str(form.B),
                        potential=sepvar.potential_in_w(p).to_json())
     _emit(args, case, p, results)
     if not ok:
@@ -190,11 +178,7 @@ def cmd_qes(args) -> None:
     case, p = _build_params(args)
     if p.N is None:
         raise CaseError("qes needs --N")
-    rep = spectra.qes_2body_block(p)
-    algebraic = sorted(ev.approx() for ev in rep.physical)
-    fd = numerics.fd_two_body_energies(p, case, k=len(algebraic),
-                                       npoints=args.npoints)
-    rel = [abs(x - y) / max(1.0, abs(x)) for x, y in zip(algebraic, fd)]
+    algebraic, fd, rel = _qes_levels(p, case, args.npoints)
     ok = all(r <= args.rtol for r in rel)
     _emit(args, case, p, {"algebraic": [float(x) for x in algebraic],
                           "grid_oracle": [float(x) for x in fd],
@@ -214,7 +198,7 @@ def cmd_curve(args) -> None:
     if args.format == "csv":
         sys.stdout.write(numerics.curve_csv(rows))
         return
-    _emit(args, case, p, {"rows": [[_fr_str(r), _fr_str(e)]
+    _emit(args, case, p, {"rows": [[ratio_str(r), ratio_str(e)]
                                    for r, e in rows]})
 
 
@@ -238,7 +222,8 @@ def cmd_verify_all(args) -> None:
         lambda: integrals_mod.battery(p).consistent)
     run("w-coordinate-pushforward",
         lambda: sepvar.verify_pushforward(p, seed=args.seed, n_points=50))
-    run("harmonic-2body-spectrum", _check_es_spectrum)
+    run("harmonic-2body-spectrum", lambda: spectra.laguerre_verify(
+        Params(m1=1, m2=1, omega=1, d=3), 5))
     run("qes-grid-cross-validation", lambda: _check_qes(p))
     run("bo-series-coefficients", lambda: _check_bo(p))
     run("molecular-curve-linearity", _check_curve)
@@ -250,22 +235,20 @@ def _one(case: Case):
     return MultiPoly.const(case_variables(case), Fraction(1))
 
 
-def _check_es_spectrum() -> bool:
-    p = Params(m1=1, m2=1, omega=1, d=3)
-    rep = spectra.spectrum(Case.TWO_BODY_ES, p, 5)
-    want = sorted(Fraction(4 * n) for n in range(6))
-    got = sorted(ev.value for ev in rep.gauged)
-    return got == want
+def _qes_levels(p: Params, case: Case, npoints: int = 4000):
+    """(algebraic, grid-oracle, relative errors) of the 2-body QES levels,
+    each list sorted."""
+    rep = spectra.qes_2body_block(p)
+    algebraic = sorted(ev.approx() for ev in rep.physical)
+    fd = numerics.fd_two_body_energies(p, case, k=len(algebraic),
+                                       npoints=npoints)
+    rel = [abs(x - y) / max(1.0, abs(x)) for x, y in zip(algebraic, fd)]
+    return algebraic, fd, rel
 
 
 def _check_qes(p: Params) -> bool:
     q = Params(m1=1, m2=1, omega=p.omega, d=3, A=1, N=1)
-    rep = spectra.qes_2body_block(q)
-    algebraic = sorted(ev.approx() for ev in rep.physical)
-    fd = numerics.fd_two_body_energies(q, Case.TWO_BODY_QES,
-                                       k=len(algebraic))
-    return all(abs(x - y) / max(1.0, abs(x)) <= 1e-6
-               for x, y in zip(algebraic, fd))
+    return all(r <= 1e-6 for r in _qes_levels(q, Case.TWO_BODY_QES)[2])
 
 
 def _check_bo(p: Params) -> bool:

@@ -1,7 +1,7 @@
 """Exact computer-algebra kernel: rationals, polynomials, differential
 operators, Gaussian-weighted functions, Poisson brackets, identity testing."""
 
-from .poly import MultiPoly, RationalFn, VariableMismatch
+from .poly import MultiPoly, RationalFn, VariableMismatch, ratio_str
 from .gaussian import GaussFn
 from .diffop import DiffOp
 from .phase import (CANONICAL_PAIRS, MOM_VARS, PHASE_VARS, RHO_VARS,
@@ -10,7 +10,7 @@ from .idtest import (SingularSampleError, identity_test, random_point,
                      random_rational)
 
 __all__ = [
-    "MultiPoly", "RationalFn", "VariableMismatch",
+    "MultiPoly", "RationalFn", "VariableMismatch", "ratio_str",
     "GaussFn", "DiffOp",
     "CANONICAL_PAIRS", "MOM_VARS", "PHASE_VARS", "RHO_VARS",
     "phase_var", "poisson_bracket",

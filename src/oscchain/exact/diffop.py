@@ -98,6 +98,15 @@ class DiffOp:
                     del clean[derivs]
         self.terms = clean
 
+    @classmethod
+    def _make(cls, variables: tuple, terms: dict) -> "DiffOp":
+        """The operator with `terms` ({derivs: coefficient}, derivs already
+        of the right length) in normal form: zero coefficients dropped."""
+        out = cls.__new__(cls)
+        out.variables = variables
+        out.terms = {d: c for d, c in terms.items() if not c.is_zero()}
+        return out
+
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, variables):
@@ -132,39 +141,22 @@ class DiffOp:
         self._check(other)
         terms = dict(self.terms)
         for derivs, coeff in other.terms.items():
-            if derivs in terms:
-                s = terms[derivs] + coeff
-                if s.is_zero():
-                    del terms[derivs]
-                else:
-                    terms[derivs] = s
-            else:
-                terms[derivs] = coeff
-        out = DiffOp(self.variables)
-        out.terms = terms
-        return out
+            terms[derivs] = terms[derivs] + coeff if derivs in terms \
+                else coeff
+        return self._make(self.variables, terms)
 
     def __neg__(self):
-        out = DiffOp(self.variables)
-        out.terms = {d: -c for d, c in self.terms.items()}
-        return out
+        return self._make(self.variables,
+                          {d: -c for d, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction, MultiPoly)):
-            if isinstance(scalar, MultiPoly):
-                out = DiffOp(self.variables)
-                out.terms = {d: c * scalar for d, c in self.terms.items()
-                             if not (c * scalar).is_zero()}
-                return out
-            if scalar == 0:
-                return DiffOp.zero(self.variables)
-            out = DiffOp(self.variables)
-            out.terms = {d: c * scalar for d, c in self.terms.items()}
-            return out
-        return NotImplemented
+        if not isinstance(scalar, (int, Fraction, MultiPoly)):
+            return NotImplemented
+        return self._make(self.variables,
+                          {d: c * scalar for d, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -210,9 +202,7 @@ class DiffOp:
         _leibniz_into(self.terms, other.terms, terms, 1, commutator)
         if commutator:
             _leibniz_into(other.terms, self.terms, terms, -1, True)
-        out = DiffOp(self.variables)
-        out.terms = {d: c for d, c in terms.items() if not c.is_zero()}
-        return out
+        return self._make(self.variables, terms)
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Operator product self o other in canonical form."""
@@ -251,37 +241,29 @@ class DiffOp:
 
         Substituted variables must not carry derivatives in any term.
         """
-        keep = [v for v in self.variables if v not in point]
+        keep = tuple(v for v in self.variables if v not in point)
         idx = [self.variables.index(v) for v in keep]
-        out = DiffOp(tuple(keep))
         terms = {}
         for derivs, coeff in self.terms.items():
             for i, v in enumerate(self.variables):
                 if v in point and derivs[i]:
                     raise ValueError(f"cannot substitute differentiated variable {v}")
             new_coeff = coeff.subs_values(point)
-            if not new_coeff.is_zero():
-                d = tuple(derivs[i] for i in idx)
-                if d in terms:
-                    terms[d] = terms[d] + new_coeff
-                else:
-                    terms[d] = new_coeff
-        out.terms = {d: c for d, c in terms.items() if not c.is_zero()}
-        return out
+            d = tuple(derivs[i] for i in idx)
+            terms[d] = terms[d] + new_coeff if d in terms else new_coeff
+        return self._make(keep, terms)
 
     def extend(self, variables: Sequence[str]) -> "DiffOp":
         variables = tuple(variables)
         pos = [variables.index(v) for v in self.variables]
         n = len(variables)
-        out = DiffOp(variables)
         terms = {}
         for derivs, coeff in self.terms.items():
             d = [0] * n
             for p, k in zip(pos, derivs):
                 d[p] = k
             terms[tuple(d)] = coeff.extend(variables)
-        out.terms = terms
-        return out
+        return self._make(variables, terms)
 
     # -- gauge rotation ----------------------------------------------------
     def gauge_conjugate(self, g: GaussFn, shift=0) -> "DiffOp":

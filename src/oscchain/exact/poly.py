@@ -13,13 +13,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, perm
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 
 def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def ratio_str(x: Optional[Fraction]) -> Optional[str]:
+    """x as the JSON string "numerator/denominator"; None stays None."""
+    return None if x is None else f"{x.numerator}/{x.denominator}"
 
 
 class VariableMismatch(ValueError):
@@ -347,15 +352,6 @@ class RationalFn:
         return RationalFn(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFn(self.num, self.den * other)
-        if isinstance(other, MultiPoly):
-            other = RationalFn(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
 
     def diff(self, name: str) -> "RationalFn":
         # quotient rule; denominator squared

@@ -273,13 +273,31 @@ class SuperintegrabilityVerdict:
                 "surviving": list(self.surviving)}
 
 
+# The one superintegrability table: relations (r1, r2, r3) -> (kind,
+# surviving).  A pair of relations without the third is absent: it cannot
+# occur (see classify_superintegrability).
+_SURVIVING = {
+    (True, True, True): ("maximal", ("L0", "S2t", "S3t", "F1", "F2", "F3")),
+    # L0 is NOT conserved under r1 alone (exact bracket: {H, L0} has
+    # coefficient (m2+m3)(m1 nu23 - m3 nu12) on rho12, nonzero unless the
+    # remaining conditions also hold), so the surviving set is the pair.
+    (True, False, False): ("minimal", ("S3t", "F1")),
+    (False, True, False): ("minimal", ("F3",)),
+    (False, False, True): ("minimal", ("F2",)),
+    (False, False, False): ("none", ()),
+}
+
+
 def classify_superintegrability(masses: Sequence[Fraction],
                                 nus: Sequence[Fraction]
                                 ) -> SuperintegrabilityVerdict:
     """Classify from the three pairwise mass-frequency conditions.
 
     relations = (m2 nu13 == m3 nu12, m1 nu23 == m2 nu13,
-                 m3 nu12 == m1 nu23); any two imply the third.
+                 m3 nu12 == m1 nu23).  All three compare the same three
+    exact products m3 nu12, m2 nu13 and m1 nu23, so any two of them imply
+    the third: exactly zero, one or all three hold, and `_SURVIVING` has
+    no entry for two.
 
     The single relations r2 and r3 are r1 with the particles relabelled:
     the swap (1 3), applied to the integrals by `permutation_action` and to
@@ -290,27 +308,10 @@ def classify_superintegrability(masses: Sequence[Fraction],
     """
     m1, m2, m3 = masses
     nu12, nu13, nu23 = nus
-    r1 = m2 * nu13 == m3 * nu12
-    r2 = m1 * nu23 == m2 * nu13
-    r3 = m3 * nu12 == m1 * nu23
-    count = sum((r1, r2, r3))
-    if count >= 2:
-        assert r1 and r2 and r3, "two relations must imply the third"
-        return SuperintegrabilityVerdict(
-            "maximal", (r1, r2, r3),
-            ("L0", "S2t", "S3t", "F1", "F2", "F3"))
-    if r1:
-        # L0 is NOT conserved under the single condition (exact bracket:
-        # {H, L0} has coefficient (m2+m3)(m1 nu23 - m3 nu12) on rho12,
-        # nonzero unless the remaining conditions also hold), so the
-        # surviving set is the pair below.
-        return SuperintegrabilityVerdict("minimal", (r1, r2, r3),
-                                         ("S3t", "F1"))
-    if r2:
-        return SuperintegrabilityVerdict("minimal", (r1, r2, r3), ("F3",))
-    if r3:
-        return SuperintegrabilityVerdict("minimal", (r1, r2, r3), ("F2",))
-    return SuperintegrabilityVerdict("none", (r1, r2, r3), ())
+    relations = (m2 * nu13 == m3 * nu12, m1 * nu23 == m2 * nu13,
+                 m3 * nu12 == m1 * nu23)
+    kind, surviving = _SURVIVING[relations]
+    return SuperintegrabilityVerdict(kind, relations, surviving)
 
 
 def involution_triplets(p: Params, integral_set: Optional[IntegralSet] = None):
@@ -398,12 +399,9 @@ class BatteryReport:
     def failures(self) -> Tuple[str, ...]:
         if self.consistent:
             return ()
-        out = []
-        expected = _expected_zero(self.verdict)
-        for name, actual in {**self.classical_zero,
-                             **self.quantum_zero}.items():
-            if name in expected and expected[name] != actual:
-                out.append(name)
+        zero = {**self.classical_zero, **self.quantum_zero}
+        out = [n for n, z in _expected_zero(self.verdict, zero).items()
+               if zero[n] != z]
         out.extend(n for n, ok in self.triplets_ok.items() if not ok)
         return tuple(out)
 
@@ -415,28 +413,22 @@ class BatteryReport:
                 "consistent": self.consistent}
 
 
-_R1_EXPECTED = {"S3t": True, "F1": True, "S3tq": True, "F1q": True,
-                "S2t": False, "F2": False, "F3": False, "L0": False,
-                "F2q": False, "F3q": False, "L0q": False}
-# The particle swaps that take r1 to r2 and to r3 (see
-# classify_superintegrability), on the names of the F integrals.  Both send
-# L0 to -L0, which is conserved exactly when L0 is; the images of the
-# S-integrals are not named integrals.
-_SWAPPED_F = {2: {"F1": "F3", "F3": "F1"}, 3: {"F1": "F2", "F2": "F1"}}
+def _expected_zero(verdict: SuperintegrabilityVerdict,
+                   names) -> Dict[str, bool]:
+    """The bracket pattern the battery asserts over the checked `names`,
+    read off `verdict.surviving`: a name is expected conserved exactly when
+    it survives, a quantum name ending in q when its classical base does.
 
-
-def _expected_zero(verdict: SuperintegrabilityVerdict) -> Dict[str, bool]:
-    if verdict.kind == "maximal":
-        return {n: True for n in ("S2t", "S3t", "F1", "F2", "F3", "L0",
-                                  "S3tq", "F1q", "F2q", "F3q", "L0q")}
-    if verdict.kind != "minimal":
+    On r1 and on the maximal locus every name is asserted; on r2 and r3
+    only the names that do not start with S, because the images of the
+    S-integrals under the particle swaps are not named integrals (see
+    classify_superintegrability); with no relation, none is.
+    """
+    if verdict.kind == "none":
         return {}
-    r1, r2, _ = verdict.relations
-    if r1:
-        return dict(_R1_EXPECTED)
-    swap = _SWAPPED_F[2 if r2 else 3]
-    return {swap.get(n[:2], n[:2]) + n[2:]: zero
-            for n, zero in _R1_EXPECTED.items() if not n.startswith("S")}
+    r1 = verdict.relations[0]
+    return {n: n.removesuffix("q") in verdict.surviving for n in names
+            if r1 or not n.startswith("S")}
 
 
 def maximal_nus(p: Params, lam: Fraction = Fraction(1)):
@@ -478,9 +470,8 @@ def battery(p: Params, nus: Optional[Sequence[Fraction]] = None
     quantum_zero = {n: Hq.commutator(op).is_zero()
                     for n, op in quantum.items()}
     triplets_ok = {name: ok for name, _, ok in involution_triplets(p, s)}
-    expected = _expected_zero(verdict)
+    zero = {**classical_zero, **quantum_zero}
     consistent = all(triplets_ok.values()) and all(
-        classical_zero.get(n, quantum_zero.get(n)) == v
-        for n, v in expected.items())
+        zero[n] == z for n, z in _expected_zero(verdict, zero).items())
     return BatteryReport(verdict, classical_zero, quantum_zero,
                         triplets_ok, consistent)

@@ -135,17 +135,21 @@ def case_variables(case: Case) -> Tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # mass combinations
 
+def _pair_mu(mi: Optional[Fraction], mj: Optional[Fraction]) -> Fraction:
+    """Reduced mass of one pair; an infinite partner reduces to the finite
+    mass."""
+    if mi is INFINITE and mj is INFINITE:
+        raise CaseError("both masses of a pair are infinite")
+    if mi is INFINITE:
+        return mj
+    if mj is INFINITE:
+        return mi
+    return mi * mj / (mi + mj)
+
+
 def reduced_masses(p: Params):
-    """(mu12, mu13, mu23); an infinite partner reduces to the finite mass."""
-    def mu(mi, mj):
-        if mi is INFINITE and mj is INFINITE:
-            raise CaseError("both masses of a pair are infinite")
-        if mi is INFINITE:
-            return mj
-        if mj is INFINITE:
-            return mi
-        return mi * mj / (mi + mj)
-    return mu(p.m1, p.m2), mu(p.m1, p.m3), mu(p.m2, p.m3)
+    """(mu12, mu13, mu23)."""
+    return _pair_mu(p.m1, p.m2), _pair_mu(p.m1, p.m3), _pair_mu(p.m2, p.m3)
 
 
 def _inv(m: Optional[Fraction]) -> Fraction:
@@ -172,13 +176,7 @@ def nu_coefficients(p: Params):
 
 
 def two_body_mu(p: Params) -> Fraction:
-    if p.m1 is INFINITE and p.m2 is INFINITE:
-        raise CaseError("both 2-body masses infinite")
-    if p.m1 is INFINITE:
-        return p.m2
-    if p.m2 is INFINITE:
-        return p.m1
-    return p.m1 * p.m2 / (p.m1 + p.m2)
+    return _pair_mu(p.m1, p.m2)
 
 
 # ---------------------------------------------------------------------------
@@ -755,26 +753,48 @@ def build_qes_primitive(p: Params):
 # ---------------------------------------------------------------------------
 # JSON params
 
-def params_from_json(data: dict) -> Tuple[Case, Params]:
+def _json_int(data: dict, key: str, default: Optional[int]) -> Optional[int]:
+    """data[key] as an integer; null only where the default is."""
+    v = data.get(key, default)
+    if (v is None and default is None) or (
+            isinstance(v, int) and not isinstance(v, bool)):
+        return v
+    raise ValueError(f"params {key!r} must be an integer, not {v!r}")
+
+
+def _json_mass(x) -> Optional[Fraction]:
+    """A mass: a rational, or None for "inf" or null (infinite)."""
+    if x is None or x == "inf":
+        return None
+    return Fraction(str(x))
+
+
+def _json_triple(key: str, v) -> list:
+    """A list of one to three values, padded with its first to three."""
+    if not isinstance(v, list) or not 1 <= len(v) <= 3:
+        raise ValueError(f"params {key!r} must be a list of 1 to 3 values")
+    return v + [v[0]] * (3 - len(v))
+
+
+def params_from_json(data) -> Tuple[Case, Params]:
+    """(case, params) from a parameter file's JSON object; malformed input
+    raises ValueError (CaseError for a missing case)."""
+    if not isinstance(data, dict):
+        raise ValueError("params must be a JSON object")
+    if "case" not in data:
+        raise CaseError('params need a "case"')
     case = Case(data["case"])
-    def fr(x):
-        if x is None or x == "inf":
-            return None
-        return Fraction(str(x))
     m = data.get("m", [1, 1, 1])
-    if not isinstance(m, list):
-        m = [m, m, m]
-    springs = data.get("springs", [1, 1, 1])
+    m = _json_triple("m", m if isinstance(m, list) else [m])
+    springs = _json_triple("springs", data.get("springs", [1, 1, 1]))
     A = data.get("A", [0, 0, 0])
     kwargs = dict(
-        m1=fr(m[0]), m2=fr(m[1]) if len(m) > 1 else fr(m[0]),
-        m3=fr(m[2]) if len(m) > 2 else fr(m[0]),
-        a=Fraction(str(springs[0])),
-        b=Fraction(str(springs[1])) if len(springs) > 1 else Fraction(str(springs[0])),
-        c=Fraction(str(springs[2])) if len(springs) > 2 else Fraction(str(springs[0])),
+        m1=_json_mass(m[0]), m2=_json_mass(m[1]), m3=_json_mass(m[2]),
+        a=Fraction(str(springs[0])), b=Fraction(str(springs[1])),
+        c=Fraction(str(springs[2])),
         omega=Fraction(str(data.get("omega", 1))),
-        d=int(data.get("d", 3)),
-        N=data.get("N"),
+        d=_json_int(data, "d", 3),
+        N=_json_int(data, "N", None),
     )
     if isinstance(A, list) and len(A) == 3:
         kwargs.update(A12=Fraction(str(A[0])), A13=Fraction(str(A[1])),

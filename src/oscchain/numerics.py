@@ -57,14 +57,13 @@ def default_rmax(p: Params) -> float:
     return 1.4 * math.sqrt(12 * math.log(10.0) / (mu * om))
 
 
-def fd_radial_eigen(potential: Sequence[float], d: int,
-                    grid: Optional[Grid1D] = None, k: int = 1,
-                    mu: float = 0.5, richardson: bool = True,
-                    rmax: Optional[float] = None) -> List[float]:
-    """k lowest eigenvalues of -(1/2mu)[psi'' + (d-1)/r psi'] + V(r^2) psi.
+def fd_radial_eigen(potential: Sequence[float], d: int, grid: Grid1D,
+                    k: int = 1, richardson: bool = True) -> List[float]:
+    """k lowest eigenvalues of -[psi'' + (d-1)/r psi'] + V(r^2) psi, the
+    radial operator at mu = 1/2 (the gauge convention).
 
     The r^((d-1)/2)-weighted transform removes the first-order term, leaving
-    -(1/2mu) u'' + [V(r^2) + (d-1)(d-3)/(8 mu r^2)] u = E u with Dirichlet
+    -u'' + [V(r^2) + (d-1)(d-3)/(4 r^2)] u = E u with Dirichlet
     conditions; symmetric second-order stencil, Richardson-extrapolated
     over grids (h, h/2).
     """
@@ -74,10 +73,6 @@ def fd_radial_eigen(potential: Sequence[float], d: int,
     potential = list(potential)
     if not potential or potential[-1] <= 0:
         raise NonConfiningPotential("leading potential coefficient must be > 0")
-    if grid is None:
-        grid = Grid1D(rmax if rmax is not None else 3.0 * math.sqrt(
-            (12 * math.log(10.0) / potential[-1]) ** (1.0 / (len(potential)))),
-            4000)
 
     def solve(g: Grid1D):
         h = g.spacing
@@ -86,10 +81,9 @@ def fd_radial_eigen(potential: Sequence[float], d: int,
         V = np.zeros_like(r)
         for c in reversed(potential):
             V = V * rho + c
-        V = V + (d - 1) * (d - 3) / (8.0 * mu * r * r)
-        inv = 1.0 / (2.0 * mu)
-        diag = 2.0 * inv / h ** 2 + V
-        off = np.full(g.npoints - 3, -inv / h ** 2)
+        V = V + (d - 1) * (d - 3) / (4.0 * r * r)
+        diag = 2.0 / h ** 2 + V
+        off = np.full(g.npoints - 3, -1.0 / h ** 2)
         vals = eigh_tridiagonal(diag, off, select="i",
                                 select_range=(0, k - 1))[0]
         return vals
@@ -107,7 +101,7 @@ def fd_two_body_energies(p: Params, case: Case, k: int = 1,
     validate_case(case, p)
     coeffs = potential_coeffs(p, case)
     grid = Grid1D(default_rmax(replace(p, m1=1, m2=1)), npoints)
-    return fd_radial_eigen(coeffs, p.d, grid, k, mu=0.5)
+    return fd_radial_eigen(coeffs, p.d, grid, k)
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +143,14 @@ def bo_energies(p: Params) -> BOReport:
     """Zero-point nuclear energy, exact energy, and their gap."""
     if p.m2 is None or p.m3 is None or p.m2 != p.m3:
         raise ValueError("Born-Oppenheimer analysis expects finite m2 = m3")
-    validate_case(Case.GENERAL3, p)
+    exact_e0 = float(ground_state(Case.GENERAL3, p).energy_value)
     if p.a <= 0 or p.b <= 0:
         raise ValueError("need a, b > 0")
     m = float(p.m1)
     mu = float(reduced_masses(p)[2])
     nu23 = float(nu_coefficients(p)[2])
-    a, b, c = float(p.a), float(p.b), float(p.c)
+    a, b = float(p.a), float(p.b)
     om, d = float(p.omega), float(p.d)
-    exact_e0 = om * d * (a + b + c)
     nuclear_e0 = om * d * (a + b) \
         + om * d * math.sqrt((a * b * m / mu) * (1 + nu23 / (a * b * m)))
     gap = nuclear_e0 - exact_e0
@@ -224,8 +217,8 @@ def potential_curve(p: Params, rho23_values: Sequence[Fraction]
             for r in map(Fraction, rho23_values)]
 
 
-def curve_csv(rows, header=("rho23", "E0")) -> str:
-    lines = [",".join(header)]
+def curve_csv(rows) -> str:
+    lines = ["rho23,E0"]
     for r, e in rows:
         lines.append(f"{float(r):.15g},{float(e):.15g}")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 from .exact import (DiffOp, MultiPoly, RationalFn, SingularSampleError,
-                    random_point)
+                    ratio_str, random_point)
 from .model import RHO3, Case, Params, build_radial_laplacian, nu_coefficients
 
 W3 = ("w1", "w2", "w3")
@@ -327,11 +327,10 @@ class PotentialInW:
     resolved_sign: Optional[int]      # +1 / -1 / None when coefficient is 0
 
     def to_json(self) -> dict:
-        def fr(x):
-            return f"{x.numerator}/{x.denominator}"
-        return {"c1": fr(self.c1), "c2": fr(self.c2),
-                "sqrt_numerator": fr(self.sqrt_numerator),
-                "sqrt_denominator_base": fr(self.sqrt_denominator_base),
+        return {"c1": ratio_str(self.c1), "c2": ratio_str(self.c2),
+                "sqrt_numerator": ratio_str(self.sqrt_numerator),
+                "sqrt_denominator_base":
+                    ratio_str(self.sqrt_denominator_base),
                 "w3_independent": self.w3_independent,
                 "sign": {1: "+", -1: "-", None: "0"}[self.resolved_sign]}
 

@@ -19,13 +19,13 @@ load it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exact import DiffOp, MultiPoly
+from .exact import DiffOp, MultiPoly, ratio_str
 from .model import (Case, CaseError, Params, build_h_algebraic, ground_state,
                     validate_case)
 
@@ -162,13 +162,11 @@ class Eigenvalue:
         return float((lo + hi) / 2)
 
     def to_json(self) -> dict:
-        def fr(x):
-            return f"{x.numerator}/{x.denominator}"
         out = {"multiplicity": self.multiplicity, "degree": self.degree}
         if self.value is not None:
-            out["value"] = fr(self.value)
+            out["value"] = ratio_str(self.value)
         else:
-            out["interval"] = [fr(self.interval[0]), fr(self.interval[1])]
+            out["interval"] = [ratio_str(x) for x in self.interval]
         if self.eigenspace_dim is not None:
             out["eigenspace_dim"] = self.eigenspace_dim
         return out
@@ -199,17 +197,11 @@ class SpectrumReport:
         if self.ground_energy is None:
             return self.gauged
         e0 = self.ground_energy
-        out = []
-        for ev in self.gauged:
-            if ev.value is not None:
-                out.append(Eigenvalue(ev.value + e0, None, ev.multiplicity,
-                                      ev.degree, ev.eigenspace_dim))
-            else:
-                lo, hi = ev.interval
-                out.append(Eigenvalue(None, (lo + e0, hi + e0),
-                                      ev.multiplicity, ev.degree,
-                                      ev.eigenspace_dim))
-        return tuple(out)
+        return tuple(replace(ev, value=ev.value + e0)
+                     if ev.value is not None else
+                     replace(ev, interval=(ev.interval[0] + e0,
+                                           ev.interval[1] + e0))
+                     for ev in self.gauged)
 
     def rational_gauged(self) -> list:
         out = []
@@ -219,8 +211,6 @@ class SpectrumReport:
         return sorted(out)
 
     def to_json(self) -> dict:
-        def fr(x):
-            return f"{x.numerator}/{x.denominator}"
         out = {
             "case": self.case.value if self.case else None,
             "N": self.basis.degree_cap,
@@ -228,12 +218,12 @@ class SpectrumReport:
             "gauged": [ev.to_json() for ev in self.gauged],
             "physical": [ev.to_json() for ev in self.physical],
             "eigenfunctions": [
-                {"eigenvalue": fr(ef.eigenvalue),
-                 "coeffs": [fr(c) for c in ef.coeffs]}
+                {"eigenvalue": ratio_str(ef.eigenvalue),
+                 "coeffs": [ratio_str(c) for c in ef.coeffs]}
                 for ef in self.eigenfunctions],
         }
         if self.ground_energy is not None:
-            out["ground_energy"] = fr(self.ground_energy)
+            out["ground_energy"] = ratio_str(self.ground_energy)
         return out
 
 
@@ -371,7 +361,7 @@ def qes_2body_block(p: Params) -> SpectrumReport:
     h = build_h_algebraic(Case.TWO_BODY_QES, p)
     M = assemble_matrix(h, enumerate_basis(h.variables, p.N))
     return _spectrum_report(M, [(p.N, 0, M.size)], Case.TWO_BODY_QES, p,
-                            p.omega * p.d, True)
+                            case_ground_energy(Case.TWO_BODY_QES, p), True)
 
 
 # ---------------------------------------------------------------------------
@@ -396,28 +386,25 @@ def laguerre_verify(p: Params, nmax: int) -> bool:
     """Exactly-solvable 2-body eigenfunctions are scaled Laguerre polynomials.
 
     Checks apply(h, L_n) = 4*omega*n * L_n for all n <= nmax and that the
-    back-substituted eigenvectors match the recurrence up to scale.
-    Raises ValueError naming the first failing n.
+    eigenfunctions of `spectrum` on P_nmax match the recurrence up to
+    scale.  Returns False on the first failing n.
     """
-    validate_case(Case.TWO_BODY_ES, p)
     h = build_h_algebraic(Case.TWO_BODY_ES, p)
     alpha = Fraction(p.d, 2) - 1
     lags = laguerre_polynomials(nmax, alpha, p.omega)
     for n, phi in enumerate(lags):
         if h.apply(phi) != (4 * p.omega * n) * phi:
-            raise ValueError(f"Laguerre relation fails at n={n}")
-    basis = enumerate_basis(("rho",), nmax)
-    M = assemble_matrix(h, basis)
-    report = eigenvalues_graded(M, Case.TWO_BODY_ES, p, p.omega * p.d)
-    by_val = {ef.eigenvalue: ef for ef in report.eigenfunctions}
+            return False
+    report = spectrum(Case.TWO_BODY_ES, p, nmax)
+    by_val = {ef.eigenvalue: ef.as_poly(report.basis)
+              for ef in report.eigenfunctions}
     for n, phi in enumerate(lags):
-        ef = by_val.get(Fraction(4 * p.omega * n))
-        if ef is None:
-            raise ValueError(f"missing eigenfunction at n={n}")
-        vec = ef.as_poly(basis)
+        vec = by_val.get(4 * p.omega * n)
+        if vec is None:
+            return False
         # proportionality: cross-multiply leading coefficients
         lead_phi = phi.coeff((n,))
         lead_vec = vec.coeff((n,))
         if lead_vec == 0 or vec * lead_phi != phi * lead_vec:
-            raise ValueError(f"eigenvector/recurrence mismatch at n={n}")
+            return False
     return True

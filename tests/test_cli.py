@@ -129,6 +129,37 @@ def test_params_file(tmp_path, capsys):
     assert json.loads(out)["params"]["d"] == 2
 
 
+@pytest.mark.parametrize("params", [
+    {"case": "general3", "N": 2.5},
+    {"N": 2},
+    [1, 2],
+    {"case": "general3", "springs": 5, "N": 1},
+    {"case": "general3", "N": "2"},
+    {"case": "general3", "m": [1, 2, 3, 4], "N": 1},
+    {"case": "general3", "d": 2.7, "N": 1},
+    {"case": "general3", "N": True},
+])
+def test_malformed_params_file_exits_2(tmp_path, capsys, params):
+    # a wrong type, a missing case or a fourth mass is an input error, not
+    # a traceback, a truncation or a silently dropped value
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(params))
+    code, out, err = run(capsys, "spectrum", "--params", str(f))
+    assert code == 2 and out == ""
+    assert "input error" in err and "Traceback" not in err
+
+
+def test_both_2body_masses_infinite_exit_2(capsys):
+    # one rule for every 2-body command: the reduced mass does not exist
+    for argv in (("spectrum", "--case", "twobody_qes", "--A", "1"),
+                 ("spectrum", "--case", "twobody_es"),
+                 ("qes", "--A", "1")):
+        code, out, err = run(capsys, *argv, "--m1", "inf", "--m2", "inf",
+                             "--N", "1")
+        assert code == 2 and out == "", argv
+        assert "input error" in err and "infinite" in err
+
+
 def test_infinite_mass_flag(capsys):
     code, out, _ = run(capsys, "spectrum", "--case", "molecular3",
                        "--m2", "inf", "--m3", "inf", "--c", "0",
@@ -279,6 +310,27 @@ def test_spectral_failures_exit_1(capsys, monkeypatch, error):
     assert "verification failed" in err and "Traceback" not in err
     assert ("DefectiveBlock" if error == "defective"
             else "InvariantSubspaceViolation") in err
+
+
+def test_verify_all_catches_a_wrong_2body_operator(capsys, monkeypatch):
+    # -rho d^2 lowers the degree, so the gauged matrix stays triangular and
+    # its levels stay 4 n; only the eigenfunctions show the fault
+    from oscchain import spectra
+    from oscchain.exact import DiffOp, MultiPoly
+    build = spectra.build_h_algebraic
+
+    def wrong(case, p):
+        h = build(case, p)
+        if case is Case.TWO_BODY_ES:
+            rho = MultiPoly.var(("rho",), "rho")
+            h = h + DiffOp(("rho",), {(2,): -rho})
+        return h
+
+    monkeypatch.setattr(spectra, "build_h_algebraic", wrong)
+    code, out, err = run(capsys, "verify-all", "--m1", "2", "--m2", "3",
+                         "--m3", "5")
+    assert code == 1 and out == ""
+    assert "verification failed: harmonic-2body-spectrum" in err
 
 
 def _perturbed_template_check(monkeypatch):

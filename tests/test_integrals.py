@@ -103,7 +103,8 @@ def test_battery_on_the_r2_and_r3_loci(nus, relations, survivor):
         assert rep.quantum_zero[name + "q"] is conserved
     assert rep.consistent
     # the battery asserts all eight of these, and none of the S-integrals
-    assert set(itg._expected_zero(rep.verdict)) == {
+    checked = {**rep.classical_zero, **rep.quantum_zero}
+    assert set(itg._expected_zero(rep.verdict, checked)) == {
         n + q for n in ("F1", "F2", "F3", "L0") for q in ("", "q")}
 
 

@@ -23,7 +23,7 @@ def test_grid_validation():
 
 def test_nonconfining_potential_rejected():
     with pytest.raises(numerics.NonConfiningPotential):
-        numerics.fd_radial_eigen([0.0, -1.0], 3)
+        numerics.fd_radial_eigen([0.0, -1.0], 3, numerics.Grid1D(8.0, 401))
 
 
 def test_harmonic_energies_match_closed_form():
