@@ -3,8 +3,10 @@ the README `spectrum`, `qes`, `integrals`, `sepvar`, `curve --format csv` and
 `verify-all` commands, and of spectra across the cases.  The `spectrum` and
 `qes` digests were recorded before the spectral pipeline moved to sympy's
 DomainMatrix, the other four before the exact kernel moved to integer
-numerators.  `bo` is left out: its floats come from BLAS and can differ
-between machines."""
+numerators, the spectra at N = 10, at N = 6 in the all-rational regime
+(springs 1, 2, 2) and of onedim3 and molecular3 at N = 6 before harmonic
+levels were read from the degree-1 block.  `bo` is left out: its floats
+come from BLAS and can differ between machines."""
 import hashlib
 import json
 from pathlib import Path
