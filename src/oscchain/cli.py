@@ -174,11 +174,10 @@ def cmd_bo(args) -> None:
 
 
 def cmd_qes(args) -> None:
-    args.case = args.case or Case.TWO_BODY_QES.value
-    case, p = _build_params(args)
+    case, p = _build_params(args, Case.TWO_BODY_QES)
     if p.N is None:
         raise CaseError("qes needs --N")
-    algebraic, fd, rel = _qes_levels(p, case, args.npoints)
+    algebraic, fd, rel = _qes_levels(p, args.npoints)
     ok = all(r <= args.rtol for r in rel)
     _emit(args, case, p, {"algebraic": [float(x) for x in algebraic],
                           "grid_oracle": [float(x) for x in fd],
@@ -235,20 +234,20 @@ def _one(case: Case):
     return MultiPoly.const(case_variables(case), Fraction(1))
 
 
-def _qes_levels(p: Params, case: Case, npoints: int = 4000):
+def _qes_levels(p: Params, npoints: int = 4000):
     """(algebraic, grid-oracle, relative errors) of the 2-body QES levels,
     each list sorted."""
     rep = spectra.qes_2body_block(p)
     algebraic = sorted(ev.approx() for ev in rep.physical)
-    fd = numerics.fd_two_body_energies(p, case, k=len(algebraic),
-                                       npoints=npoints)
+    fd = numerics.fd_two_body_energies(p, Case.TWO_BODY_QES,
+                                       k=len(algebraic), npoints=npoints)
     rel = [abs(x - y) / max(1.0, abs(x)) for x, y in zip(algebraic, fd)]
     return algebraic, fd, rel
 
 
 def _check_qes(p: Params) -> bool:
     q = Params(m1=1, m2=1, omega=p.omega, d=3, A=1, N=1)
-    return all(r <= 1e-6 for r in _qes_levels(q, Case.TWO_BODY_QES)[2])
+    return all(r <= 1e-6 for r in _qes_levels(q)[2])
 
 
 def _check_bo(p: Params) -> bool:

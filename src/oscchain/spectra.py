@@ -5,22 +5,53 @@ polynomials of total degree <= N and never raise the total degree, so their
 matrices are block upper-triangular in the degree grading and the spectrum
 is the union of the diagonal-block spectra.
 
-The matrix lives in one form from assembly to eigenvectors: a sparse sympy
-`DomainMatrix` over QQ, written row by row from the images of the basis
-monomials (only nonzero entries are stored).  Diagonal blocks, shifted
-blocks and the triangular solves are slices of it.  Everything here is
-exact: each block's characteristic polynomial is factored over Q; rational
-eigenvalues are reported as Fractions, irrational ones as sympy's isolating
-intervals refined by exact sign-change bisection.  The eigenvector of a
-rational level that is simple across the grading is the null vector of its
-own block, back-substituted through the blocks below it.  sympy is imported
-inside the functions that build matrices, so importing this module does not
-load it.
+Harmonic cases: the levels from the degree-1 block.  In every harmonic
+case the gauged operator h has no zeroth-order term and every coefficient
+of total degree <= 1 (`is_gl3_form`).  Write h = D + L, where
+D = sum_i l_i d_i with l_i the linear part of the coefficient of d_i: D is
+in the gl(3) part of sl(4) (the rho_i d_j), and L, the constant first-order
+and the second-order terms, lowers the degree.  So the diagonal block of
+degree n is D on the homogeneous polynomials of degree n, Sym^n V with V
+the span of the variables.  D is a derivation: on a product of n linear
+forms it acts by the degree-1 block A on each factor in turn.  Over the
+algebraic closure take a basis xi of V in which A is upper triangular with
+diagonal lambda: then D xi^alpha = (alpha . lambda) xi^alpha plus
+monomials in which a factor xi_j became an xi_i with i < j, so D is
+triangular on the xi^alpha and the levels of block n, with their algebraic
+multiplicities, are {alpha . lambda : |alpha| = n}.  When A is
+diagonalizable (always, when its eigenvalues are distinct), the xi^alpha
+are eigenvectors, D is diagonalizable on Sym^n V, and the eigenspace of
+each level has the dimension of its multiplicity; otherwise that dimension
+is read off the rank of the block.  A has size <= 3, and its char poly is
+factored over Q once.  With rational roots lambda_i and one irreducible
+quadratic u +/- sqrt(delta), alpha . lambda = c + (n2 - n3) sqrt(delta)
+where c = sum n_i lambda_i + (n2 + n3) u: alpha with n2 = n3 give the
+rational level c, and the others the pair c +/- k sqrt(delta), k =
+|n2 - n3|, the roots of (x - c)^2 - k^2 delta, which is irreducible over Q
+and isolated like any factor below.  When delta < 0 that pair is complex
+and the report ends in `DefectiveBlock`, as on the generic path.
+
+Generic path: an irreducible cubic A, and any matrix not assembled from an
+operator of that form (the QES operators, hand-built matrices), factor
+each block's characteristic polynomial over Q.
+
+Everything here is exact: rational eigenvalues are reported as Fractions,
+irrational ones as sympy's isolating intervals refined by exact
+sign-change bisection.  The matrix lives in one form from assembly to
+eigenvectors: a sparse sympy `DomainMatrix` over QQ, written row by row
+from the images of the basis monomials (only nonzero entries are stored).
+Diagonal blocks, shifted blocks and the triangular solves are slices of
+it.  The eigenvector of a rational level that is simple across the
+grading is the null vector of its own block, back-substituted through the
+blocks below it.  sympy is imported inside the functions that build
+matrices, so importing this module does not load it.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
@@ -72,8 +103,13 @@ class MonomialBasis:
 
 
 def enumerate_basis(variables: Sequence[str], N: int) -> MonomialBasis:
-    """Monomials of total degree <= N, graded-lex ordered."""
-    variables = tuple(variables)
+    """Monomials of total degree <= N, graded-lex ordered; one shared
+    (frozen) basis per (variables, N)."""
+    return _enumerate_basis(tuple(variables), N)
+
+
+@lru_cache(maxsize=64)
+def _enumerate_basis(variables: Tuple[str, ...], N: int) -> MonomialBasis:
     k = len(variables)
     if k not in (1, 2, 3):
         raise ValueError("supported variable counts: 1, 2, 3")
@@ -97,10 +133,22 @@ def enumerate_basis(variables: Sequence[str], N: int) -> MonomialBasis:
     return basis
 
 
+def is_gl3_form(op: DiffOp) -> bool:
+    """True when every term of `op` differentiates and has a polynomial
+    coefficient of total degree <= 1, so that op = D + L with D in gl(3)
+    and L lowering the degree (module docstring)."""
+    zero = (0,) * len(op.variables)
+    return all(derivs != zero and isinstance(c, MultiPoly)
+               and c.total_degree() <= 1 for derivs, c in op.terms.items())
+
+
 @dataclass(frozen=True)
 class OpMatrix:
     basis: MonomialBasis
     matrix: object  # sparse sympy DomainMatrix over QQ, rows x columns
+    # assembled from an operator of gl(3) form: block n is the degree-1
+    # block acting on Sym^n
+    gl3_form: bool = False
 
     @property
     def size(self) -> int:
@@ -140,13 +188,14 @@ def assemble_matrix(op: DiffOp, basis: MonomialBasis) -> OpMatrix:
                     MultiPoly(basis.variables,
                               {exps: Fraction(c, image.den)}))
             rows.setdefault(i, {})[j] = QQ(c, image.den)
-    return OpMatrix(basis, DomainMatrix(rows, (basis.size, basis.size), QQ))
+    return OpMatrix(basis, DomainMatrix(rows, (basis.size, basis.size), QQ),
+                    is_gl3_form(op))
 
 
 # ---------------------------------------------------------------------------
 # spectrum extraction
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eigenvalue:
     """Exact value when rational, else a certified isolating interval."""
     value: Optional[Fraction]
@@ -172,7 +221,7 @@ class Eigenvalue:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eigenfunction:
     eigenvalue: Fraction
     coeffs: Tuple[Fraction, ...]  # coordinates in the monomial basis
@@ -183,7 +232,7 @@ class Eigenfunction:
                           if c != 0})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumReport:
     case: Optional[Case]
     params: Optional[Params]
@@ -234,7 +283,8 @@ def _shifted(A, lam: Fraction):
 
 def _block_eigenvalues(block, degree: int):
     """Eigenvalues of one exact diagonal block (a DomainMatrix), with
-    eigenspace dims for repeated rational eigenvalues."""
+    eigenspace dims for repeated rational eigenvalues, from its char
+    poly: the generic path."""
     n = block.shape[0]
     if n == 0:
         return []
@@ -247,6 +297,61 @@ def _block_eigenvalues(block, degree: int):
     for (lo, hi), mult in irrational:
         out.append(Eigenvalue(None, (lo, hi), mult, degree, None))
     return out
+
+
+def _gl3_block_levels(M: OpMatrix):
+    """The levels of each diagonal block of a matrix of gl(3) form, from
+    the char poly of its degree-1 block A (module docstring): a function
+    (block, degree) -> [Eigenvalue], ordered as `_block_eigenvalues`
+    orders them.  None when A has an irreducible cubic factor."""
+    slices = M.basis.degree_slices()
+    _, start, stop = slices[1]
+    A = M.matrix[start:stop, start:stop]
+    lams: List[Fraction] = []     # the rational roots of A
+    pair = None                   # (u, delta) of a root pair u +/- sqrt(delta)
+    for f, mult in linalg.factor_over_q(linalg.char_poly(A)):
+        if len(f) == 2:           # f[0] t + f[1]
+            lams += [Fraction(-f[1], f[0])] * mult
+        elif len(f) == 3:         # a t^2 + b t + e
+            a, b, e = f
+            pair = Fraction(-b, 2 * a), Fraction(b * b - 4 * a * e, 4 * a * a)
+        else:
+            return None
+    diagonalizable = pair is not None or all(
+        stop - start - _shifted(A, lam).rank() == lams.count(lam)
+        for lam in set(lams))
+
+    def levels(block, degree: int) -> List[Eigenvalue]:
+        _, lo, hi = slices[degree]
+        rational: Counter = Counter()
+        pairs: Counter = Counter()   # (c, k): c +/- k sqrt(delta)
+        for alpha in M.basis.monomials[lo:hi]:
+            c = sum((n * lam for n, lam in zip(alpha, lams)), Fraction(0))
+            if pair is None:
+                rational[c] += 1
+                continue
+            n2, n3 = alpha[-2:]
+            c += (n2 + n3) * pair[0]
+            if n2 == n3:
+                rational[c] += 1
+            elif n2 > n3:
+                pairs[c, n2 - n3] += 1
+        out = []
+        for value, mult in sorted(rational.items()):
+            dim = None
+            if mult > 1:
+                dim = mult if diagonalizable \
+                    else block.shape[0] - _shifted(block, value).rank()
+            out.append(Eigenvalue(value, None, mult, degree, dim))
+        irrational = [(iv, mult) for (c, k), mult in pairs.items()
+                      for iv in linalg.isolate_irreducible(
+                          [1, -2 * c, c * c - k * k * pair[1]])]
+        irrational.sort(key=lambda t: t[0][0])
+        out += [Eigenvalue(None, iv, mult, degree, None)
+                for iv, mult in irrational]
+        return out
+
+    return levels
 
 
 def _eigenfunctions(M: OpMatrix, slices, evs) -> List[Eigenfunction]:
@@ -264,6 +369,7 @@ def _eigenfunctions(M: OpMatrix, slices, evs) -> List[Eigenfunction]:
         if ev.value is not None:
             counts[ev.value] = counts.get(ev.value, 0) + ev.multiplicity
     at = {degree: k for k, (degree, _, _) in enumerate(slices)}
+    zero = Fraction(0)   # shared by every zero coordinate
     out = []
     for ev in evs:
         if ev.value is None or counts[ev.value] != 1:
@@ -276,19 +382,21 @@ def _eigenfunctions(M: OpMatrix, slices, evs) -> List[Eigenfunction]:
             x = S[lo:hi, lo:hi].lu_solve(-(S[lo:hi, hi:stop] * x)).vstack(x)
         v = [Fraction(c.numerator, c.denominator) for c in x.to_list_flat()]
         lead = next(c for c in v if c != 0)
-        v += [Fraction(0)] * (M.size - stop)
-        out.append(Eigenfunction(ev.value, tuple(c / lead for c in v)))
+        v += [zero] * (M.size - stop)
+        out.append(Eigenfunction(ev.value,
+                                 tuple(c / lead if c else zero for c in v)))
     return out
 
 
 def _spectrum_report(M: OpMatrix, slices, case, params, ground_energy,
-                     want_eigenfunctions: bool) -> SpectrumReport:
+                     want_eigenfunctions: bool,
+                     block_levels=_block_eigenvalues) -> SpectrumReport:
     """Spectrum of a matrix block upper-triangular over `slices`: the
-    union of the diagonal-block spectra."""
+    union of the diagonal-block spectra, each from
+    `block_levels(block, degree)`."""
     evs: List[Eigenvalue] = []
     for degree, start, stop in slices:
-        evs.extend(_block_eigenvalues(M.matrix[start:stop, start:stop],
-                                      degree))
+        evs.extend(block_levels(M.matrix[start:stop, start:stop], degree))
     eigenfunctions = _eigenfunctions(M, slices, evs) \
         if want_eigenfunctions else []
     evs.sort(key=lambda e: (e.approx(), e.degree))
@@ -306,15 +414,20 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
                        params: Optional[Params] = None,
                        ground_energy: Optional[Fraction] = None,
                        want_eigenfunctions: bool = True) -> SpectrumReport:
-    """Spectrum of a graded-triangular matrix, block by block.
+    """Spectrum of a graded-triangular matrix, block by block: from the
+    degree-1 block when `M.gl3_form` and that block has no irreducible
+    cubic factor, else from each block's char poly (module docstring).
 
     Eigenfunctions are reconstructed by back-substitution for rational
     eigenvalues that are simple across the whole grading.
     """
     if not M.is_graded_triangular():
         raise ValueError("matrix is not block-triangular in the grading")
+    levels = _gl3_block_levels(M) \
+        if M.gl3_form and M.basis.degree_cap >= 1 else None
     return _spectrum_report(M, M.basis.degree_slices(), case, params,
-                            ground_energy, want_eigenfunctions)
+                            ground_energy, want_eigenfunctions,
+                            levels or _block_eigenvalues)
 
 
 # ---------------------------------------------------------------------------

@@ -217,15 +217,19 @@ def test_three_finite_masses_are_required(capsys, command):
     ("verify-all", "--case", "atomic3", "--m1", "inf"),
     ("integrals", "--params", "PARAMS"),
     ("curve", "--case", "twobody_es", "--rho23-range", "0:1:1/2"),
+    ("qes", "--case", "twobody_es", "--N", "1", "--A", "1"),
+    ("qes", "--case", "general3", "--N", "1", "--A", "1"),
 ])
 def test_single_case_commands_reject_other_cases(capsys, tmp_path, argv):
-    # these commands compute one case only (curve: molecular3, the others:
-    # general3); they must not echo another case over its results
+    # these commands compute one case only (curve: molecular3, qes:
+    # twobody_qes, the others: general3); they must not echo another case
+    # over its results
     f = tmp_path / "p.json"
     f.write_text(json.dumps({"case": "isotropic3", "m": [1, 1, 1]}))
     code, out, err = run(capsys, *(str(f) if a == "PARAMS" else a
                                    for a in argv))
-    computed = "molecular3" if argv[0] == "curve" else "general3"
+    computed = {"curve": "molecular3", "qes": "twobody_qes"}.get(
+        argv[0], "general3")
     assert code == 2 and out == ""
     assert "input error" in err and f"only the {computed} case" in err
     assert "Traceback" not in err

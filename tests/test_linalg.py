@@ -178,3 +178,30 @@ def test_real_roots_match_fraction_bisection(coeffs):
     poly = sympy.Poly(list(reversed(coeffs)), lam, domain="QQ")
     assert sum(m for _, m in rational) + sum(m for _, m in irrational) \
         == len(sympy.real_roots(poly))
+
+
+def test_isolate_irreducible_ignores_the_scale_of_the_factor():
+    """The monic rational form and the primitive integer form of one
+    irreducible quadratic give the same certified intervals, as the
+    factors from `factor_over_q` and those built from the degree-1 block
+    must."""
+    monic = [1, Fraction(-1, 3), Fraction(-5, 6)]      # (6t^2 - 2t - 5) / 6
+    intervals = linalg.isolate_irreducible(monic)
+    assert intervals == linalg.isolate_irreducible([6, -2, -5])
+    assert linalg.factor_over_q(list(reversed(monic))) == [([6, -2, -5], 1)]
+    assert len(intervals) == 2
+    for lo, hi in intervals:
+        assert 0 < hi - lo <= Fraction(1, 2 ** 64)
+        assert (6 * lo * lo - 2 * lo - 5) * (6 * hi * hi - 2 * hi - 5) < 0
+
+
+def test_refined_ends_share_their_power_of_two_denominators():
+    """Ends with equal power-of-two denominators hold one int object."""
+    ends = [x for coeffs in ([1, 0, -2], [1, 0, -3], [2, -1, -7])
+            for iv in linalg.isolate_irreducible(coeffs) for x in iv]
+    by_value = {}
+    for x in ends:
+        d = x.denominator
+        assert d & (d - 1) == 0
+        assert by_value.setdefault(d, d) is d
+    assert len(by_value) < len(ends)

@@ -3,11 +3,14 @@ eigenvalues with certified intervals, and closed-form cross-checks."""
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscchain import linalg, spectra
 from oscchain.exact import DiffOp, MultiPoly
@@ -262,3 +265,129 @@ def test_spectrum_report_json():
     assert doc["basis_size"] == 3
     assert doc["gauged"][0]["value"] == "0/1"
     assert doc["physical"][0]["value"] == "3/1"
+
+
+# -- harmonic levels from the degree-1 block, against the per-block path ----
+
+HARMONIC = [Case.GENERAL3, Case.EQUAL_MASS3, Case.ISOTROPIC3, Case.ATOMIC3,
+            Case.MOLECULAR3, Case.ONE_DIM3, Case.TWO_BODY_ES]
+
+
+def both_paths(M):
+    """(outcome, levels, eigenfunctions) of M from the degree-1 block and
+    from each block's char poly; a DefectiveBlock reads its report."""
+    out = []
+    for m in (M, replace(M, gl3_form=False)):
+        try:
+            rep = spectra.eigenvalues_graded(m)
+            out.append(("ok", rep.gauged, rep.eigenfunctions))
+        except spectra.DefectiveBlock as e:
+            out.append(("defective", e.report.gauged,
+                        e.report.eigenfunctions))
+    return out
+
+
+@pytest.fixture
+def char_poly_sizes(monkeypatch):
+    """The sizes of the blocks that `linalg.char_poly` is called on."""
+    sizes = []
+    char_poly = linalg.char_poly
+
+    def spy(A):
+        sizes.append(A.shape[0])
+        return char_poly(A)
+
+    monkeypatch.setattr(linalg, "char_poly", spy)
+    return sizes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(HARMONIC), st.integers(0, 2 ** 32),
+       st.integers(1, 6))
+def test_harmonic_levels_match_block_char_polys(case, seed, N):
+    """Every harmonic case is of gl(3) form, and the levels read from the
+    degree-1 block equal each block's char-poly levels, eigenspace dims
+    included."""
+    from test_model import draw_case_params
+    p = draw_case_params(random.Random(seed), case)
+    h = spectra.case_operator(case, p)
+    assert spectra.is_gl3_form(h)
+    M = spectra.assemble_matrix(h, spectra.enumerate_basis(h.variables, N))
+    assert M.gl3_form
+    args = case, p, Fraction(0), False
+    assert spectra.eigenvalues_graded(M, *args).gauged \
+        == spectra.eigenvalues_graded(replace(M, gl3_form=False),
+                                      *args).gauged
+
+
+def test_harmonic_case_computes_one_char_poly(char_poly_sizes):
+    """Only the degree-1 block's char poly is computed."""
+    p = Params(m1=2, m2=3, m3=Fraction(5, 2), a=1, b=2, c=Fraction(3, 2))
+    rep = spectra.spectrum(Case.GENERAL3, p, 5)
+    assert char_poly_sizes == [3]
+    assert sum(ev.multiplicity for ev in rep.gauged) == comb(8, 3)
+
+
+def test_qes_and_zeroth_order_operators_take_the_per_block_path(
+        char_poly_sizes):
+    p = Params(m1=1, m2=1, A=2, N=3)
+    qes = build_h_algebraic(Case.TWO_BODY_QES, p)
+    assert not spectra.is_gl3_form(qes)
+    spectra.qes_2body_block(p)
+    assert char_poly_sizes == [4]
+    # x d_x + y d_y + 1: degree-preserving, but with a zeroth-order term
+    vs = ("x", "y")
+    x, y = MultiPoly.var(vs, "x"), MultiPoly.var(vs, "y")
+    op = DiffOp(vs, {(1, 0): x, (0, 1): y, (0, 0): 1})
+    assert not spectra.is_gl3_form(op)
+    M = spectra.assemble_matrix(op, spectra.enumerate_basis(vs, 3))
+    assert not M.gl3_form
+    char_poly_sizes.clear()
+    rep = spectra.eigenvalues_graded(M)
+    assert char_poly_sizes == [1, 2, 3, 4]
+    assert rep.rational_gauged() == [1, 2, 2, 3, 3, 3, 4, 4, 4, 4]
+
+
+def _rotation(vs):      # y d_x - x d_y + d_x^2: A has roots +/- i
+    x, y = (MultiPoly.var(vs, v) for v in vs)
+    return DiffOp(vs, {(1, 0): y, (0, 1): -x, (2, 0): 1})
+
+
+def _jordan(vs):        # x d_x + (x + y) d_y + x d_y^2: A = [[1, 1], [0, 1]]
+    x, y = (MultiPoly.var(vs, v) for v in vs)
+    return DiffOp(vs, {(1, 0): x, (0, 1): x + y, (0, 2): x})
+
+
+def _cubic(vs):         # A has the irreducible char poly t^3 - 3t + 1
+    x, y, z = (MultiPoly.var(vs, v) for v in vs)
+    return DiffOp(vs, {(1, 0, 0): y, (0, 1, 0): z, (0, 0, 1): 3 * y - x,
+                       (1, 1, 0): 1})
+
+
+@pytest.mark.parametrize("build, variables, outcome, char_polys", [
+    (_rotation, ("x", "y"), "defective", [2]),
+    (_jordan, ("x", "y"), "ok", [2]),
+    (_cubic, ("x", "y", "z"), "ok", [3, 1, 3, 6, 10, 15]),
+], ids=["rotation", "jordan", "cubic"])
+def test_gl3_form_edge_cases_match_the_per_block_path(
+        build, variables, outcome, char_polys, char_poly_sizes):
+    """A rotation (complex roots of A: the same DefectiveBlock report), a
+    Jordan block (eigenspace dims from the rank) and an irreducible cubic
+    (A's char poly, then every block's).  `char_polys` lists the blocks
+    whose char poly the path from the degree-1 block computes."""
+    M = spectra.assemble_matrix(build(variables),
+                                spectra.enumerate_basis(variables, 4))
+    assert M.gl3_form
+    structural, per_block = both_paths(M)
+    assert char_poly_sizes[:len(char_polys)] == char_polys
+    assert structural == per_block and structural[0] == outcome
+    if build is _jordan:
+        # Sym^n of a Jordan block is one Jordan block: level n, dim 1
+        assert [(ev.value, ev.multiplicity, ev.eigenspace_dim)
+                for ev in structural[1]] \
+            == [(n, n + 1, 1 if n else None) for n in range(5)]
+
+
+def test_basis_is_built_once_per_variables_and_degree():
+    assert spectra.enumerate_basis(["x", "y"], 3) \
+        is spectra.enumerate_basis(("x", "y"), 3)
