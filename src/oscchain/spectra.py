@@ -10,7 +10,7 @@ case the gauged operator h has no zeroth-order term and every coefficient
 of total degree <= 1 (`is_gl3_form`).  Write h = D + L, where
 D = sum_i l_i d_i with l_i the linear part of the coefficient of d_i: D is
 in the gl(3) part of sl(4) (the rho_i d_j), and L, the constant first-order
-and the second-order terms, lowers the degree.  So the diagonal block of
+and the higher-order terms, lowers the degree.  So the diagonal block of
 degree n is D on the homogeneous polynomials of degree n, Sym^n V with V
 the span of the variables.  D is a derivation: on a product of n linear
 forms it acts by the degree-1 block A on each factor in turn.  Over the
