@@ -32,7 +32,10 @@ def main() -> None:
 
     rep = numerics.bo_report_with_fit(p, numerics.DEFAULT_FIT_GRID)
     print(f"\nfit   c1 = {rep.c1_fit:.10g}   c2 = {rep.c2_fit:.10g}")
-    print(f"exact c1 = {rep.c1_exact:.10g}   c2 = {rep.c2_exact:.10g}")
+    if rep.c1_exact is None:
+        print("exact c1, c2: the series needs c > 0")
+    else:
+        print(f"exact c1 = {rep.c1_exact:.10g}   c2 = {rep.c2_exact:.10g}")
 
     print("\nreduced-mass scan (heavy masses x10^k/4):")
     rows = numerics.bo_mu_scan(p, [10 ** (k / 4) for k in range(13)])

@@ -118,13 +118,6 @@ class DiffOp:
         return cls(variables, {(0,) * len(variables): 1})
 
     @classmethod
-    def partial(cls, variables, name: str, order: int = 1):
-        variables = tuple(variables)
-        i = variables.index(name)
-        derivs = tuple(order if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {derivs: 1})
-
-    @classmethod
     def mul_by(cls, poly: MultiPoly):
         """Multiplication operator f -> poly * f."""
         return cls(poly.variables, {(0,) * len(poly.variables): poly})
@@ -177,9 +170,9 @@ class DiffOp:
 
     # -- action ------------------------------------------------------------
     def apply(self, f):
-        """Apply to a MultiPoly, GaussFn, or RationalFn; the result is of
-        the same kind, or a RationalFn where the coefficients are."""
-        if not isinstance(f, (MultiPoly, GaussFn, RationalFn)):
+        """Apply to a MultiPoly or GaussFn; the result is of the same kind,
+        or a RationalFn where the coefficients are."""
+        if not isinstance(f, (MultiPoly, GaussFn)):
             raise TypeError(f"cannot apply DiffOp to {type(f).__name__}")
         if f.variables != self.variables:
             raise VariableMismatch(f"{f.variables} vs {self.variables}")
@@ -252,18 +245,6 @@ class DiffOp:
             d = tuple(derivs[i] for i in idx)
             terms[d] = terms[d] + new_coeff if d in terms else new_coeff
         return self._make(keep, terms)
-
-    def extend(self, variables: Sequence[str]) -> "DiffOp":
-        variables = tuple(variables)
-        pos = [variables.index(v) for v in self.variables]
-        n = len(variables)
-        terms = {}
-        for derivs, coeff in self.terms.items():
-            d = [0] * n
-            for p, k in zip(pos, derivs):
-                d[p] = k
-            terms[tuple(d)] = coeff.extend(variables)
-        return self._make(variables, terms)
 
     # -- gauge rotation ----------------------------------------------------
     def gauge_conjugate(self, g: GaussFn, shift=0) -> "DiffOp":

@@ -56,12 +56,6 @@ class GaussFn:
             raise ValueError("cannot add GaussFn with different exponents")
         return GaussFn(self.prefactor + other.prefactor, self.exponent)
 
-    def __sub__(self, other: "GaussFn") -> "GaussFn":
-        return self + GaussFn(-other.prefactor, other.exponent)
-
-    def __neg__(self):
-        return GaussFn(-self.prefactor, self.exponent)
-
     def __eq__(self, other):
         if not isinstance(other, GaussFn):
             return NotImplemented

@@ -6,7 +6,7 @@ the canonical pairing for the three-body radial problem is
 """
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .poly import MultiPoly
 
@@ -20,12 +20,11 @@ def phase_var(name: str) -> MultiPoly:
     return MultiPoly.var(PHASE_VARS, name)
 
 
-def poisson_bracket(f: MultiPoly, g: MultiPoly,
-                    pairs: Sequence[Tuple[str, str]] = CANONICAL_PAIRS) -> MultiPoly:
+def poisson_bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """{f, g} = sum_i df/dq_i dg/dp_i - df/dp_i dg/dq_i, exact."""
     if f.variables != g.variables:
         raise ValueError("f and g must share a phase space")
     out = MultiPoly.zero(f.variables)
-    for q, p in pairs:
+    for q, p in CANONICAL_PAIRS:
         out = out + f.diff(q) * g.diff(p) - f.diff(p) * g.diff(q)
     return out

@@ -145,9 +145,6 @@ class MultiPoly:
             other = MultiPoly.const(self.variables, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             k, d = other.numerator, other.denominator
@@ -186,9 +183,6 @@ class MultiPoly:
             return NotImplemented
         return (self.variables == other.variables and self.den == other.den
                 and self.num == other.num)
-
-    def __hash__(self):
-        return hash((self.variables, self.den, frozenset(self.num.items())))
 
     # -- calculus / evaluation ---------------------------------------------
     def partial(self, alpha: Sequence[int]) -> "MultiPoly":
@@ -259,11 +253,9 @@ class MultiPoly:
         return MultiPoly._make(tuple(self.variables[i] for i in keep), num,
                                self.den * scale)
 
-    def rename(self, mapping: Mapping[str, str], order: Sequence[str] | None = None):
+    def rename(self, mapping: Mapping[str, str], order: Sequence[str]):
         """Relabel variables; `order` fixes the output variable list."""
         new_names = [mapping.get(v, v) for v in self.variables]
-        if order is None:
-            order = sorted(new_names)
         order = tuple(order)
         perm = [new_names.index(v) for v in order]
         return MultiPoly._make(order, {tuple(exps[p] for p in perm): c
@@ -333,31 +325,12 @@ class RationalFn:
         return RationalFn(self.num * other.den + other.num * self.den,
                           self.den * other.den)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, (MultiPoly, int, Fraction)):
-            other = RationalFn(other if isinstance(other, MultiPoly)
-                               else MultiPoly.const(self.variables, other))
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return RationalFn(self.num * other, self.den)
         if isinstance(other, MultiPoly):
             other = RationalFn(other)
         return RationalFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def diff(self, name: str) -> "RationalFn":
-        # quotient rule; denominator squared
-        return RationalFn(self.num.diff(name) * self.den
-                          - self.num * self.den.diff(name),
-                          self.den * self.den)
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         d = self.den.eval(point)

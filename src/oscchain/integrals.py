@@ -14,9 +14,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .exact import (DiffOp, MultiPoly, PHASE_VARS, RHO_VARS, phase_var,
                     poisson_bracket)
-from .model import (Case, Params, area_square_expr, build_potential,
-                    build_radial_laplacian, nu_coefficients, reduced_masses,
-                    validate_case)
+from .model import (Case, Params, area_square_expr, build_radial_laplacian,
+                    oscillator_potential, reduced_masses, validate_case)
 
 
 # ---------------------------------------------------------------------------
@@ -71,21 +70,20 @@ def classical_f(p: Params, which: int) -> MultiPoly:
     raise ValueError("which must be 1, 2 or 3")
 
 
-def classical_hamiltonian(p: Params, nus=None) -> MultiPoly:
+def classical_hamiltonian(p: Params, nus) -> MultiPoly:
     """2 S1 + oscillator potential, as a phase polynomial.
 
-    `nus` overrides the (a,b,c)-derived frequency coefficients, since the
-    conservation statements are conditions on the nu's directly.
+    The frequency coefficients `nus` are given directly, not derived from
+    (a, b, c), since the conservation statements are conditions on the
+    nu's.
     """
-    nu12, nu13, nu23 = nus if nus is not None else nu_coefficients(p)
-    r12, r13, r23 = phase_var("rho12"), phase_var("rho13"), phase_var("rho23")
-    return 2 * classical_s1(p) + 2 * p.omega ** 2 * (
-        nu12 * r12 + nu13 * r13 + nu23 * r23)
+    return 2 * classical_s1(p) + oscillator_potential(
+        p.omega, nus).extend(PHASE_VARS)
 
 
-def prolonged_s2(p: Params, nus=None) -> MultiPoly:
+def prolonged_s2(p: Params, nus) -> MultiPoly:
     m1, m2, m3 = p.masses
-    nu13 = (nus if nus is not None else nu_coefficients(p))[1]
+    nu13 = nus[1]
     M = m1 + m2 + m3
     r12, r13, r23 = phase_var("rho12"), phase_var("rho13"), phase_var("rho23")
     return classical_s2() + (p.omega ** 2 * nu13 / (m3 * M)) * (
@@ -94,16 +92,16 @@ def prolonged_s2(p: Params, nus=None) -> MultiPoly:
         - m2 * m3 * (m2 - m3) * r23)
 
 
-def _prolong_s3_shift(p: Params, nus=None) -> MultiPoly:
+def _prolong_s3_shift(p: Params, nus) -> MultiPoly:
     m1, m2, m3 = p.masses
-    nu13 = (nus if nus is not None else nu_coefficients(p))[1]
+    nu13 = nus[1]
     M = m1 + m2 + m3
     r12, r13, r23 = phase_var("rho12"), phase_var("rho13"), phase_var("rho23")
     return (p.omega ** 2 * m1 * nu13 / (m3 * M)) * (
         m2 * m3 * r23 - m2 * (m2 + m3) * r12 - m3 * (m2 + m3) * r13)
 
 
-def prolonged_s3(p: Params, nus=None) -> MultiPoly:
+def prolonged_s3(p: Params, nus) -> MultiPoly:
     return classical_s3() + _prolong_s3_shift(p, nus)
 
 
@@ -144,12 +142,11 @@ def quantum_s3(d: int) -> DiffOp:
     })
 
 
-def quantum_f(p: Params, which: int, d: Optional[int] = None) -> DiffOp:
+def quantum_f(p: Params, which: int) -> DiffOp:
     m1, m2, m3 = p.masses
-    d = p.d if d is None else d
     area = -area_square_expr(RHO_VARS)
     r12, r13, r23 = _rv("rho12"), _rv("rho13"), _rv("rho23")
-    dd = Fraction(d - 1)
+    dd = Fraction(p.d - 1)
     if which == 1:
         return DiffOp(RHO_VARS, {
             (0, 2, 0): m2 ** 2 * area,
@@ -196,19 +193,14 @@ def quantum_l0(p: Params) -> DiffOp:
     })
 
 
-def quantum_hamiltonian(p: Params, nus=None) -> DiffOp:
-    """2 S1q + V = -Delta_rad + V."""
-    if nus is None:
-        V = build_potential(Case.GENERAL3, p)
-    else:
-        nu12, nu13, nu23 = nus
-        V = MultiPoly(RHO_VARS, {(1, 0, 0): 2 * p.omega ** 2 * nu12,
-                                 (0, 1, 0): 2 * p.omega ** 2 * nu13,
-                                 (0, 0, 1): 2 * p.omega ** 2 * nu23})
+def quantum_hamiltonian(p: Params, nus) -> DiffOp:
+    """2 S1q + V = -Delta_rad + V, with V the oscillator potential of the
+    frequency coefficients `nus`."""
+    V = oscillator_potential(p.omega, nus)
     return 2 * quantum_s1(p) + DiffOp.mul_by(V)
 
 
-def prolonged_s3_quantum(p: Params, nus=None) -> DiffOp:
+def prolonged_s3_quantum(p: Params, nus) -> DiffOp:
     """S3q minus the oscillator shift.
 
     The shift enters with the opposite sign relative to the classical
@@ -229,7 +221,6 @@ def prolonged_s3_quantum(p: Params, nus=None) -> DiffOp:
 class IntegralSet:
     classical: Dict[str, MultiPoly]
     quantum: Dict[str, DiffOp]
-    prolonged: Dict[str, object]
 
 
 def build_integral_set(p: Params) -> IntegralSet:
@@ -251,12 +242,7 @@ def build_integral_set(p: Params) -> IntegralSet:
         "F3q": quantum_f(p, 3),
         "L0q": quantum_l0(p),
     }
-    prolonged = {
-        "S2t": prolonged_s2(p),
-        "S3t": prolonged_s3(p),
-        "S3tq": prolonged_s3_quantum(p),
-    }
-    return IntegralSet(classical, quantum, prolonged)
+    return IntegralSet(classical, quantum)
 
 
 # ---------------------------------------------------------------------------

@@ -203,11 +203,9 @@ def area_square_expr(variables=RHO3) -> MultiPoly:
             - r12 ** 2 - r13 ** 2 - r23 ** 2)
 
 
-def mass_weighted_linear(p: Params, variables=RHO3) -> MultiPoly:
+def mass_weighted_linear(p: Params) -> MultiPoly:
     """m1 m2 rho12 + m1 m3 rho13 + m2 m3 rho23."""
-    r12 = MultiPoly.var(variables, "rho12")
-    r13 = MultiPoly.var(variables, "rho13")
-    r23 = MultiPoly.var(variables, "rho23")
+    r12, r13, r23 = _v("rho12"), _v("rho13"), _v("rho23")
     return (p.m1 * p.m2 * r12 + p.m1 * p.m3 * r13 + p.m2 * p.m3 * r23)
 
 
@@ -260,13 +258,19 @@ def build_radial_laplacian(case: Case, p: Params) -> DiffOp:
 # ---------------------------------------------------------------------------
 # potentials
 
+def oscillator_potential(omega: Fraction, nus) -> MultiPoly:
+    """2 omega^2 (nu12 rho12 + nu13 rho13 + nu23 rho23)."""
+    w2 = 2 * omega ** 2
+    nu12, nu13, nu23 = nus
+    return _P({(1, 0, 0): w2 * nu12, (0, 1, 0): w2 * nu13,
+               (0, 0, 1): w2 * nu23})
+
+
 def build_potential(case: Case, p: Params) -> MultiPoly:
     validate_case(case, p)
     w2 = 2 * p.omega ** 2
     if case in (Case.GENERAL3, Case.EQUAL_MASS3, Case.ISOTROPIC3, Case.ATOMIC3):
-        nu12, nu13, nu23 = nu_coefficients(p)
-        return _P({(1, 0, 0): w2 * nu12, (0, 1, 0): w2 * nu13,
-                   (0, 0, 1): w2 * nu23})
+        return oscillator_potential(p.omega, nu_coefficients(p))
     if case is Case.PRIMITIVE3_QES:
         harmonic = build_potential(Case.GENERAL3, p)
         anh, _, _ = build_qes_primitive(p)
@@ -457,7 +461,7 @@ def build_h_algebraic(case: Case, p: Params) -> DiffOp:
 # ---------------------------------------------------------------------------
 # Lie-algebraic forms
 
-def _gen3(variables, i, j=None, N=0):
+def _gen3(variables, i, j=None):
     """First-order generators over 3 (or 2) polynomial variables.
 
     _gen3(vars, i) -> lowering d/du_i; _gen3(vars, i, j) -> u_i d/du_j.

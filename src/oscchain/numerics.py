@@ -112,8 +112,8 @@ class BOReport:
     exact_e0: float
     nuclear_e0: float
     gap: float
-    c1_exact: float
-    c2_exact: float
+    c1_exact: Optional[float]     # None when c = 0: the series needs c > 0
+    c2_exact: Optional[float]
     c1_fit: Optional[float] = None
     c2_fit: Optional[float] = None
 
@@ -154,11 +154,10 @@ def bo_energies(p: Params) -> BOReport:
     nuclear_e0 = om * d * (a + b) \
         + om * d * math.sqrt((a * b * m / mu) * (1 + nu23 / (a * b * m)))
     gap = nuclear_e0 - exact_e0
+    c1f = c2f = None
     if p.c != 0:
         c1, c2 = bo_series_coefficients(p)
         c1f, c2f = float(c1), float(c2)
-    else:
-        c1f = c2f = float("nan")
     return BOReport(exact_e0, nuclear_e0, gap, c1f, c2f)
 
 

@@ -114,18 +114,15 @@ def separated_form(p: Params, d: int) -> SeparatedForm:
     )
 
 
-def build_opham(p: Params, d: Optional[int] = None) -> DiffOp:
+def build_opham(p: Params) -> DiffOp:
     """Delta_rad in w-coordinates: rational-coefficient operator."""
-    d = p.d if d is None else d
-    return separated_form(p, d).operator(d)
+    return separated_form(p, p.d).operator(p.d)
 
 
-def match_separated_template(op: DiffOp, p: Params,
-                             d: Optional[int] = None) -> SeparatedForm:
+def match_separated_template(op: DiffOp, p: Params) -> SeparatedForm:
     """Check `op` against the three-term separated structure and extract it."""
-    d = p.d if d is None else d
-    form = separated_form(p, d)
-    expected = form.operator(d)
+    form = separated_form(p, p.d)
+    expected = form.operator(p.d)
     residuals = []
     for derivs in set(op.terms) | set(expected.terms):
         zero = RationalFn(MultiPoly.zero(W3))
@@ -267,7 +264,7 @@ def verify_pushforward(p: Params, d: Optional[int] = None, seed: int = 0,
     p = replace(p, d=d)
     wmap = build_wmap(p)
     delta = build_radial_laplacian(Case.GENERAL3, p)
-    opham = build_opham(p, d)
+    opham = build_opham(p)
     fns = test_functions if test_functions is not None \
         else default_test_functions()
     if len(fns) < 10:

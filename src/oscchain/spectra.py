@@ -88,9 +88,6 @@ class MonomialBasis:
     def size(self) -> int:
         return len(self.monomials)
 
-    def index(self, exps: Tuple[int, ...]) -> int:
-        return self.monomials.index(exps)
-
     def degree_slices(self):
         """[(degree, start, stop), ...] for the graded ordering."""
         out = []

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from oscchain import integrals as itg
-from oscchain.exact import PHASE_VARS, MultiPoly, poisson_bracket
-from oscchain.model import Params
+from oscchain.exact import PHASE_VARS, DiffOp, MultiPoly, poisson_bracket
+from oscchain.model import (Case, Params, build_potential,
+                            build_radial_laplacian, nu_coefficients)
 
 from conftest import draw_fraction, draw_params
 
@@ -23,6 +24,19 @@ def test_maximal_battery_is_fully_conserved(rng):
         assert all(rep.triplets_ok.values())
         assert rep.consistent
         assert rep.failures() == ()
+
+
+def test_battery_hamiltonians_are_the_model_hamiltonian(rng):
+    """At the nu's of the springs, the battery's quantum H is the model's
+    -Delta_rad + V, and its classical H has V as momentum-free part."""
+    for _ in range(5):
+        p = draw_params(rng)
+        nus = nu_coefficients(p)
+        V = build_potential(Case.GENERAL3, p)
+        assert itg.quantum_hamiltonian(p, nus) == \
+            -build_radial_laplacian(Case.GENERAL3, p) + DiffOp.mul_by(V)
+        H = itg.classical_hamiltonian(p, nus)
+        assert H.subs_values({"p1": 0, "p2": 0, "p3": 0}) == V
 
 
 def test_maximal_relations_two_imply_three():

@@ -217,11 +217,11 @@ def test_pushforward_agrees_with_the_jet_route(monkeypatch, rng):
     for d, fns in ((2, None), (3, custom_test_functions()), (4, None)):
         p = draw_params(rng)
         seed = rng.randint(0, 999)
-        true_op = build_opham(p, d)
+        true_op = build_opham(replace(p, d=d))
         key = rng.choice(sorted(true_op.terms))
         for op in (true_op, perturbed(true_op, key)):
             monkeypatch.setattr(sepvar, "build_opham",
-                                lambda p, d=None, op=op: op)
+                                lambda p, op=op: op)
             want = reference_pushforward(
                 p, d, seed, 50, fns or sepvar.default_test_functions(), op)
             assert want is (op is true_op)
@@ -233,8 +233,8 @@ def test_pushforward_rejects_a_perturbed_operator(monkeypatch, capsys):
     """A real negative control: one coefficient of the w-space operator
     off by 10^-6 fails the push-forward, in the library and the CLI."""
     build_opham = sepvar.build_opham
-    monkeypatch.setattr(sepvar, "build_opham", lambda p, d=None: perturbed(
-        build_opham(p, d), (0, 0, 1)))
+    monkeypatch.setattr(sepvar, "build_opham", lambda p: perturbed(
+        build_opham(p), (0, 0, 1)))
     p = Params(m1=2, m2=3, m3=5, d=3)
     assert not sepvar.verify_pushforward(p, seed=1)
     code = main(["sepvar", "--m1", "2", "--m2", "3", "--m3", "5"])
