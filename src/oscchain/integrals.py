@@ -223,8 +223,10 @@ class IntegralSet:
     quantum: Dict[str, DiffOp]
 
 
-def build_integral_set(p: Params) -> IntegralSet:
-    classical = {
+def classical_integrals(p: Params) -> Dict[str, MultiPoly]:
+    """The named classical integrals, the members of the
+    `involution_triplets`."""
+    return {
         "S1": classical_s1(p),
         "S2": classical_s2(),
         "S3": classical_s3(),
@@ -233,6 +235,9 @@ def build_integral_set(p: Params) -> IntegralSet:
         "F3": classical_f(p, 3),
         "L0": classical_l0(p),
     }
+
+
+def build_integral_set(p: Params) -> IntegralSet:
     quantum = {
         "S1q": quantum_s1(p),
         "S2q": quantum_s2(p.d),
@@ -242,7 +247,7 @@ def build_integral_set(p: Params) -> IntegralSet:
         "F3q": quantum_f(p, 3),
         "L0q": quantum_l0(p),
     }
-    return IntegralSet(classical, quantum)
+    return IntegralSet(classical_integrals(p), quantum)
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +305,17 @@ def classify_superintegrability(masses: Sequence[Fraction],
     return SuperintegrabilityVerdict(kind, relations, surviving)
 
 
-def involution_triplets(p: Params, integral_set: Optional[IntegralSet] = None):
+def involution_triplets(p: Params,
+                        c: Optional[Dict[str, MultiPoly]] = None):
     """The three commuting triplets, each verified by exact brackets.
 
     Returns [(name, members, ok)]; ok is True iff all pairwise Poisson
-    brackets vanish identically.  `integral_set` is build_integral_set(p),
-    built here when not given.
+    brackets vanish identically.  `c` is classical_integrals(p), built
+    here when not given.
     """
     m1, m2, m3 = p.masses
-    if integral_set is None:
-        integral_set = build_integral_set(p)
-    c = integral_set.classical
+    if c is None:
+        c = classical_integrals(p)
     weighted = ((m1 ** 2 + m1 * (m2 + m3) - m2 * m3) * c["F1"]
                 + (m2 ** 2 + m2 * (m1 + m3) - m1 * m3) * c["F2"]
                 + (m3 ** 2 + m3 * (m1 + m2) - m1 * m2) * c["F3"])
@@ -435,27 +440,27 @@ def battery(p: Params, nus: Optional[Sequence[Fraction]] = None
     verdict = classify_superintegrability(p.masses, nus)
     Hcl = classical_hamiltonian(p, nus)
     Hq = quantum_hamiltonian(p, nus)
-    s = build_integral_set(p)
+    c = classical_integrals(p)
     classical = {
         "S2t": prolonged_s2(p, nus),
         "S3t": prolonged_s3(p, nus),
-        "F1": s.classical["F1"],
-        "F2": s.classical["F2"],
-        "F3": s.classical["F3"],
-        "L0": s.classical["L0"],
+        "F1": c["F1"],
+        "F2": c["F2"],
+        "F3": c["F3"],
+        "L0": c["L0"],
     }
     quantum = {
         "S3tq": prolonged_s3_quantum(p, nus),
-        "F1q": s.quantum["F1q"],
-        "F2q": s.quantum["F2q"],
-        "F3q": s.quantum["F3q"],
-        "L0q": s.quantum["L0q"],
+        "F1q": quantum_f(p, 1),
+        "F2q": quantum_f(p, 2),
+        "F3q": quantum_f(p, 3),
+        "L0q": quantum_l0(p),
     }
     classical_zero = {n: poisson_bracket(Hcl, f).is_zero()
                       for n, f in classical.items()}
     quantum_zero = {n: Hq.commutator(op).is_zero()
                     for n, op in quantum.items()}
-    triplets_ok = {name: ok for name, _, ok in involution_triplets(p, s)}
+    triplets_ok = {name: ok for name, _, ok in involution_triplets(p, c)}
     zero = {**classical_zero, **quantum_zero}
     consistent = all(triplets_ok.values()) and all(
         zero[n] == z for n, z in _expected_zero(verdict, zero).items())

@@ -8,14 +8,15 @@ imported inside the functions, so commands that do no linear algebra
 never load it.
 
 Real roots: sympy factors the characteristic polynomial over Q, built
-straight from its coefficient list (`factor_over_q`), and isolates the
-real roots of each factor (`isolate_irreducible`).  A factor of degree
->= 2 is irreducible, so its roots are irrational; each isolating interval
-is refined here by sign-change bisection in integers: both ends over one
-denominator q, and the sign of f at p/q taken from q^d f(p/q) by integer
-Horner.  The decisions are those of the same bisection over Fraction, so
-the intervals are identical to it, without a gcd per step.  An interval
-whose ends do not have strictly opposite signs raises
+straight from its coefficient list (`factor_over_q`).  A factor of
+degree >= 2 is irreducible, so its roots are irrational, and each is
+reported as the cell [n, n + 1] / 2^64 of the dyadic grid that holds it,
+n = floor(r 2^64) (`isolate_irreducible`).  A quadratic's cells are in
+closed form, from one integer square root; a factor of higher degree is
+isolated by sympy and each interval is bisected in integers (both ends
+over one denominator q, the sign of f at p/q taken from q^d f(p/q) by
+integer Horner) down to width 2^-64, then snapped to the grid cell of its
+root.  A cell whose ends do not have strictly opposite signs raises
 `RootCertificateError`.
 """
 from __future__ import annotations
@@ -56,16 +57,33 @@ def _scaled_value(coeffs: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
-def _refine_sign_change(coeffs: Sequence[int], lo: Fraction, hi: Fraction,
-                        width: Fraction) -> Tuple[Fraction, Fraction]:
-    """Shrink [lo, hi] below `width` by exact bisection, keeping the sign
-    change of the integer polynomial `coeffs` (highest degree first) inside.
+GRID = 2 ** 64   # an irrational root is reported as a cell [n, n + 1] / GRID
 
-    The ends are a/q and b/q over one denominator q.  Each step doubles a,
-    b and q, so that the midpoint is a + b.  `coeffs` is irreducible of
-    degree >= 2, so it has no rational root and no sign met here is zero.
-    Raises RootCertificateError unless the signs at lo and hi are strictly
-    opposite.
+
+def _grid_cell(coeffs: Sequence[int], n: int) -> Tuple[Fraction, Fraction]:
+    """The cell [n, n + 1] / GRID, certified by the strictly opposite signs
+    of the integer polynomial `coeffs` (highest degree first) at its ends;
+    otherwise RootCertificateError."""
+    if _scaled_value(coeffs, n, GRID) \
+            * _scaled_value(coeffs, n + 1, GRID) >= 0:
+        raise RootCertificateError(
+            f"no sign change over the grid cell [{n}, {n + 1}] / 2^64")
+    return _dyadic(n), _dyadic(n + 1)
+
+
+def _refine_sign_change(coeffs: Sequence[int], lo: Fraction, hi: Fraction
+                        ) -> Tuple[Fraction, Fraction]:
+    """The grid cell (`_grid_cell`) of the root at which the integer
+    polynomial `coeffs` (highest degree first) changes sign over [lo, hi].
+
+    Exact bisection first shrinks [lo, hi] to width <= 1/GRID.  The ends
+    are a/q and b/q over one denominator q; each step doubles a, b and q,
+    so that the midpoint is a + b.  `coeffs` is irreducible of degree
+    >= 2, so it has no rational root and no sign met here is zero.  The
+    narrowed interval meets at most two cells; when a grid point lies
+    strictly inside it, the sign there picks the side of the root.
+    Raises RootCertificateError unless the signs at lo and hi, and then at
+    the ends of the cell, are strictly opposite.
     """
     q = lo.denominator * hi.denominator
     a = lo.numerator * hi.denominator
@@ -75,34 +93,35 @@ def _refine_sign_change(coeffs: Sequence[int], lo: Fraction, hi: Fraction,
         raise RootCertificateError(
             f"no sign change over isolating interval [{lo}, {hi}]")
     positive = fa > 0
-    while (b - a) * width.denominator > width.numerator * q:
+    while (b - a) * GRID > q:
         m = a + b
         a, b, q = 2 * a, 2 * b, 2 * q
         if (_scaled_value(coeffs, m, q) > 0) == positive:
             a = m
         else:
             b = m
-    return _dyadic(a, q), _dyadic(b, q)
+    n = a * GRID // q                # the cell of lo
+    if (n + 1) * q < b * GRID and \
+            (_scaled_value(coeffs, n + 1, GRID) > 0) == positive:
+        n += 1                       # the root lies past the grid point
+    return _grid_cell(coeffs, n)
 
 
 # one int per power-of-two denominator, shared by every end that has it
 _POWERS_OF_TWO: Dict[int, int] = {}
 
 
-def _dyadic(n: int, q: int) -> Fraction:
-    """Fraction(n, q), whose denominator, when it is a power of two, is the
-    one int of that value kept in `_POWERS_OF_TWO`.
+def _dyadic(n: int) -> Fraction:
+    """Fraction(n, GRID), whose denominator, a power of two, is the one int
+    of that value kept in `_POWERS_OF_TWO`.
 
-    Bisection doubles q, so the refined ends of an interval with integer
-    ends are dyadic.  A spectrum keeps two ends per irrational level, and
-    sharing their denominators takes about a fifth off what its intervals
-    hold.  `Fraction` keeps its denominator in `_denominator`; an int of
-    the same value there leaves the Fraction unchanged.
+    A spectrum keeps two ends per irrational level, and sharing their
+    denominators takes about a fifth off what its intervals hold.
+    `Fraction` keeps its denominator in `_denominator`; an int of the same
+    value there leaves the Fraction unchanged.
     """
-    x = Fraction(n, q)
-    d = x.denominator
-    if d & (d - 1) == 0:
-        x._denominator = _POWERS_OF_TWO.setdefault(d, d)
+    x = Fraction(n, GRID)
+    x._denominator = _POWERS_OF_TWO.setdefault(x.denominator, x.denominator)
     return x
 
 
@@ -126,28 +145,48 @@ def factor_over_q(coeffs) -> List[Tuple[List[int], int]]:
             for fac, mult in poly.factor_list()[1]]
 
 
-def isolate_irreducible(coeffs, width: Fraction = Fraction(1, 2 ** 64)
-                        ) -> List[Tuple[Fraction, Fraction]]:
-    """Certified isolating intervals of width <= `width` of the real roots
-    of a polynomial irreducible over Q of degree >= 2, given by rational
-    coefficients, highest degree first.  sympy isolates; the intervals
-    are refined by `_refine_sign_change`."""
+def isolate_irreducible(coeffs) -> List[Tuple[Fraction, Fraction]]:
+    """The grid cells (`_grid_cell`) of the real roots of a polynomial
+    irreducible over Q of degree >= 2, given by rational coefficients,
+    highest degree first and the first positive, in increasing order.
+
+    A quadratic a x^2 + b x + e (a > 0, D = b^2 - 4ae not a square) has
+    the roots (-b +/- sqrt(D)) / 2a.  With R = isqrt(D GRID^2), GRID
+    sqrt(D) is irrational and lies strictly between R and R + 1, so
+    floor(r GRID) is floor((-b GRID + R) / 2a) for the larger root and
+    floor((-b GRID - R - 1) / 2a) for the smaller.  The sign change at the
+    ends of each cell then proves it holds exactly one of the two roots.
+    Higher degrees: sympy isolates, and `_refine_sign_change` refines and
+    snaps.  Every cell then has a sign change, the cells are distinct and
+    there are as many as real roots, so each holds exactly one.
+    """
+    icoeffs = _integer_coeffs(coeffs)
+    if len(icoeffs) == 3:
+        a, b, e = icoeffs
+        disc = b * b - 4 * a * e
+        if disc < 0:
+            return []
+        root = math.isqrt(disc * GRID * GRID)
+        return [_grid_cell(icoeffs, (-b * GRID - root - 1) // (2 * a)),
+                _grid_cell(icoeffs, (-b * GRID + root) // (2 * a))]
     from sympy import Poly, Symbol
     from sympy.polys.domains import ZZ
 
-    icoeffs = _integer_coeffs(coeffs)
     poly = Poly.from_list(icoeffs, Symbol("lam"), domain=ZZ)
-    return [_refine_sign_change(icoeffs, Fraction(int(lo.p), int(lo.q)),
-                                Fraction(int(hi.p), int(hi.q)), width)
-            for (lo, hi), _m in poly.intervals()]
+    cells = [_refine_sign_change(icoeffs, Fraction(int(lo.p), int(lo.q)),
+                                 Fraction(int(hi.p), int(hi.q)))
+             for (lo, hi), _m in poly.intervals()]
+    if len(set(cells)) < len(cells):
+        raise RootCertificateError("two real roots in one grid cell")
+    return cells
 
 
-def real_roots_exact(coeffs, width: Fraction = Fraction(1, 2 ** 64)):
+def real_roots_exact(coeffs):
     """All real roots of a Fraction-coefficient polynomial.
 
     Returns (rational, irrational): rational as [(Fraction, multiplicity)],
-    irrational as [((lo, hi), multiplicity)] with certified isolating
-    intervals of width <= `width`, from the factors over Q
+    irrational as [((lo, hi), multiplicity)] with the certified grid cells
+    of width 1/GRID that hold them, from the factors over Q
     (`factor_over_q`) and the roots of each factor of degree >= 2
     (`isolate_irreducible`).
     """
@@ -162,7 +201,7 @@ def real_roots_exact(coeffs, width: Fraction = Fraction(1, 2 ** 64)):
             rational.append((Fraction(-fcoeffs[1], fcoeffs[0]), mult))
             continue
         irrational.extend((iv, mult)
-                          for iv in isolate_irreducible(fcoeffs, width))
+                          for iv in isolate_irreducible(fcoeffs))
     rational.sort(key=lambda t: t[0])
     irrational.sort(key=lambda t: t[0][0])
     return rational, irrational

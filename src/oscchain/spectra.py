@@ -27,24 +27,28 @@ factored over Q once.  With rational roots lambda_i and one irreducible
 quadratic u +/- sqrt(delta), alpha . lambda = c + (n2 - n3) sqrt(delta)
 where c = sum n_i lambda_i + (n2 + n3) u: alpha with n2 = n3 give the
 rational level c, and the others the pair c +/- k sqrt(delta), k =
-|n2 - n3|, the roots of (x - c)^2 - k^2 delta, which is irreducible over Q
-and isolated like any factor below.  When delta < 0 that pair is complex
-and the report ends in `DefectiveBlock`, as on the generic path.
+|n2 - n3|, the roots of (x - c)^2 - k^2 delta, which is irreducible over Q,
+so the cells that hold them come in closed form (`linalg`), as for any
+quadratic factor below.  When delta < 0 that pair is complex and the
+report ends in `DefectiveBlock`, as on the generic path.
 
 Generic path: an irreducible cubic A, and any matrix not assembled from an
 operator of that form (the QES operators, hand-built matrices), factor
 each block's characteristic polynomial over Q.
 
 Everything here is exact: rational eigenvalues are reported as Fractions,
-irrational ones as sympy's isolating intervals refined by exact
-sign-change bisection.  The matrix lives in one form from assembly to
-eigenvectors: a sparse sympy `DomainMatrix` over QQ, written row by row
-from the images of the basis monomials (only nonzero entries are stored).
-Diagonal blocks, shifted blocks and the triangular solves are slices of
-it.  The eigenvector of a rational level that is simple across the
-grading is the null vector of its own block, back-substituted through the
-blocks below it.  sympy is imported inside the functions that build
-matrices, so importing this module does not load it.
+irrational ones as the cell [n, n + 1] / 2^64 of the dyadic grid that
+holds them, certified by a strict sign change at its ends: from one
+integer square root for a quadratic factor, and from sympy's isolation,
+integer bisection and a snap to the grid for a factor of higher degree
+(`linalg.isolate_irreducible`).  The matrix lives in one form from
+assembly to eigenvectors: a sparse sympy `DomainMatrix` over QQ, written
+row by row from the images of the basis monomials (only nonzero entries
+are stored).  Diagonal blocks, shifted blocks and the triangular solves
+are slices of it.  The eigenvector of a rational level that is simple
+across the grading is the null vector of its own block, back-substituted
+through the blocks below it.  sympy is imported inside the functions that
+build matrices, so importing this module does not load it.
 """
 from __future__ import annotations
 

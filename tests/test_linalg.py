@@ -1,6 +1,7 @@
 """Characteristic polynomials of DomainMatrix blocks and certified
-real-root extraction, cross-checked against numpy and against the Fraction
-bisection that the integer one replaced."""
+real-root extraction, cross-checked against numpy, against a Fraction
+bisection snapped to the same 2^-64 grid and against sympy's CRootOf."""
+import math
 import random
 from fractions import Fraction
 
@@ -94,14 +95,12 @@ def test_eigenvalues_of_exact_matrix_match_numpy(rng):
 def test_refine_rejects_an_interval_without_a_sign_change():
     # 3 lam^2 - 2 is positive at both ends of [1, 2]
     with pytest.raises(linalg.RootCertificateError):
-        linalg._refine_sign_change([3, 0, -2], Fraction(1), Fraction(2),
-                                   Fraction(1, 2 ** 64))
+        linalg._refine_sign_change([3, 0, -2], Fraction(1), Fraction(2))
 
 
 def test_refine_matches_width_exactly():
     # lam^2 - 2 on [1, 2]: 64 halvings reach width 2^-64
-    lo, hi = linalg._refine_sign_change([1, 0, -2], Fraction(1), Fraction(2),
-                                        Fraction(1, 2 ** 64))
+    lo, hi = linalg._refine_sign_change([1, 0, -2], Fraction(1), Fraction(2))
     assert hi - lo == Fraction(1, 2 ** 64)
     assert lo * lo < 2 < hi * hi
 
@@ -115,8 +114,13 @@ def _fraction_eval(coeffs, x):
     return out
 
 
-def _reference_roots(coeffs, width=Fraction(1, 2 ** 64)):
-    """sympy factors and intervals, refined by Fraction bisection."""
+CELL = Fraction(1, 2 ** 64)
+
+
+def _reference_roots(coeffs):
+    """sympy factors and intervals, refined by Fraction bisection to width
+    2^-64 and snapped to the cell [n, n + 1] / 2^64 that holds the root:
+    the cell of lo, unless its ends have the same sign."""
     import sympy
     lam = sympy.Symbol("lam")
     poly = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator)
@@ -131,13 +135,16 @@ def _reference_roots(coeffs, width=Fraction(1, 2 ** 64)):
         for (lo, hi), _ in fac.intervals():
             lo, hi = Fraction(str(lo)), Fraction(str(hi))
             flo = _fraction_eval(fc, lo)
-            while hi - lo > width:
+            while hi - lo > CELL:
                 mid = (lo + hi) / 2
                 if (_fraction_eval(fc, mid) > 0) == (flo > 0):
                     lo = mid
                 else:
                     hi = mid
-            irrational.append(((lo, hi), mult, fc))
+            lo = math.floor(lo / CELL) * CELL
+            if _fraction_eval(fc, lo) * _fraction_eval(fc, lo + CELL) > 0:
+                lo += CELL
+            irrational.append(((lo, lo + CELL), mult, fc))
     return (sorted(rational),
             sorted(irrational, key=lambda t: t[0][0]))
 
@@ -205,3 +212,106 @@ def test_refined_ends_share_their_power_of_two_denominators():
         assert d & (d - 1) == 0
         assert by_value.setdefault(d, d) is d
     assert len(by_value) < len(ends)
+
+
+# -- the grid cells in closed form -------------------------------------------
+
+def _crootof_cells(icoeffs):
+    """The cells [n, n + 1] / 2^64, n = floor(r 2^64), of the real roots r
+    of an integer polynomial (highest degree first), from sympy's exact
+    CRootOf: a route that shares nothing with the code under test."""
+    import sympy
+    poly = sympy.Poly(icoeffs, sympy.Symbol("x"))
+    cells = []
+    for k in range(poly.count_roots()):
+        n = int(sympy.floor(sympy.CRootOf(poly, k) * 2 ** 64))
+        cells.append((n * CELL, (n + 1) * CELL))
+    return cells
+
+
+def _is_certified_cell(icoeffs, lo, hi):
+    return (hi - lo == CELL and (lo / CELL).denominator == 1
+            and _fraction_eval(icoeffs[::-1], lo)
+            * _fraction_eval(icoeffs[::-1], hi) < 0)
+
+
+def test_close_roots_get_their_grid_cells():
+    """(x - 3806/3)^2 - 199/10000: sympy's isolating intervals
+    [2537/2, 3806/3] and [3806/3, 1269] are not grid cells, and both the
+    closed form and the snapped bisection of them give the cells of
+    floor(r 2^64)."""
+    import sympy
+    c = Fraction(3806, 3)
+    coeffs = [1, -2 * c, c * c - Fraction(199, 10000)]
+    icoeffs = linalg._integer_coeffs(coeffs)
+    want = _crootof_cells(icoeffs)
+    assert len(want) == 2
+    assert linalg.isolate_irreducible(coeffs) == want
+    rational, irrational = linalg.real_roots_exact(coeffs[::-1])
+    assert not rational and irrational == [(iv, 1) for iv in want]
+    poly = sympy.Poly(icoeffs, sympy.Symbol("x"))
+    sympy_ivs = [(Fraction(str(lo)), Fraction(str(hi)))
+                 for (lo, hi), _ in poly.intervals()]
+    assert sympy_ivs == [(Fraction(2537, 2), c), (c, Fraction(1269))]
+    assert [linalg._refine_sign_change(icoeffs, lo, hi)
+            for lo, hi in sympy_ivs] == want
+    for lo, hi in want:
+        assert _is_certified_cell(icoeffs, lo, hi)
+
+
+def test_quadratic_without_real_roots_has_no_cells():
+    assert linalg.isolate_irreducible([1, 0, 1]) == []
+    assert linalg.real_roots_exact([Fraction(1), Fraction(0),
+                                    Fraction(1)]) == ([], [])
+
+
+def test_a_cell_without_a_sign_change_is_refused():
+    with pytest.raises(linalg.RootCertificateError):
+        linalg._grid_cell([1, 0, -2], 0)
+
+
+def _spy_on_intervals(monkeypatch):
+    """Count the calls of sympy's real-root isolation."""
+    from sympy import Poly
+    calls = []
+    intervals = Poly.intervals
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return intervals(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "intervals", spy)
+    return calls
+
+
+def test_harmonic_spectrum_calls_no_sympy_isolation(monkeypatch):
+    from oscchain import spectra
+    from oscchain.model import Case, Params
+    calls = _spy_on_intervals(monkeypatch)
+    report = spectra.spectrum(
+        Case.GENERAL3, Params(m1=2, m2=3, m3=Fraction(5, 2)), 5)
+    cells = [ev.interval for ev in report.gauged if ev.interval is not None]
+    assert cells and not calls
+    for lo, hi in cells:
+        assert hi - lo == CELL and (lo / CELL).denominator == 1
+
+
+def test_irreducible_cubic_goes_through_sympy_and_is_snapped(monkeypatch):
+    calls = _spy_on_intervals(monkeypatch)
+    for icoeffs in ([1, 0, -3, 1], [3, -1, 0, -7], [1, 0, 0, -2]):
+        cells = linalg.isolate_irreducible(icoeffs)
+        assert cells == _crootof_cells(icoeffs)
+        for lo, hi in cells:
+            assert _is_certified_cell(icoeffs, lo, hi)
+    assert len(calls) == 3
+
+
+def test_three_roots_in_one_cell_are_refused():
+    """s + t y for the roots y of y^3 - 3y + 1, with s = 2^-65 and
+    t = 2^-70: all three lie in the cell [0, 1] / 2^64, whose ends then
+    have opposite signs, so only the distinctness of the cells refuses."""
+    s, t = Fraction(1, 2 ** 65), Fraction(1, 2 ** 70)
+    coeffs = [1, -3 * s, 3 * s * s - 3 * t * t,
+              t ** 3 + 3 * t * t * s - s ** 3]
+    with pytest.raises(linalg.RootCertificateError):
+        linalg.isolate_irreducible(coeffs)
