@@ -5,7 +5,9 @@ the README `spectrum`, `qes`, `integrals`, `sepvar`, `curve --format csv` and
 DomainMatrix, the other four before the exact kernel moved to integer
 numerators, the spectra at N = 10, at N = 6 in the all-rational regime
 (springs 1, 2, 2) and of onedim3 and molecular3 at N = 6 before harmonic
-levels were read from the degree-1 block.  `bo` is left out: its floats
+levels were read from the degree-1 block, and of general3 with zero
+springs (degree-1 block A = 0) before A's spectrum was read in closed
+form.  `bo` is left out: its floats
 come from BLAS and can differ between machines."""
 import hashlib
 import json
