@@ -296,6 +296,14 @@ def classify_superintegrability(masses: Sequence[Fraction],
     (1 2) takes r1 to r3 and F1 to F2.  So F3 survives alone on r2 and F2
     on r3.  The image of S3t is not among the named integrals, so it is
     not listed there.
+
+    The verdict covers integrals of order <= 2 in the momenta only, the
+    first- and second-order integrals the paper searches.  Against the
+    normal-mode frequencies W1, W2 (`spectra` docstring), sampled draws
+    (tests/test_integrals.py) give `maximal` exactly when W1 = W2 and
+    `minimal` only when W1:W2 is rational.  A rational W1:W2 also comes
+    with `none`: such commensurate modes may carry integrals of higher
+    order, which are not searched here.
     """
     m1, m2, m3 = masses
     nu12, nu13, nu23 = nus

@@ -5,7 +5,9 @@ The spectral engine holds each operator matrix as one sparse sympy
 it.  `char_poly` is the one matrix stage here: sympy's division-free
 Berkowitz `charpoly`, returned as Fraction coefficients.  sympy is
 imported inside the functions, so commands that do no linear algebra
-never load it.
+never load it.  Only the per-block path of `spectra` (the QES operators,
+hand-built matrices) calls `char_poly` and `factor_over_q`: the harmonic
+path reads the roots of the degree-1 block in closed form.
 
 Real roots: sympy factors the characteristic polynomial over Q, built
 straight from its coefficient list (`factor_over_q`).  A factor of

@@ -22,19 +22,62 @@ multiplicities, are {alpha . lambda : |alpha| = n}.  When A is
 diagonalizable (always, when its eigenvalues are distinct), the xi^alpha
 are eigenvectors, D is diagonalizable on Sym^n V, and the eigenspace of
 each level has the dimension of its multiplicity; otherwise that dimension
-is read off the rank of the block.  A has size <= 3, and its char poly is
-factored over Q once.  With rational roots lambda_i and one irreducible
-quadratic u +/- sqrt(delta), alpha . lambda = c + (n2 - n3) sqrt(delta)
-where c = sum n_i lambda_i + (n2 + n3) u: alpha with n2 = n3 give the
-rational level c, and the others the pair c +/- k sqrt(delta), k =
-|n2 - n3|, the roots of (x - c)^2 - k^2 delta, which is irreducible over Q,
-so the cells that hold them come in closed form (`linalg`), as for any
-quadratic factor below.  When delta < 0 that pair is complex and the
-report ends in `DefectiveBlock`, as on the generic path.
+is read off the rank of the block.
 
-Generic path: an irreducible cubic A, and any matrix not assembled from an
-operator of that form (the QES operators, hand-built matrices), factor
-each block's characteristic polynomial over Q.
+A's roots in closed form.  A is k x k, k <= 3.  Put r0 = tr(A)/k,
+B = A - r0 I, so tr B = 0, and delta = tr(B^2)/2 = (tr(A^2) - k r0^2)/2.
+For k = 1 the root is r0.  For k = 2 the char poly is (x - r0)^2 - delta.
+For k = 3 it is y^3 - delta y - det B in y = x - r0, so det B = 0
+certifies the roots r0 and r0 +/- sqrt(delta).  A delta that is not a
+rational square (delta < 0 included) gives the pair r0 +/- sqrt(delta)
+below.  A nonzero square gives distinct rational roots, so A is
+diagonalizable.  delta = 0 gives the single root r0, and then A is
+diagonalizable exactly when A = r0 I (in the molecular case a = -b makes
+A a nonzero nilpotent).  An A of size 3 with det B != 0 takes the
+generic path.
+
+Why the certificate holds in the 3-variable harmonic cases (general3,
+equalmass3, isotropic3, atomic3), whatever the signs of the springs.
+Consider S-states in relative coordinates: two Jacobi vectors, scaled by
+the masses to u1, u2 in R^d so that the kinetic term is the flat
+Laplacian (when m1 is infinite, the scaled positions of bodies 2 and 3
+relative to body 1).  The squared distances rho12, rho13, rho23 and the
+quadratic invariants |u1|^2, u1 . u2, |u2|^2 span the same space V,
+which is Sym^2 of the 2-dimensional mode space.  The gauge factor is
+Psi0 = exp(-Phi) with Phi linear in the rho, so Phi = (1/2) sum_kl
+S_kl u_k . u_l for a real symmetric 2 x 2 matrix S.  Because
+(H - E0) Psi0 = 0 as functions (Psi0 need not be normalizable),
+conjugating gives h = -Delta + 2 grad Phi . grad.  By
+the chain rule in the rho, -Delta contributes only constant first-order
+coefficients and second-order terms.  So D = 2 grad Phi . grad, and A is
+its matrix on V.  Rotate the mode plane so that S = diag(s1, s2): the
+rotation keeps the flat Laplacian.  With W_k = 2 s_k,
+D = W1 u1 . grad_1 + W2 u2 . grad_2, which multiplies u_k . u_l by
+W_k + W_l: A is Sym^2 B for the frequency map B = diag(W1, W2).  So A
+has the eigenbasis |u1|^2, u1 . u2, |u2|^2 with the eigenvalues 2 W1,
+W1 + W2 and 2 W2.  It is diagonalizable over R; r0 = W1 + W2 is a root,
+which is the certificate; delta = (W1 - W2)^2 >= 0; and A = r0 I when
+W1 = W2.  For positive springs W1, W2 are the normal-mode frequencies
+2 omega sqrt(mu_k), mu_k the nonzero eigenvalues of M^-1 L_nu (L_nu the
+nu-weighted Laplacian of the pairs, M = diag(m)).  delta = 0 is the
+paper's maximal superintegrability, and delta a nonzero rational square
+is a rational ratio W1:W2 (Jauch and Hill, Phys. Rev. 57 (1940) 641).
+In onedim3 (d = 1, variables x12 and x13) V is the mode space itself
+and A is similar to B: its roots W1, W2 are real, and A = r0 I when they
+are equal.
+
+Pair levels.  With rational roots lambda_i and the pair u +/- sqrt(delta)
+(u = r0), alpha . lambda = c + (n2 - n3) sqrt(delta) where
+c = sum n_i lambda_i + (n2 + n3) u: alpha with n2 = n3 give the rational
+level c, and the others the pair c +/- k sqrt(delta), k = |n2 - n3|, the
+roots of (x - c)^2 - k^2 delta, which is irreducible over Q, so the cells
+that hold them come in closed form (`linalg`), as for any quadratic
+factor below.  When delta < 0 that pair is complex and the report ends in
+`DefectiveBlock`, as on the generic path.
+
+Generic path: an A that fails the certificate, and any matrix not
+assembled from an operator of that form (the QES operators, hand-built
+matrices), factor each block's characteristic polynomial over Q.
 
 Everything here is exact: rational eigenvalues are reported as Fractions,
 irrational ones as the cell [n, n + 1] / 2^64 of the dyadic grid that
@@ -56,7 +99,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -300,27 +343,54 @@ def _block_eigenvalues(block, degree: int):
     return out
 
 
+def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
+    """sqrt(x) when it is rational, else None (x < 0 included)."""
+    if x < 0:
+        return None
+    n, d = isqrt(x.numerator), isqrt(x.denominator)
+    if n * n != x.numerator or d * d != x.denominator:
+        return None
+    return Fraction(n, d)
+
+
+def _degree1_roots(A):
+    """The roots of the degree-1 block A, k <= 3 rows of Fractions, in
+    closed form (module docstring): (lams, pair, diagonalizable) with the
+    rational roots lams, pair = (r0, delta) for the roots r0 +/- sqrt(delta)
+    when delta is not a rational square (else None), and whether A is
+    diagonalizable.  None when k = 3 and det(A - r0 I) != 0."""
+    k = len(A)
+    r0 = sum(A[i][i] for i in range(k)) / k
+    B = [[x - r0 if i == j else x for j, x in enumerate(row)]
+         for i, row in enumerate(A)]
+    delta = sum(B[i][j] * B[j][i] for i in range(k) for j in range(k)) / 2
+    lams: List[Fraction] = []
+    if k == 3:
+        (p, q, r), (s, t, u), (v, w, z) = B
+        if p * (t * z - u * w) - q * (s * z - u * v) + r * (s * w - t * v):
+            return None
+        lams = [r0]
+    root = _rational_sqrt(delta)
+    if root is None:
+        return lams, (r0, delta), True
+    if root:
+        return lams + [r0 - root, r0 + root], None, True
+    return [r0] * k, None, not any(any(row) for row in B)
+
+
 def _gl3_block_levels(M: OpMatrix):
     """The levels of each diagonal block of a matrix of gl(3) form, from
-    the char poly of its degree-1 block A (module docstring): a function
+    the roots of its degree-1 block A (module docstring): a function
     (block, degree) -> [Eigenvalue], ordered as `_block_eigenvalues`
-    orders them.  None when A has an irreducible cubic factor."""
+    orders them.  None when A fails the closed form's certificate."""
     slices = M.basis.degree_slices()
     _, start, stop = slices[1]
-    A = M.matrix[start:stop, start:stop]
-    lams: List[Fraction] = []     # the rational roots of A
-    pair = None                   # (u, delta) of a root pair u +/- sqrt(delta)
-    for f, mult in linalg.factor_over_q(linalg.char_poly(A)):
-        if len(f) == 2:           # f[0] t + f[1]
-            lams += [Fraction(-f[1], f[0])] * mult
-        elif len(f) == 3:         # a t^2 + b t + e
-            a, b, e = f
-            pair = Fraction(-b, 2 * a), Fraction(b * b - 4 * a * e, 4 * a * a)
-        else:
-            return None
-    diagonalizable = pair is not None or all(
-        stop - start - _shifted(A, lam).rank() == lams.count(lam)
-        for lam in set(lams))
+    roots = _degree1_roots(
+        [[Fraction(x.numerator, x.denominator) for x in row]
+         for row in M.matrix[start:stop, start:stop].to_list()])
+    if roots is None:
+        return None
+    lams, pair, diagonalizable = roots
 
     def levels(block, degree: int) -> List[Eigenvalue]:
         _, lo, hi = slices[degree]
@@ -416,8 +486,9 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
                        ground_energy: Optional[Fraction] = None,
                        want_eigenfunctions: bool = True) -> SpectrumReport:
     """Spectrum of a graded-triangular matrix, block by block: from the
-    degree-1 block when `M.gl3_form` and that block has no irreducible
-    cubic factor, else from each block's char poly (module docstring).
+    degree-1 block when `M.gl3_form` and that block passes the closed
+    form's certificate, else from each block's char poly (module
+    docstring).
 
     Eigenfunctions are reconstructed by back-substitution for rational
     eigenvalues that are simple across the whole grading.

@@ -31,6 +31,21 @@ def draw_poly(rng: random.Random, variables, max_degree: int = 3,
     return MultiPoly(variables, terms)
 
 
+def degree1_block(case, p):
+    """(A, r0, delta) for a 3-variable harmonic case: the degree-1 block A
+    of its gauged operator, read off the matrix on P_1 as rows of
+    Fractions, r0 = tr(A)/3 and delta = (tr(A^2) - 3 r0^2)/2, so that A
+    has the roots r0 and r0 +/- sqrt(delta) (`spectra` docstring)."""
+    from oscchain import spectra
+    h = spectra.case_operator(case, p)
+    M = spectra.assemble_matrix(h, spectra.enumerate_basis(h.variables, 1))
+    A = [row[1:] for row in M.entries[1:]]
+    r0 = sum(A[i][i] for i in range(3)) / 3
+    delta = (sum(A[i][j] * A[j][i] for i in range(3) for j in range(3))
+             - 3 * r0 ** 2) / 2
+    return A, r0, delta
+
+
 fractions_st = st.fractions(
     min_value=-100, max_value=100, max_denominator=50)
 

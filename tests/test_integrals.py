@@ -2,7 +2,9 @@
 candidate integrals, the mass-frequency classification, involution
 triplets, discrete symmetries, and principal-symbol consistency."""
 import random
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -11,7 +13,7 @@ from oscchain.exact import PHASE_VARS, DiffOp, MultiPoly, poisson_bracket
 from oscchain.model import (Case, Params, build_potential,
                             build_radial_laplacian, nu_coefficients)
 
-from conftest import draw_fraction, draw_params
+from conftest import degree1_block, draw_fraction, draw_params
 
 
 def test_maximal_battery_is_fully_conserved(rng):
@@ -59,6 +61,50 @@ def test_minimal_surviving_pair():
     assert rep.quantum_zero == {"S3tq": True, "F1q": True, "F2q": False,
                                 "F3q": False, "L0q": False}
     assert rep.consistent
+
+
+def is_nonzero_square(x: Fraction) -> bool:
+    return x > 0 and isqrt(x.numerator) ** 2 == x.numerator \
+        and isqrt(x.denominator) ** 2 == x.denominator
+
+
+@pytest.mark.parametrize("masses, springs, kind, delta", [
+    ((2, 2, 2), (1, 1, 1), "maximal", 0),
+    ((5, 5, Fraction(5, 2)), (Fraction(2, 3), Fraction(5, 3), Fraction(1, 2)),
+     "minimal", Fraction(49, 9)),
+])
+def test_verdict_at_fixed_normal_modes(masses, springs, kind, delta):
+    """Equal masses and springs: W1 = W2; masses 5, 5, 5/2 with springs
+    2/3, 5/3, 1/2: W1 - W2 = 7/3 at omega = 1."""
+    p = Params(*masses, *springs)
+    assert itg.classify_superintegrability(
+        p.masses, nu_coefficients(p)).kind == kind
+    assert degree1_block(Case.GENERAL3, p)[2] == delta
+
+
+def test_verdict_against_the_normal_modes():
+    """The spectrum as a second witness: over general3 draws with masses
+    and springs in {1..6}/{1..3}, the verdict is `maximal` exactly when
+    delta = (W1 - W2)^2 = 0, and `minimal` only when delta is a nonzero
+    rational square, that is W1:W2 rational.  A square delta also comes
+    with `none`: commensurate modes whose integrals, if any, have order
+    above 2, which the verdict does not search."""
+    rng = random.Random(20261018)
+
+    def draw():
+        return Fraction(rng.randint(1, 6), rng.randint(1, 3))
+
+    kinds = Counter()
+    for _ in range(400):
+        p = Params(m1=draw(), m2=draw(), m3=draw(), a=draw(), b=draw(),
+                   c=draw())
+        kind = itg.classify_superintegrability(
+            p.masses, nu_coefficients(p)).kind
+        delta = degree1_block(Case.GENERAL3, p)[2]
+        assert (kind == "maximal") == (delta == 0)
+        assert kind != "minimal" or is_nonzero_square(delta)
+        kinds[kind] += 1
+    assert kinds["minimal"] and kinds["none"]
 
 
 def test_minimal_l0_bracket_exact_counterexample():

@@ -9,14 +9,14 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscchain import linalg, spectra
 from oscchain.exact import DiffOp, MultiPoly
-from oscchain.model import Case, Params, build_h_algebraic
+from oscchain.model import Case, Params, build_h_algebraic, nu_coefficients
 
-from conftest import draw_params
+from conftest import degree1_block, draw_params
 
 
 def test_basis_sizes_and_order():
@@ -320,12 +320,135 @@ def test_harmonic_levels_match_block_char_polys(case, seed, N):
                                       *args).gauged
 
 
-def test_harmonic_case_computes_one_char_poly(char_poly_sizes):
-    """Only the degree-1 block's char poly is computed."""
-    p = Params(m1=2, m2=3, m3=Fraction(5, 2), a=1, b=2, c=Fraction(3, 2))
-    rep = spectra.spectrum(Case.GENERAL3, p, 5)
-    assert char_poly_sizes == [3]
-    assert sum(ev.multiplicity for ev in rep.gauged) == comb(8, 3)
+SPRINGS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+MASSES = st.fractions(min_value=Fraction(1, 3), max_value=6,
+                      max_denominator=3)
+
+
+@st.composite
+def harmonic_params(draw, cases):
+    """(case, params): a case among `cases` with valid parameters, its
+    springs zero, negative or positive."""
+    case = draw(st.sampled_from(cases))
+    m1, m2, m3, omega = (draw(MASSES) for _ in range(4))
+    a, b, c = (draw(SPRINGS) for _ in range(3))
+    kw = {}
+    if case in (Case.EQUAL_MASS3, Case.ISOTROPIC3):
+        m2 = m3 = m1
+    if case is Case.ISOTROPIC3:
+        b = c = a
+    if case is Case.ATOMIC3:
+        m1, m3 = None, m2
+    if case is Case.MOLECULAR3:
+        m2 = m3 = None
+        c = 0
+        kw["rho23"] = draw(MASSES)
+    if case is Case.ONE_DIM3:
+        kw["d"] = 1
+    return case, Params(m1=m1, m2=m2, m3=m3, a=a, b=b, c=c, omega=omega,
+                        **kw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(harmonic_params(HARMONIC[:-1]), st.integers(1, 4))
+@example((Case.GENERAL3, Params(m1=5, m2=5, m3=Fraction(5, 2),
+                                a=Fraction(2, 3), b=Fraction(5, 3),
+                                c=Fraction(1, 2))), 3)    # delta = 49/9
+@example((Case.GENERAL3, Params(m1=2, m2=3, m3=Fraction(5, 2),
+                                a=1, b=2, c=2)), 3)       # delta = 4
+@example((Case.GENERAL3, Params(m1=2, m2=3, m3=Fraction(5, 2),
+                                a=0, b=0, c=0)), 3)       # A = 0
+@example((Case.ISOTROPIC3, Params(a=-1, b=-1, c=-1)), 3)  # A = r0 I
+@example((Case.MOLECULAR3, Params(m1=2, m2=None, m3=None, a=1, b=-1, c=0,
+                                  rho23=Fraction(3, 2))), 3)  # A nilpotent
+def test_levels_match_at_any_springs(case_params, N):
+    """Zero, negative and positive springs, and delta = 0, a nonzero
+    square or not a square: the levels and eigenfunctions from the
+    degree-1 block equal the per-block path's, and every level is real.
+    In the molecular case a = -b makes A a nonzero nilpotent, so the
+    eigenspace dims come from the blocks' ranks."""
+    case, p = case_params
+    h = spectra.case_operator(case, p)
+    M = spectra.assemble_matrix(h, spectra.enumerate_basis(h.variables, N))
+    structural, per_block = both_paths(M)
+    assert structural == per_block and structural[0] == "ok"
+
+
+def normal_mode_invariants(p):
+    """(t, s): the trace and the sum of the principal 2x2 minors of
+    M^-1 L_nu, from the masses and `nu_coefficients` alone.  L_nu is the
+    nu-weighted Laplacian of the three pairs and M = diag(m), with
+    1/m1 = 0 in the atomic case.  t and s are the sum and the product of
+    the nonzero eigenvalues mu_k, and W_k = 2 omega sqrt(mu_k) are the
+    normal-mode frequencies."""
+    nu12, nu13, nu23 = nu_coefficients(p)
+    L = [[nu12 + nu13, -nu12, -nu13],
+         [-nu12, nu12 + nu23, -nu23],
+         [-nu13, -nu23, nu13 + nu23]]
+    inv = [Fraction(0) if m is None else 1 / m for m in p.masses]
+    K = [[inv[i] * x for x in row] for i, row in enumerate(L)]
+    t = K[0][0] + K[1][1] + K[2][2]
+    s = sum(K[i][i] * K[j][j] - K[i][j] * K[j][i]
+            for i, j in ((0, 1), (0, 2), (1, 2)))
+    return t, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(harmonic_params([Case.GENERAL3, Case.EQUAL_MASS3, Case.ISOTROPIC3,
+                        Case.ATOMIC3]))
+def test_degree1_block_from_the_normal_modes(case_params):
+    """A's roots are 2 W1, W1 + W2 and 2 W2 (`spectra` docstring), so
+    r0 = W1 + W2 = 2 omega (a + b + c), r0^2 + delta = 2 (W1^2 + W2^2) =
+    8 omega^2 t and r0^2 delta = (W1^2 - W2^2)^2 = 16 omega^4 (t^2 - 4 s),
+    and A's char poly is (x - r0)((x - r0)^2 - delta), the closed form's
+    certificate.  These are polynomial identities in the springs, so they
+    hold at zero and negative springs too."""
+    import sympy
+    case, p = case_params
+    A, r0, delta = degree1_block(case, p)
+    t, s = normal_mode_invariants(p)
+    w = p.omega
+    assert r0 == 2 * w * (p.a + p.b + p.c)
+    assert r0 ** 2 + delta == 8 * w ** 2 * t
+    assert r0 ** 2 * delta == 16 * w ** 4 * (t * t - 4 * s)
+    x = sympy.Symbol("x")
+    r0_, delta_ = sympy.Rational(r0), sympy.Rational(delta)
+    assert sympy.Matrix(A).charpoly(x).as_expr().expand() \
+        == ((x - r0_) * ((x - r0_) ** 2 - delta_)).expand()
+
+
+@pytest.fixture
+def per_block_stages(monkeypatch):
+    """The names of the per-block stages called: `linalg.char_poly`,
+    `linalg.factor_over_q` and `DomainMatrix.rank`."""
+    from sympy.polys.matrices import DomainMatrix
+    calls = []
+    for owner, name in ((linalg, "char_poly"), (linalg, "factor_over_q"),
+                        (DomainMatrix, "rank")):
+        def spy(*args, real=getattr(owner, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_harmonic_cases_compute_no_char_poly(per_block_stages, rng):
+    """The closed form of the degree-1 block certifies itself in every
+    harmonic case, so no char poly, factoring or rank is computed: at the
+    README parameters, in the all-rational regime (springs 1, 2, 2) and
+    at a random draw of each case, for every N <= 6."""
+    from test_model import draw_case_params
+    m = dict(m1=2, m2=3, m3=Fraction(5, 2))
+    draws = [(Case.GENERAL3, Params(**m, a=1, b=2, c=Fraction(3, 2))),
+             (Case.GENERAL3, Params(**m, a=1, b=2, c=2))]
+    draws += [(case, draw_case_params(rng, case)) for case in HARMONIC]
+    for case, p in draws:
+        for N in range(1, 7):
+            rep = spectra.spectrum(case, p, N)
+            assert sum(ev.multiplicity for ev in rep.gauged) \
+                == rep.basis.size
+    assert per_block_stages == []
 
 
 def test_qes_and_zeroth_order_operators_take_the_per_block_path(
@@ -365,21 +488,24 @@ def _cubic(vs):         # A has the irreducible char poly t^3 - 3t + 1
 
 
 @pytest.mark.parametrize("build, variables, outcome, char_polys", [
-    (_rotation, ("x", "y"), "defective", [2]),
-    (_jordan, ("x", "y"), "ok", [2]),
-    (_cubic, ("x", "y", "z"), "ok", [3, 1, 3, 6, 10, 15]),
+    (_rotation, ("x", "y"), "defective", []),
+    (_jordan, ("x", "y"), "ok", []),
+    (_cubic, ("x", "y", "z"), "ok", [1, 3, 6, 10, 15]),
 ], ids=["rotation", "jordan", "cubic"])
 def test_gl3_form_edge_cases_match_the_per_block_path(
         build, variables, outcome, char_polys, char_poly_sizes):
     """A rotation (complex roots of A: the same DefectiveBlock report), a
     Jordan block (eigenspace dims from the rank) and an irreducible cubic
-    (A's char poly, then every block's).  `char_polys` lists the blocks
-    whose char poly the path from the degree-1 block computes."""
+    (the closed form's certificate fails: every block's char poly).
+    `char_polys` lists the blocks whose char poly the path from the
+    degree-1 block computes; the per-block path then computes one per
+    block."""
     M = spectra.assemble_matrix(build(variables),
                                 spectra.enumerate_basis(variables, 4))
     assert M.gl3_form
     structural, per_block = both_paths(M)
-    assert char_poly_sizes[:len(char_polys)] == char_polys
+    assert char_poly_sizes == char_polys + [
+        stop - start for _, start, stop in M.basis.degree_slices()]
     assert structural == per_block and structural[0] == outcome
     if build is _jordan:
         # Sym^n of a Jordan block is one Jordan block: level n, dim 1
