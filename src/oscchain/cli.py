@@ -134,11 +134,7 @@ def cmd_spectrum(args) -> None:
     case, p = _build_params(args)
     if p.N is None:
         raise CaseError("spectrum needs --N")
-    if case is Case.TWO_BODY_QES:
-        rep = spectra.qes_2body_block(p)
-    else:
-        rep = spectra.spectrum(case, p, p.N)
-    _emit(args, case, p, rep.to_json())
+    _emit(args, case, p, spectra.spectrum(case, p, p.N).to_json())
 
 
 def cmd_integrals(args) -> None:

@@ -3,7 +3,9 @@
 The gauged operators of the solvable cases preserve the space P_N of
 polynomials of total degree <= N and never raise the total degree, so their
 matrices are block upper-triangular in the degree grading and the spectrum
-is the union of the diagonal-block spectra.
+is the union of the diagonal-block spectra.  The 2-body QES operator at
+A != 0 raises the degree and leaves P_N invariant only as a whole, so a
+matrix that is not graded-triangular is one block of degree N.
 
 Harmonic cases: the levels from the degree-1 block.  In every harmonic
 case the gauged operator h has no zeroth-order term and every coefficient
@@ -21,8 +23,9 @@ triangular on the xi^alpha and the levels of block n, with their algebraic
 multiplicities, are {alpha . lambda : |alpha| = n}.  When A is
 diagonalizable (always, when its eigenvalues are distinct), the xi^alpha
 are eigenvectors, D is diagonalizable on Sym^n V, and the eigenspace of
-each level has the dimension of its multiplicity; otherwise that dimension
-is read off the rank of the block.
+each level has the dimension of its multiplicity, so the levels of every
+block follow from A's roots and the basis alone.  A non-diagonalizable A
+takes the per-block path.
 
 A's roots in closed form.  A is k x k, k <= 3.  Put r0 = tr(A)/k,
 B = A - r0 I, so tr B = 0, and delta = tr(B^2)/2 = (tr(A^2) - k r0^2)/2.
@@ -34,7 +37,7 @@ below.  A nonzero square gives distinct rational roots, so A is
 diagonalizable.  delta = 0 gives the single root r0, and then A is
 diagonalizable exactly when A = r0 I (in the molecular case a = -b makes
 A a nonzero nilpotent).  An A of size 3 with det B != 0 takes the
-generic path.
+per-block path.
 
 Why the certificate holds in the 3-variable harmonic cases (general3,
 equalmass3, isotropic3, atomic3), whatever the signs of the springs.
@@ -73,11 +76,13 @@ level c, and the others the pair c +/- k sqrt(delta), k = |n2 - n3|, the
 roots of (x - c)^2 - k^2 delta, which is irreducible over Q, so the cells
 that hold them come in closed form (`linalg`), as for any quadratic
 factor below.  When delta < 0 that pair is complex and the report ends in
-`DefectiveBlock`, as on the generic path.
+`DefectiveBlock`, as on the per-block path.
 
-Generic path: an A that fails the certificate, and any matrix not
-assembled from an operator of that form (the QES operators, hand-built
-matrices), factor each block's characteristic polynomial over Q.
+Per-block path: an A that fails the certificate or is not
+diagonalizable, and any matrix not assembled from an operator of that
+form (the QES operators, hand-built matrices), factor each block's
+characteristic polynomial over Q, and a repeated rational level reads its
+eigenspace dim off the rank of the shifted block.
 
 Everything here is exact: rational eigenvalues are reported as Fractions,
 irrational ones as the cell [n, n + 1] / 2^64 of the dyadic grid that
@@ -328,10 +333,8 @@ def _shifted(A, lam: Fraction):
 def _block_eigenvalues(block, degree: int):
     """Eigenvalues of one exact diagonal block (a DomainMatrix), with
     eigenspace dims for repeated rational eigenvalues, from its char
-    poly: the generic path."""
+    poly: the per-block path."""
     n = block.shape[0]
-    if n == 0:
-        return []
     cp = linalg.char_poly(block)
     rational, irrational = linalg.real_roots_exact(cp)
     out = []
@@ -355,10 +358,11 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
 
 def _degree1_roots(A):
     """The roots of the degree-1 block A, k <= 3 rows of Fractions, in
-    closed form (module docstring): (lams, pair, diagonalizable) with the
-    rational roots lams, pair = (r0, delta) for the roots r0 +/- sqrt(delta)
-    when delta is not a rational square (else None), and whether A is
-    diagonalizable.  None when k = 3 and det(A - r0 I) != 0."""
+    closed form (module docstring): (lams, pair) with the rational roots
+    lams and pair = (r0, delta) for the roots r0 +/- sqrt(delta) when
+    delta is not a rational square (else None).  None when A is not
+    diagonalizable (delta = 0 and A != r0 I), or when k = 3 and
+    det(A - r0 I) != 0."""
     k = len(A)
     r0 = sum(A[i][i] for i in range(k)) / k
     B = [[x - r0 if i == j else x for j, x in enumerate(row)]
@@ -372,57 +376,41 @@ def _degree1_roots(A):
         lams = [r0]
     root = _rational_sqrt(delta)
     if root is None:
-        return lams, (r0, delta), True
+        return lams, (r0, delta)
     if root:
-        return lams + [r0 - root, r0 + root], None, True
-    return [r0] * k, None, not any(any(row) for row in B)
-
-
-def _gl3_block_levels(M: OpMatrix):
-    """The levels of each diagonal block of a matrix of gl(3) form, from
-    the roots of its degree-1 block A (module docstring): a function
-    (block, degree) -> [Eigenvalue], ordered as `_block_eigenvalues`
-    orders them.  None when A fails the closed form's certificate."""
-    slices = M.basis.degree_slices()
-    _, start, stop = slices[1]
-    roots = _degree1_roots(
-        [[Fraction(x.numerator, x.denominator) for x in row]
-         for row in M.matrix[start:stop, start:stop].to_list()])
-    if roots is None:
+        return lams + [r0 - root, r0 + root], None
+    if any(any(row) for row in B):
         return None
-    lams, pair, diagonalizable = roots
+    return [r0] * k, None
 
-    def levels(block, degree: int) -> List[Eigenvalue]:
-        _, lo, hi = slices[degree]
-        rational: Counter = Counter()
-        pairs: Counter = Counter()   # (c, k): c +/- k sqrt(delta)
-        for alpha in M.basis.monomials[lo:hi]:
-            c = sum((n * lam for n, lam in zip(alpha, lams)), Fraction(0))
-            if pair is None:
-                rational[c] += 1
-                continue
-            n2, n3 = alpha[-2:]
-            c += (n2 + n3) * pair[0]
-            if n2 == n3:
-                rational[c] += 1
-            elif n2 > n3:
-                pairs[c, n2 - n3] += 1
-        out = []
-        for value, mult in sorted(rational.items()):
-            dim = None
-            if mult > 1:
-                dim = mult if diagonalizable \
-                    else block.shape[0] - _shifted(block, value).rank()
-            out.append(Eigenvalue(value, None, mult, degree, dim))
-        irrational = [(iv, mult) for (c, k), mult in pairs.items()
-                      for iv in linalg.isolate_irreducible(
-                          [1, -2 * c, c * c - k * k * pair[1]])]
-        irrational.sort(key=lambda t: t[0][0])
-        out += [Eigenvalue(None, iv, mult, degree, None)
-                for iv, mult in irrational]
-        return out
 
-    return levels
+def _gl3_levels(monomials, degree: int, lams, pair) -> List[Eigenvalue]:
+    """The levels of the diagonal block of degree `degree`, spanned by
+    `monomials`, of a matrix of gl(3) form whose degree-1 block is
+    diagonalizable with the roots (lams, pair) of `_degree1_roots`
+    (module docstring), ordered as `_block_eigenvalues` orders them."""
+    rational: Counter = Counter()
+    pairs: Counter = Counter()   # (c, k): c +/- k sqrt(delta)
+    for alpha in monomials:
+        c = sum((n * lam for n, lam in zip(alpha, lams)), Fraction(0))
+        if pair is None:
+            rational[c] += 1
+            continue
+        n2, n3 = alpha[-2:]
+        c += (n2 + n3) * pair[0]
+        if n2 == n3:
+            rational[c] += 1
+        elif n2 > n3:
+            pairs[c, n2 - n3] += 1
+    out = [Eigenvalue(value, None, mult, degree, mult if mult > 1 else None)
+           for value, mult in sorted(rational.items())]
+    irrational = [(iv, mult) for (c, k), mult in pairs.items()
+                  for iv in linalg.isolate_irreducible(
+                      [1, -2 * c, c * c - k * k * pair[1]])]
+    irrational.sort(key=lambda t: t[0][0])
+    out += [Eigenvalue(None, iv, mult, degree, None)
+            for iv, mult in irrational]
+    return out
 
 
 def _eigenfunctions(M: OpMatrix, slices, evs) -> List[Eigenfunction]:
@@ -459,15 +447,35 @@ def _eigenfunctions(M: OpMatrix, slices, evs) -> List[Eigenfunction]:
     return out
 
 
-def _spectrum_report(M: OpMatrix, slices, case, params, ground_energy,
-                     want_eigenfunctions: bool,
-                     block_levels=_block_eigenvalues) -> SpectrumReport:
-    """Spectrum of a matrix block upper-triangular over `slices`: the
-    union of the diagonal-block spectra, each from
-    `block_levels(block, degree)`."""
+def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
+                       params: Optional[Params] = None,
+                       ground_energy: Optional[Fraction] = None,
+                       want_eigenfunctions: bool = True) -> SpectrumReport:
+    """Spectrum of a matrix on P_N: the union of its diagonal-block
+    spectra.  The blocks are the degree slices when the matrix is
+    graded-triangular, else the whole matrix is one block of degree N.
+    Each block's levels come in closed form when `M.gl3_form` and the
+    degree-1 block is diagonalizable with a certified closed form, else
+    from its char poly (module docstring).
+
+    Eigenfunctions are reconstructed by back-substitution for rational
+    eigenvalues that are simple across the whole grading.
+    """
+    graded = M.is_graded_triangular()
+    slices = M.basis.degree_slices() if graded \
+        else [(M.basis.degree_cap, 0, M.size)]
+    roots = None
+    if graded and M.gl3_form and M.basis.degree_cap >= 1:
+        _, start, stop = slices[1]
+        roots = _degree1_roots(
+            [[Fraction(x.numerator, x.denominator) for x in row]
+             for row in M.matrix[start:stop, start:stop].to_list()])
     evs: List[Eigenvalue] = []
     for degree, start, stop in slices:
-        evs.extend(block_levels(M.matrix[start:stop, start:stop], degree))
+        evs.extend(
+            _block_eigenvalues(M.matrix[start:stop, start:stop], degree)
+            if roots is None else
+            _gl3_levels(M.basis.monomials[start:stop], degree, *roots))
     eigenfunctions = _eigenfunctions(M, slices, evs) \
         if want_eigenfunctions else []
     evs.sort(key=lambda e: (e.approx(), e.degree))
@@ -479,27 +487,6 @@ def _spectrum_report(M: OpMatrix, slices, case, params, ground_energy,
             f"eigenvalue count {total} != basis size {M.size} "
             "(complex eigenvalues in a diagonal block)", report)
     return report
-
-
-def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
-                       params: Optional[Params] = None,
-                       ground_energy: Optional[Fraction] = None,
-                       want_eigenfunctions: bool = True) -> SpectrumReport:
-    """Spectrum of a graded-triangular matrix, block by block: from the
-    degree-1 block when `M.gl3_form` and that block passes the closed
-    form's certificate, else from each block's char poly (module
-    docstring).
-
-    Eigenfunctions are reconstructed by back-substitution for rational
-    eigenvalues that are simple across the whole grading.
-    """
-    if not M.is_graded_triangular():
-        raise ValueError("matrix is not block-triangular in the grading")
-    levels = _gl3_block_levels(M) \
-        if M.gl3_form and M.basis.degree_cap >= 1 else None
-    return _spectrum_report(M, M.basis.degree_slices(), case, params,
-                            ground_energy, want_eigenfunctions,
-                            levels or _block_eigenvalues)
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +525,12 @@ def spectrum(case: Case, p: Params, N: int,
 
 
 def qes_2body_block(p: Params) -> SpectrumReport:
-    """Exact (N+1)x(N+1) spectral problem of the sextic 2-body operator.
+    """Exact spectrum of the sextic 2-body operator on P_N, N = p.N.
 
-    The operator raises the degree, so the whole matrix is one block.
+    At A != 0 the operator raises the degree, so its (N+1)x(N+1) matrix is
+    one block; at A = 0 it is the harmonic 2-body operator.
     """
-    validate_case(Case.TWO_BODY_QES, p)
-    h = build_h_algebraic(Case.TWO_BODY_QES, p)
-    M = assemble_matrix(h, enumerate_basis(h.variables, p.N))
-    return _spectrum_report(M, [(p.N, 0, M.size)], Case.TWO_BODY_QES, p,
-                            case_ground_energy(Case.TWO_BODY_QES, p), True)
+    return spectrum(Case.TWO_BODY_QES, p, p.N)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,30 @@ def test_cometric_determinant_factorization(case, rng):
         assert g.determinant == g.factored_determinant
 
 
+@pytest.mark.parametrize("case", [Case.GENERAL3, Case.EQUAL_MASS3,
+                                  Case.ISOTROPIC3, Case.ATOMIC3,
+                                  Case.MOLECULAR3], ids=lambda c: c.value)
+def test_cometric_is_the_symbol_of_the_laplacian(case, rng):
+    """`cometric` and `build_radial_laplacian` transcribe one kinetic
+    symbol: entry (i, i) is the coefficient of d_i^2, entry (i, j) half
+    the coefficient of d_i d_j, and every entry is halved again in the
+    molecular case (read from (1/2) Delta_rad)."""
+    for _ in range(6):
+        p = draw_case_params(rng, case)
+        g = cometric(case, p).matrix
+        lap = build_radial_laplacian(case, p)
+        scale = 2 if case is Case.MOLECULAR3 else 1
+        second = {}
+        for i in range(len(g)):
+            for j in range(i, len(g)):
+                derivs = tuple((k == i) + (k == j)
+                               for k in range(len(lap.variables)))
+                second[derivs] = g[i][j] * (scale if i == j else 2 * scale)
+                assert g[j][i] == g[i][j]
+        assert {d: c for d, c in lap.terms.items() if sum(d) == 2} \
+            == {d: c for d, c in second.items() if not c.is_zero()}
+
+
 def test_cometric_general_factored_shape(rng):
     p = draw_params(rng)
     g = cometric(Case.GENERAL3, p)

@@ -193,8 +193,11 @@ def test_graded_triangularity_reads_the_stored_entries():
     # an entry from degree 1 down into degree 0 breaks the grading
     M = op_matrix(("x12", "x13"), 1, {1: {0: 1}})
     assert not M.is_graded_triangular()
-    with pytest.raises(ValueError):
-        spectra.eigenvalues_graded(M)
+    # so the whole matrix is one block of degree N = 1: [[0, 0, 0],
+    # [1, 0, 0], [0, 0, 0]] has the level 0, thrice, with a 2-dim eigenspace
+    assert [(ev.value, ev.multiplicity, ev.degree, ev.eigenspace_dim)
+            for ev in spectra.eigenvalues_graded(M).gauged] \
+        == [(0, 3, 1, 2)]
 
 
 def test_defective_block_keeps_report():
@@ -241,6 +244,24 @@ def test_qes_trace_identity():
     trace = float(sum(M.entries[i][i] for i in range(M.size)))
     total = sum(ev.approx() * ev.multiplicity for ev in rep.gauged)
     assert abs(total - trace) < 1e-9
+
+
+@pytest.mark.parametrize("A", [2, Fraction(1, 2), 0], ids=str)
+def test_qes_block_is_the_spectrum_on_p_n(A):
+    """`qes_2body_block` is `spectrum` on P_N: one block of degree N at
+    A != 0.  At A = 0 the QES operator is the harmonic 2-body operator term
+    by term, so its matrix is graded and its levels, degrees and
+    eigenfunctions are those of twobody_es."""
+    for N in range(5):
+        p = Params(m1=1, m2=1, omega=Fraction(3, 2), d=3, A=A, N=N)
+        rep = spectra.spectrum(Case.TWO_BODY_QES, p, N)
+        assert rep.to_json() == spectra.qes_2body_block(p).to_json()
+        if A:
+            assert {ev.degree for ev in rep.gauged} == {N}
+        else:
+            es = spectra.spectrum(Case.TWO_BODY_ES, p, N)
+            assert (rep.gauged, rep.eigenfunctions) \
+                == (es.gauged, es.eigenfunctions)
 
 
 def test_laguerre_recurrence_and_verification():
@@ -489,14 +510,15 @@ def _cubic(vs):         # A has the irreducible char poly t^3 - 3t + 1
 
 @pytest.mark.parametrize("build, variables, outcome, char_polys", [
     (_rotation, ("x", "y"), "defective", []),
-    (_jordan, ("x", "y"), "ok", []),
+    (_jordan, ("x", "y"), "ok", [1, 2, 3, 4, 5]),
     (_cubic, ("x", "y", "z"), "ok", [1, 3, 6, 10, 15]),
 ], ids=["rotation", "jordan", "cubic"])
 def test_gl3_form_edge_cases_match_the_per_block_path(
         build, variables, outcome, char_polys, char_poly_sizes):
     """A rotation (complex roots of A: the same DefectiveBlock report), a
-    Jordan block (eigenspace dims from the rank) and an irreducible cubic
-    (the closed form's certificate fails: every block's char poly).
+    Jordan block (A is not diagonalizable) and an irreducible cubic (the
+    closed form's certificate fails): the last two take the per-block
+    path, with eigenspace dims from the rank.
     `char_polys` lists the blocks whose char poly the path from the
     degree-1 block computes; the per-block path then computes one per
     block."""
