@@ -393,11 +393,12 @@ class BatteryReport:
     classical_zero: Dict[str, bool]
     quantum_zero: Dict[str, bool]
     triplets_ok: Dict[str, bool]
-    consistent: bool
+
+    @property
+    def consistent(self) -> bool:
+        return not self.failures()
 
     def failures(self) -> Tuple[str, ...]:
-        if self.consistent:
-            return ()
         zero = {**self.classical_zero, **self.quantum_zero}
         out = [n for n, z in _expected_zero(self.verdict, zero).items()
                if zero[n] != z]
@@ -469,8 +470,4 @@ def battery(p: Params, nus: Optional[Sequence[Fraction]] = None
     quantum_zero = {n: Hq.commutator(op).is_zero()
                     for n, op in quantum.items()}
     triplets_ok = {name: ok for name, _, ok in involution_triplets(p, c)}
-    zero = {**classical_zero, **quantum_zero}
-    consistent = all(triplets_ok.values()) and all(
-        zero[n] == z for n, z in _expected_zero(verdict, zero).items())
-    return BatteryReport(verdict, classical_zero, quantum_zero,
-                        triplets_ok, consistent)
+    return BatteryReport(verdict, classical_zero, quantum_zero, triplets_ok)

@@ -312,16 +312,15 @@ class GroundState:
 def ground_state(case: Case, p: Params) -> GroundState:
     validate_case(case, p)
     om, a, b, c, d = p.omega, p.a, p.b, p.c, p.d
-    if case in (Case.GENERAL3, Case.EQUAL_MASS3, Case.ISOTROPIC3, Case.ATOMIC3):
+    if case in THREE_BODY_CASES:
+        energy = _P({(0, 0, 0): om * d * (a + b + c)})
+        if case is Case.PRIMITIVE3_QES:
+            _, psi, _ = build_qes_primitive(p)
+            return GroundState(psi, energy)
         mu12, mu13, mu23 = reduced_masses(p)
         expo = _P({(1, 0, 0): -om * a * mu12, (0, 1, 0): -om * b * mu13,
                    (0, 0, 1): -om * c * mu23})
-        energy = _P({(0, 0, 0): om * d * (a + b + c)})
         return GroundState(GaussFn.from_exponent(expo), energy)
-    if case is Case.PRIMITIVE3_QES:
-        _, psi, _ = build_qes_primitive(p)
-        energy = _P({(0, 0, 0): om * d * (a + b + c)})
-        return GroundState(psi, energy)
     if case is Case.MOLECULAR3:
         m = p.m1
         expo = _P({(1, 0, 0): -om * m * a, (0, 1, 0): -om * m * b})
@@ -448,7 +447,7 @@ def build_h_algebraic(case: Case, p: Params) -> DiffOp:
                              (1,): 2 * (2 * om * rho
                                         - MultiPoly.const(RHO1, d))})
     if case is Case.TWO_BODY_QES:
-        A, N = p.A, Fraction(p.N if p.N is not None else 0)
+        A, N = p.A, Fraction(p.N)
         return DiffOp(RHO1, {
             (2,): -4 * rho,
             (1,): 2 * (2 * A * rho ** 2 + 2 * om * rho

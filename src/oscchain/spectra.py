@@ -284,7 +284,6 @@ class Eigenfunction:
 @dataclass(frozen=True, slots=True)
 class SpectrumReport:
     case: Optional[Case]
-    params: Optional[Params]
     basis: MonomialBasis
     gauged: Tuple[Eigenvalue, ...]
     ground_energy: Optional[Fraction]
@@ -448,7 +447,6 @@ def _eigenfunctions(M: OpMatrix, slices, evs) -> List[Eigenfunction]:
 
 
 def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
-                       params: Optional[Params] = None,
                        ground_energy: Optional[Fraction] = None,
                        want_eigenfunctions: bool = True) -> SpectrumReport:
     """Spectrum of a matrix on P_N: the union of its diagonal-block
@@ -479,7 +477,7 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
     eigenfunctions = _eigenfunctions(M, slices, evs) \
         if want_eigenfunctions else []
     evs.sort(key=lambda e: (e.approx(), e.degree))
-    report = SpectrumReport(case, params, M.basis, tuple(evs),
+    report = SpectrumReport(case, M.basis, tuple(evs),
                             ground_energy, tuple(eigenfunctions))
     total = sum(ev.multiplicity for ev in evs)
     if total != M.size:
@@ -520,7 +518,7 @@ def spectrum(case: Case, p: Params, N: int,
     h = case_operator(case, p)
     basis = enumerate_basis(h.variables, N)
     M = assemble_matrix(h, basis)
-    return eigenvalues_graded(M, case, p, case_ground_energy(case, p),
+    return eigenvalues_graded(M, case, case_ground_energy(case, p),
                               want_eigenfunctions)
 
 

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -164,7 +165,8 @@ def test_criterion_6_separating_coordinates():
     for _ in range(5):
         p = draw_params(rng)
         for d in (2, 3, 4):
-            ok &= sepvar.verify_pushforward(p, d=d, seed=rng.randint(0, 999),
+            ok &= sepvar.verify_pushforward(replace(p, d=d),
+                                            seed=rng.randint(0, 999),
                                             n_points=50)
         form = sepvar.match_separated_template(sepvar.build_opham(p), p)
         m1, m2, m3 = p.masses

@@ -193,11 +193,22 @@ def test_jet2_inverse():
 
 
 def perturbed(op, key, amount=Fraction(1, 10 ** 6)):
-    """`op` with the constant `amount` added to its `key` coefficient."""
+    """`op` with the constant `amount` added to its `key` coefficient, an
+    absent one counting as zero."""
     terms = dict(op.terms)
-    terms[key] = terms[key] + RationalFn(MultiPoly.const(op.variables,
-                                                         amount))
+    terms[key] = terms.get(key, RationalFn(MultiPoly.zero(op.variables))) \
+        + RationalFn(MultiPoly.const(op.variables, amount))
     return type(op)(op.variables, terms)
+
+
+def default_test_functions():
+    """Twelve polynomials of degree <= 2 in (w1, w2, w3): their 2-jets at a
+    point span every derivative index of order <= 2."""
+    w1, w2, w3 = (MultiPoly.var(sepvar.W3, v) for v in sepvar.W3)
+    return [MultiPoly.const(sepvar.W3, 1), w1, w2, w3,
+            w1 ** 2, w2 ** 2, w3 ** 2,
+            w1 * w2, w1 * w3, w2 * w3,
+            w1 * w2 + w3 ** 2, w1 - 2 * w2 + 3 * w3]
 
 
 def custom_test_functions():
@@ -212,9 +223,11 @@ def custom_test_functions():
 def test_pushforward_agrees_with_the_jet_route(monkeypatch, rng):
     """The chain-rule push-forward and the jet route give the same verdict
     on the true operator and on a perturbed one, for random masses,
-    d in 2..4, several seeds and a test-function list with cubics."""
+    d in 2..4, several seeds, and on the jet route the default test
+    functions or a list with cubics."""
     build_opham = sepvar.build_opham
-    for d, fns in ((2, None), (3, custom_test_functions()), (4, None)):
+    for d, fns in ((2, default_test_functions()), (3, custom_test_functions()),
+                   (4, default_test_functions())):
         p = draw_params(rng)
         seed = rng.randint(0, 999)
         true_op = build_opham(replace(p, d=d))
@@ -222,11 +235,29 @@ def test_pushforward_agrees_with_the_jet_route(monkeypatch, rng):
         for op in (true_op, perturbed(true_op, key)):
             monkeypatch.setattr(sepvar, "build_opham",
                                 lambda p, op=op: op)
-            want = reference_pushforward(
-                p, d, seed, 50, fns or sepvar.default_test_functions(), op)
+            want = reference_pushforward(p, d, seed, 50, fns, op)
             assert want is (op is true_op)
             assert sepvar.verify_pushforward(
-                p, d=d, seed=seed, n_points=50, test_functions=fns) is want
+                replace(p, d=d), seed=seed, n_points=50) is want
+
+
+OPHAM_KEYS = ((2, 0, 0), (1, 0, 0), (0, 2, 0), (0, 1, 0), (0, 0, 2),
+              (0, 0, 1))
+SPURIOUS_KEYS = ((1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 0))
+
+
+@pytest.mark.parametrize("key", OPHAM_KEYS + SPURIOUS_KEYS)
+def test_pushforward_rejects_each_perturbed_coefficient(monkeypatch, key):
+    """A 10^-6 change to any coefficient of the w-space operator, or a
+    spurious mixed or zeroth-order term of that size, fails the
+    push-forward, while the true operator passes."""
+    p = draw_params(random.Random(1313))
+    true_op = sepvar.build_opham(p)
+    assert set(true_op.terms) == set(OPHAM_KEYS)
+    assert sepvar.verify_pushforward(p, seed=5)
+    monkeypatch.setattr(sepvar, "build_opham",
+                        lambda p: perturbed(true_op, key))
+    assert not sepvar.verify_pushforward(p, seed=5)
 
 
 def test_pushforward_rejects_a_perturbed_operator(monkeypatch, capsys):

@@ -97,7 +97,7 @@ def test_eigenvalue_sum_matches_trace(rng):
     h = build_h_algebraic(Case.GENERAL3, p)
     basis = spectra.enumerate_basis(h.variables, 3)
     M = spectra.assemble_matrix(h, basis)
-    rep = spectra.eigenvalues_graded(M, Case.GENERAL3, p, Fraction(0),
+    rep = spectra.eigenvalues_graded(M, Case.GENERAL3, Fraction(0),
                                      want_eigenfunctions=False)
     total = sum(ev.approx() * ev.multiplicity for ev in rep.gauged)
     trace = float(sum(M.entries[i][i] for i in range(M.size)))
@@ -335,7 +335,7 @@ def test_harmonic_levels_match_block_char_polys(case, seed, N):
     assert spectra.is_gl3_form(h)
     M = spectra.assemble_matrix(h, spectra.enumerate_basis(h.variables, N))
     assert M.gl3_form
-    args = case, p, Fraction(0), False
+    args = case, Fraction(0), False
     assert spectra.eigenvalues_graded(M, *args).gauged \
         == spectra.eigenvalues_graded(replace(M, gl3_form=False),
                                       *args).gauged
