@@ -1,13 +1,17 @@
 """Characteristic polynomials and certified real roots over Q.
 
-The spectral engine holds each operator matrix as one sparse sympy
-`DomainMatrix` over QQ and does its own ranks, nullspaces and solves on
-it.  `char_poly` is the one matrix stage here: sympy's division-free
-Berkowitz `charpoly`, returned as Fraction coefficients.  sympy is
-imported inside the functions, so commands that do no linear algebra
-never load it.  Only the per-block path of `spectra` (the QES operators,
-hand-built matrices) calls `char_poly` and `factor_over_q`: the harmonic
-path reads the roots of the degree-1 block in closed form.
+The spectral engine holds each operator matrix as Fraction rows and
+builds a sparse sympy `DomainMatrix` view over QQ from them only when it
+needs ranks, nullspaces and solves (the per-block path and the
+back-substituted eigenvectors).  `char_poly` is the one matrix stage
+here: sympy's division-free Berkowitz `charpoly` of such a view,
+returned as Fraction coefficients.  sympy is imported inside the
+functions, so commands that do no linear algebra never load it.  Only
+the per-block path of `spectra` (the QES operators, hand-built matrices)
+calls `char_poly` and `factor_over_q`: the harmonic path reads the roots
+of the degree-1 block in closed form and its eigenfunctions from the xi
+recursion on Fractions, and loads sympy only for a level whose xi is
+irrational.
 
 Real roots: sympy factors the characteristic polynomial over Q, built
 straight from its coefficient list (`factor_over_q`).  A factor of

@@ -89,22 +89,35 @@ irrational ones as the cell [n, n + 1] / 2^64 of the dyadic grid that
 holds them, certified by a strict sign change at its ends: from one
 integer square root for a quadratic factor, and from sympy's isolation,
 integer bisection and a snap to the grid for a factor of higher degree
-(`linalg.isolate_irreducible`).  The matrix lives in one form from
-assembly to eigenvectors: a sparse sympy `DomainMatrix` over QQ, written
-row by row from the images of the basis monomials (only nonzero entries
-are stored).  Diagonal blocks, shifted blocks and the triangular solves
-are slices of it.  The eigenvector of a rational level that is simple
-across the grading is the null vector of its own block, back-substituted
-through the blocks below it.  sympy is imported inside the functions that
-build matrices, so importing this module does not load it.
+(`linalg.isolate_irreducible`).  The matrix is held as Fraction rows
+{i: {j: c}}, written from the images of the basis monomials (only nonzero
+entries are stored); the triangularity scan and the degree-1 block read
+them.  Its sparse sympy `DomainMatrix` over QQ is a view built on first
+use, for the per-block path and `_eigenfunctions` only, so the harmonic
+path and importing this module do not load sympy.
+
+Eigenfunctions: the rational levels that are simple across the grading.
+When the closed form of A holds, the level alpha . lambda starts from
+xi^alpha, where the eigenforms xi_i of A are the nonzero columns of
+adj(A - lambda_i I) (a cross product of two rows in 3 variables), and
+xi = x when A = r0 I.  D xi^alpha = (alpha . lambda) xi^alpha, so the
+residual (h - lambda) phi of phi = xi^alpha has lower degree.  Each round
+writes the residual's top-degree part as sum c_beta xi^beta and adds
+sum c_beta / (lambda - beta . lambda) xi^beta to phi, which cancels that
+part; the divisors are nonzero because the level is simple.  The loop
+stops when the residual is exactly zero, which certifies phi, after at
+most deg + 1 rounds.  A level whose residual is not zero by then, or that
+needs an irrational xi (delta not a square and the level above degree 1:
+onedim3, molecular3), takes `_eigenfunctions`: the null vector of its own
+block, back-substituted through the blocks below it.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, isqrt
+from functools import cached_property, lru_cache
+from math import comb, isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -191,10 +204,13 @@ def is_gl3_form(op: DiffOp) -> bool:
                and c.total_degree() <= 1 for derivs, c in op.terms.items())
 
 
+_ZERO = Fraction(0)   # shared by every zero coordinate
+
+
 @dataclass(frozen=True)
 class OpMatrix:
     basis: MonomialBasis
-    matrix: object  # sparse sympy DomainMatrix over QQ, rows x columns
+    rows: dict  # {i: {j: Fraction}}, the nonzero entries only
     # assembled from an operator of gl(3) form: block n is the degree-1
     # block acting on Sym^n
     gl3_form: bool = False
@@ -206,22 +222,32 @@ class OpMatrix:
     @property
     def entries(self) -> tuple:
         """The dense rows, as tuples of Fraction."""
-        return tuple(tuple(Fraction(x.numerator, x.denominator) for x in row)
-                     for row in self.matrix.to_list())
+        n = self.size
+        return tuple(tuple(self.rows.get(i, {}).get(j, _ZERO)
+                           for j in range(n)) for i in range(n))
+
+    @cached_property
+    def matrix(self):
+        """The rows as a sparse sympy `DomainMatrix` over QQ, built on first
+        use (empty rows left out: sympy's sparse rref fails on them)."""
+        from sympy.polys.domains import QQ
+        from sympy.polys.matrices import DomainMatrix
+
+        return DomainMatrix(
+            {i: {j: QQ(c.numerator, c.denominator) for j, c in row.items()}
+             for i, row in self.rows.items() if row},
+            (self.size, self.size), QQ)
 
     def is_graded_triangular(self) -> bool:
         degree = [sum(m) for m in self.basis.monomials]
         return all(degree[i] <= degree[j]
-                   for i, row in self.matrix.to_dod().items() for j in row)
+                   for i, row in self.rows.items() for j in row)
 
 
 def assemble_matrix(op: DiffOp, basis: MonomialBasis) -> OpMatrix:
     """Matrix of `op` on the span of `basis`: column j is the image of
     monomial j.  Only nonzero entries are stored, so a zero row is absent
     from the row dict."""
-    from sympy.polys.domains import QQ
-    from sympy.polys.matrices import DomainMatrix
-
     if op.variables != basis.variables:
         raise ValueError(
             f"operator variables {op.variables} != basis {basis.variables}")
@@ -236,9 +262,8 @@ def assemble_matrix(op: DiffOp, basis: MonomialBasis) -> OpMatrix:
                     MultiPoly(basis.variables, {mono: 1}),
                     MultiPoly(basis.variables,
                               {exps: Fraction(c, image.den)}))
-            rows.setdefault(i, {})[j] = QQ(c, image.den)
-    return OpMatrix(basis, DomainMatrix(rows, (basis.size, basis.size), QQ),
-                    is_gl3_form(op))
+            rows.setdefault(i, {})[j] = Fraction(c, image.den)
+    return OpMatrix(basis, rows, is_gl3_form(op))
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +370,22 @@ def _block_eigenvalues(block, degree: int):
     return out
 
 
+def _det(B) -> Fraction:
+    """det(B) by expansion along the first row, for k x k B, k <= 3."""
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in B[1:]])
+               for j, x in enumerate(B[0])) if B else 1
+
+
+def _adjugate(B):
+    """adj(B), k x k, k <= 3: B adj(B) = det(B) I, so when B has rank
+    k - 1 each nonzero column spans B's null space (in 3 variables a
+    column is the cross product of two rows)."""
+    k = len(B)
+    return [[(-1) ** (i + j) * _det([row[:i] + row[i + 1:]
+                                    for r, row in enumerate(B) if r != j])
+             for j in range(k)] for i in range(k)]
+
+
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
     """sqrt(x) when it is rational, else None (x < 0 included)."""
     if x < 0:
@@ -369,8 +410,7 @@ def _degree1_roots(A):
     delta = sum(B[i][j] * B[j][i] for i in range(k) for j in range(k)) / 2
     lams: List[Fraction] = []
     if k == 3:
-        (p, q, r), (s, t, u), (v, w, z) = B
-        if p * (t * z - u * w) - q * (s * z - u * v) + r * (s * w - t * v):
+        if _det(B):
             return None
         lams = [r0]
     root = _rational_sqrt(delta)
@@ -412,8 +452,97 @@ def _gl3_levels(monomials, degree: int, lams, pair) -> List[Eigenvalue]:
     return out
 
 
-def _eigenfunctions(M: OpMatrix, slices, evs) -> List[Eigenfunction]:
-    """Eigenvectors of the rational levels that are simple across `slices`.
+def _eigenfunction(value: Fraction, v) -> Eigenfunction:
+    """The eigenfunction with coordinates v, the first nonzero one set
+    to 1."""
+    lead = Fraction(next(c for c in v if c))
+    return Eigenfunction(value, tuple(c / lead if c else _ZERO for c in v))
+
+
+def _expander(F, variables):
+    """gamma -> prod_i f_i^gamma_i as {exponents: int}, memoised, for the
+    integer linear forms f_i = sum_j F[i][j] y_j in `variables`."""
+    unit = [tuple(int(i == j) for i in range(len(variables)))
+            for j in range(len(variables))]
+    forms = [MultiPoly(variables, dict(zip(unit, row))) for row in F]
+
+    @lru_cache(maxsize=None)
+    def expand(gamma):
+        if not any(gamma):
+            return MultiPoly.const(variables, 1)
+        i = next(i for i, e in enumerate(gamma) if e)
+        return expand(gamma[:i] + (gamma[i] - 1,) + gamma[i + 1:]) * forms[i]
+    return lambda gamma: expand(gamma).num
+
+
+def _xi_divide(top, lam: Fraction, lams):
+    """The xi^beta coefficients c_beta / (lam - beta . lams) whose sum
+    cancels the residual part sum c_beta xi^beta (module docstring)."""
+    return {beta: c / (lam - sum(b * x for b, x in zip(beta, lams)))
+            for beta, c in top.items()}
+
+
+def _xi_eigenfunctions(M: OpMatrix, A, levels, lams, pair) -> dict:
+    """{level: Eigenfunction} for the `levels` (rational, simple across the
+    grading) that the xi recursion certifies (module docstring), given the
+    degree-1 block A and its roots (lams, pair) from `_degree1_roots`.
+    xi_i is the eigenform of lams[i]; with a pair only those are rational,
+    so only levels of degree <= 1 are tried."""
+    monos, k = M.basis.monomials, len(A)
+    if pair is None and len(set(lams)) < k:      # A = r0 I: xi = x
+        P = [[int(i == j) for j in range(k)] for i in range(k)]
+    else:   # integer multiples of the null vectors of A - lam I
+        P = [linalg._integer_coeffs(next(col for col in zip(*_adjugate(
+            [[x - lam if i == j else x for j, x in enumerate(row)]
+             for i, row in enumerate(A)])) if any(col))) for lam in lams]
+    # x_j = sum_i adj(P)[j][i] xi_i / det(P); with a pair only constants
+    # are written in xi, which needs neither
+    det, adj = (_det(P), _adjugate(P)) if pair is None else (1, [])
+    to_x, to_xi = (_expander(F, M.basis.variables) for F in (P, adj))
+    den = lcm(*(x.denominator for x in lams))   # alpha . lams over den
+    ells = [int(x * den) for x in lams]
+    start = {sum(n * x for n, x in zip(alpha, ells)): alpha
+             for alpha in monos if not any(alpha[len(lams):])
+             and (pair is None or sum(alpha) < 2)}
+    cols: dict = {}
+    for i, row in M.rows.items():
+        for j, x in row.items():
+            cols.setdefault(j, {})[i] = x
+    index = {m: i for i, m in enumerate(monos)}
+    out = {}
+    for ev in levels:
+        lam, alpha = ev.value, start.get(ev.value * den)
+        if alpha is None:
+            continue
+        phi, r, step = Counter(), Counter(), to_x(alpha)
+        for _ in range(sum(alpha) + 1):
+            for mono, c in step.items():           # r += (M - lam) step
+                j = index[mono]
+                phi[j] += c
+                r[j] -= lam * c
+                for i, x in cols.get(j, {}).items():
+                    r[i] += x * c
+            r = Counter({i: c for i, c in r.items() if c})
+            if not r:               # the certificate: (M - lam) phi = 0
+                out[lam] = _eigenfunction(
+                    lam, [phi.get(i, _ZERO) for i in range(M.size)])
+                break
+            d = max(sum(monos[i]) for i in r)
+            top = Counter()          # r's degree-d part in xi coordinates
+            for i, c in r.items():
+                if sum(monos[i]) == d:
+                    c /= det ** d
+                    for beta, e in to_xi(monos[i]).items():
+                        top[beta] += c * e
+            step = Counter()
+            for beta, c in _xi_divide(top, lam, lams).items():
+                for mono, e in to_x(beta).items():
+                    step[mono] += c * e
+    return out
+
+
+def _eigenfunctions(M: OpMatrix, slices, levels) -> List[Eigenfunction]:
+    """Eigenvectors of the `levels`, rational and simple across `slices`.
 
     `M` is block upper-triangular over `slices` ([(degree, start, stop)]).
     For a level lam of the block of degree n, the eigenvector vanishes on
@@ -422,16 +551,9 @@ def _eigenfunctions(M: OpMatrix, slices, evs) -> List[Eigenfunction]:
     (B_k - lam) v_k = -sum_{j>k} M_kj v_j, which is invertible because lam
     is simple.  The first nonzero coordinate is normalised to 1.
     """
-    counts: dict = {}
-    for ev in evs:
-        if ev.value is not None:
-            counts[ev.value] = counts.get(ev.value, 0) + ev.multiplicity
     at = {degree: k for k, (degree, _, _) in enumerate(slices)}
-    zero = Fraction(0)   # shared by every zero coordinate
     out = []
-    for ev in evs:
-        if ev.value is None or counts[ev.value] != 1:
-            continue
+    for ev in levels:
         top = at[ev.degree]
         _, start, stop = slices[top]
         S = _shifted(M.matrix[:stop, :stop], ev.value)
@@ -439,10 +561,7 @@ def _eigenfunctions(M: OpMatrix, slices, evs) -> List[Eigenfunction]:
         for _, lo, hi in reversed(slices[:top]):
             x = S[lo:hi, lo:hi].lu_solve(-(S[lo:hi, hi:stop] * x)).vstack(x)
         v = [Fraction(c.numerator, c.denominator) for c in x.to_list_flat()]
-        lead = next(c for c in v if c != 0)
-        v += [zero] * (M.size - stop)
-        out.append(Eigenfunction(ev.value,
-                                 tuple(c / lead if c else zero for c in v)))
+        out.append(_eigenfunction(ev.value, v + [_ZERO] * (M.size - stop)))
     return out
 
 
@@ -456,8 +575,10 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
     degree-1 block is diagonalizable with a certified closed form, else
     from its char poly (module docstring).
 
-    Eigenfunctions are reconstructed by back-substitution for rational
-    eigenvalues that are simple across the whole grading.
+    Eigenfunctions are computed for the rational eigenvalues that are
+    simple across the whole grading: by the xi recursion when the closed
+    form holds, else, or when its residual is not zero, by
+    `_eigenfunctions`.
     """
     graded = M.is_graded_triangular()
     slices = M.basis.degree_slices() if graded \
@@ -465,17 +586,28 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
     roots = None
     if graded and M.gl3_form and M.basis.degree_cap >= 1:
         _, start, stop = slices[1]
-        roots = _degree1_roots(
-            [[Fraction(x.numerator, x.denominator) for x in row]
-             for row in M.matrix[start:stop, start:stop].to_list()])
+        A = [[M.rows.get(i, {}).get(j, _ZERO) for j in range(start, stop)]
+             for i in range(start, stop)]
+        roots = _degree1_roots(A)
     evs: List[Eigenvalue] = []
     for degree, start, stop in slices:
         evs.extend(
             _block_eigenvalues(M.matrix[start:stop, start:stop], degree)
             if roots is None else
             _gl3_levels(M.basis.monomials[start:stop], degree, *roots))
-    eigenfunctions = _eigenfunctions(M, slices, evs) \
-        if want_eigenfunctions else []
+    eigenfunctions = []
+    if want_eigenfunctions:
+        counts: Counter = Counter()
+        for ev in evs:
+            counts[ev.value] += ev.multiplicity
+        simple = [ev for ev in evs
+                  if ev.value is not None and counts[ev.value] == 1]
+        found = {} if roots is None else \
+            _xi_eigenfunctions(M, A, simple, *roots)
+        rest = [ev for ev in simple if ev.value not in found]
+        found.update(zip((ev.value for ev in rest),
+                         _eigenfunctions(M, slices, rest)))
+        eigenfunctions = [found[ev.value] for ev in simple]
     evs.sort(key=lambda e: (e.approx(), e.degree))
     report = SpectrumReport(case, M.basis, tuple(evs),
                             ground_energy, tuple(eigenfunctions))

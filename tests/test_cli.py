@@ -423,3 +423,41 @@ def test_commands_without_a_grid_do_not_load_numpy_or_scipy():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["[]", "0 []"]
+
+
+def test_harmonic_spectrum_commands_do_not_load_sympy():
+    """The harmonic levels come in closed form and their eigenfunctions
+    from the xi recursion on Fractions, so the README spectrum command,
+    one command per harmonic case and the all-rational general3 draw run
+    without sympy.  onedim3 at N >= 2 with delta not a square (here
+    delta = 1/33) needs the irrational eigenforms of its degree-1 block
+    for its simple level 2 r0 at degree 2: that level takes the per-block
+    path, which loads sympy."""
+    import os
+    import subprocess
+    import sys
+
+    import oscchain
+    commands = [
+        "spectrum --case general3 --m1 2 --m2 3 --m3 5/2 --N 4",   # README
+        "spectrum --case general3 --N 4",
+        "spectrum --case equalmass3 --N 4",
+        "spectrum --case isotropic3 --N 4",
+        "spectrum --case atomic3 --m1 inf --N 4",
+        "spectrum --case twobody_es --N 4",
+        "spectrum --case general3 --m1 2 --m2 3 --m3 5/2 --a 1 --b 2 --c 2"
+        " --N 6",
+        "spectrum --case onedim3 --m1 2 --m2 3 --m3 5/2 --d 1 --N 2",
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from oscchain.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv.split())\n"
+        "    print(code, 'sympy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(oscchain.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["0 False"] * 7 + ["0 True"]

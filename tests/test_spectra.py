@@ -122,18 +122,33 @@ def test_eigenfunctions_satisfy_operator_exactly(rng):
         assert h.apply(f) == ef.eigenvalue * f
 
 
+# every level rational, simple levels at every degree; a deep 2-body basis
+FIXED_DRAWS = {
+    Case.GENERAL3: (Params(m1=2, m2=3, m3=Fraction(5, 2), a=1, b=2, c=2), 6),
+    Case.TWO_BODY_ES: (Params(m1=1, m2=1, omega=Fraction(3, 2), d=3), 10),
+}
+
+
 @pytest.mark.parametrize(
     "case", [Case.GENERAL3, Case.EQUAL_MASS3, Case.ATOMIC3, Case.ONE_DIM3,
              Case.MOLECULAR3, Case.TWO_BODY_ES], ids=lambda c: c.value)
 def test_eigenfunctions_match_full_matrix_nullspace(case, rng):
-    """Back-substituted eigenvectors equal the normalised null vectors of
-    the whole shifted matrix (sympy's nullspace as the oracle), one per
-    rational level that is simple across the grading."""
+    """Eigenvectors from the xi recursion or from back-substitution equal
+    the normalised null vectors of the whole shifted matrix (sympy's
+    nullspace as the oracle), one per rational level that is simple
+    across the grading.  Above 35 basis monomials (the general3 draw of
+    `FIXED_DRAWS`) sympy's dense nullspace takes seconds a level; there
+    each eigenvector must annihilate the whole shifted matrix exactly and
+    equal the per-block path's, whose char polys make its level simple,
+    so that the null space is one-dimensional."""
     import sympy
     from test_model import draw_case_params
-    for _ in range(3):
-        p = draw_case_params(rng, case)
-        rep = spectra.spectrum(case, p, rng.randint(1, 4))
+    draws = [(draw_case_params(rng, case), rng.randint(1, 4))
+             for _ in range(3)]
+    if case in FIXED_DRAWS:
+        draws.append(FIXED_DRAWS[case])
+    for p, N in draws:
+        rep = spectra.spectrum(case, p, N)
         M = spectra.assemble_matrix(spectra.case_operator(case, p),
                                     rep.basis)
         counts = Counter()
@@ -142,6 +157,15 @@ def test_eigenfunctions_match_full_matrix_nullspace(case, rng):
                 counts[ev.value] += ev.multiplicity
         assert sorted(ef.eigenvalue for ef in rep.eigenfunctions) \
             == sorted(v for v, c in counts.items() if c == 1)
+        if M.size > 35:
+            per_block = spectra.eigenvalues_graded(replace(M, gl3_form=False))
+            assert per_block.eigenfunctions == rep.eigenfunctions
+            for ef in rep.eigenfunctions:
+                assert all(sum(x * ef.coeffs[j]
+                               for j, x in M.rows.get(i, {}).items())
+                           == ef.eigenvalue * ef.coeffs[i]
+                           for i in range(M.size))
+            continue
         full = sympy.Matrix(M.entries)
         for ef in rep.eigenfunctions:
             (null,) = (full - ef.eigenvalue * sympy.eye(M.size)).nullspace()
@@ -150,14 +174,41 @@ def test_eigenfunctions_match_full_matrix_nullspace(case, rng):
                                       for x in null / lead)
 
 
+def test_a_nonzero_residual_sends_the_level_to_the_block_path(monkeypatch):
+    """A perturbed xi division leaves a nonzero residual after the last
+    round, so each level it divided for takes `_eigenfunctions`, and the
+    report is the unperturbed one (the all-rational draw at N = 4)."""
+    p, _ = FIXED_DRAWS[Case.GENERAL3]
+    h = spectra.case_operator(Case.GENERAL3, p)
+    M = spectra.assemble_matrix(h, spectra.enumerate_basis(h.variables, 4))
+    want = spectra.eigenvalues_graded(M)
+    divide, eigenfunctions = spectra._xi_divide, spectra._eigenfunctions
+    divided, sent = set(), []
+
+    def perturbed(top, lam, lams):
+        divided.add(lam)
+        out = divide(top, lam, lams)
+        beta = next(iter(out))
+        out[beta] += 1
+        return out
+
+    def spy(M, slices, levels):
+        sent.extend(ev.value for ev in levels)
+        return eigenfunctions(M, slices, levels)
+
+    monkeypatch.setattr(spectra, "_xi_divide", perturbed)
+    monkeypatch.setattr(spectra, "_eigenfunctions", spy)
+    got = spectra.eigenvalues_graded(M)
+    assert len(divided) >= 5 and sorted(sent) == sorted(divided)
+    assert got == want
+
+
 def op_matrix(variables, N, rows):
     """A hand-built OpMatrix from a row dict {i: {j: value}}."""
-    from sympy.polys.domains import QQ
-    from sympy.polys.matrices import DomainMatrix
-    basis = spectra.enumerate_basis(variables, N)
-    dod = {i: {j: QQ(x) for j, x in row.items()} for i, row in rows.items()}
     return spectra.OpMatrix(
-        basis, DomainMatrix(dod, (basis.size, basis.size), QQ))
+        spectra.enumerate_basis(variables, N),
+        {i: {j: Fraction(x) for j, x in row.items()}
+         for i, row in rows.items()})
 
 
 def test_eigenvalues_graded_on_a_hand_built_matrix():
