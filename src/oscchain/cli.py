@@ -173,6 +173,8 @@ def cmd_qes(args) -> None:
     case, p = _build_params(args, Case.TWO_BODY_QES)
     if p.N is None:
         raise CaseError("qes needs --N")
+    if not 0 <= args.rtol < float("inf"):    # nan fails both comparisons
+        raise ValueError(f"need a finite rtol >= 0, got {args.rtol}")
     algebraic, fd, rel = _qes_levels(p, args.npoints)
     ok = all(r <= args.rtol for r in rel)
     _emit(args, case, p, {"algebraic": [float(x) for x in algebraic],

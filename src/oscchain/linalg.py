@@ -1,6 +1,6 @@
-"""Characteristic polynomials and certified real roots over Q.
+"""Characteristic polynomials, determinants and certified real roots over Q.
 
-The spectral engine holds each operator matrix as Fraction rows and
+The spectral engine holds each operator matrix as Fraction columns and
 builds a sparse sympy `DomainMatrix` view over QQ from them only when it
 needs ranks, nullspaces and solves (the per-block path and the
 back-substituted eigenvectors).  `char_poly` is the one matrix stage
@@ -11,7 +11,8 @@ the per-block path of `spectra` (the QES operators, hand-built matrices)
 calls `char_poly` and `factor_over_q`: the harmonic path reads the roots
 of the degree-1 block in closed form and its eigenfunctions from the xi
 recursion on Fractions, and loads sympy only for a level whose xi is
-irrational.
+irrational.  `det` is the one determinant, by cofactors, of the small
+matrices of `spectra` (Fractions) and `model.cometric` (`MultiPoly`s).
 
 Real roots: sympy factors the characteristic polynomial over Q, built
 straight from its coefficient list (`factor_over_q`).  A factor of
@@ -19,11 +20,11 @@ degree >= 2 is irreducible, so its roots are irrational, and each is
 reported as the cell [n, n + 1] / 2^64 of the dyadic grid that holds it,
 n = floor(r 2^64) (`isolate_irreducible`).  A quadratic's cells are in
 closed form, from one integer square root; a factor of higher degree is
-isolated by sympy and each interval is bisected in integers (both ends
-over one denominator q, the sign of f at p/q taken from q^d f(p/q) by
-integer Horner) down to width 2^-64, then snapped to the grid cell of its
-root.  A cell whose ends do not have strictly opposite signs raises
-`RootCertificateError`.
+isolated by sympy, and the cell in each interval [lo, hi] is found by
+integer bisection over the grid indices n in [floor(lo 2^64),
+ceil(hi 2^64)], the sign of f at n / 2^64 taken from 2^(64 d) f(n / 2^64)
+by integer Horner.  A cell whose ends do not have strictly opposite signs
+raises `RootCertificateError`.
 """
 from __future__ import annotations
 
@@ -39,10 +40,17 @@ def char_poly(A) -> List[Fraction]:
             for c in reversed(A.charpoly())]
 
 
+def det(B):
+    """det(B) by expansion along the first row, for a small square matrix
+    B given as rows of Fractions or `MultiPoly`s; 1 when B is empty."""
+    return sum((-1) ** j * x * det([row[:j] + row[j + 1:] for row in B[1:]])
+               for j, x in enumerate(B[0])) if B else 1
+
+
 # -- certified real roots ----------------------------------------------------
 
 class RootCertificateError(RuntimeError):
-    """An isolating interval whose ends do not have strictly opposite signs."""
+    """A grid cell whose ends do not have strictly opposite signs."""
 
 
 def poly_trim(coeffs: Sequence[Fraction]) -> List[Fraction]:
@@ -77,40 +85,23 @@ def _grid_cell(coeffs: Sequence[int], n: int) -> Tuple[Fraction, Fraction]:
     return _dyadic(n), _dyadic(n + 1)
 
 
-def _refine_sign_change(coeffs: Sequence[int], lo: Fraction, hi: Fraction
-                        ) -> Tuple[Fraction, Fraction]:
-    """The grid cell (`_grid_cell`) of the root at which the integer
-    polynomial `coeffs` (highest degree first) changes sign over [lo, hi].
-
-    Exact bisection first shrinks [lo, hi] to width <= 1/GRID.  The ends
-    are a/q and b/q over one denominator q; each step doubles a, b and q,
-    so that the midpoint is a + b.  `coeffs` is irreducible of degree
-    >= 2, so it has no rational root and no sign met here is zero.  The
-    narrowed interval meets at most two cells; when a grid point lies
-    strictly inside it, the sign there picks the side of the root.
-    Raises RootCertificateError unless the signs at lo and hi, and then at
-    the ends of the cell, are strictly opposite.
-    """
-    q = lo.denominator * hi.denominator
-    a = lo.numerator * hi.denominator
-    b = hi.numerator * lo.denominator
-    fa = _scaled_value(coeffs, a, q)
-    if fa * _scaled_value(coeffs, b, q) >= 0:
-        raise RootCertificateError(
-            f"no sign change over isolating interval [{lo}, {hi}]")
-    positive = fa > 0
-    while (b - a) * GRID > q:
-        m = a + b
-        a, b, q = 2 * a, 2 * b, 2 * q
-        if (_scaled_value(coeffs, m, q) > 0) == positive:
+def _grid_search(coeffs: Sequence[int], lo: Fraction, hi: Fraction
+                 ) -> Tuple[Fraction, Fraction]:
+    """The grid cell (`_grid_cell`) of a root at which the integer
+    polynomial `coeffs` (highest degree first, irreducible of degree >= 2,
+    so no grid point is a root) changes sign over [lo, hi]: bisection over
+    the grid indices a < b from floor(lo GRID) and ceil(hi GRID), where a
+    keeps its sign and b moves only to the other one, so the cell found is
+    refused only when b never moved."""
+    a, b = math.floor(lo * GRID), math.ceil(hi * GRID)
+    positive = _scaled_value(coeffs, a, GRID) > 0
+    while b - a > 1:
+        m = (a + b) // 2
+        if (_scaled_value(coeffs, m, GRID) > 0) == positive:
             a = m
         else:
             b = m
-    n = a * GRID // q                # the cell of lo
-    if (n + 1) * q < b * GRID and \
-            (_scaled_value(coeffs, n + 1, GRID) > 0) == positive:
-        n += 1                       # the root lies past the grid point
-    return _grid_cell(coeffs, n)
+    return _grid_cell(coeffs, a)
 
 
 # one int per power-of-two denominator, shared by every end that has it
@@ -162,9 +153,10 @@ def isolate_irreducible(coeffs) -> List[Tuple[Fraction, Fraction]]:
     floor(r GRID) is floor((-b GRID + R) / 2a) for the larger root and
     floor((-b GRID - R - 1) / 2a) for the smaller.  The sign change at the
     ends of each cell then proves it holds exactly one of the two roots.
-    Higher degrees: sympy isolates, and `_refine_sign_change` refines and
-    snaps.  Every cell then has a sign change, the cells are distinct and
-    there are as many as real roots, so each holds exactly one.
+    Higher degrees: sympy isolates, and `_grid_search` finds a cell in
+    each interval.  Every cell then has a sign change, the cells are
+    distinct and there are as many as real roots, so each holds exactly
+    one.
     """
     icoeffs = _integer_coeffs(coeffs)
     if len(icoeffs) == 3:
@@ -179,8 +171,8 @@ def isolate_irreducible(coeffs) -> List[Tuple[Fraction, Fraction]]:
     from sympy.polys.domains import ZZ
 
     poly = Poly.from_list(icoeffs, Symbol("lam"), domain=ZZ)
-    cells = [_refine_sign_change(icoeffs, Fraction(int(lo.p), int(lo.q)),
-                                 Fraction(int(hi.p), int(hi.q)))
+    cells = [_grid_search(icoeffs, Fraction(int(lo.p), int(lo.q)),
+                          Fraction(int(hi.p), int(hi.q)))
              for (lo, hi), _m in poly.intervals()]
     if len(set(cells)) < len(cells):
         raise RootCertificateError("two real roots in one grid cell")

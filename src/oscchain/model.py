@@ -23,6 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from . import linalg
 from .exact import DiffOp, GaussFn, MultiPoly, RationalFn
 
 RHO3 = ("rho12", "rho13", "rho23")
@@ -612,20 +613,6 @@ class Cometric:
         return len(self.matrix)
 
 
-def _det(mat) -> MultiPoly:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    out = MultiPoly.zero(mat[0][0].variables)
-    for j in range(n):
-        minor = [[mat[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        cof = _det(minor)
-        out = out + (-1) ** j * mat[0][j] * cof
-    return out
-
-
 def cometric(case: Case, p: Params) -> Cometric:
     """Second-derivative coefficient matrix, with its factored determinant.
 
@@ -640,7 +627,7 @@ def cometric(case: Case, p: Params) -> Cometric:
         r12, r13, r23 = _v("rho12"), _v("rho13"), _v("rho23")
         off = Fraction(1, 2) / m * (r12 + r13 - r23)
         mat = ((r12 * (1 / m), off), (off, r13 * (1 / m)))
-        det = _det([list(row) for row in mat])
+        det = linalg.det(mat)
         factored = Fraction(1, 4) / m ** 2 * (
             2 * r23 * (r12 + r13) - (r12 - r13) ** 2 - r23 ** 2)
         return Cometric(mat, det, factored)
@@ -653,7 +640,7 @@ def cometric(case: Case, p: Params) -> Cometric:
     mat = ((2 / mu12 * r12, g12, g13),
            (g12, 2 / mu13 * r13, g23),
            (g13, g23, 2 / mu23 * r23))
-    det = _det([list(row) for row in mat])
+    det = linalg.det(mat)
     area = area_square_expr()
     if case is Case.ATOMIC3:
         m = p.m2

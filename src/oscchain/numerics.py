@@ -18,6 +18,9 @@ from .model import Case, Params, build_potential, ground_state, \
     reduced_masses, nu_coefficients, validate_case
 
 
+MAX_GRID_POINTS = 1_000_000   # most points of a grid, the halved one included
+
+
 @dataclass(frozen=True)
 class Grid1D:
     rmax: float
@@ -26,6 +29,9 @@ class Grid1D:
     def __post_init__(self):
         if self.npoints < 200:
             raise ValueError("need at least 200 grid points")
+        if self.npoints > MAX_GRID_POINTS:
+            raise ValueError(f"a grid of {self.npoints} points (halved grids "
+                             f"count) is more than {MAX_GRID_POINTS}")
         if self.rmax <= 0:
             raise ValueError("rmax must be positive")
 
@@ -88,11 +94,10 @@ def fd_radial_eigen(potential: Sequence[float], d: int, grid: Grid1D,
                                 select_range=(0, k - 1))[0]
         return vals
 
-    coarse = solve(grid)
     if not richardson:
-        return list(coarse[:k])
-    fine = solve(grid.halved())
-    return list((4.0 * fine - coarse) / 3.0)[:k]
+        return list(solve(grid)[:k])
+    fine = grid.halved()    # a grid over the cap is refused before any solve
+    return list((4.0 * solve(fine) - solve(grid)) / 3.0)[:k]
 
 
 def fd_two_body_energies(p: Params, case: Case, k: int = 1,

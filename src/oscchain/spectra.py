@@ -87,12 +87,13 @@ eigenspace dim off the rank of the shifted block.
 Everything here is exact: rational eigenvalues are reported as Fractions,
 irrational ones as the cell [n, n + 1] / 2^64 of the dyadic grid that
 holds them, certified by a strict sign change at its ends: from one
-integer square root for a quadratic factor, and from sympy's isolation,
-integer bisection and a snap to the grid for a factor of higher degree
-(`linalg.isolate_irreducible`).  The matrix is held as Fraction rows
-{i: {j: c}}, written from the images of the basis monomials (only nonzero
-entries are stored); the triangularity scan and the degree-1 block read
-them.  Its sparse sympy `DomainMatrix` over QQ is a view built on first
+integer square root for a quadratic factor, and from sympy's isolation
+and an integer bisection over the grid indices for a factor of higher
+degree (`linalg.isolate_irreducible`).  The matrix is held as the
+Fraction columns {j: {i: c}} that assembly writes, column j the image of
+basis monomial j (only nonzero entries are stored); the triangularity
+scan, the degree-1 block and the xi recursion read them.  Its sparse
+sympy `DomainMatrix` over QQ is a view transposed into rows on first
 use, for the per-block path and `_eigenfunctions` only, so the harmonic
 path and importing this module do not load sympy.
 
@@ -117,6 +118,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 from math import comb, isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -177,20 +179,9 @@ def _enumerate_basis(variables: Tuple[str, ...], N: int) -> MonomialBasis:
         raise ValueError("supported variable counts: 1, 2, 3")
     if N < 0:
         raise ValueError("degree cap must be nonnegative")
-    monos = []
-    for n in range(N + 1):
-        level = []
-
-        def fill(prefix, rem, slots):
-            if slots == 1:
-                level.append(prefix + (rem,))
-                return
-            for e in range(rem, -1, -1):
-                fill(prefix + (e,), rem - e, slots - 1)
-
-        fill((), n, k)
-        monos.extend(level)
-    basis = MonomialBasis(variables, N, tuple(monos))
+    monos = tuple(tuple(c.count(i) for i in range(k)) for n in range(N + 1)
+                  for c in combinations_with_replacement(range(k), n))
+    basis = MonomialBasis(variables, N, monos)
     assert basis.size == comb(N + k, k)
     return basis
 
@@ -210,7 +201,7 @@ _ZERO = Fraction(0)   # shared by every zero coordinate
 @dataclass(frozen=True)
 class OpMatrix:
     basis: MonomialBasis
-    rows: dict  # {i: {j: Fraction}}, the nonzero entries only
+    cols: dict  # {j: {i: Fraction}}, the nonzero entries only
     # assembled from an operator of gl(3) form: block n is the degree-1
     # block acting on Sym^n
     gl3_form: bool = False
@@ -223,36 +214,38 @@ class OpMatrix:
     def entries(self) -> tuple:
         """The dense rows, as tuples of Fraction."""
         n = self.size
-        return tuple(tuple(self.rows.get(i, {}).get(j, _ZERO)
+        return tuple(tuple(self.cols.get(j, {}).get(i, _ZERO)
                            for j in range(n)) for i in range(n))
 
     @cached_property
     def matrix(self):
-        """The rows as a sparse sympy `DomainMatrix` over QQ, built on first
-        use (empty rows left out: sympy's sparse rref fails on them)."""
+        """The columns, transposed into the rows of a sparse sympy
+        `DomainMatrix` over QQ, built on first use (empty rows left out:
+        sympy's sparse rref fails on them)."""
         from sympy.polys.domains import QQ
         from sympy.polys.matrices import DomainMatrix
 
-        return DomainMatrix(
-            {i: {j: QQ(c.numerator, c.denominator) for j, c in row.items()}
-             for i, row in self.rows.items() if row},
-            (self.size, self.size), QQ)
+        rows: dict = {}
+        for j, col in self.cols.items():
+            for i, c in col.items():
+                rows.setdefault(i, {})[j] = QQ(c.numerator, c.denominator)
+        return DomainMatrix(rows, (self.size, self.size), QQ)
 
     def is_graded_triangular(self) -> bool:
         degree = [sum(m) for m in self.basis.monomials]
         return all(degree[i] <= degree[j]
-                   for i, row in self.rows.items() for j in row)
+                   for j, col in self.cols.items() for i in col)
 
 
 def assemble_matrix(op: DiffOp, basis: MonomialBasis) -> OpMatrix:
     """Matrix of `op` on the span of `basis`: column j is the image of
-    monomial j.  Only nonzero entries are stored, so a zero row is absent
-    from the row dict."""
+    monomial j.  Only nonzero entries are stored, so a zero column is
+    absent from the column dict."""
     if op.variables != basis.variables:
         raise ValueError(
             f"operator variables {op.variables} != basis {basis.variables}")
     index = {m: i for i, m in enumerate(basis.monomials)}
-    rows: dict = {}
+    cols: dict = {}
     for j, mono in enumerate(basis.monomials):
         image = op.apply(MultiPoly(basis.variables, {mono: 1}))
         for exps, c in image.num.items():
@@ -262,8 +255,8 @@ def assemble_matrix(op: DiffOp, basis: MonomialBasis) -> OpMatrix:
                     MultiPoly(basis.variables, {mono: 1}),
                     MultiPoly(basis.variables,
                               {exps: Fraction(c, image.den)}))
-            rows.setdefault(i, {})[j] = Fraction(c, image.den)
-    return OpMatrix(basis, rows, is_gl3_form(op))
+            cols.setdefault(j, {})[i] = Fraction(c, image.den)
+    return OpMatrix(basis, cols, is_gl3_form(op))
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +363,14 @@ def _block_eigenvalues(block, degree: int):
     return out
 
 
-def _det(B) -> Fraction:
-    """det(B) by expansion along the first row, for k x k B, k <= 3."""
-    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in B[1:]])
-               for j, x in enumerate(B[0])) if B else 1
-
-
 def _adjugate(B):
     """adj(B), k x k, k <= 3: B adj(B) = det(B) I, so when B has rank
     k - 1 each nonzero column spans B's null space (in 3 variables a
     column is the cross product of two rows)."""
     k = len(B)
-    return [[(-1) ** (i + j) * _det([row[:i] + row[i + 1:]
-                                    for r, row in enumerate(B) if r != j])
-             for j in range(k)] for i in range(k)]
+    return [[(-1) ** (i + j) * linalg.det(
+        [row[:i] + row[i + 1:] for r, row in enumerate(B) if r != j])
+        for j in range(k)] for i in range(k)]
 
 
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -402,15 +389,17 @@ def _degree1_roots(A):
     lams and pair = (r0, delta) for the roots r0 +/- sqrt(delta) when
     delta is not a rational square (else None).  None when A is not
     diagonalizable (delta = 0 and A != r0 I), or when k = 3 and
-    det(A - r0 I) != 0."""
+    det(A - r0 I) != 0.  An empty A (N = 0) has no roots: ([], None)."""
     k = len(A)
+    if not k:
+        return [], None
     r0 = sum(A[i][i] for i in range(k)) / k
     B = [[x - r0 if i == j else x for j, x in enumerate(row)]
          for i, row in enumerate(A)]
     delta = sum(B[i][j] * B[j][i] for i in range(k) for j in range(k)) / 2
     lams: List[Fraction] = []
     if k == 3:
-        if _det(B):
+        if linalg.det(B):
             return None
         lams = [r0]
     root = _rational_sqrt(delta)
@@ -497,17 +486,13 @@ def _xi_eigenfunctions(M: OpMatrix, A, levels, lams, pair) -> dict:
              for i, row in enumerate(A)])) if any(col))) for lam in lams]
     # x_j = sum_i adj(P)[j][i] xi_i / det(P); with a pair only constants
     # are written in xi, which needs neither
-    det, adj = (_det(P), _adjugate(P)) if pair is None else (1, [])
+    det, adj = (linalg.det(P), _adjugate(P)) if pair is None else (1, [])
     to_x, to_xi = (_expander(F, M.basis.variables) for F in (P, adj))
     den = lcm(*(x.denominator for x in lams))   # alpha . lams over den
     ells = [int(x * den) for x in lams]
     start = {sum(n * x for n, x in zip(alpha, ells)): alpha
              for alpha in monos if not any(alpha[len(lams):])
              and (pair is None or sum(alpha) < 2)}
-    cols: dict = {}
-    for i, row in M.rows.items():
-        for j, x in row.items():
-            cols.setdefault(j, {})[i] = x
     index = {m: i for i, m in enumerate(monos)}
     out = {}
     for ev in levels:
@@ -520,7 +505,7 @@ def _xi_eigenfunctions(M: OpMatrix, A, levels, lams, pair) -> dict:
                 j = index[mono]
                 phi[j] += c
                 r[j] -= lam * c
-                for i, x in cols.get(j, {}).items():
+                for i, x in M.cols.get(j, {}).items():
                     r[i] += x * c
             r = Counter({i: c for i, c in r.items() if c})
             if not r:               # the certificate: (M - lam) phi = 0
@@ -584,10 +569,9 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
     slices = M.basis.degree_slices() if graded \
         else [(M.basis.degree_cap, 0, M.size)]
     roots = None
-    if graded and M.gl3_form and M.basis.degree_cap >= 1:
-        _, start, stop = slices[1]
-        A = [[M.rows.get(i, {}).get(j, _ZERO) for j in range(start, stop)]
-             for i in range(start, stop)]
+    if graded and M.gl3_form:    # the degree-1 block A, empty at N = 0
+        one = range(1, min(M.size, 1 + len(M.basis.variables)))
+        A = [[M.cols.get(j, {}).get(i, _ZERO) for j in one] for i in one]
         roots = _degree1_roots(A)
     evs: List[Eigenvalue] = []
     for degree, start, stop in slices:

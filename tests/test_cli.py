@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oscchain.cli import MAX_RANGE_VALUES, main, parse_range
 from oscchain.model import Case, case_variables
+from oscchain.numerics import MAX_GRID_POINTS
 from fractions import Fraction
 
 
@@ -278,6 +279,8 @@ def cli_calls(draw):
 @example(["spectrum", "--case", "onedim3", "--d", "1", "--N", "2"])
 @example(["spectrum", "--case", "primitive3_qes", "--A12", "1", "--N", "2"])
 @example(["bo", "--c", "0"])
+@example(["qes", "--N", "1", "--A", "1", "--rtol", "nan"])
+@example(["qes", "--N", "1", "--A", "1", "--rtol", "inf"])
 def test_cli_holds_the_exit_contract(argv):
     import contextlib
     import io
@@ -300,6 +303,16 @@ def test_cli_holds_the_exit_contract(argv):
 
 def _reject_constant(name):
     raise ValueError(f"stdout holds {name}, which is not JSON")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rtol", "nan"), ("--rtol", "inf"), ("--rtol", "-1"),
+    ("--npoints", "199"), ("--npoints", str(MAX_GRID_POINTS + 1)),
+])
+def test_qes_rejects_bad_rtol_and_npoints(capsys, flag, value):
+    code, out, err = run(capsys, "qes", "--N", "1", "--A", "1", flag, value)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("error", ["defective", "violation"])
@@ -428,7 +441,8 @@ def test_commands_without_a_grid_do_not_load_numpy_or_scipy():
 def test_harmonic_spectrum_commands_do_not_load_sympy():
     """The harmonic levels come in closed form and their eigenfunctions
     from the xi recursion on Fractions, so the README spectrum command,
-    one command per harmonic case and the all-rational general3 draw run
+    one command per harmonic case, the all-rational general3 draw and one
+    command per harmonic case at N = 0 (an empty degree-1 block) run
     without sympy.  onedim3 at N >= 2 with delta not a square (here
     delta = 1/33) needs the irrational eigenforms of its degree-1 block
     for its simple level 2 r0 at degree 2: that level takes the per-block
@@ -447,6 +461,14 @@ def test_harmonic_spectrum_commands_do_not_load_sympy():
         "spectrum --case twobody_es --N 4",
         "spectrum --case general3 --m1 2 --m2 3 --m3 5/2 --a 1 --b 2 --c 2"
         " --N 6",
+        "spectrum --case general3 --m1 2 --m2 3 --m3 5/2 --N 0",
+        "spectrum --case equalmass3 --N 0",
+        "spectrum --case isotropic3 --N 0",
+        "spectrum --case atomic3 --m1 inf --N 0",
+        "spectrum --case twobody_es --N 0",
+        "spectrum --case onedim3 --d 1 --N 0",
+        "spectrum --case molecular3 --m2 inf --m3 inf --c 0 --rho23 2"
+        " --N 0",
         "spectrum --case onedim3 --m1 2 --m2 3 --m3 5/2 --d 1 --N 2",
     ]
     script = (
@@ -460,4 +482,4 @@ def test_harmonic_spectrum_commands_do_not_load_sympy():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["0 False"] * 7 + ["0 True"]
+    assert out.splitlines() == ["0 False"] * 14 + ["0 True"]

@@ -95,12 +95,12 @@ def test_eigenvalues_of_exact_matrix_match_numpy(rng):
 def test_refine_rejects_an_interval_without_a_sign_change():
     # 3 lam^2 - 2 is positive at both ends of [1, 2]
     with pytest.raises(linalg.RootCertificateError):
-        linalg._refine_sign_change([3, 0, -2], Fraction(1), Fraction(2))
+        linalg._grid_search([3, 0, -2], Fraction(1), Fraction(2))
 
 
 def test_refine_matches_width_exactly():
     # lam^2 - 2 on [1, 2]: 64 halvings reach width 2^-64
-    lo, hi = linalg._refine_sign_change([1, 0, -2], Fraction(1), Fraction(2))
+    lo, hi = linalg._grid_search([1, 0, -2], Fraction(1), Fraction(2))
     assert hi - lo == Fraction(1, 2 ** 64)
     assert lo * lo < 2 < hi * hi
 
@@ -253,7 +253,7 @@ def test_close_roots_get_their_grid_cells():
     sympy_ivs = [(Fraction(str(lo)), Fraction(str(hi)))
                  for (lo, hi), _ in poly.intervals()]
     assert sympy_ivs == [(Fraction(2537, 2), c), (c, Fraction(1269))]
-    assert [linalg._refine_sign_change(icoeffs, lo, hi)
+    assert [linalg._grid_search(icoeffs, lo, hi)
             for lo, hi in sympy_ivs] == want
     for lo, hi in want:
         assert _is_certified_cell(icoeffs, lo, hi)
@@ -296,14 +296,20 @@ def test_harmonic_spectrum_calls_no_sympy_isolation(monkeypatch):
         assert hi - lo == CELL and (lo / CELL).denominator == 1
 
 
+# the characteristic polynomial of the twobody_qes block at N = 4, A = 1
+# (the other parameters at their defaults), irreducible of degree 5
+QES_QUINTIC = [1, -40, -400, 17152, 18432, -589824]
+
+
 def test_irreducible_cubic_goes_through_sympy_and_is_snapped(monkeypatch):
     calls = _spy_on_intervals(monkeypatch)
-    for icoeffs in ([1, 0, -3, 1], [3, -1, 0, -7], [1, 0, 0, -2]):
+    for icoeffs in ([1, 0, -3, 1], [3, -1, 0, -7], [1, 0, 0, -2],
+                    QES_QUINTIC):
         cells = linalg.isolate_irreducible(icoeffs)
         assert cells == _crootof_cells(icoeffs)
         for lo, hi in cells:
             assert _is_certified_cell(icoeffs, lo, hi)
-    assert len(calls) == 3
+    assert len(calls) == 4
 
 
 def test_three_roots_in_one_cell_are_refused():

@@ -21,6 +21,17 @@ def test_grid_validation():
     assert g.halved().spacing * 2 == g.spacing
 
 
+def test_grid_refuses_more_points_than_the_cap():
+    """Constructing a grid allocates nothing, so the cap is tested here and
+    no test builds a large grid."""
+    cap = numerics.MAX_GRID_POINTS
+    assert numerics.Grid1D(8.0, cap).npoints == cap
+    with pytest.raises(ValueError):
+        numerics.Grid1D(8.0, cap + 1)
+    with pytest.raises(ValueError):    # the Richardson step's halved grid
+        numerics.Grid1D(8.0, cap // 2 + 1).halved()
+
+
 def test_nonconfining_potential_rejected():
     with pytest.raises(numerics.NonConfiningPotential):
         numerics.fd_radial_eigen([0.0, -1.0], 3, numerics.Grid1D(8.0, 401))

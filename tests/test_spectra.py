@@ -161,8 +161,8 @@ def test_eigenfunctions_match_full_matrix_nullspace(case, rng):
             per_block = spectra.eigenvalues_graded(replace(M, gl3_form=False))
             assert per_block.eigenfunctions == rep.eigenfunctions
             for ef in rep.eigenfunctions:
-                assert all(sum(x * ef.coeffs[j]
-                               for j, x in M.rows.get(i, {}).items())
+                assert all(sum(col.get(i, 0) * ef.coeffs[j]
+                               for j, col in M.cols.items())
                            == ef.eigenvalue * ef.coeffs[i]
                            for i in range(M.size))
             continue
@@ -204,11 +204,13 @@ def test_a_nonzero_residual_sends_the_level_to_the_block_path(monkeypatch):
 
 
 def op_matrix(variables, N, rows):
-    """A hand-built OpMatrix from a row dict {i: {j: value}}."""
-    return spectra.OpMatrix(
-        spectra.enumerate_basis(variables, N),
-        {i: {j: Fraction(x) for j, x in row.items()}
-         for i, row in rows.items()})
+    """A hand-built OpMatrix from a row dict {i: {j: value}}, held as the
+    columns {j: {i: Fraction}}."""
+    cols = {}
+    for i, row in rows.items():
+        for j, x in row.items():
+            cols.setdefault(j, {})[i] = Fraction(x)
+    return spectra.OpMatrix(spectra.enumerate_basis(variables, N), cols)
 
 
 def test_eigenvalues_graded_on_a_hand_built_matrix():
