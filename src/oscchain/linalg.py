@@ -7,12 +7,15 @@ back-substituted eigenvectors).  `char_poly` is the one matrix stage
 here: sympy's division-free Berkowitz `charpoly` of such a view,
 returned as Fraction coefficients.  sympy is imported inside the
 functions, so commands that do no linear algebra never load it.  Only
-the per-block path of `spectra` (the QES operators, hand-built matrices)
-calls `char_poly` and `factor_over_q`: the harmonic path reads the roots
-of the degree-1 block in closed form and its eigenfunctions from the xi
-recursion on Fractions, and loads sympy only for a level whose xi is
-irrational.  `det` is the one determinant, by cofactors, of the small
-matrices of `spectra` (Fractions) and `model.cometric` (`MultiPoly`s).
+the per-block path of `spectra` (the QES block at A < 0, hand-built
+matrices) calls `char_poly` and `factor_over_q`: the harmonic path reads
+the roots of the degree-1 block in closed form and its eigenfunctions
+from the xi recursion on Fractions, and loads sympy only for a level
+whose xi is irrational; the QES block at A > 0, a tridiagonal matrix
+whose opposite off-diagonal products are positive, takes
+`tridiagonal_levels`, integer Sturm counts with no sympy.  `det` is the
+one determinant, by cofactors, of the small matrices of `spectra`
+(Fractions) and `model.cometric` (`MultiPoly`s).
 
 Real roots: sympy factors the characteristic polynomial over Q, built
 straight from its coefficient list (`factor_over_q`).  A factor of
@@ -24,13 +27,15 @@ isolated by sympy, and the cell in each interval [lo, hi] is found by
 integer bisection over the grid indices n in [floor(lo 2^64),
 ceil(hi 2^64)], the sign of f at n / 2^64 taken from 2^(64 d) f(n / 2^64)
 by integer Horner.  A cell whose ends do not have strictly opposite signs
-raises `RootCertificateError`.
+raises `RootCertificateError`.  `tridiagonal_levels` finds its cells on
+the same grid by bisecting the grid indices with Sturm counts, and
+certifies each cell the same way.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 def char_poly(A) -> List[Fraction]:
@@ -95,13 +100,20 @@ def _grid_search(coeffs: Sequence[int], lo: Fraction, hi: Fraction
     refused only when b never moved."""
     a, b = math.floor(lo * GRID), math.ceil(hi * GRID)
     positive = _scaled_value(coeffs, a, GRID) > 0
+    return _grid_cell(coeffs, _bisect(
+        lambda m: (_scaled_value(coeffs, m, GRID) > 0) == positive, a, b))
+
+
+def _bisect(keeps, a: int, b: int) -> int:
+    """The a, with b = a + 1, found by bisection from a < b: a moves to a
+    midpoint m where keeps(m) holds, b to one where it does not."""
     while b - a > 1:
         m = (a + b) // 2
-        if (_scaled_value(coeffs, m, GRID) > 0) == positive:
+        if keeps(m):
             a = m
         else:
             b = m
-    return _grid_cell(coeffs, a)
+    return a
 
 
 # one int per power-of-two denominator, shared by every end that has it
@@ -177,6 +189,72 @@ def isolate_irreducible(coeffs) -> List[Tuple[Fraction, Fraction]]:
     if len(set(cells)) < len(cells):
         raise RootCertificateError("two real roots in one grid cell")
     return cells
+
+
+def _sturm(d: Sequence[int], P: Sequence[int], y: int) -> Tuple[int, int]:
+    """(levels above y, q_n(y)) at the integer y for the integer Jacobi
+    data d (the diagonal) and P (the products, led by a 0): the sign
+    changes of q_0(y), ..., q_n(y), zeros skipped, and the last of them."""
+    prev, cur, sign, above = 0, 1, 1, 0
+    for dk, pk in zip(d, P):
+        prev, cur = cur, (y - dk) * cur - pk * prev
+        if cur and (cur > 0) != (sign > 0):
+            above += 1
+            sign = cur
+    return above, cur
+
+
+def tridiagonal_levels(diag: Sequence[Fraction], products: Sequence[Fraction]
+                       ) -> List[Tuple[Optional[Fraction],
+                                       Optional[Tuple[Fraction, Fraction]]]]:
+    """The levels of a tridiagonal matrix T with the diagonal `diag` and
+    the products b_k c_k > 0 of its opposite off-diagonal entries,
+    ascending, each (value, None) when rational, else (None, cell) with
+    its grid cell (`_grid_cell`).
+
+    With L the lcm of the denominators, LT has the integer diagonal
+    d = L diag and products P = L^2 products, and its monic integer char
+    poly q_n comes from the continuant recurrence
+    q_{k+1}(y) = (y - d_k) q_k(y) - P_{k-1} q_{k-1}(y).  The levels are
+    real and simple, and the sign changes of q_0(y), ..., q_n(y) count
+    those above y (`spectra` docstring).  Bisection on that count finds
+    level j's cell [a, a + 1] / GRID, then the one integer candidate y,
+    the least integer at or above it: the level is y / L when q_n(y) = 0
+    and exactly n - 1 - j levels lie above y (else y is the next level,
+    and level j lies below it).  Otherwise the cell is certified, each by
+    an `if`: the count falls by exactly one across it, and q_n has
+    strictly opposite signs at its ends."""
+    L = math.lcm(*(int(x.denominator) for x in (*diag, *products)))
+    d = [int(x * L) for x in diag]
+    P = [0] + [int(x * L * L) for x in products]
+    n = len(d)
+    prev, cur = [0], [1]             # q_{k-1}, q_k, lowest degree first
+    for dk, pk in zip(d, P):
+        prev, cur = cur, [s - dk * c - pk * p for s, c, p
+                          in zip([0, *cur], [*cur, 0], [*prev, 0, 0])]
+    # q_n(L lam) in lam, highest degree first, for `_grid_cell`
+    lam_coeffs = [c * L ** i for i, c in reversed(list(enumerate(cur)))]
+    # Gershgorin on the symmetric form: |y - d_k| <= sqrt P_{k-1} + sqrt P_k
+    R = max(map(abs, d)) + 2 * (math.isqrt(max(P)) + 1)
+    bound = R * GRID // L + 1
+    # the grid point lam = m / GRID is the integer L m of GRID L T
+    dg, Pg = [GRID * x for x in d], [GRID * GRID * x for x in P]
+    out = []
+    for j in range(n):
+        rank = n - 1 - j            # levels above the j-th
+        # level j lies in (a, a + 1] / GRID, and that of LT in (y - 1, y]
+        a = _bisect(lambda m: _sturm(dg, Pg, L * m)[0] > rank,
+                    -bound, bound)
+        y = 1 + _bisect(lambda k: _sturm(d, P, k)[0] > rank,
+                        L * a // GRID, -(-L * (a + 1) // GRID))
+        if _sturm(d, P, y) == (rank, 0):    # y is a level, and the j-th
+            out.append((Fraction(y, L), None))
+            continue
+        if _sturm(dg, Pg, L * a)[0] - _sturm(dg, Pg, L * (a + 1))[0] != 1:
+            raise RootCertificateError(
+                f"not one level in the grid cell [{a}, {a + 1}] / 2^64")
+        out.append((None, _grid_cell(lam_coeffs, a)))
+    return out
 
 
 def real_roots_exact(coeffs):

@@ -102,10 +102,15 @@ def fd_radial_eigen(potential: Sequence[float], d: int, grid: Grid1D,
 
 def fd_two_body_energies(p: Params, case: Case, k: int = 1,
                          npoints: int = 4000) -> List[float]:
-    """Grid oracle for the 2-body cases, mu = 1/2 gauge convention."""
+    """Grid oracle for the 2-body cases, mu = 1/2 gauge convention.
+
+    `fd_radial_eigen` solves the radial operator at mu = 1/2, so the
+    potential is built at m1 = m2 = 1, as is the grid: in the paper's
+    parametrisation the 2-body spectra do not depend on mu."""
     validate_case(case, p)
-    coeffs = potential_coeffs(p, case)
-    grid = Grid1D(default_rmax(replace(p, m1=1, m2=1)), npoints)
+    unit = replace(p, m1=1, m2=1)
+    coeffs = potential_coeffs(unit, case)
+    grid = Grid1D(default_rmax(unit), npoints)
     return fd_radial_eigen(coeffs, p.d, grid, k)
 
 

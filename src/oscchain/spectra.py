@@ -78,24 +78,70 @@ that hold them come in closed form (`linalg`), as for any quadratic
 factor below.  When delta < 0 that pair is complex and the report ends in
 `DefectiveBlock`, as on the per-block path.
 
+The QES block: a Jacobi matrix.  The sextic 2-body operator is
+h = -4 rho d^2 + (4 A rho^2 + 4 omega rho - 2d) d - 4 A N rho.  On rho^j
+it gives 4 omega j rho^j - 2j(2j - 2 + d) rho^(j-1) + 4A(j - N) rho^(j+1),
+so its matrix T on P_N is tridiagonal: the diagonal a_j = 4 omega j, the
+super-diagonal b_j = T[j][j + 1] = -2(j + 1)(2j + d) and the
+sub-diagonal c_j = T[j + 1][j] = 4A(j - N), j < N.  Each product
+b_j c_j = 8A(j + 1)(2j + d)(N - j) is > 0 when A > 0 (Turbiner, Commun.
+Math. Phys. 118 (1988) 467).  Then T is similar to a real symmetric
+matrix: with D = diag(e_j), e_0 = 1 and e_(j+1) = e_j sqrt(c_j / b_j),
+D^-1 T D has the off-diagonal entries +/- sqrt(b_j c_j) in both places,
+because b_j and c_j have the same sign.  So the N + 1 levels are real.
+They are simple: deleting the first row and the last column of T - lam
+leaves a triangular matrix with the nonzero c_j on its diagonal, so each
+eigenspace has dimension 1, and a symmetric matrix is diagonalizable.
+The leading principal minors q_k(lam) = det(lam - T_k) of the first k
+rows and columns satisfy q_(k+1) = (lam - a_k) q_k - b_(k-1) c_(k-1)
+q_(k-1), q_0 = 1, the same as for the symmetric form, and they form a
+Sturm chain: the roots of q_k strictly interlace those of q_(k+1), and
+the number of sign changes of q_0(lam), ..., q_(N+1)(lam) is the number
+of levels above lam (Barth, Martin and Wilkinson, Numer. Math. 9 (1967)
+386).  A zero q_k(lam) can be skipped: for k <= N it gives
+q_(k+1)(lam) = -b_(k-1) c_(k-1) q_(k-1)(lam), nonzero and of the other
+sign, and at k = N + 1 the strict interlacing leaves the count above lam
+unchanged.  `linalg.tridiagonal_levels` scales T by the lcm L of the
+denominators of the a_j and of the products, so that LT has a monic
+integer char poly, whose rational roots are integers, and finds each
+level's grid cell by bisecting the grid indices with integer Sturm
+counts.  Its certificates, each an `if`: a rational level is the one
+integer candidate y in its cell with q(y) = 0 exactly; an irrational
+level's cell has the count fall by exactly one across it and the char
+poly strictly opposite signs at its ends (`linalg._grid_cell`).  The
+eigenvector of a level lam solves row j of (T - lam) v = 0 for v_(j+1):
+v_(j+1) = ((lam - a_j) v_j - c_(j-1) v_(j-1)) / b_j from v_0 = 1.
+v_0 != 0 for every eigenvector, since v_0 = 0 would make every v_j zero,
+so this is the eigenvector with its first coordinate set to 1, the
+normalisation of `_eigenfunction`.  The last row,
+c_(N-1) v_(N-1) + (a_N - lam) v_N, is exactly zero: that is its
+certificate, and a level for which it is not takes `_eigenfunctions`.
+`eigenvalues_graded` takes this path when the matrix is one block (not
+graded-triangular), tridiagonal and every product is > 0, all read off
+`M.cols`, never off the case.  A product <= 0 (the QES block at A < 0,
+hand-built matrices) keeps the per-block path, and so does N = 0, whose
+1 x 1 matrix is graded.
+
 Per-block path: an A that fails the certificate or is not
 diagonalizable, and any matrix not assembled from an operator of that
-form (the QES operators, hand-built matrices), factor each block's
-characteristic polynomial over Q, and a repeated rational level reads its
-eigenspace dim off the rank of the shifted block.
+form and not a Jacobi matrix as above (the QES block at A < 0,
+hand-built matrices), factor each block's characteristic polynomial
+over Q, and a repeated rational level reads its eigenspace dim off the
+rank of the shifted block.
 
 Everything here is exact: rational eigenvalues are reported as Fractions,
 irrational ones as the cell [n, n + 1] / 2^64 of the dyadic grid that
 holds them, certified by a strict sign change at its ends: from one
-integer square root for a quadratic factor, and from sympy's isolation
-and an integer bisection over the grid indices for a factor of higher
-degree (`linalg.isolate_irreducible`).  The matrix is held as the
-Fraction columns {j: {i: c}} that assembly writes, column j the image of
-basis monomial j (only nonzero entries are stored); the triangularity
-scan, the degree-1 block and the xi recursion read them.  Its sparse
-sympy `DomainMatrix` over QQ is a view transposed into rows on first
-use, for the per-block path and `_eigenfunctions` only, so the harmonic
-path and importing this module do not load sympy.
+integer square root for a quadratic factor, from sympy's isolation and an
+integer bisection over the grid indices for a factor of higher degree
+(`linalg.isolate_irreducible`), and from Sturm counts for a Jacobi
+matrix.  The matrix is held as the Fraction columns {j: {i: c}} that
+assembly writes, column j the image of basis monomial j (only nonzero
+entries are stored); the triangularity scan, the degree-1 block, the xi
+recursion and the Jacobi path read them.  Its sparse sympy
+`DomainMatrix` over QQ is a view transposed into rows on first use, for
+the per-block path and `_eigenfunctions` only, so the harmonic path, the
+QES block at A > 0 and importing this module do not load sympy.
 
 Eigenfunctions: the rational levels that are simple across the grading.
 When the closed form of A holds, the level alpha . lambda starts from
@@ -550,6 +596,39 @@ def _eigenfunctions(M: OpMatrix, slices, levels) -> List[Eigenfunction]:
     return out
 
 
+def _jacobi(M: OpMatrix):
+    """(a, b, c): the diagonal a_j, the super-diagonal b_j = M[j][j + 1]
+    and the sub-diagonal c_j = M[j + 1][j] of M when M is tridiagonal with
+    every product b_j c_j > 0 (module docstring), else None."""
+    if any(abs(i - j) > 1 for j, col in M.cols.items() for i in col):
+        return None
+    n = M.size
+    cols = [M.cols.get(j, {}) for j in range(n)]
+    a = [cols[j].get(j, _ZERO) for j in range(n)]
+    b = [cols[j + 1].get(j, _ZERO) for j in range(n - 1)]
+    c = [cols[j].get(j + 1, _ZERO) for j in range(n - 1)]
+    if all(x * y > 0 for x, y in zip(b, c)):
+        return a, b, c
+    return None
+
+
+def _jacobi_eigenfunctions(a, b, c, levels) -> dict:
+    """{level: Eigenfunction} for the rational `levels` of the tridiagonal
+    matrix (a, b, c) of `_jacobi` from the forward recurrence v_0 = 1,
+    v_{j+1} = ((lam - a_j) v_j - c_{j-1} v_{j-1}) / b_j, certified by the
+    last row, c_{n-2} v_{n-2} + (a_{n-1} - lam) v_{n-1}, being exactly
+    zero (module docstring)."""
+    out = {}
+    for ev in levels:
+        lam, v = ev.value, [Fraction(1)]
+        for j, bj in enumerate(b):
+            v.append(((lam - a[j]) * v[j] - (c[j - 1] * v[j - 1] if j else 0))
+                     / bj)
+        if c[-1] * v[-2] + (a[-1] - lam) * v[-1] == 0:
+            out[lam] = _eigenfunction(lam, v)
+    return out
+
+
 def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
                        ground_energy: Optional[Fraction] = None,
                        want_eigenfunctions: bool = True) -> SpectrumReport:
@@ -557,28 +636,37 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
     spectra.  The blocks are the degree slices when the matrix is
     graded-triangular, else the whole matrix is one block of degree N.
     Each block's levels come in closed form when `M.gl3_form` and the
-    degree-1 block is diagonalizable with a certified closed form, else
-    from its char poly (module docstring).
+    degree-1 block is diagonalizable with a certified closed form, from
+    integer Sturm counts when the one block is a Jacobi matrix (`_jacobi`),
+    else from its char poly (module docstring).
 
     Eigenfunctions are computed for the rational eigenvalues that are
     simple across the whole grading: by the xi recursion when the closed
-    form holds, else, or when its residual is not zero, by
-    `_eigenfunctions`.
+    form holds, by the three-term recurrence for a Jacobi matrix, else,
+    or when the residual or last row is not zero, by `_eigenfunctions`.
     """
     graded = M.is_graded_triangular()
     slices = M.basis.degree_slices() if graded \
         else [(M.basis.degree_cap, 0, M.size)]
-    roots = None
+    roots = jacobi = None
     if graded and M.gl3_form:    # the degree-1 block A, empty at N = 0
         one = range(1, min(M.size, 1 + len(M.basis.variables)))
         A = [[M.cols.get(j, {}).get(i, _ZERO) for j in one] for i in one]
         roots = _degree1_roots(A)
+    elif not graded:
+        jacobi = _jacobi(M)
     evs: List[Eigenvalue] = []
-    for degree, start, stop in slices:
-        evs.extend(
-            _block_eigenvalues(M.matrix[start:stop, start:stop], degree)
-            if roots is None else
-            _gl3_levels(M.basis.monomials[start:stop], degree, *roots))
+    if jacobi is not None:
+        a, b, c = jacobi
+        evs = [Eigenvalue(value, cell, 1, M.basis.degree_cap)
+               for value, cell in linalg.tridiagonal_levels(
+                   a, [x * y for x, y in zip(b, c)])]
+    else:
+        for degree, start, stop in slices:
+            evs.extend(
+                _block_eigenvalues(M.matrix[start:stop, start:stop], degree)
+                if roots is None else
+                _gl3_levels(M.basis.monomials[start:stop], degree, *roots))
     eigenfunctions = []
     if want_eigenfunctions:
         counts: Counter = Counter()
@@ -586,8 +674,11 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
             counts[ev.value] += ev.multiplicity
         simple = [ev for ev in evs
                   if ev.value is not None and counts[ev.value] == 1]
-        found = {} if roots is None else \
-            _xi_eigenfunctions(M, A, simple, *roots)
+        found = {}
+        if roots is not None:
+            found = _xi_eigenfunctions(M, A, simple, *roots)
+        elif jacobi is not None:
+            found = _jacobi_eigenfunctions(*jacobi, simple)
         rest = [ev for ev in simple if ev.value not in found]
         found.update(zip((ev.value for ev in rest),
                          _eigenfunctions(M, slices, rest)))

@@ -72,6 +72,25 @@ def test_qes_success(capsys):
     assert len(doc["results"]["algebraic"]) == 2
 
 
+@pytest.mark.parametrize("m1, m2", [("2", "3"), ("1/2", "5")])
+def test_qes_agrees_at_unequal_masses(capsys, m1, m2):
+    code, out, _ = run(capsys, "qes", "--N", "2", "--A", "1", "--omega",
+                       "1", "--d", "3", "--m1", m1, "--m2", m2)
+    assert code == 0
+    assert json.loads(out)["results"]["agree"] is True
+
+
+def test_qes_at_negative_coupling_is_a_defective_block(capsys):
+    """At A < 0 every product of opposite off-diagonal entries of the QES
+    block is negative: it takes the per-block path, which finds no real
+    level at N = 3."""
+    code, out, err = run(capsys, "spectrum", "--case", "twobody_qes",
+                         "--A", "-1", "--N", "3")
+    assert code == 1 and out == ""
+    assert "verification failed: DefectiveBlock" in err
+    assert "Traceback" not in err
+
+
 def test_qes_failure_exit_code(capsys):
     code, out, err = run(capsys, "qes", "--N", "1", "--A", "1",
                          "--rtol", "1e-18")
@@ -483,3 +502,29 @@ def test_harmonic_spectrum_commands_do_not_load_sympy():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["0 False"] * 14 + ["0 True"]
+
+
+def test_qes_and_verify_all_do_not_load_sympy():
+    """The QES block at A > 0 is a Jacobi matrix: its levels come from
+    integer Sturm counts and its rational levels' eigenfunctions from the
+    three-term recurrence (`spectra` docstring), so the README qes and
+    verify-all commands run without sympy."""
+    import os
+    import subprocess
+    import sys
+
+    import oscchain
+    commands = ["qes --N 2 --A 1 --omega 1 --d 3",
+                "verify-all --m1 2 --m2 3 --m3 5"]
+    script = (
+        "import contextlib, io, sys\n"
+        "from oscchain.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv.split())\n"
+        "    print(code, 'sympy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(oscchain.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["0 False"] * 2

@@ -321,3 +321,69 @@ def test_three_roots_in_one_cell_are_refused():
               t ** 3 + 3 * t * t * s - s ** 3]
     with pytest.raises(linalg.RootCertificateError):
         linalg.isolate_irreducible(coeffs)
+
+
+# -- tridiagonal levels from integer Sturm counts ----------------------------
+
+def _levels_by_char_poly(diag, products):
+    """The levels of the tridiagonal matrix with the super-diagonal 1 and
+    the sub-diagonal `products`, as (value, cell) pairs from its char
+    poly's factors (`real_roots_exact`)."""
+    n = len(diag)
+    A = [[diag[i] if i == j else Fraction(1) if j == i + 1
+          else products[j] if i == j + 1 else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    rational, irrational = linalg.real_roots_exact(
+        linalg.char_poly(domain_matrix(A)))
+    assert all(m == 1 for _, m in rational + irrational)
+    return sorted([(x, None) for x, _ in rational]
+                  + [(None, iv) for iv, _ in irrational],
+                  key=lambda t: t[0] if t[1] is None else t[1][0])
+
+
+JACOBI_ENTRIES = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(JACOBI_ENTRIES, min_size=1, max_size=7), st.data())
+def test_tridiagonal_levels_match_the_char_poly(diag, data):
+    products = data.draw(st.lists(
+        st.fractions(min_value=Fraction(1, 6), max_value=50,
+                     max_denominator=6),
+        min_size=len(diag) - 1, max_size=len(diag) - 1))
+    assert linalg.tridiagonal_levels(diag, products) \
+        == _levels_by_char_poly(diag, products)
+
+
+def test_an_integer_level_just_above_an_irrational_one():
+    """diag (-4, -2, -4), products (1, 1): the levels -3 - sqrt 3, -4 and
+    -3 + sqrt 3.  The least integer at or above -3 - sqrt 3 is -4, itself
+    a level, so it is the first level's candidate but not its value."""
+    diag, products = [Fraction(-4), Fraction(-2), Fraction(-4)], [1, 1]
+    products = [Fraction(x) for x in products]
+    levels = linalg.tridiagonal_levels(diag, products)
+    assert levels == _levels_by_char_poly(diag, products)
+    assert [v for v, _ in levels] == [None, -4, None]
+
+
+def test_tridiagonal_levels_at_grid_points_are_values():
+    F = Fraction
+    assert linalg.tridiagonal_levels([F(0), F(0)], [F(1)]) \
+        == [(F(-1), None), (F(1), None)]
+    assert linalg.tridiagonal_levels([F(1, 3)], []) == [(F(1, 3), None)]
+    (lo, _), (hi, _) = linalg.tridiagonal_levels([F(0), F(0)], [F(2)])
+    assert lo is hi is None
+
+
+def test_two_levels_in_one_grid_cell_are_refused():
+    """s +/- t sqrt(2), s = 2^-66 and t = 2^-70, both in the cell
+    [0, 1] / 2^64: the count falls by two across it."""
+    s, t = Fraction(1, 2 ** 66), Fraction(1, 2 ** 70)
+    with pytest.raises(linalg.RootCertificateError, match="not one level"):
+        linalg.tridiagonal_levels([s, s], [2 * t * t])
+
+
+def test_a_tridiagonal_cell_without_a_sign_change_is_refused(monkeypatch):
+    monkeypatch.setattr(linalg, "_scaled_value", lambda coeffs, p, q: 1)
+    with pytest.raises(linalg.RootCertificateError, match="no sign change"):
+        linalg.tridiagonal_levels([Fraction(0), Fraction(0)], [Fraction(2)])

@@ -84,6 +84,23 @@ def test_qes_cross_validation():
             assert abs(float(x) - y) / max(1.0, abs(float(x))) < 1e-6
 
 
+@pytest.mark.parametrize("m1, m2", [(2, 3), (Fraction(1, 2), 5)], ids=str)
+def test_grid_oracle_at_unequal_masses(m1, m2):
+    """In the paper's parametrisation the 2-body spectra do not depend on
+    mu, and the radial solve is at mu = 1/2, so the oracle at unequal
+    masses matches the exact QES levels and omega (d + 4n)."""
+    from oscchain import spectra
+    p = Params(m1=m1, m2=m2, omega=1, d=3, A=1, N=2)
+    algebraic = sorted(ev.approx()
+                       for ev in spectra.qes_2body_block(p).physical)
+    fd = numerics.fd_two_body_energies(p, Case.TWO_BODY_QES, k=3)
+    for x, y in zip(algebraic, fd):
+        assert abs(x - y) / max(1.0, abs(x)) < 1e-6
+    es = numerics.fd_two_body_energies(p, Case.TWO_BODY_ES, k=3)
+    for n, v in enumerate(es):
+        assert abs(v - (4 * n + 3)) < 1e-7
+
+
 def test_bo_energies_closed_form():
     p = Params(m1=Fraction(1, 100), m2=1, m3=1, a=1, b=1, c=1, omega=1, d=3)
     rep = numerics.bo_energies(p)

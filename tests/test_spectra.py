@@ -317,6 +317,61 @@ def test_qes_block_is_the_spectrum_on_p_n(A):
                 == (es.gauged, es.eigenfunctions)
 
 
+def per_block(M):
+    """`spectra.eigenvalues_graded` of M with the tridiagonal path shut."""
+    from unittest import mock
+    with mock.patch.object(spectra, "_jacobi", lambda M: None):
+        return spectra.eigenvalues_graded(M)
+
+
+COUPLINGS = st.fractions(min_value=Fraction(1, 3), max_value=6,
+                         max_denominator=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(COUPLINGS, COUPLINGS, st.integers(1, 5), st.integers(1, 8))
+# draws with rational levels (in brackets), each value / L an integer y
+@example(Fraction(1, 3), Fraction(1), 3, 2)                  # [12]
+@example(Fraction(5, 3), Fraction(5, 3), 1, 4)               # [80/3]
+@example(Fraction(1), Fraction(1, 2), 1, 3)                  # [6]
+@example(Fraction(2), Fraction(1), 2, 3)                     # [12]
+@example(Fraction(6), Fraction(3), 2, 3)                     # [0]
+@example(Fraction(3), Fraction(3), 4, 2)                     # [-12]
+@example(Fraction(4, 3), Fraction(1, 3), 2, 1)               # [-4, 16/3]
+@example(Fraction(2, 3), Fraction(2, 3), 2, 2)               # [-16/3]
+def test_qes_block_takes_the_tridiagonal_path(A, omega, d, N):
+    """At A > 0 the QES block is tridiagonal with every product of
+    opposite off-diagonal entries positive, so its levels come from
+    integer Sturm counts and its rational levels' eigenfunctions from the
+    three-term recurrence; levels, cells and eigenfunctions equal the
+    per-block path's."""
+    p = Params(m1=1, m2=1, omega=omega, d=d, A=A, N=N)
+    M = spectra.assemble_matrix(build_h_algebraic(Case.TWO_BODY_QES, p),
+                                spectra.enumerate_basis(("rho",), N))
+    assert spectra._jacobi(M) is not None
+    got, want = spectra.eigenvalues_graded(M), per_block(M)
+    assert (got.gauged, got.eigenfunctions) \
+        == (want.gauged, want.eigenfunctions)
+    assert all(ev.multiplicity == 1 for ev in got.gauged)
+    assert len(got.eigenfunctions) \
+        == sum(ev.value is not None for ev in got.gauged)
+
+
+@pytest.mark.parametrize("product", [-1, 0])
+def test_a_product_not_positive_takes_the_per_block_path(
+        product, char_poly_sizes):
+    """[[0, 1, 0], [1, 5, b], [0, 1, 10]] with b = -1 or 0: tridiagonal
+    and one block, but its second product is not positive, so it need not
+    be similar to a symmetric matrix and takes the per-block path."""
+    row1 = {0: 1, 1: 5, 2: product} if product else {0: 1, 1: 5}
+    M = op_matrix(("rho",), 2, {0: {1: 1}, 1: row1, 2: {1: 1, 2: 10}})
+    assert not M.is_graded_triangular() and spectra._jacobi(M) is None
+    rep = spectra.eigenvalues_graded(M)
+    assert char_poly_sizes == [3]
+    assert rep == per_block(M)
+    assert sum(ev.multiplicity for ev in rep.gauged) == 3
+
+
 def test_laguerre_recurrence_and_verification():
     assert spectra.laguerre_verify(Params(m1=1, m2=1, d=2), 10)
     assert spectra.laguerre_verify(
@@ -527,10 +582,17 @@ def test_harmonic_cases_compute_no_char_poly(per_block_stages, rng):
 
 def test_qes_and_zeroth_order_operators_take_the_per_block_path(
         char_poly_sizes):
+    """The QES block at A < 0, where every product of opposite
+    off-diagonal entries is negative, and a degree-preserving operator
+    with a zeroth-order term take the per-block path.  At A > 0 the QES
+    block is a Jacobi matrix and computes no char poly."""
     p = Params(m1=1, m2=1, A=2, N=3)
     qes = build_h_algebraic(Case.TWO_BODY_QES, p)
     assert not spectra.is_gl3_form(qes)
     spectra.qes_2body_block(p)
+    assert char_poly_sizes == []
+    with pytest.raises(spectra.DefectiveBlock):
+        spectra.qes_2body_block(replace(p, A=-2))
     assert char_poly_sizes == [4]
     # x d_x + y d_y + 1: degree-preserving, but with a zeroth-order term
     vs = ("x", "y")
