@@ -2,7 +2,8 @@
 operators, Gaussian-weighted functions, Poisson brackets and random
 rational sample points."""
 
-from .poly import MultiPoly, RationalFn, VariableMismatch, ratio_str
+from .poly import (MultiPoly, RationalFn, VariableMismatch, power_table,
+                   ratio_str, table_sum)
 from .gaussian import GaussFn
 from .diffop import DiffOp
 from .phase import (CANONICAL_PAIRS, MOM_VARS, PHASE_VARS, RHO_VARS,
@@ -10,7 +11,8 @@ from .phase import (CANONICAL_PAIRS, MOM_VARS, PHASE_VARS, RHO_VARS,
 from .idtest import SingularSampleError, random_point, random_rational
 
 __all__ = [
-    "MultiPoly", "RationalFn", "VariableMismatch", "ratio_str",
+    "MultiPoly", "RationalFn", "VariableMismatch", "power_table",
+    "ratio_str", "table_sum",
     "GaussFn", "DiffOp",
     "CANONICAL_PAIRS", "MOM_VARS", "PHASE_VARS", "RHO_VARS",
     "phase_var", "poisson_bracket",

@@ -6,7 +6,9 @@ tuples to nonzero integers, and `den`, normalised so that gcd(numerators,
 den) = 1.  Equal polynomials therefore have equal representations.  The
 arithmetic runs on integers; Fractions appear only at the interfaces
 (constructors, `terms`, `coeff`, `eval`).  The variable list is fixed per
-polynomial.
+polynomial.  Evaluation has one integer evaluator, `power_table` with
+`table_sum`: one table of powers at a point serves every polynomial
+evaluated there, over one common scale.
 """
 from __future__ import annotations
 
@@ -25,6 +27,44 @@ def _frac(x: Scalar) -> Fraction:
 def ratio_str(x: Optional[Fraction]) -> Optional[str]:
     """x as the JSON string "numerator/denominator"; None stays None."""
     return None if x is None else f"{x.numerator}/{x.denominator}"
+
+
+def _pair(x: Scalar) -> tuple:
+    return x.numerator, x.denominator
+
+
+def power_table(point: Sequence, tops: Sequence[int]) -> tuple:
+    """The integer evaluator's table at a point x_i = a_i / b_i, given as
+    pairs (a_i, b_i) of ints with b_i != 0 of either sign (None leaves x_i
+    free): the rows [a_i^k b_i^(D_i - k) for k = 0..D_i], D_i = tops[i],
+    and `scale`, the product of the b_i^D_i.  A polynomial with integer
+    numerators n_e over `den` and every e_i <= D_i has the value
+    table_sum(n, rows) / (den * scale) there, so one table serves every
+    polynomial evaluated at the point, with one scale."""
+    rows, scale = [], 1
+    for x, top in zip(point, tops):
+        if x is None:
+            rows.append(None)
+            continue
+        a, b = x
+        pa, pb = [1], [1]
+        for _ in range(top):
+            pa.append(pa[-1] * a)
+            pb.append(pb[-1] * b)
+        rows.append([pa[k] * pb[top - k] for k in range(top + 1)])
+        scale *= pb[top]
+    return rows, scale
+
+
+def table_sum(num: Mapping[tuple, int], rows) -> int:
+    """sum_e n_e prod_i rows[i][e_i]: the numerator, over den * scale, of
+    the polynomial with numerators `num` at the point of `power_table`."""
+    total = 0
+    for exps, c in num.items():
+        for row, k in zip(rows, exps):
+            c *= row[k]
+        total += c
+    return total
 
 
 class VariableMismatch(ValueError):
@@ -207,47 +247,31 @@ class MultiPoly:
         i = self.variables.index(name)
         return self.partial([int(j == i) for j in range(len(self.variables))])
 
-    def _power_tables(self, values: Sequence):
-        """For each variable with a value a/b (None: not substituted), the
-        integers a^k b^(D-k), k = 0..D, with D its highest exponent here;
-        and the product of the b^D, the denominator they clear."""
-        tops = [max(col) for col in zip(*self.num)] if self.num \
+    def tops(self) -> list:
+        """The highest exponent of each variable (0 for the zero
+        polynomial): the table size `power_table` needs for it."""
+        return [max(col) for col in zip(*self.num)] if self.num \
             else [0] * len(self.variables)
-        tables, scale = [], 1
-        for x, top in zip(values, tops):
-            if x is None:
-                tables.append(None)
-                continue
-            x = _frac(x)
-            pa, pb = [1], [1]
-            for _ in range(top):
-                pa.append(pa[-1] * x.numerator)
-                pb.append(pb[-1] * x.denominator)
-            tables.append([pa[k] * pb[top - k] for k in range(top + 1)])
-            scale *= pb[top]
-        return tables, scale
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
-        """The value at `point`, on integers: each variable's denominator
-        is cleared once, and the result becomes a Fraction once."""
-        tables, scale = self._power_tables([point[v] for v in self.variables])
-        total = 0
-        for exps, c in self.num.items():
-            for table, k in zip(tables, exps):
-                c *= table[k]
-            total += c
-        return Fraction(total, self.den * scale)
+        """The value at `point`, on integers (`power_table`): each
+        variable's denominator is cleared once, and the result becomes a
+        Fraction once."""
+        rows, scale = power_table([_pair(point[v]) for v in self.variables],
+                                  self.tops())
+        return Fraction(table_sum(self.num, rows), self.den * scale)
 
     def subs_values(self, point: Mapping[str, Scalar]) -> "MultiPoly":
         """Substitute numeric values for a subset of variables."""
         keep = [i for i, v in enumerate(self.variables) if v not in point]
-        tables, scale = self._power_tables([point.get(v)
-                                            for v in self.variables])
+        rows, scale = power_table(
+            [_pair(point[v]) if v in point else None
+             for v in self.variables], self.tops())
         num: dict = {}
         for exps, c in self.num.items():
-            for table, k in zip(tables, exps):
-                if table is not None:
-                    c *= table[k]
+            for row, k in zip(rows, exps):
+                if row is not None:
+                    c *= row[k]
             e = tuple(exps[i] for i in keep)
             num[e] = num.get(e, 0) + c
         return MultiPoly._make(tuple(self.variables[i] for i in keep), num,

@@ -69,9 +69,13 @@ def fd_radial_eigen(potential: Sequence[float], d: int, grid: Grid1D,
     radial operator at mu = 1/2 (the gauge convention).
 
     The r^((d-1)/2)-weighted transform removes the first-order term, leaving
-    -u'' + [V(r^2) + (d-1)(d-3)/(4 r^2)] u = E u with Dirichlet
-    conditions; symmetric second-order stencil, Richardson-extrapolated
-    over grids (h, h/2).
+    -u'' + [V(r^2) + (d-1)(d-3)/(4 r^2)] u = E u with a Dirichlet wall at
+    r_max; symmetric second-order stencil, Richardson-extrapolated over
+    grids (h, h/2).  For d >= 2 u(0) = 0 is a Dirichlet wall too.  For
+    d = 1 the states are even in r (functions of rho = r^2), so r = 0 is a
+    grid point with the reflected ghost u(-h) = u(h): its row reads
+    (2 u_0 - 2 u_1) / h^2, and after symmetrising, the first off-diagonal
+    entry is -sqrt(2) / h^2.
     """
     import numpy as np
     from scipy.linalg import eigh_tridiagonal
@@ -79,20 +83,23 @@ def fd_radial_eigen(potential: Sequence[float], d: int, grid: Grid1D,
     potential = list(potential)
     if not potential or potential[-1] <= 0:
         raise NonConfiningPotential("leading potential coefficient must be > 0")
+    even = d == 1
 
     def solve(g: Grid1D):
         h = g.spacing
-        r = np.arange(1, g.npoints - 1) * h
+        r = np.arange(0 if even else 1, g.npoints - 1) * h
         rho = r * r
         V = np.zeros_like(r)
         for c in reversed(potential):
             V = V * rho + c
-        V = V + (d - 1) * (d - 3) / (4.0 * r * r)
+        if not even:
+            V = V + (d - 1) * (d - 3) / (4.0 * r * r)
         diag = 2.0 / h ** 2 + V
-        off = np.full(g.npoints - 3, -1.0 / h ** 2)
-        vals = eigh_tridiagonal(diag, off, select="i",
-                                select_range=(0, k - 1))[0]
-        return vals
+        off = np.full(len(r) - 1, -1.0 / h ** 2)
+        if even:
+            off[0] = -math.sqrt(2.0) / h ** 2
+        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=(0, k - 1))
 
     if not richardson:
         return list(solve(grid)[:k])

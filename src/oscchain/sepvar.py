@@ -11,16 +11,31 @@ swell for no gain).  At each point rho the chain rule turns Delta_rad's
 coefficients and the 2-jets (value, gradient, Hessian) of w1, w2, w3 into
 the coefficients of Delta_rad on w-derivatives, which are compared one
 by one with the w-space operator's coefficients at W(rho).
+
+All of it runs on integers, with no Fraction per point.  One power table
+at rho (`exact.power_table`) evaluates every polynomial there: the
+singular-locus test, the derivatives of w1, w2 and of w3 = n / d's
+numerator and denominator, each over its parent's denominator, and
+Delta_rad's coefficients, over their lcm e.  Each component's 2-jet is
+then integer numerators over one J_a: den(w_a) * scale for w1 and w2, and
+den(n) D^3 for w3 by the quotient rule, D being d's numerator at rho (the
+scale cancels).  Each pushed coefficient C_alpha is an integer sum over
+e * scale * prod_{a in alpha} J_a, the one denominator its terms share.
+A second table at W(rho) gives each w-space coefficient as P / Q, and
+C_alpha = P / Q is one cross-multiplication.  A Q that vanishes raises
+ZeroDivisionError, as `RationalFn.eval` does: it is never compared as
+0 = 0.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Optional, Sequence
 
 from .exact import (DiffOp, MultiPoly, RationalFn, SingularSampleError,
-                    ratio_str, random_point)
+                    power_table, ratio_str, random_point, table_sum)
 from .model import RHO3, Case, Params, build_radial_laplacian, nu_coefficients
 
 W3 = ("w1", "w2", "w3")
@@ -145,61 +160,58 @@ _ORDER2 = (_ZERO,) + _UNIT + tuple(
     _PAIR[a][b] for a in range(3) for b in range(a, 3))   # |alpha| <= 2
 
 
-def _fold_constants(polys: Dict[tuple, MultiPoly]) -> dict:
-    """`polys` with each constant polynomial held as its Fraction value
-    and the zero ones dropped."""
+def _derivative_numerators(poly: MultiPoly) -> dict:
+    """{alpha: the numerators of d^alpha poly over poly.den} for
+    |alpha| <= 2, the zero ones dropped (a partial's own denominator
+    divides its parent's)."""
     out = {}
-    for key, q in polys.items():
-        if q.is_constant():
-            q = q.constant_value()
-            if not q:
-                continue
-        out[key] = q
+    for alpha in _ORDER2:
+        q = poly.partial(alpha)
+        if q.num:
+            k = poly.den // q.den
+            out[alpha] = {e: c * k for e, c in q.num.items()}
     return out
 
 
-def _eval_at(table: dict, pt) -> Dict[tuple, Fraction]:
-    """Evaluate a _fold_constants table at pt."""
-    return {key: q if isinstance(q, Fraction) else q.eval(pt)
-            for key, q in table.items()}
+def _jet_numerators(derivs: dict, rows) -> tuple:
+    """(value, gradient, Hessian) of a polynomial at the point of `rows`
+    (`power_table`), as numerators over its den * scale, from its
+    `_derivative_numerators`."""
+    at = {alpha: table_sum(num, rows) for alpha, num in derivs.items()}
+    return (at.get(_ZERO, 0), [at.get(e, 0) for e in _UNIT],
+            [[at.get(e, 0) for e in row] for row in _PAIR])
 
 
-def _derivative_polys(poly: MultiPoly) -> dict:
-    """d^alpha poly for |alpha| <= 2, constants folded."""
-    return _fold_constants({alpha: poly.partial(alpha) for alpha in _ORDER2})
-
-
-def _jet(derivs: dict, pt) -> tuple:
-    """(value, gradient, Hessian) at pt from _derivative_polys(poly)."""
-    at = _eval_at(derivs, pt)
-    zero = Fraction(0)
-    return (at.get(_ZERO, zero),
-            tuple(at.get(e, zero) for e in _UNIT),
-            tuple(tuple(at.get(e, zero) for e in row) for row in _PAIR))
-
-
-def _quotient_jet(num: tuple, den: tuple) -> tuple:
-    """2-jet of num/den from the 2-jets of num and den (quotient rule)."""
+def _quotient_numerators(num: tuple, den: tuple, k: int) -> tuple:
+    """The 2-jet of n/d as numerators over dn D^3, from the jets of n and d
+    as numerators over dn * scale and k * scale, D being d's value
+    numerator.  The quotient rule with every term brought over D^3:
+      value     n D^2 k,
+      gradient  G_i D k,                      G_i = n_i D - n D_i,
+      Hessian   ((n_ij D - n D_ij) D - G_i D_j - G_j D_i) k;
+    the table's scale cancels."""
     n, ng, nh = num
-    d, dg, dh = den
-    q = n / d
-    g = tuple((ng[i] - q * dg[i]) / d for i in range(3))
-    h = tuple(tuple((nh[i][j] - g[i] * dg[j] - g[j] * dg[i] - q * dh[i][j])
-                    / d for j in range(3)) for i in range(3))
-    return q, g, h
+    D, dg, dh = den
+    G = [ng[i] * D - n * dg[i] for i in range(3)]
+    return (n * D * D * k, [x * D * k for x in G],
+            [[((nh[i][j] * D - n * dh[i][j]) * D - G[i] * dg[j]
+               - G[j] * dg[i]) * k for j in range(3)] for i in range(3)])
 
 
-def _pushed_coefficients(delta_at: Dict[tuple, Fraction],
-                         jets: Sequence[tuple]) -> Dict[tuple, Fraction]:
-    """Coefficients C_alpha with Delta (f o W) = sum_alpha C_alpha (d^alpha f)(W)
-    at one point, by the chain rule.
+def _pushed_coefficients(delta_at: Dict[tuple, int],
+                         jets: Sequence[tuple]) -> Dict[tuple, int]:
+    """Numerators P_alpha of the coefficients C_alpha with
+    Delta (f o W) = sum_alpha C_alpha (d^alpha f)(W) at one point, by the
+    chain rule.
 
-    `delta_at` maps each derivative index of Delta to its coefficient at
-    the point; `jets` are the 2-jets of w1, w2, w3 there.  A term
-    d_i d_j of Delta gives delta W_a,ij to C_{e_a} and delta W_a,i W_b,j
-    to C_{e_a+e_b} for every ordered pair (a, b).
+    `delta_at` maps each derivative index of Delta to its coefficient's
+    numerator over one E; `jets` are the 2-jets of w1, w2, w3 there,
+    component a's as numerators over J_a.  A term d_i d_j of Delta gives
+    delta W_a,ij to C_{e_a} and delta W_a,i W_b,j to C_{e_a+e_b} for every
+    ordered pair (a, b), so all the terms of C_alpha share the denominator
+    E prod_{a in alpha} J_a, and C_alpha = P_alpha over it.
     """
-    C: Dict[tuple, Fraction] = {}
+    C: Dict[tuple, int] = {}
 
     def add(alpha, x):
         C[alpha] = C.get(alpha, 0) + x
@@ -229,6 +241,19 @@ def _pushed_coefficients(delta_at: Dict[tuple, Fraction],
     return C
 
 
+def _common_numerators(polys: Dict[tuple, MultiPoly]) -> tuple:
+    """(e, {key: numerators over e}): the polynomials brought over the one
+    denominator e, the lcm of theirs, the zero ones dropped."""
+    e = lcm(*(q.den for q in polys.values()))
+    return e, {key: {x: c * (e // q.den) for x, c in q.num.items()}
+               for key, q in polys.items() if q.num}
+
+
+def _tops(polys: Sequence[MultiPoly]) -> list:
+    """The highest exponent of each variable over `polys`."""
+    return [max(col) for col in zip(*(q.tops() for q in polys))]
+
+
 def verify_pushforward(p: Params, seed: int = 0, n_points: int = 50) -> bool:
     """Exact two-route check of the w-coordinate form of Delta_rad.
 
@@ -241,7 +266,9 @@ def verify_pushforward(p: Params, seed: int = 0, n_points: int = 50) -> bool:
     Two second-order operators are equal exactly when their coefficients
     are, so this is True iff C_alpha == O_alpha for every alpha at every
     point, a zero coefficient counting as an absent one.  At least
-    MIN_POINTS points are required.
+    MIN_POINTS points are required.  Both routes run on integers (module
+    docstring); a w-space denominator that vanishes at W(rho) raises
+    ZeroDivisionError.
     """
     if n_points < MIN_POINTS:
         raise ValueError(f"need at least {MIN_POINTS} sample points, "
@@ -249,6 +276,8 @@ def verify_pushforward(p: Params, seed: int = 0, n_points: int = 50) -> bool:
     wmap = build_wmap(p)
     delta = build_radial_laplacian(Case.GENERAL3, p)
     opham = build_opham(p)
+    maps = (wmap.w1, wmap.w2, wmap.w3.num, wmap.w3.den)
+    tops = _tops([*maps, wmap.denominator_root, *delta.terms.values()])
     rng = random.Random(seed)
     points = []
     guard = 0
@@ -256,25 +285,47 @@ def verify_pushforward(p: Params, seed: int = 0, n_points: int = 50) -> bool:
         # rho23 is never 0 (random_rational draws from 1..1000), so with
         # the root nonzero w3 = rho23 w2 / den vanishes only with w2
         pt = random_point(RHO3, rng)
-        if wmap.denominator_root.eval(pt) == 0 or wmap.w2.eval(pt) == 0:
+        rows, scale = power_table([(pt[v].numerator, pt[v].denominator)
+                                   for v in RHO3], tops)
+        if not table_sum(wmap.denominator_root.num, rows) \
+                or not table_sum(wmap.w2.num, rows):
             guard += 1
             if guard > MAX_RESAMPLES:
                 raise SingularSampleError(
                     "cannot sample away from singular locus")
             continue
-        points.append(pt)
-    jet_polys = [_derivative_polys(q) for q in
-                 (wmap.w1, wmap.w2, wmap.w3.num, wmap.w3.den)]
-    delta_polys = _fold_constants(delta.terms)
-    for pt in points:
-        w1, w2, num, den = (_jet(polys, pt) for polys in jet_polys)
-        jets = (w1, w2, _quotient_jet(num, den))
-        C = _pushed_coefficients(_eval_at(delta_polys, pt), jets)
-        wpt = dict(zip(W3, (jet[0] for jet in jets)))
-        O = {alpha: c.eval(wpt) for alpha, c in opham.terms.items()}
-        if any(C.get(alpha, 0) != O.get(alpha, 0)
-               for alpha in C.keys() | O.keys()):
-            return False
+        points.append((rows, scale))
+    jet_nums = [_derivative_numerators(q) for q in maps]
+    e, delta_nums = _common_numerators(delta.terms)
+    wtops = _tops([q for c in opham.terms.values() for q in (c.num, c.den)])
+    # O_alpha = (P / (c.num.den * ws)) / (Q / (c.den.den * ws))
+    wterms = [(alpha, c.num.num, c.den.num, c.num.den, c.den.den)
+              for alpha, c in opham.terms.items()]
+    dn, dd = wmap.w3.num.den, wmap.w3.den.den
+    for rows, scale in points:
+        w1, w2, num, den = (_jet_numerators(derivs, rows)
+                            for derivs in jet_nums)
+        jets = (w1, w2, _quotient_numerators(num, den, dd))
+        J = (maps[0].den * scale, maps[1].den * scale, dn * den[0] ** 3)
+        C = _pushed_coefficients(
+            {key: table_sum(q, rows) for key, q in delta_nums.items()}, jets)
+        wrows, _ = power_table([(w1[0], J[0]), (w2[0], J[1]),
+                                (num[0] * dd, dn * den[0])], wtops)
+        O = {}
+        for alpha, pn, qn, pd, qd in wterms:
+            Q = table_sum(qn, wrows)
+            if not Q:
+                raise ZeroDivisionError(
+                    "denominator vanishes at sample point")
+            O[alpha] = (table_sum(pn, wrows) * qd, Q * pd)
+        for alpha in C.keys() | O.keys():
+            P, Q = O.get(alpha, (0, 1))
+            # C_alpha = C[alpha] / (e scale prod_{a in alpha} J_a)
+            over = e * scale
+            for a, k in enumerate(alpha):
+                over *= J[a] ** k
+            if C.get(alpha, 0) * Q != P * over:
+                return False
     return True
 
 

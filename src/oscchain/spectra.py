@@ -119,8 +119,14 @@ certificate, and a level for which it is not takes `_eigenfunctions`.
 `eigenvalues_graded` takes this path when the matrix is one block (not
 graded-triangular), tridiagonal and every product is > 0, all read off
 `M.cols`, never off the case.  A product <= 0 (the QES block at A < 0,
-hand-built matrices) keeps the per-block path, and so does N = 0, whose
-1 x 1 matrix is graded.
+hand-built matrices) keeps the per-block path, and N = 0 takes the
+read-off below.
+
+N = 0: the matrix is its degree-0 block, the 1 x 1 block of the constant
+monomial, so M e_0 = M_00 e_0.  Outside the closed form its level is
+M_00, read off `M.cols`, and e_0 is its eigenfunction; neither needs a
+char poly.  At N >= 1 the per-block path keeps computing the degree-0
+block's char poly with the others, as the oracle the tests compare with.
 
 Per-block path: an A that fails the certificate or is not
 diagonalizable, and any matrix not assembled from an operator of that
@@ -141,7 +147,8 @@ entries are stored); the triangularity scan, the degree-1 block, the xi
 recursion and the Jacobi path read them.  Its sparse sympy
 `DomainMatrix` over QQ is a view transposed into rows on first use, for
 the per-block path and `_eigenfunctions` only, so the harmonic path, the
-QES block at A > 0 and importing this module do not load sympy.
+QES block at A > 0, any matrix at N = 0 and importing this module do not
+load sympy.
 
 Eigenfunctions: the rational levels that are simple across the grading.
 When the closed form of A holds, the level alpha . lambda starts from
@@ -638,12 +645,14 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
     Each block's levels come in closed form when `M.gl3_form` and the
     degree-1 block is diagonalizable with a certified closed form, from
     integer Sturm counts when the one block is a Jacobi matrix (`_jacobi`),
-    else from its char poly (module docstring).
+    as the entry M_00 of the 1 x 1 matrix at N = 0, else from its char
+    poly (module docstring).
 
     Eigenfunctions are computed for the rational eigenvalues that are
     simple across the whole grading: by the xi recursion when the closed
-    form holds, by the three-term recurrence for a Jacobi matrix, else,
-    or when the residual or last row is not zero, by `_eigenfunctions`.
+    form holds, by the three-term recurrence for a Jacobi matrix, as e_0
+    at N = 0, else, or when the residual or last row is not zero, by
+    `_eigenfunctions`.
     """
     graded = M.is_graded_triangular()
     slices = M.basis.degree_slices() if graded \
@@ -663,10 +672,15 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
                    a, [x * y for x, y in zip(b, c)])]
     else:
         for degree, start, stop in slices:
-            evs.extend(
-                _block_eigenvalues(M.matrix[start:stop, start:stop], degree)
-                if roots is None else
-                _gl3_levels(M.basis.monomials[start:stop], degree, *roots))
+            if roots is not None:
+                evs.extend(_gl3_levels(M.basis.monomials[start:stop], degree,
+                                       *roots))
+            elif M.size == 1:      # N = 0: M e_0 = M_00 e_0
+                evs.append(Eigenvalue(M.cols.get(0, {}).get(0, _ZERO), None,
+                                      1, degree))
+            else:
+                evs.extend(_block_eigenvalues(M.matrix[start:stop, start:stop],
+                                              degree))
     eigenfunctions = []
     if want_eigenfunctions:
         counts: Counter = Counter()
@@ -679,6 +693,8 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
             found = _xi_eigenfunctions(M, A, simple, *roots)
         elif jacobi is not None:
             found = _jacobi_eigenfunctions(*jacobi, simple)
+        elif M.size == 1:
+            found = {ev.value: _eigenfunction(ev.value, [1]) for ev in simple}
         rest = [ev for ev in simple if ev.value not in found]
         found.update(zip((ev.value for ev in rest),
                          _eigenfunctions(M, slices, rest)))

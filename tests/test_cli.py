@@ -80,6 +80,16 @@ def test_qes_agrees_at_unequal_masses(capsys, m1, m2):
     assert json.loads(out)["results"]["agree"] is True
 
 
+def test_qes_agrees_at_d1(capsys):
+    """At d = 1 the grid oracle reads the even states, whose levels the
+    algebraic ones are: -3 and 9 -/+ 4 sqrt 2 at the README draw."""
+    code, out, _ = run(capsys, "qes", "--N", "2", "--A", "1", "--omega",
+                       "1", "--d", "1")
+    assert code == 0
+    doc = json.loads(out)["results"]
+    assert doc["agree"] is True and max(doc["relative_error"]) < 1e-9
+
+
 def test_qes_at_negative_coupling_is_a_defective_block(capsys):
     """At A < 0 every product of opposite off-diagonal entries of the QES
     block is negative: it takes the per-block path, which finds no real
@@ -508,14 +518,16 @@ def test_qes_and_verify_all_do_not_load_sympy():
     """The QES block at A > 0 is a Jacobi matrix: its levels come from
     integer Sturm counts and its rational levels' eigenfunctions from the
     three-term recurrence (`spectra` docstring), so the README qes and
-    verify-all commands run without sympy."""
+    verify-all commands run without sympy.  At N = 0 the one level is the
+    degree-0 block's entry, with e_0 as its eigenfunction."""
     import os
     import subprocess
     import sys
 
     import oscchain
     commands = ["qes --N 2 --A 1 --omega 1 --d 3",
-                "verify-all --m1 2 --m2 3 --m3 5"]
+                "verify-all --m1 2 --m2 3 --m3 5",
+                "spectrum --case twobody_qes --A 2 --N 0"]
     script = (
         "import contextlib, io, sys\n"
         "from oscchain.cli import main\n"
@@ -527,4 +539,4 @@ def test_qes_and_verify_all_do_not_load_sympy():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["0 False"] * 2
+    assert out.splitlines() == ["0 False"] * 3

@@ -6,16 +6,17 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscchain.exact import (CANONICAL_PAIRS, PHASE_VARS, DiffOp, GaussFn,
                             MultiPoly, RationalFn, phase_var, poisson_bracket,
-                            random_rational)
+                            power_table, random_rational, table_sum)
 
 from conftest import draw_poly, fractions_st, polys_st
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +52,36 @@ def test_eval_is_a_homomorphism(p, x, y):
     assert q.eval(pt) == p.eval(pt) * p.eval(pt) + p.eval(pt)
 
 
+pairs_st = st.tuples(st.integers(-60, 60),
+                     st.integers(-60, 60).filter(bool))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(polys_st(XYZ, max_terms=5), min_size=1, max_size=4),
+       st.tuples(pairs_st, pairs_st, pairs_st),
+       st.tuples(*[st.integers(0, 2)] * 3))
+@example([MultiPoly(XYZ, {(3, 0, 1): -7, (0, 2, 0): Fraction(5, 6),
+                         (0, 0, 0): -1})],
+         ((-3, -4), (5, -2), (-1, 7)), (0, 1, 0))
+def test_shared_power_table_matches_fraction_evaluation(polys, pairs, slack):
+    """One power table at a point given as unreduced integer pairs (a, b),
+    b of either sign, evaluates every polynomial whose exponents it
+    covers: numerator over den * scale equals the Fraction sum of the
+    terms, signs normalised by Fraction."""
+    tops = [max(col) + s
+            for col, s in zip(zip(*(q.tops() for q in polys)), slack)]
+    rows, scale = power_table(pairs, tops)
+    point = {v: Fraction(a, b) for v, (a, b) in zip(XYZ, pairs)}
+    for q in polys:
+        want = sum((c * point["x"] ** e[0] * point["y"] ** e[1]
+                    * point["z"] ** e[2] for e, c in q.terms.items()),
+                   Fraction(0))
+        assert Fraction(table_sum(q.num, rows), q.den * scale) == want
+        assert q.eval(point) == want
+
+
 # ---------------------------------------------------------------------------
 # sympy's Poly over QQ as an independent oracle for the kernel
-
-XYZ = ("x", "y", "z")
 
 
 def to_sympy(p):

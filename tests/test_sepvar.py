@@ -222,13 +222,18 @@ def custom_test_functions():
 
 def test_pushforward_agrees_with_the_jet_route(monkeypatch, rng):
     """The chain-rule push-forward and the jet route give the same verdict
-    on the true operator and on a perturbed one, for random masses,
-    d in 2..4, several seeds, and on the jet route the default test
-    functions or a list with cubics."""
+    on the true operator and on a perturbed one, for random masses and
+    pairwise unequal ones, d in 1..5, several seeds, and on the jet route
+    the default test functions or a list with cubics."""
     build_opham = sepvar.build_opham
-    for d, fns in ((2, default_test_functions()), (3, custom_test_functions()),
-                   (4, default_test_functions())):
-        p = draw_params(rng)
+    unequal = {"m1": 2, "m2": 3, "m3": Fraction(5, 2)}
+    for d, fns, masses in ((2, default_test_functions(), {}),
+                           (3, custom_test_functions(), {}),
+                           (4, default_test_functions(), {}),
+                           (1, default_test_functions(), {}),
+                           (5, custom_test_functions(), {}),
+                           (3, default_test_functions(), unequal)):
+        p = draw_params(rng, **masses)
         seed = rng.randint(0, 999)
         true_op = build_opham(replace(p, d=d))
         key = rng.choice(sorted(true_op.terms))
@@ -239,6 +244,29 @@ def test_pushforward_agrees_with_the_jet_route(monkeypatch, rng):
             assert want is (op is true_op)
             assert sepvar.verify_pushforward(
                 replace(p, d=d), seed=seed, n_points=50) is want
+
+
+def test_pushforward_raises_where_a_w_denominator_vanishes(monkeypatch):
+    """A w-space coefficient whose denominator vanishes at W(rho) raises,
+    as `RationalFn.eval` does, and is never compared as 0 = 0: the true
+    (0, 0, 1) coefficient with numerator and denominator both times
+    w1 - c, c the w1 = rho23 of the first sample point, equals the true
+    one wherever it is defined, so at that point only the refusal keeps
+    the cross-multiplied comparison from accepting it."""
+    p = Params(m1=2, m2=3, m3=5, d=3)
+    wmap = sepvar.build_wmap(p)
+    first = random_point(RHO3, random.Random(1))
+    assert wmap.denominator_root.eval(first) and wmap.w2.eval(first)
+    factor = MultiPoly.var(sepvar.W3, "w1") - first["rho23"]
+    true_op = sepvar.build_opham(p)
+    terms = dict(true_op.terms)
+    c = terms[(0, 0, 1)]
+    terms[(0, 0, 1)] = RationalFn(c.num * factor, c.den * factor)
+    monkeypatch.setattr(sepvar, "build_opham",
+                        lambda p: type(true_op)(true_op.variables, terms))
+    with pytest.raises(ZeroDivisionError):
+        sepvar.verify_pushforward(p, seed=1)
+    assert sepvar.verify_pushforward(p, seed=2)    # defined at every point
 
 
 OPHAM_KEYS = ((2, 0, 0), (1, 0, 0), (0, 2, 0), (0, 1, 0), (0, 0, 2),
