@@ -30,6 +30,7 @@ class VerificationFailure(RuntimeError):
 
 _INF = "__infinite__"   # sentinel distinguishing an explicit 'inf' flag
 MAX_RANGE_VALUES = 10_000   # most values one lo:hi:step range may produce
+_INT_FLAGS = {"d": "space dimension", "N": "polynomial degree cap / level"}
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -68,18 +69,20 @@ def parse_range(text: str) -> List[Fraction]:
     return [lo + k * step for k in range(count)]
 
 
-def _add_param_flags(sub: argparse.ArgumentParser) -> None:
+def _add_param_flags(sub: argparse.ArgumentParser, reads: str) -> None:
+    """--params, --case and one flag per Params field in `reads`, the
+    fields the command's handler reads."""
     sub.add_argument("--params", metavar="FILE",
                      help="JSON parameter file; flags below override it")
     sub.add_argument("--case", choices=[c.value for c in Case])
-    for name in ("m1", "m2", "m3"):
-        sub.add_argument(f"--{name}", type=_parse_mass,
-                         help=f"mass {name} (rational or 'inf')")
-    for name in ("a", "b", "c", "omega", "A", "A12", "A13", "A23", "rho23"):
-        sub.add_argument(f"--{name}", type=_parse_fraction)
-    sub.add_argument("--d", type=int, help="space dimension")
-    sub.add_argument("--N", type=int, help="polynomial degree cap / level")
-    sub.add_argument("--seed", type=int, default=0)
+    for name in reads.split():
+        if name in ("m1", "m2", "m3"):
+            sub.add_argument(f"--{name}", type=_parse_mass,
+                             help=f"mass {name} (rational or 'inf')")
+        elif name in _INT_FLAGS:
+            sub.add_argument(f"--{name}", type=int, help=_INT_FLAGS[name])
+        else:
+            sub.add_argument(f"--{name}", type=_parse_fraction)
 
 
 def _build_params(args, default_case: Optional[Case] = None,
@@ -150,8 +153,8 @@ def cmd_sepvar(args) -> None:
     case, p = _build_params(args, Case.GENERAL3)
     ok = sepvar.verify_pushforward(p, seed=args.seed, n_points=args.points)
     results = {"pushforward_ok": ok, "A": None, "B": None, "potential": None}
-    if ok:   # the template and potential checks presume the push-forward
-        form = sepvar.match_separated_template(sepvar.build_opham(p), p)
+    if ok:   # the separated form and the potential presume the push-forward
+        form = sepvar.separated_form(p, p.d)
         results.update(A=ratio_str(form.A), B=ratio_str(form.B),
                        potential=sepvar.potential_in_w(p).to_json())
     _emit(args, case, p, results)
@@ -275,40 +278,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "harmonically coupled particles.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp_ = sub.add_parser("spectrum", help="exact finite spectrum on P_N")
-    _add_param_flags(sp_)
-    sp_.set_defaults(func=cmd_spectrum)
-
-    ig = sub.add_parser("integrals", help="conservation battery")
-    _add_param_flags(ig)
-    ig.set_defaults(func=cmd_integrals)
-
-    sv = sub.add_parser("sepvar", help="w-coordinate verification")
-    _add_param_flags(sv)
+    parsers = {}
+    # (name, handler, help, the Params fields the handler reads); any
+    # other flag, abbreviations included, exits 2
+    for name, func, text, reads in (
+            ("spectrum", cmd_spectrum, "exact finite spectrum on P_N",
+             "m1 m2 m3 a b c omega A rho23 d N"),
+            ("integrals", cmd_integrals, "conservation battery",
+             "m1 m2 m3 omega d"),
+            ("sepvar", cmd_sepvar, "w-coordinate verification",
+             "m1 m2 m3 a b c d"),
+            ("bo", cmd_bo, "Born-Oppenheimer gap analysis",
+             "m1 m2 m3 a b c omega d"),
+            ("qes", cmd_qes, "algebraic vs grid-oracle energies",
+             "m1 m2 omega A d N"),
+            ("curve", cmd_curve, "molecular potential curve table",
+             "m1 a b omega d"),
+            ("verify-all", cmd_verify_all, "bundled invariant sweep",
+             "m1 m2 m3 a b c omega d")):
+        parsers[name] = sp = sub.add_parser(name, help=text,
+                                            allow_abbrev=False)
+        _add_param_flags(sp, reads)
+        sp.set_defaults(func=func)
+    sv, bo, qes, cv, va = (parsers[name] for name in
+                           ("sepvar", "bo", "qes", "curve", "verify-all"))
+    for sp in (sv, va):    # the commands that draw sample points
+        sp.add_argument("--seed", type=int, default=0)
     sv.add_argument("--points", type=int, default=50)
-    sv.set_defaults(func=cmd_sepvar)
-
-    bo = sub.add_parser("bo", help="Born-Oppenheimer gap analysis")
-    _add_param_flags(bo)
     bo.add_argument("--m1-grid", metavar="LO:HI:STEP")
-    bo.set_defaults(func=cmd_bo)
-
-    qes = sub.add_parser("qes", help="algebraic vs grid-oracle energies")
-    _add_param_flags(qes)
     qes.add_argument("--rtol", type=float, default=1e-6)
     qes.add_argument("--npoints", type=int, default=4000)
-    qes.set_defaults(func=cmd_qes)
-
-    cv = sub.add_parser("curve", help="molecular potential curve table")
-    _add_param_flags(cv)
     cv.add_argument("--rho23-range", default="0:3:1/2", metavar="LO:HI:STEP")
     cv.add_argument("--format", choices=("json", "csv"), default="json")
-    cv.set_defaults(func=cmd_curve)
-
-    va = sub.add_parser("verify-all", help="bundled invariant sweep")
-    _add_param_flags(va)
-    va.set_defaults(func=cmd_verify_all)
     return ap
 
 
@@ -324,8 +325,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"verification failed: {e.args[0]}", file=sys.stderr)
         return 1
     except (spectra.DefectiveBlock, spectra.InvariantSubspaceViolation,
-            linalg.RootCertificateError, sepvar.TemplateMismatch,
-            sepvar.PotentialMismatch, SingularSampleError) as e:
+            linalg.RootCertificateError, sepvar.PotentialMismatch,
+            SingularSampleError) as e:
         print(f"verification failed: {type(e).__name__}: {e}",
               file=sys.stderr)
         return 1

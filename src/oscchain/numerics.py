@@ -144,15 +144,17 @@ class BOReport:
 def bo_series_coefficients(p: Params) -> Tuple[Fraction, Fraction]:
     """Exact leading coefficients of gap(m1) = c1 m1 + c2 m1^2 + ...
 
-    Valid for m2 = m3 = 1.  c1 = omega d (a+b)/2;
-    c2 = -omega d (a^2 - 14ab + 4ac + b^2 + 4bc) / (8c).
+    For m2 = m3 = M.  Scaling every mass by one factor leaves both
+    energies unchanged, so gap(m1; M) = gap(m1 / M; 1), and with
+    c1 = omega d (a+b)/2 and c2 = -omega d (a^2 - 14ab + 4ac + b^2 + 4bc)
+    / (8c) at M = 1 the coefficients are c1 / M and c2 / M^2.
     """
-    a, b, c, om, d = p.a, p.b, p.c, p.omega, Fraction(p.d)
-    c1 = om * d * (a + b) / 2
+    a, b, c, om, d, M = p.a, p.b, p.c, p.omega, Fraction(p.d), p.m2
+    c1 = om * d * (a + b) / (2 * M)
     if c == 0:
         raise ZeroDivisionError("series second coefficient needs c > 0")
     c2 = -om * d * (a ** 2 - 14 * a * b + 4 * a * c + b ** 2 + 4 * b * c) \
-        / (8 * c)
+        / (8 * c * M ** 2)
     return c1, c2
 
 

@@ -116,17 +116,14 @@ so this is the eigenvector with its first coordinate set to 1, the
 normalisation of `_eigenfunction`.  The last row,
 c_(N-1) v_(N-1) + (a_N - lam) v_N, is exactly zero: that is its
 certificate, and a level for which it is not takes `_eigenfunctions`.
-`eigenvalues_graded` takes this path when the matrix is one block (not
-graded-triangular), tridiagonal and every product is > 0, all read off
-`M.cols`, never off the case.  A product <= 0 (the QES block at A < 0,
-hand-built matrices) keeps the per-block path, and N = 0 takes the
-read-off below.
-
-N = 0: the matrix is its degree-0 block, the 1 x 1 block of the constant
-monomial, so M e_0 = M_00 e_0.  Outside the closed form its level is
-M_00, read off `M.cols`, and e_0 is its eigenfunction; neither needs a
-char poly.  At N >= 1 the per-block path keeps computing the degree-0
-block's char poly with the others, as the oracle the tests compare with.
+`eigenvalues_graded` takes this path whenever the closed form above does
+not hold and the matrix is tridiagonal with every product > 0, all read
+off `M.cols`, never off the case.  A graded-triangular matrix of two or
+more rows never is, since its c_0 = M[1][0] would raise the degree and
+so is 0.  The 1 x 1 matrix at N = 0 always is, having no products: its
+one level is M_00 and e_0 its eigenfunction, whose last row is
+(a_0 - lam) v_0 = 0.  A product <= 0 (the QES block at A < 0,
+hand-built matrices) keeps the per-block path.
 
 Per-block path: an A that fails the certificate or is not
 diagonalizable, and any matrix not assembled from an operator of that
@@ -623,15 +620,15 @@ def _jacobi_eigenfunctions(a, b, c, levels) -> dict:
     """{level: Eigenfunction} for the rational `levels` of the tridiagonal
     matrix (a, b, c) of `_jacobi` from the forward recurrence v_0 = 1,
     v_{j+1} = ((lam - a_j) v_j - c_{j-1} v_{j-1}) / b_j, certified by the
-    last row, c_{n-2} v_{n-2} + (a_{n-1} - lam) v_{n-1}, being exactly
-    zero (module docstring)."""
+    last row, c_{n-2} v_{n-2} + (a_{n-1} - lam) v_{n-1} (no c term at
+    n = 1), being exactly zero (module docstring)."""
     out = {}
     for ev in levels:
         lam, v = ev.value, [Fraction(1)]
         for j, bj in enumerate(b):
             v.append(((lam - a[j]) * v[j] - (c[j - 1] * v[j - 1] if j else 0))
                      / bj)
-        if c[-1] * v[-2] + (a[-1] - lam) * v[-1] == 0:
+        if (c[-1] * v[-2] if c else 0) + (a[-1] - lam) * v[-1] == 0:
             out[lam] = _eigenfunction(lam, v)
     return out
 
@@ -644,15 +641,14 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
     graded-triangular, else the whole matrix is one block of degree N.
     Each block's levels come in closed form when `M.gl3_form` and the
     degree-1 block is diagonalizable with a certified closed form, from
-    integer Sturm counts when the one block is a Jacobi matrix (`_jacobi`),
-    as the entry M_00 of the 1 x 1 matrix at N = 0, else from its char
-    poly (module docstring).
+    integer Sturm counts when the matrix is a Jacobi matrix (`_jacobi`,
+    the 1 x 1 matrix at N = 0 included), else from its char poly (module
+    docstring).
 
     Eigenfunctions are computed for the rational eigenvalues that are
     simple across the whole grading: by the xi recursion when the closed
-    form holds, by the three-term recurrence for a Jacobi matrix, as e_0
-    at N = 0, else, or when the residual or last row is not zero, by
-    `_eigenfunctions`.
+    form holds, by the three-term recurrence for a Jacobi matrix, else, or
+    when the residual or last row is not zero, by `_eigenfunctions`.
     """
     graded = M.is_graded_triangular()
     slices = M.basis.degree_slices() if graded \
@@ -662,7 +658,7 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
         one = range(1, min(M.size, 1 + len(M.basis.variables)))
         A = [[M.cols.get(j, {}).get(i, _ZERO) for j in one] for i in one]
         roots = _degree1_roots(A)
-    elif not graded:
+    else:
         jacobi = _jacobi(M)
     evs: List[Eigenvalue] = []
     if jacobi is not None:
@@ -675,9 +671,6 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
             if roots is not None:
                 evs.extend(_gl3_levels(M.basis.monomials[start:stop], degree,
                                        *roots))
-            elif M.size == 1:      # N = 0: M e_0 = M_00 e_0
-                evs.append(Eigenvalue(M.cols.get(0, {}).get(0, _ZERO), None,
-                                      1, degree))
             else:
                 evs.extend(_block_eigenvalues(M.matrix[start:stop, start:stop],
                                               degree))
@@ -693,8 +686,6 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
             found = _xi_eigenfunctions(M, A, simple, *roots)
         elif jacobi is not None:
             found = _jacobi_eigenfunctions(*jacobi, simple)
-        elif M.size == 1:
-            found = {ev.value: _eigenfunction(ev.value, [1]) for ev in simple}
         rest = [ev for ev in simple if ev.value not in found]
         found.update(zip((ev.value for ev in rest),
                          _eigenfunctions(M, slices, rest)))

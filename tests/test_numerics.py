@@ -146,11 +146,15 @@ def test_bo_gap_vanishes_as_light_mass_shrinks():
 
 
 def test_bo_series_fit_recovers_exact_coefficients():
-    p = Params(m1=Fraction(1, 100), m2=1, m3=1, a=1, b=2, c=3, omega=1, d=3)
-    c1, c2 = numerics.bo_series_fit(p)
-    c1x, c2x = numerics.bo_series_coefficients(p)
-    assert abs(c1 - float(c1x)) <= 1e-4 * max(1, abs(float(c1x)))
-    assert abs(c2 - float(c2x)) <= 1e-3 * max(1, abs(float(c2x)))
+    # gap(m1; M) = gap(m1 / M; 1) for m2 = m3 = M, so the exact
+    # coefficients are c1 / M and c2 / M^2
+    for M in (1, 2, 3):
+        p = Params(m1=Fraction(1, 100), m2=M, m3=M, a=1, b=2, c=3, omega=1,
+                   d=3)
+        c1, c2 = numerics.bo_series_fit(p)
+        c1x, c2x = numerics.bo_series_coefficients(p)
+        assert abs(c1 - float(c1x)) <= 1e-4 * max(1, abs(float(c1x))), M
+        assert abs(c2 - float(c2x)) <= 1e-3 * max(1, abs(float(c2x))), M
 
 
 def test_bo_fit_grid_validation():
