@@ -88,7 +88,10 @@ def _add_param_flags(sub: argparse.ArgumentParser, reads: str) -> None:
 def _build_params(args, default_case: Optional[Case] = None,
                   overrides: Optional[dict] = None):
     """(case, params) from --params and the flags.  A command that gives
-    `default_case` computes only that case, and any other is rejected."""
+    `default_case` computes only that case, and any other is rejected.
+    The fields the command does not read (`args.reads`) keep their
+    defaults, whatever the file holds, so that the echoed params are the
+    ones the command computed with; `overrides` then apply."""
     case, base = default_case, Params()
     if args.params:
         with open(args.params) as fh:
@@ -100,11 +103,14 @@ def _build_params(args, default_case: Optional[Case] = None,
     if default_case is not None and case is not default_case:
         raise CaseError(f"{args.command} computes only the "
                         f"{default_case.value} case, not {case.value}")
-    changes = dict(overrides or {})
-    for f in fields(Params):
-        v = getattr(args, f.name, None)
+    reads = args.reads.split()
+    changes = {f.name: f.default for f in fields(Params)
+               if f.name not in reads}
+    changes.update(overrides or {})
+    for name in reads:
+        v = getattr(args, name)
         if v is not None:
-            changes[f.name] = None if v is _INF else v
+            changes[name] = None if v is _INF else v
     p = replace(base, **changes)
     validate_case(case, p)
     return case, p
@@ -299,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         parsers[name] = sp = sub.add_parser(name, help=text,
                                             allow_abbrev=False)
         _add_param_flags(sp, reads)
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, reads=reads)
     sv, bo, qes, cv, va = (parsers[name] for name in
                            ("sepvar", "bo", "qes", "curve", "verify-all"))
     for sp in (sv, va):    # the commands that draw sample points
@@ -325,8 +331,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"verification failed: {e.args[0]}", file=sys.stderr)
         return 1
     except (spectra.DefectiveBlock, spectra.InvariantSubspaceViolation,
-            linalg.RootCertificateError, sepvar.PotentialMismatch,
-            SingularSampleError) as e:
+            spectra.EigenvectorCertificateError, linalg.RootCertificateError,
+            sepvar.PotentialMismatch, SingularSampleError) as e:
         print(f"verification failed: {type(e).__name__}: {e}",
               file=sys.stderr)
         return 1

@@ -1,21 +1,21 @@
 """Characteristic polynomials, determinants and certified real roots over Q.
 
 The spectral engine holds each operator matrix as Fraction columns and
-builds a sparse sympy `DomainMatrix` view over QQ from them only when it
-needs ranks, nullspaces and solves (the per-block path and the
-back-substituted eigenvectors).  `char_poly` is the one matrix stage
-here: sympy's division-free Berkowitz `charpoly` of such a view,
-returned as Fraction coefficients.  sympy is imported inside the
+builds a sparse sympy `DomainMatrix` view over QQ from them only on the
+per-block path, for its char polys and ranks.  `char_poly` is the one
+matrix stage here: sympy's division-free Berkowitz `charpoly` of such a
+view, returned as Fraction coefficients.  sympy is imported inside the
 functions, so commands that do no linear algebra never load it.  Only
-the per-block path of `spectra` (the QES block at A < 0, hand-built
-matrices) calls `char_poly` and `factor_over_q`: the harmonic path reads
-the roots of the degree-1 block in closed form and its eigenfunctions
-from the xi recursion on Fractions, and loads sympy only for a level
-whose xi is irrational; the QES block at A > 0, a tridiagonal matrix
-whose opposite off-diagonal products are positive, takes
-`tridiagonal_levels`, integer Sturm counts with no sympy.  `det` is the
-one determinant, by cofactors, of the small matrices of `spectra`
-(Fractions) and `model.cometric` (`MultiPoly`s).
+the per-block path of `spectra` (a non-diagonalizable degree-1 block,
+the QES block at A < 0, hand-built matrices) calls `char_poly` and
+`factor_over_q`: the harmonic path reads the roots of the degree-1 block
+in closed form, and the QES block at A > 0, a tridiagonal matrix whose
+opposite off-diagonal products are positive, takes `tridiagonal_levels`,
+integer Sturm counts with no sympy.  Each path hands its blocks'
+annihilators (these char polys, or a product of the closed-form levels'
+factors) to the one eigenvector routine of `spectra`, which runs on
+integers.  `det` is the one determinant, by cofactors, of the small
+matrices of `spectra` (Fractions) and `model.cometric` (`MultiPoly`s).
 
 Real roots: sympy factors the characteristic polynomial over Q, built
 straight from its coefficient list (`factor_over_q`).  A factor of
@@ -205,12 +205,15 @@ def _sturm(d: Sequence[int], P: Sequence[int], y: int) -> Tuple[int, int]:
 
 
 def tridiagonal_levels(diag: Sequence[Fraction], products: Sequence[Fraction]
-                       ) -> List[Tuple[Optional[Fraction],
-                                       Optional[Tuple[Fraction, Fraction]]]]:
-    """The levels of a tridiagonal matrix T with the diagonal `diag` and
-    the products b_k c_k > 0 of its opposite off-diagonal entries,
-    ascending, each (value, None) when rational, else (None, cell) with
-    its grid cell (`_grid_cell`).
+                       ) -> Tuple[List[Tuple[Optional[Fraction],
+                                             Optional[Tuple[Fraction,
+                                                            Fraction]]]],
+                                  List[int]]:
+    """(levels, char poly) of a tridiagonal matrix T with the diagonal
+    `diag` and the products b_k c_k > 0 of its opposite off-diagonal
+    entries: the levels ascending, each (value, None) when rational, else
+    (None, cell) with its grid cell (`_grid_cell`), and
+    q_n(L lam) = L^n det(lam - T), integers, highest degree first.
 
     With L the lcm of the denominators, LT has the integer diagonal
     d = L diag and products P = L^2 products, and its monic integer char
@@ -254,7 +257,7 @@ def tridiagonal_levels(diag: Sequence[Fraction], products: Sequence[Fraction]
             raise RootCertificateError(
                 f"not one level in the grid cell [{a}, {a + 1}] / 2^64")
         out.append((None, _grid_cell(lam_coeffs, a)))
-    return out
+    return out, lam_coeffs
 
 
 def real_roots_exact(coeffs):

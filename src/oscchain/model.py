@@ -752,11 +752,20 @@ def _json_int(data: dict, key: str, default: Optional[int]) -> Optional[int]:
     raise ValueError(f"params {key!r} must be an integer, not {v!r}")
 
 
+def _json_rational(key: str, x) -> Fraction:
+    """A rational from a number or a string such as "3/2"; anything else,
+    a zero denominator included, raises ValueError naming `key`."""
+    try:
+        return Fraction(str(x))
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"params {key!r}: not a rational: {x!r}") from e
+
+
 def _json_mass(x) -> Optional[Fraction]:
     """A mass: a rational, or None for "inf" or null (infinite)."""
     if x is None or x == "inf":
         return None
-    return Fraction(str(x))
+    return _json_rational("m", x)
 
 
 def _json_triple(key: str, v) -> list:
@@ -778,21 +787,21 @@ def params_from_json(data) -> Tuple[Case, Params]:
     m = _json_triple("m", m if isinstance(m, list) else [m])
     springs = _json_triple("springs", data.get("springs", [1, 1, 1]))
     A = data.get("A", [0, 0, 0])
+    a, b, c = (_json_rational("springs", x) for x in springs)
     kwargs = dict(
         m1=_json_mass(m[0]), m2=_json_mass(m[1]), m3=_json_mass(m[2]),
-        a=Fraction(str(springs[0])), b=Fraction(str(springs[1])),
-        c=Fraction(str(springs[2])),
-        omega=Fraction(str(data.get("omega", 1))),
+        a=a, b=b, c=c,
+        omega=_json_rational("omega", data.get("omega", 1)),
         d=_json_int(data, "d", 3),
         N=_json_int(data, "N", None),
     )
     if isinstance(A, list) and len(A) == 3:
-        kwargs.update(A12=Fraction(str(A[0])), A13=Fraction(str(A[1])),
-                      A23=Fraction(str(A[2])))
+        kwargs.update(zip(("A12", "A13", "A23"),
+                          (_json_rational("A", x) for x in A)))
     else:
-        kwargs.update(A=Fraction(str(A)))
+        kwargs.update(A=_json_rational("A", A))
     if "rho23" in data and data["rho23"] is not None:
-        kwargs["rho23"] = Fraction(str(data["rho23"]))
+        kwargs["rho23"] = _json_rational("rho23", data["rho23"])
     return case, Params(**kwargs)
 
 

@@ -278,10 +278,16 @@ def verify_pushforward(p: Params, seed: int = 0, n_points: int = 50) -> bool:
     opham = build_opham(p)
     maps = (wmap.w1, wmap.w2, wmap.w3.num, wmap.w3.den)
     tops = _tops([*maps, wmap.denominator_root, *delta.terms.values()])
+    jet_nums = [_derivative_numerators(q) for q in maps]
+    e, delta_nums = _common_numerators(delta.terms)
+    wtops = _tops([q for c in opham.terms.values() for q in (c.num, c.den)])
+    # O_alpha = (P / (c.num.den * ws)) / (Q / (c.den.den * ws))
+    wterms = [(alpha, c.num.num, c.den.num, c.num.den, c.den.den)
+              for alpha, c in opham.terms.items()]
+    dn, dd = wmap.w3.num.den, wmap.w3.den.den
     rng = random.Random(seed)
-    points = []
-    guard = 0
-    while len(points) < n_points:
+    checked = guard = 0
+    while checked < n_points:     # each point is checked as it is drawn
         # rho23 is never 0 (random_rational draws from 1..1000), so with
         # the root nonzero w3 = rho23 w2 / den vanishes only with w2
         pt = random_point(RHO3, rng)
@@ -294,15 +300,7 @@ def verify_pushforward(p: Params, seed: int = 0, n_points: int = 50) -> bool:
                 raise SingularSampleError(
                     "cannot sample away from singular locus")
             continue
-        points.append((rows, scale))
-    jet_nums = [_derivative_numerators(q) for q in maps]
-    e, delta_nums = _common_numerators(delta.terms)
-    wtops = _tops([q for c in opham.terms.values() for q in (c.num, c.den)])
-    # O_alpha = (P / (c.num.den * ws)) / (Q / (c.den.den * ws))
-    wterms = [(alpha, c.num.num, c.den.num, c.num.den, c.den.den)
-              for alpha, c in opham.terms.items()]
-    dn, dd = wmap.w3.num.den, wmap.w3.den.den
-    for rows, scale in points:
+        checked += 1
         w1, w2, num, den = (_jet_numerators(derivs, rows)
                             for derivs in jet_nums)
         jets = (w1, w2, _quotient_numerators(num, den, dd))

@@ -108,22 +108,15 @@ level's grid cell by bisecting the grid indices with integer Sturm
 counts.  Its certificates, each an `if`: a rational level is the one
 integer candidate y in its cell with q(y) = 0 exactly; an irrational
 level's cell has the count fall by exactly one across it and the char
-poly strictly opposite signs at its ends (`linalg._grid_cell`).  The
-eigenvector of a level lam solves row j of (T - lam) v = 0 for v_(j+1):
-v_(j+1) = ((lam - a_j) v_j - c_(j-1) v_(j-1)) / b_j from v_0 = 1.
-v_0 != 0 for every eigenvector, since v_0 = 0 would make every v_j zero,
-so this is the eigenvector with its first coordinate set to 1, the
-normalisation of `_eigenfunction`.  The last row,
-c_(N-1) v_(N-1) + (a_N - lam) v_N, is exactly zero: that is its
-certificate, and a level for which it is not takes `_eigenfunctions`.
+poly strictly opposite signs at its ends (`linalg._grid_cell`).  It
+returns that char poly, L^(N+1) det(lam - T) in lam, as T's annihilator.
 `eigenvalues_graded` takes this path whenever the closed form above does
 not hold and the matrix is tridiagonal with every product > 0, all read
 off `M.cols`, never off the case.  A graded-triangular matrix of two or
 more rows never is, since its c_0 = M[1][0] would raise the degree and
 so is 0.  The 1 x 1 matrix at N = 0 always is, having no products: its
-one level is M_00 and e_0 its eigenfunction, whose last row is
-(a_0 - lam) v_0 = 0.  A product <= 0 (the QES block at A < 0,
-hand-built matrices) keeps the per-block path.
+one level is M_00.  A product <= 0 (the QES block at A < 0, hand-built
+matrices) keeps the per-block path.
 
 Per-block path: an A that fails the certificate or is not
 diagonalizable, and any matrix not assembled from an operator of that
@@ -140,34 +133,41 @@ integer bisection over the grid indices for a factor of higher degree
 (`linalg.isolate_irreducible`), and from Sturm counts for a Jacobi
 matrix.  The matrix is held as the Fraction columns {j: {i: c}} that
 assembly writes, column j the image of basis monomial j (only nonzero
-entries are stored); the triangularity scan, the degree-1 block, the xi
-recursion and the Jacobi path read them.  Its sparse sympy
-`DomainMatrix` over QQ is a view transposed into rows on first use, for
-the per-block path and `_eigenfunctions` only, so the harmonic path, the
-QES block at A > 0, any matrix at N = 0 and importing this module do not
-load sympy.
+entries are stored); the triangularity scan, the degree-1 block, the
+Jacobi path and, as integer numerators over one denominator, the
+eigenvectors read them.  Its sparse sympy `DomainMatrix` over QQ is a
+view transposed into rows on first use, for the per-block path only, so
+the harmonic path, the QES block at A > 0, any matrix at N = 0 and
+importing this module do not load sympy.
 
-Eigenfunctions: the rational levels that are simple across the grading.
-When the closed form of A holds, the level alpha . lambda starts from
-xi^alpha, where the eigenforms xi_i of A are the nonzero columns of
-adj(A - lambda_i I) (a cross product of two rows in 3 variables), and
-xi = x when A = r0 I.  D xi^alpha = (alpha . lambda) xi^alpha, so the
-residual (h - lambda) phi of phi = xi^alpha has lower degree.  Each round
-writes the residual's top-degree part as sum c_beta xi^beta and adds
-sum c_beta / (lambda - beta . lambda) xi^beta to phi, which cancels that
-part; the divisors are nonzero because the level is simple.  The loop
-stops when the residual is exactly zero, which certifies phi, after at
-most deg + 1 rounds.  A level whose residual is not zero by then, or that
-needs an irrational xi (delta not a square and the level above degree 1:
-onedim3, molecular3), takes `_eigenfunctions`: the null vector of its own
-block, back-substituted through the blocks below it.
+Eigenfunctions: one route, by Cayley-Hamilton, for the rational levels
+lam that are simple across the grading.  Each diagonal block B_k has an
+annihilator a_k, a_k(B_k) = 0: prod (x - c) over its distinct rational
+levels times prod ((x - c)^2 - k^2 delta) over its distinct pairs on the
+closed-form path, as D is diagonalizable on Sym^n V; T's char poly on
+the Jacobi path; the block's char poly on the per-block path.  Divide
+a_k(x) = (x - lam) q_k(x) + a_k(lam), so (B_k - lam) q_k(B_k) =
+-a_k(lam) I.  In the level's block n, a_n(lam) = 0, so every column of
+q_n(B_n) lies in the eigenspace, of dimension 1 as lam is simple; and
+q_n(B_n) != 0, since lam is a simple root of a_n and so not one of q_n,
+while B_n's minimal polynomial has the root lam and would divide a q_n
+with q_n(B_n) = 0.  So v_n = q_n(B_n) e_j for the first basis vector
+e_j that gives a nonzero vector.  v vanishes above block n, and each
+block k < n solves (B_k - lam) v_k = -r_k, r_k the part in block k of
+M applied to the blocks above k; a_k(lam) != 0, lam not being a level
+of block k, so v_k = q_k(B_k) r_k / a_k(lam).  Horner's rule applies
+q_k(B_k) on the integer numerators of M over one denominator, with v
+held as integers up to one scale.  (M - lam) v = 0 exactly is the
+certificate; a v that fails it raises `EigenvectorCertificateError`,
+never a fallback.  The annihilators are multiplied out only when an
+eigenfunction needs them.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb, isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
@@ -280,6 +280,16 @@ class OpMatrix:
             for i, c in col.items():
                 rows.setdefault(i, {})[j] = QQ(c.numerator, c.denominator)
         return DomainMatrix(rows, (self.size, self.size), QQ)
+
+    def numerators(self, stop: int):
+        """(L, {j: ((i, n), ...)}): the columns j < stop as integer
+        numerators n over the lcm L of their entries' denominators."""
+        cols = {j: self.cols[j] for j in range(stop) if j in self.cols}
+        L = lcm(*(x.denominator for col in cols.values()
+                  for x in col.values()))
+        return L, {j: tuple((i, x.numerator * (L // x.denominator))
+                            for i, x in col.items())
+                   for j, col in cols.items()}
 
     def is_graded_triangular(self) -> bool:
         degree = [sum(m) for m in self.basis.monomials]
@@ -398,9 +408,10 @@ def _shifted(A, lam: Fraction):
 
 
 def _block_eigenvalues(block, degree: int):
-    """Eigenvalues of one exact diagonal block (a DomainMatrix), with
-    eigenspace dims for repeated rational eigenvalues, from its char
-    poly: the per-block path."""
+    """(levels, [char poly]) of one exact diagonal block (a DomainMatrix):
+    its eigenvalues, with eigenspace dims for repeated rational ones, from
+    its char poly, also returned (highest degree first) as the one factor
+    of its annihilator: the per-block path."""
     n = block.shape[0]
     cp = linalg.char_poly(block)
     rational, irrational = linalg.real_roots_exact(cp)
@@ -410,17 +421,7 @@ def _block_eigenvalues(block, degree: int):
         out.append(Eigenvalue(root, None, mult, degree, dim))
     for (lo, hi), mult in irrational:
         out.append(Eigenvalue(None, (lo, hi), mult, degree, None))
-    return out
-
-
-def _adjugate(B):
-    """adj(B), k x k, k <= 3: B adj(B) = det(B) I, so when B has rank
-    k - 1 each nonzero column spans B's null space (in 3 variables a
-    column is the cross product of two rows)."""
-    k = len(B)
-    return [[(-1) ** (i + j) * linalg.det(
-        [row[:i] + row[i + 1:] for r, row in enumerate(B) if r != j])
-        for j in range(k)] for i in range(k)]
+    return out, [cp[::-1]]
 
 
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -462,11 +463,14 @@ def _degree1_roots(A):
     return [r0] * k, None
 
 
-def _gl3_levels(monomials, degree: int, lams, pair) -> List[Eigenvalue]:
-    """The levels of the diagonal block of degree `degree`, spanned by
-    `monomials`, of a matrix of gl(3) form whose degree-1 block is
+def _gl3_levels(monomials, degree: int, lams, pair):
+    """(levels, factors) of the diagonal block of degree `degree`, spanned
+    by `monomials`, of a matrix of gl(3) form whose degree-1 block is
     diagonalizable with the roots (lams, pair) of `_degree1_roots`
-    (module docstring), ordered as `_block_eigenvalues` orders them."""
+    (module docstring): the levels ordered as `_block_eigenvalues` orders
+    them, and x - c for each distinct rational level c and
+    (x - c)^2 - k^2 delta for each distinct pair, highest degree first,
+    whose product annihilates the block, as D is diagonalizable on it."""
     rational: Counter = Counter()
     pairs: Counter = Counter()   # (c, k): c +/- k sqrt(delta)
     for alpha in monomials:
@@ -482,155 +486,120 @@ def _gl3_levels(monomials, degree: int, lams, pair) -> List[Eigenvalue]:
             pairs[c, n2 - n3] += 1
     out = [Eigenvalue(value, None, mult, degree, mult if mult > 1 else None)
            for value, mult in sorted(rational.items())]
-    irrational = [(iv, mult) for (c, k), mult in pairs.items()
-                  for iv in linalg.isolate_irreducible(
-                      [1, -2 * c, c * c - k * k * pair[1]])]
+    quadratics = {(c, k): [1, -2 * c, c * c - k * k * pair[1]]
+                  for c, k in pairs}
+    irrational = [(iv, pairs[ck]) for ck, f in quadratics.items()
+                  for iv in linalg.isolate_irreducible(f)]
     irrational.sort(key=lambda t: t[0][0])
     out += [Eigenvalue(None, iv, mult, degree, None)
             for iv, mult in irrational]
+    return out, [[1, -c] for c in rational] + list(quadratics.values())
+
+
+def _product(polys):
+    """The product of polynomials given highest degree first."""
+    out = [1]
+    for f in polys:
+        out = [sum(out[i - j] * x for j, x in enumerate(f)
+                   if 0 <= i - j < len(out))
+               for i in range(len(out) + len(f) - 1)]
     return out
 
 
-def _eigenfunction(value: Fraction, v) -> Eigenfunction:
-    """The eigenfunction with coordinates v, the first nonzero one set
-    to 1."""
-    lead = Fraction(next(c for c in v if c))
-    return Eigenfunction(value, tuple(c / lead if c else _ZERO for c in v))
+class EigenvectorCertificateError(RuntimeError):
+    """An eigenvector that does not satisfy (M - lam) v = 0 exactly."""
 
 
-def _expander(F, variables):
-    """gamma -> prod_i f_i^gamma_i as {exponents: int}, memoised, for the
-    integer linear forms f_i = sum_j F[i][j] y_j in `variables`."""
-    unit = [tuple(int(i == j) for i in range(len(variables)))
-            for j in range(len(variables))]
-    forms = [MultiPoly(variables, dict(zip(unit, row))) for row in F]
-
-    @lru_cache(maxsize=None)
-    def expand(gamma):
-        if not any(gamma):
-            return MultiPoly.const(variables, 1)
-        i = next(i for i, e in enumerate(gamma) if e)
-        return expand(gamma[:i] + (gamma[i] - 1,) + gamma[i + 1:]) * forms[i]
-    return lambda gamma: expand(gamma).num
+def _divide(a, lam: Fraction):
+    """(q, a(lam)) with a(x) = (x - lam) q(x) + a(lam), by synthetic
+    division; coefficients highest degree first."""
+    out, acc = [], Fraction(0)
+    for c in a:
+        acc = acc * lam + c
+        out.append(acc)
+    return out[:-1], out[-1]
 
 
-def _xi_divide(top, lam: Fraction, lams):
-    """The xi^beta coefficients c_beta / (lam - beta . lams) whose sum
-    cancels the residual part sum c_beta xi^beta (module docstring)."""
-    return {beta: c / (lam - sum(b * x for b, x in zip(beta, lams)))
-            for beta, c in top.items()}
+def _horner(q, cols, lo: int, hi: int, L: int, w):
+    """(h, s) with q(B) w = h / s, for the rational polynomial q (highest
+    degree first), the diagonal block B of the rows and columns lo:hi,
+    held in `cols` as integer numerators over L, and an integer vector w
+    on the block.  With D the lcm of q's denominators and e = deg q,
+    D L^e q(x) = sum_i D q_i L^i (L x)^(e - i) has integer coefficients,
+    so Horner's rule runs on integers."""
+    D = lcm(*(c.denominator for c in q))
+    acc = [0] * (hi - lo)
+    for e, c in enumerate(q):           # acc <- (L B) acc + D q_e L^e w
+        c = int(c * D) * L ** e
+        nxt = [c * x for x in w]
+        for j, x in enumerate(acc, lo):
+            if x:
+                for i, m in cols.get(j, ()):
+                    if i >= lo:
+                        nxt[i - lo] += m * x
+        acc = nxt
+    return acc, D * L ** max(len(q) - 1, 0)
 
 
-def _xi_eigenfunctions(M: OpMatrix, A, levels, lams, pair) -> dict:
-    """{level: Eigenfunction} for the `levels` (rational, simple across the
-    grading) that the xi recursion certifies (module docstring), given the
-    degree-1 block A and its roots (lams, pair) from `_degree1_roots`.
-    xi_i is the eigenform of lams[i]; with a pair only those are rational,
-    so only levels of degree <= 1 are tried."""
-    monos, k = M.basis.monomials, len(A)
-    if pair is None and len(set(lams)) < k:      # A = r0 I: xi = x
-        P = [[int(i == j) for j in range(k)] for i in range(k)]
-    else:   # integer multiples of the null vectors of A - lam I
-        P = [linalg._integer_coeffs(next(col for col in zip(*_adjugate(
-            [[x - lam if i == j else x for j, x in enumerate(row)]
-             for i, row in enumerate(A)])) if any(col))) for lam in lams]
-    # x_j = sum_i adj(P)[j][i] xi_i / det(P); with a pair only constants
-    # are written in xi, which needs neither
-    det, adj = (linalg.det(P), _adjugate(P)) if pair is None else (1, [])
-    to_x, to_xi = (_expander(F, M.basis.variables) for F in (P, adj))
-    den = lcm(*(x.denominator for x in lams))   # alpha . lams over den
-    ells = [int(x * den) for x in lams]
-    start = {sum(n * x for n, x in zip(alpha, ells)): alpha
-             for alpha in monos if not any(alpha[len(lams):])
-             and (pair is None or sum(alpha) < 2)}
-    index = {m: i for i, m in enumerate(monos)}
-    out = {}
-    for ev in levels:
-        lam, alpha = ev.value, start.get(ev.value * den)
-        if alpha is None:
-            continue
-        phi, r, step = Counter(), Counter(), to_x(alpha)
-        for _ in range(sum(alpha) + 1):
-            for mono, c in step.items():           # r += (M - lam) step
-                j = index[mono]
-                phi[j] += c
-                r[j] -= lam * c
-                for i, x in M.cols.get(j, {}).items():
-                    r[i] += x * c
-            r = Counter({i: c for i, c in r.items() if c})
-            if not r:               # the certificate: (M - lam) phi = 0
-                out[lam] = _eigenfunction(
-                    lam, [phi.get(i, _ZERO) for i in range(M.size)])
-                break
-            d = max(sum(monos[i]) for i in r)
-            top = Counter()          # r's degree-d part in xi coordinates
-            for i, c in r.items():
-                if sum(monos[i]) == d:
-                    c /= det ** d
-                    for beta, e in to_xi(monos[i]).items():
-                        top[beta] += c * e
-            step = Counter()
-            for beta, c in _xi_divide(top, lam, lams).items():
-                for mono, e in to_x(beta).items():
-                    step[mono] += c * e
-    return out
-
-
-def _eigenfunctions(M: OpMatrix, slices, levels) -> List[Eigenfunction]:
-    """Eigenvectors of the `levels`, rational and simple across `slices`.
-
-    `M` is block upper-triangular over `slices` ([(degree, start, stop)]).
-    For a level lam of the block of degree n, the eigenvector vanishes on
-    the blocks above n; its part in block n spans the null space of
-    B_n - lam; each lower block k is back-substituted from
-    (B_k - lam) v_k = -sum_{j>k} M_kj v_j, which is invertible because lam
-    is simple.  The first nonzero coordinate is normalised to 1.
-    """
-    at = {degree: k for k, (degree, _, _) in enumerate(slices)}
-    out = []
-    for ev in levels:
-        top = at[ev.degree]
-        _, start, stop = slices[top]
-        S = _shifted(M.matrix[:stop, :stop], ev.value)
-        x = S[start:stop, start:stop].nullspace().transpose()
-        for _, lo, hi in reversed(slices[:top]):
-            x = S[lo:hi, lo:hi].lu_solve(-(S[lo:hi, hi:stop] * x)).vstack(x)
-        v = [Fraction(c.numerator, c.denominator) for c in x.to_list_flat()]
-        out.append(_eigenfunction(ev.value, v + [_ZERO] * (M.size - stop)))
-    return out
+def _eigenvector(M: OpMatrix, numerators, slices, annihilators,
+                 lam: Fraction, top: int) -> Eigenfunction:
+    """The eigenfunction of the level lam of block `top` of `slices`,
+    rational and simple across the grading, from the annihilator
+    `annihilators(k)` of each diagonal block k (highest degree first) by
+    Cayley-Hamilton (module docstring), with M's columns up to block
+    `top` at least as `M.numerators`.  v and L M v are held as integers
+    up to one scale.  (M - lam) v = 0 exactly is the certificate;
+    otherwise EigenvectorCertificateError."""
+    L, cols = numerators
+    _, start, stop = slices[top]
+    v, Mv = [0] * stop, [0] * stop
+    for k in range(top, -1, -1):
+        _, lo, hi = slices[k]
+        q, rest = _divide(annihilators(k), lam)
+        if k == top:                # v_top = q(B) e_j, the first nonzero
+            for j in range(lo, hi):
+                x, _ = _horner(q, cols, lo, hi, L,
+                               [int(i == j) for i in range(lo, hi)])
+                if any(x):
+                    break
+            else:
+                raise EigenvectorCertificateError(
+                    f"q(B) is zero on the block of the level {lam}")
+        elif not rest:
+            raise EigenvectorCertificateError(
+                f"the level {lam} is a root of a lower block's annihilator")
+        else:                       # v_k = q(B) r_k / a_k(lam)
+            x, s = _horner(q, cols, lo, hi, L, Mv[lo:hi])
+            # r_k = Mv_k / L, so v_k = x a.den / (s L a.num), a = a_k(lam):
+            # scale v and Mv by s L a.num instead of dividing v_k
+            s *= L * rest.numerator
+            v, Mv = [s * y for y in v], [s * y for y in Mv]
+            x = [rest.denominator * y for y in x]
+        v[lo:hi] = x
+        for j in range(lo, hi):
+            if v[j]:
+                for i, m in cols.get(j, ()):
+                    Mv[i] += m * v[j]
+    p, d = lam.numerator, lam.denominator
+    if any(d * y != p * L * x for x, y in zip(v, Mv)):
+        raise EigenvectorCertificateError(
+            f"(M - lam) v != 0 at the level {lam}")
+    lead = next(x for x in v if x)          # set to 1
+    return Eigenfunction(lam, tuple(Fraction(x, lead) if x else _ZERO
+                                    for x in v + [0] * (M.size - stop)))
 
 
 def _jacobi(M: OpMatrix):
-    """(a, b, c): the diagonal a_j, the super-diagonal b_j = M[j][j + 1]
-    and the sub-diagonal c_j = M[j + 1][j] of M when M is tridiagonal with
-    every product b_j c_j > 0 (module docstring), else None."""
+    """(a, p): the diagonal a_j and the products p_j = M[j][j + 1]
+    M[j + 1][j] of the opposite off-diagonal entries of M when M is
+    tridiagonal with every product > 0 (module docstring), else None."""
     if any(abs(i - j) > 1 for j, col in M.cols.items() for i in col):
         return None
-    n = M.size
-    cols = [M.cols.get(j, {}) for j in range(n)]
-    a = [cols[j].get(j, _ZERO) for j in range(n)]
-    b = [cols[j + 1].get(j, _ZERO) for j in range(n - 1)]
-    c = [cols[j].get(j + 1, _ZERO) for j in range(n - 1)]
-    if all(x * y > 0 for x, y in zip(b, c)):
-        return a, b, c
-    return None
-
-
-def _jacobi_eigenfunctions(a, b, c, levels) -> dict:
-    """{level: Eigenfunction} for the rational `levels` of the tridiagonal
-    matrix (a, b, c) of `_jacobi` from the forward recurrence v_0 = 1,
-    v_{j+1} = ((lam - a_j) v_j - c_{j-1} v_{j-1}) / b_j, certified by the
-    last row, c_{n-2} v_{n-2} + (a_{n-1} - lam) v_{n-1} (no c term at
-    n = 1), being exactly zero (module docstring)."""
-    out = {}
-    for ev in levels:
-        lam, v = ev.value, [Fraction(1)]
-        for j, bj in enumerate(b):
-            v.append(((lam - a[j]) * v[j] - (c[j - 1] * v[j - 1] if j else 0))
-                     / bj)
-        if (c[-1] * v[-2] if c else 0) + (a[-1] - lam) * v[-1] == 0:
-            out[lam] = _eigenfunction(lam, v)
-    return out
+    cols = [M.cols.get(j, {}) for j in range(M.size)]
+    a = [col.get(j, _ZERO) for j, col in enumerate(cols)]
+    p = [cols[j + 1].get(j, _ZERO) * cols[j].get(j + 1, _ZERO)
+         for j in range(M.size - 1)]
+    return (a, p) if all(x > 0 for x in p) else None
 
 
 def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
@@ -646,9 +615,8 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
     docstring).
 
     Eigenfunctions are computed for the rational eigenvalues that are
-    simple across the whole grading: by the xi recursion when the closed
-    form holds, by the three-term recurrence for a Jacobi matrix, else, or
-    when the residual or last row is not zero, by `_eigenfunctions`.
+    simple across the whole grading, each by `_eigenvector` from the
+    blocks' annihilators, which are built only then.
     """
     graded = M.is_graded_triangular()
     slices = M.basis.degree_slices() if graded \
@@ -661,35 +629,35 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
     else:
         jacobi = _jacobi(M)
     evs: List[Eigenvalue] = []
+    factors = []    # per block, polynomials whose product annihilates it
     if jacobi is not None:
-        a, b, c = jacobi
+        levels, char_poly = linalg.tridiagonal_levels(*jacobi)
         evs = [Eigenvalue(value, cell, 1, M.basis.degree_cap)
-               for value, cell in linalg.tridiagonal_levels(
-                   a, [x * y for x, y in zip(b, c)])]
+               for value, cell in levels]
+        factors = [[char_poly]]
     else:
         for degree, start, stop in slices:
             if roots is not None:
-                evs.extend(_gl3_levels(M.basis.monomials[start:stop], degree,
-                                       *roots))
+                levels, fs = _gl3_levels(M.basis.monomials[start:stop],
+                                         degree, *roots)
             else:
-                evs.extend(_block_eigenvalues(M.matrix[start:stop, start:stop],
-                                              degree))
+                levels, fs = _block_eigenvalues(
+                    M.matrix[start:stop, start:stop], degree)
+            evs.extend(levels)
+            factors.append(fs)
+    annihilator = cache(lambda k: _product(factors[k]))
     eigenfunctions = []
     if want_eigenfunctions:
         counts: Counter = Counter()
         for ev in evs:
             counts[ev.value] += ev.multiplicity
-        simple = [ev for ev in evs
+        at = {degree: k for k, (degree, _, _) in enumerate(slices)}
+        simple = [(ev.value, at[ev.degree]) for ev in evs
                   if ev.value is not None and counts[ev.value] == 1]
-        found = {}
-        if roots is not None:
-            found = _xi_eigenfunctions(M, A, simple, *roots)
-        elif jacobi is not None:
-            found = _jacobi_eigenfunctions(*jacobi, simple)
-        rest = [ev for ev in simple if ev.value not in found]
-        found.update(zip((ev.value for ev in rest),
-                         _eigenfunctions(M, slices, rest)))
-        eigenfunctions = [found[ev.value] for ev in simple]
+        ints = M.numerators(max((slices[k][2] for _, k in simple),
+                                default=0))
+        eigenfunctions = [_eigenvector(M, ints, slices, annihilator, lam, k)
+                          for lam, k in simple]
     evs.sort(key=lambda e: (e.approx(), e.degree))
     report = SpectrumReport(case, M.basis, tuple(evs),
                             ground_energy, tuple(eigenfunctions))

@@ -194,6 +194,44 @@ def test_malformed_params_file_exits_2(tmp_path, capsys, params):
     assert "input error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("params", [
+    {"m": [1, 1, "1/0"]},
+    {"springs": [1, 2, "1/0"]},
+    {"omega": "1/0"},
+    {"A": "1/0"},
+    {"A": [0, "1/0", 0]},
+    {"rho23": "1/0"},
+], ids=lambda params: json.dumps(params))
+def test_a_zero_denominator_in_a_params_file_exits_2(tmp_path, capsys,
+                                                     params):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"case": "general3", **params}))
+    code, out, err = run(capsys, "spectrum", "--params", str(f), "--N", "1")
+    assert code == 2 and out == ""
+    key, = params
+    assert "input error" in err and repr(key) in err
+    assert "Traceback" not in err
+
+
+def test_a_params_file_sets_only_what_the_command_reads(tmp_path, capsys):
+    """One file may serve several commands: `integrals` reads no spring,
+    A, rho23 or N, so those keep their defaults and its output equals the
+    run with the masses as flags; `spectrum` reads the springs."""
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"case": "general3", "m": [2, 3, "5/2"],
+                             "springs": [7, 1, 1], "A": [1, 2, 3],
+                             "rho23": 2, "N": 1}))
+    code, out, _ = run(capsys, "integrals", "--params", str(f))
+    assert code == 0
+    assert json.loads(out)["params"]["springs"] == ["1/1"] * 3
+    assert run(capsys, "integrals", "--m1", "2", "--m2", "3",
+               "--m3", "5/2") == (0, out, "")
+    code, out, _ = run(capsys, "spectrum", "--params", str(f))
+    params = json.loads(out)["params"]
+    assert code == 0 and params["springs"] == ["7/1", "1/1", "1/1"]
+    assert params["A12"] == params["A13"] == params["A23"] == "0/1"
+
+
 def test_both_2body_masses_infinite_exit_2(capsys):
     # one rule for every 2-body command: the reduced mass does not exist
     for argv in (("spectrum", "--case", "twobody_qes", "--A", "1"),
@@ -499,13 +537,16 @@ def test_commands_without_a_grid_do_not_load_numpy_or_scipy():
 
 def test_harmonic_spectrum_commands_do_not_load_sympy():
     """The harmonic levels come in closed form and their eigenfunctions
-    from the xi recursion on Fractions, so the README spectrum command,
-    one command per harmonic case, the all-rational general3 draw and one
-    command per harmonic case at N = 0 (an empty degree-1 block) run
-    without sympy.  onedim3 at N >= 2 with delta not a square (here
-    delta = 1/33) needs the irrational eigenforms of its degree-1 block
-    for its simple level 2 r0 at degree 2: that level takes the per-block
-    path, which loads sympy."""
+    from the blocks' annihilators on integers, so the README spectrum
+    command, one command per harmonic case, the all-rational general3
+    draw and one command per harmonic case at N = 0 (an empty degree-1
+    block) run without sympy.  So do onedim3 at N = 2 with delta not a
+    square (here delta = 1/33), whose simple level 2 r0 at degree 2 has
+    no rational eigenforms of A to start from, and molecular3 at N = 3.
+    molecular3's degree-1 block has the roots 2 omega (a + b) and
+    4 omega (a + b), so its delta = omega^2 (a + b)^2 is always a square;
+    only a = -b, where A is a nonzero nilpotent, takes the per-block
+    path."""
     import os
     import subprocess
     import sys
@@ -529,6 +570,8 @@ def test_harmonic_spectrum_commands_do_not_load_sympy():
         "spectrum --case molecular3 --m2 inf --m3 inf --c 0 --rho23 2"
         " --N 0",
         "spectrum --case onedim3 --m1 2 --m2 3 --m3 5/2 --d 1 --N 2",
+        "spectrum --case molecular3 --m2 inf --m3 inf --a 1 --b 2 --c 0"
+        " --rho23 3/2 --N 3",
     ]
     script = (
         "import contextlib, io, sys\n"
@@ -541,15 +584,15 @@ def test_harmonic_spectrum_commands_do_not_load_sympy():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["0 False"] * 14 + ["0 True"]
+    assert out.splitlines() == ["0 False"] * 16
 
 
 def test_qes_and_verify_all_do_not_load_sympy():
     """The QES block at A > 0 is a Jacobi matrix: its levels come from
-    integer Sturm counts and its rational levels' eigenfunctions from the
-    three-term recurrence (`spectra` docstring), so the README qes and
-    verify-all commands run without sympy.  At N = 0 the one level is the
-    degree-0 block's entry, with e_0 as its eigenfunction."""
+    integer Sturm counts and its rational levels' eigenfunctions from its
+    char poly as the annihilator (`spectra` docstring), so the README qes
+    and verify-all commands run without sympy.  At N = 0 the one level is
+    the degree-0 block's entry, with e_0 as its eigenfunction."""
     import os
     import subprocess
     import sys

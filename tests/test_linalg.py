@@ -351,8 +351,16 @@ def test_tridiagonal_levels_match_the_char_poly(diag, data):
         st.fractions(min_value=Fraction(1, 6), max_value=50,
                      max_denominator=6),
         min_size=len(diag) - 1, max_size=len(diag) - 1))
-    assert linalg.tridiagonal_levels(diag, products) \
-        == _levels_by_char_poly(diag, products)
+    levels, char_poly = linalg.tridiagonal_levels(diag, products)
+    assert levels == _levels_by_char_poly(diag, products)
+    # the char poly, returned as T's annihilator, is L^n det(lam - T)
+    n = len(diag)
+    T = [[diag[i] if i == j else Fraction(1) if j == i + 1
+          else products[j] if i == j + 1 else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    monic = linalg.char_poly(domain_matrix(T))[::-1]
+    assert [Fraction(c, char_poly[0]) for c in char_poly] == monic
+    assert char_poly[0] > 0 and all(isinstance(c, int) for c in char_poly)
 
 
 def test_an_integer_level_just_above_an_irrational_one():
@@ -361,17 +369,17 @@ def test_an_integer_level_just_above_an_irrational_one():
     a level, so it is the first level's candidate but not its value."""
     diag, products = [Fraction(-4), Fraction(-2), Fraction(-4)], [1, 1]
     products = [Fraction(x) for x in products]
-    levels = linalg.tridiagonal_levels(diag, products)
+    levels, _ = linalg.tridiagonal_levels(diag, products)
     assert levels == _levels_by_char_poly(diag, products)
     assert [v for v, _ in levels] == [None, -4, None]
 
 
 def test_tridiagonal_levels_at_grid_points_are_values():
     F = Fraction
-    assert linalg.tridiagonal_levels([F(0), F(0)], [F(1)]) \
+    assert linalg.tridiagonal_levels([F(0), F(0)], [F(1)])[0] \
         == [(F(-1), None), (F(1), None)]
-    assert linalg.tridiagonal_levels([F(1, 3)], []) == [(F(1, 3), None)]
-    (lo, _), (hi, _) = linalg.tridiagonal_levels([F(0), F(0)], [F(2)])
+    assert linalg.tridiagonal_levels([F(1, 3)], [])[0] == [(F(1, 3), None)]
+    (lo, _), (hi, _) = linalg.tridiagonal_levels([F(0), F(0)], [F(2)])[0]
     assert lo is hi is None
 
 

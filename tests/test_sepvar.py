@@ -274,6 +274,24 @@ OPHAM_KEYS = ((2, 0, 0), (1, 0, 0), (0, 2, 0), (0, 1, 0), (0, 0, 2),
 SPURIOUS_KEYS = ((1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 0))
 
 
+def test_pushforward_memory_does_not_grow_with_the_points():
+    """Each point is checked as it is drawn and then dropped, so the
+    traced peak at 200 points is that at 50.  Holding every point's power
+    tables until the end, 200 points peaked about 100 kB above 50."""
+    import tracemalloc
+    p = Params(m1=2, m2=3, m3=Fraction(5, 2), a=1, b=2, c=Fraction(3, 2))
+    assert sepvar.verify_pushforward(p, n_points=50)   # warm the caches
+    peaks = []
+    for n in (50, 200):
+        tracemalloc.start()
+        try:
+            assert sepvar.verify_pushforward(p, n_points=n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 16_000, peaks
+
+
 @pytest.mark.parametrize("key", OPHAM_KEYS + SPURIOUS_KEYS)
 def test_pushforward_rejects_each_perturbed_coefficient(monkeypatch, key):
     """A 10^-6 change to any coefficient of the w-space operator, or a

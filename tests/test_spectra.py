@@ -133,10 +133,12 @@ FIXED_DRAWS = {
     "case", [Case.GENERAL3, Case.EQUAL_MASS3, Case.ATOMIC3, Case.ONE_DIM3,
              Case.MOLECULAR3, Case.TWO_BODY_ES], ids=lambda c: c.value)
 def test_eigenfunctions_match_full_matrix_nullspace(case, rng):
-    """Eigenvectors from the xi recursion or from back-substitution equal
+    """Eigenvectors from the blocks' annihilators (Cayley-Hamilton) equal
     the normalised null vectors of the whole shifted matrix (sympy's
     nullspace as the oracle), one per rational level that is simple
-    across the grading.  Above 35 basis monomials (the general3 draw of
+    across the grading.  The molecular draw with a = -b, where A is a
+    nonzero nilpotent, takes the per-block path; its one level 0 is
+    repeated, so it has no eigenfunction.  Above 35 basis monomials (the general3 draw of
     `FIXED_DRAWS`) sympy's dense nullspace takes seconds a level; there
     each eigenvector must annihilate the whole shifted matrix exactly and
     equal the per-block path's, whose char polys make its level simple,
@@ -147,6 +149,9 @@ def test_eigenfunctions_match_full_matrix_nullspace(case, rng):
              for _ in range(3)]
     if case in FIXED_DRAWS:
         draws.append(FIXED_DRAWS[case])
+    if case is Case.MOLECULAR3:
+        draws.append((Params(m1=2, m2=None, m3=None, a=1, b=-1, c=0,
+                             rho23=Fraction(3, 2)), 3))
     for p, N in draws:
         rep = spectra.spectrum(case, p, N)
         M = spectra.assemble_matrix(spectra.case_operator(case, p),
@@ -174,33 +179,30 @@ def test_eigenfunctions_match_full_matrix_nullspace(case, rng):
                                       for x in null / lead)
 
 
-def test_a_nonzero_residual_sends_the_level_to_the_block_path(monkeypatch):
-    """A perturbed xi division leaves a nonzero residual after the last
-    round, so each level it divided for takes `_eigenfunctions`, and the
-    report is the unperturbed one (the all-rational draw at N = 4)."""
+def test_a_corrupted_annihilator_is_a_named_failure(monkeypatch, capsys):
+    """A factor x - c of each block's annihilator turned into x - c + 1
+    leaves a product that no longer vanishes on the block (the
+    all-rational draw at N = 2), so the certificate (M - lam) v = 0
+    fails: `EigenvectorCertificateError` is raised, with no fallback,
+    and the CLI exits 1."""
+    from oscchain import cli
+    gl3_levels = spectra._gl3_levels
+
+    def corrupted(*args):
+        levels, ((one, c), *factors) = gl3_levels(*args)
+        return levels, [[one, c + 1], *factors]
+
+    monkeypatch.setattr(spectra, "_gl3_levels", corrupted)
     p, _ = FIXED_DRAWS[Case.GENERAL3]
-    h = spectra.case_operator(Case.GENERAL3, p)
-    M = spectra.assemble_matrix(h, spectra.enumerate_basis(h.variables, 4))
-    want = spectra.eigenvalues_graded(M)
-    divide, eigenfunctions = spectra._xi_divide, spectra._eigenfunctions
-    divided, sent = set(), []
-
-    def perturbed(top, lam, lams):
-        divided.add(lam)
-        out = divide(top, lam, lams)
-        beta = next(iter(out))
-        out[beta] += 1
-        return out
-
-    def spy(M, slices, levels):
-        sent.extend(ev.value for ev in levels)
-        return eigenfunctions(M, slices, levels)
-
-    monkeypatch.setattr(spectra, "_xi_divide", perturbed)
-    monkeypatch.setattr(spectra, "_eigenfunctions", spy)
-    got = spectra.eigenvalues_graded(M)
-    assert len(divided) >= 5 and sorted(sent) == sorted(divided)
-    assert got == want
+    with pytest.raises(spectra.EigenvectorCertificateError):
+        spectra.spectrum(Case.GENERAL3, p, 2)
+    assert spectra.spectrum(Case.GENERAL3, p, 2,
+                            want_eigenfunctions=False).gauged
+    assert cli.main(["spectrum", "--case", "general3", "--m1", "2",
+                     "--m2", "3", "--m3", "5/2", "--a", "1", "--b", "2",
+                     "--c", "2", "--N", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "EigenvectorCertificateError" in err and "Traceback" not in err
 
 
 def op_matrix(variables, N, rows):
@@ -342,9 +344,9 @@ COUPLINGS = st.fractions(min_value=Fraction(1, 3), max_value=6,
 def test_qes_block_takes_the_tridiagonal_path(A, omega, d, N):
     """At A > 0 the QES block is tridiagonal with every product of
     opposite off-diagonal entries positive, so its levels come from
-    integer Sturm counts and its rational levels' eigenfunctions from the
-    three-term recurrence; levels, cells and eigenfunctions equal the
-    per-block path's."""
+    integer Sturm counts and its rational levels' eigenfunctions from its
+    char poly as the annihilator; levels, cells and eigenfunctions equal
+    the per-block path's."""
     p = Params(m1=1, m2=1, omega=omega, d=d, A=A, N=N)
     M = spectra.assemble_matrix(build_h_algebraic(Case.TWO_BODY_QES, p),
                                 spectra.enumerate_basis(("rho",), N))
