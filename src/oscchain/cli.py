@@ -10,7 +10,10 @@ tables); exit status 0 = success, 1 = a named verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import re
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -94,8 +97,11 @@ def _build_params(args, default_case: Optional[Case] = None,
     ones the command computed with; `overrides` then apply."""
     case, base = default_case, Params()
     if args.params:
-        with open(args.params) as fh:
-            case, base = params_from_json(json.load(fh))
+        try:
+            with open(args.params) as fh:
+                case, base = params_from_json(json.load(fh))
+        except OSError as e:    # any other OSError is writing the output
+            raise ValueError(str(e)) from e
     if args.case:
         case = Case(args.case)
     if case is None:
@@ -319,26 +325,54 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_ARGPARSE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")   # read as a value
+
+
+def _join_negative_values(argv: List[str]) -> List[str]:
+    """argv with each value that starts with '-' and a digit or '.', such
+    as '-3/2' or '-1:2:1/2', which argparse takes for an option unlike
+    '-1' and '-1.5', joined to the flag before it: `--a -3/2` becomes
+    `--a=-3/2`."""
+    out: List[str] = []
+    for arg in argv:
+        if re.match(r"-[\d.]", arg) and not _ARGPARSE_NUMBER.fullmatch(arg) \
+                and out and out[-1][:2] == "--" and "=" not in out[-1]:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_negative_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        args.func(args)
+        try:
+            args.func(args)
+        finally:    # a failure to write outranks the command's own
+            sys.stdout.flush()
     except VerificationFailure as e:
         print(f"verification failed: {e.args[0]}", file=sys.stderr)
         return 1
     except (spectra.DefectiveBlock, spectra.InvariantSubspaceViolation,
-            spectra.EigenvectorCertificateError, linalg.RootCertificateError,
-            sepvar.PotentialMismatch, SingularSampleError) as e:
+            spectra.EigenvectorCertificateError, spectra.UnsupportedMatrix,
+            linalg.RootCertificateError, sepvar.PotentialMismatch,
+            SingularSampleError) as e:
         print(f"verification failed: {type(e).__name__}: {e}",
               file=sys.stderr)
         return 1
-    except (CaseError, ValueError, OSError, json.JSONDecodeError,
+    except (CaseError, ValueError, json.JSONDecodeError,
             argparse.ArgumentTypeError) as e:
         print(f"input error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:    # writing stdout: a full disk, a closed pipe
+        print(f"output error: {e}", file=sys.stderr)
+        with contextlib.suppress(OSError):  # no second failure at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     return 0
 

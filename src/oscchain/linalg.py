@@ -1,48 +1,33 @@
-"""Characteristic polynomials, determinants and certified real roots over Q.
+"""Determinants, continuants and certified real roots over Q.
 
-The spectral engine holds each operator matrix as Fraction columns and
-builds a sparse sympy `DomainMatrix` view over QQ from them only on the
-per-block path, for its char polys and ranks.  `char_poly` is the one
-matrix stage here: sympy's division-free Berkowitz `charpoly` of such a
-view, returned as Fraction coefficients.  sympy is imported inside the
-functions, so commands that do no linear algebra never load it.  Only
-the per-block path of `spectra` (a non-diagonalizable degree-1 block,
-the QES block at A < 0, hand-built matrices) calls `char_poly` and
-`factor_over_q`: the harmonic path reads the roots of the degree-1 block
-in closed form, and the QES block at A > 0, a tridiagonal matrix whose
-opposite off-diagonal products are positive, takes `tridiagonal_levels`,
-integer Sturm counts with no sympy.  Each path hands its blocks'
-annihilators (these char polys, or a product of the closed-form levels'
-factors) to the one eigenvector routine of `spectra`, which runs on
-integers.  `det` is the one determinant, by cofactors, of the small
-matrices of `spectra` (Fractions) and `model.cometric` (`MultiPoly`s).
+The spectral engine reads every level off its matrix's structure
+(`spectra` docstring); no general char poly is computed here.  `det` is
+the one determinant, by cofactors, of the small matrices of `spectra`
+(Fractions) and `model.cometric` (`MultiPoly`s).  `tridiagonal_levels`
+builds a tridiagonal matrix's char poly, the continuant, from its
+three-term recurrence on integers, and finds the levels by integer Sturm
+counts when every product of opposite off-diagonal entries is positive
+(no sympy), else by `real_roots_exact`.  The continuant is also the
+annihilator that `spectra` hands to its one eigenvector routine.
 
-Real roots: sympy factors the characteristic polynomial over Q, built
-straight from its coefficient list (`factor_over_q`).  A factor of
-degree >= 2 is irreducible, so its roots are irrational, and each is
-reported as the cell [n, n + 1] / 2^64 of the dyadic grid that holds it,
-n = floor(r 2^64) (`isolate_irreducible`).  A quadratic's cells are in
-closed form, from one integer square root; a factor of higher degree is
-isolated by sympy, and the cell in each interval [lo, hi] is found by
-integer bisection over the grid indices n in [floor(lo 2^64),
-ceil(hi 2^64)], the sign of f at n / 2^64 taken from 2^(64 d) f(n / 2^64)
-by integer Horner.  A cell whose ends do not have strictly opposite signs
-raises `RootCertificateError`.  `tridiagonal_levels` finds its cells on
-the same grid by bisecting the grid indices with Sturm counts, and
-certifies each cell the same way.
+Real roots: sympy factors a polynomial over Q, built straight from its
+coefficient list (`factor_over_q`).  A factor of degree >= 2 is
+irreducible, so its roots are irrational, and each is reported as the
+cell [n, n + 1] / 2^64 of the dyadic grid that holds it, n = floor(r 2^64)
+(`isolate_irreducible`).  A quadratic's cells are in closed form, from
+one integer square root; a factor of higher degree is isolated by sympy,
+and the cell in each interval [lo, hi] is found by integer bisection over
+the grid indices n in [floor(lo 2^64), ceil(hi 2^64)], the sign of f at
+n / 2^64 taken from 2^(64 d) f(n / 2^64) by integer Horner.  A cell
+whose ends do not have strictly opposite signs raises
+`RootCertificateError`.  `tridiagonal_levels` finds its cells on the same
+grid by Sturm counts, and certifies each cell the same way.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
-
-
-def char_poly(A) -> List[Fraction]:
-    """Coefficients [c0, ..., cn] of det(lam*I - A) for a square
-    `DomainMatrix` A over QQ; cn = 1."""
-    return [Fraction(c.numerator, c.denominator)
-            for c in reversed(A.charpoly())]
+from typing import Dict, List, Sequence, Tuple
 
 
 def det(B):
@@ -205,28 +190,28 @@ def _sturm(d: Sequence[int], P: Sequence[int], y: int) -> Tuple[int, int]:
 
 
 def tridiagonal_levels(diag: Sequence[Fraction], products: Sequence[Fraction]
-                       ) -> Tuple[List[Tuple[Optional[Fraction],
-                                             Optional[Tuple[Fraction,
-                                                            Fraction]]]],
-                                  List[int]]:
+                       ) -> Tuple[list, List[int]]:
     """(levels, char poly) of a tridiagonal matrix T with the diagonal
-    `diag` and the products b_k c_k > 0 of its opposite off-diagonal
-    entries: the levels ascending, each (value, None) when rational, else
-    (None, cell) with its grid cell (`_grid_cell`), and
+    `diag` and the nonzero products b_k c_k of its opposite off-diagonal
+    entries: each level (value, None, multiplicity) when rational, else
+    (None, cell, multiplicity) with its grid cell (`_grid_cell`), and
     q_n(L lam) = L^n det(lam - T), integers, highest degree first.
 
     With L the lcm of the denominators, LT has the integer diagonal
     d = L diag and products P = L^2 products, and its monic integer char
     poly q_n comes from the continuant recurrence
-    q_{k+1}(y) = (y - d_k) q_k(y) - P_{k-1} q_{k-1}(y).  The levels are
-    real and simple, and the sign changes of q_0(y), ..., q_n(y) count
-    those above y (`spectra` docstring).  Bisection on that count finds
-    level j's cell [a, a + 1] / GRID, then the one integer candidate y,
-    the least integer at or above it: the level is y / L when q_n(y) = 0
-    and exactly n - 1 - j levels lie above y (else y is the next level,
-    and level j lies below it).  Otherwise the cell is certified, each by
-    an `if`: the count falls by exactly one across it, and q_n has
-    strictly opposite signs at its ends."""
+    q_{k+1}(y) = (y - d_k) q_k(y) - P_{k-1} q_{k-1}(y), whatever their
+    signs.  Unless every product is > 0, the levels are the real roots of
+    q_n from `real_roots_exact`, rational before irrational.  When every
+    product is > 0 the levels are real and simple, and the sign changes
+    of q_0(y), ..., q_n(y) count those above y (`spectra` docstring).
+    Bisection on that count finds level j's cell [a, a + 1] / GRID, in
+    ascending order, then the one integer candidate y, the least integer
+    at or above it: the level is y / L when q_n(y) = 0 and exactly
+    n - 1 - j levels lie above y (else y is the next level, and level j
+    lies below it).  Otherwise the cell is certified, each by an `if`: the
+    count falls by exactly one across it, and q_n has strictly opposite
+    signs at its ends."""
     L = math.lcm(*(int(x.denominator) for x in (*diag, *products)))
     d = [int(x * L) for x in diag]
     P = [0] + [int(x * L * L) for x in products]
@@ -237,6 +222,10 @@ def tridiagonal_levels(diag: Sequence[Fraction], products: Sequence[Fraction]
                           in zip([0, *cur], [*cur, 0], [*prev, 0, 0])]
     # q_n(L lam) in lam, highest degree first, for `_grid_cell`
     lam_coeffs = [c * L ** i for i, c in reversed(list(enumerate(cur)))]
+    if not all(x > 0 for x in products):
+        rational, irrational = real_roots_exact(lam_coeffs[::-1])
+        return [(x, None, m) for x, m in rational] \
+            + [(None, cell, m) for cell, m in irrational], lam_coeffs
     # Gershgorin on the symmetric form: |y - d_k| <= sqrt P_{k-1} + sqrt P_k
     R = max(map(abs, d)) + 2 * (math.isqrt(max(P)) + 1)
     bound = R * GRID // L + 1
@@ -251,12 +240,12 @@ def tridiagonal_levels(diag: Sequence[Fraction], products: Sequence[Fraction]
         y = 1 + _bisect(lambda k: _sturm(d, P, k)[0] > rank,
                         L * a // GRID, -(-L * (a + 1) // GRID))
         if _sturm(d, P, y) == (rank, 0):    # y is a level, and the j-th
-            out.append((Fraction(y, L), None))
+            out.append((Fraction(y, L), None, 1))
             continue
         if _sturm(dg, Pg, L * a)[0] - _sturm(dg, Pg, L * (a + 1))[0] != 1:
             raise RootCertificateError(
                 f"not one level in the grid cell [{a}, {a + 1}] / 2^64")
-        out.append((None, _grid_cell(lam_coeffs, a)))
+        out.append((None, _grid_cell(lam_coeffs, a), 1))
     return out, lam_coeffs
 
 

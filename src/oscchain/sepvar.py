@@ -62,10 +62,6 @@ class WMap:
     w3: RationalFn
     denominator_root: MultiPoly  # w3 = w1 w2 / ((m2+m3) * root^2)
 
-    def eval(self, point: Dict[str, Fraction]) -> Dict[str, Fraction]:
-        return {"w1": self.w1.eval(point), "w2": self.w2.eval(point),
-                "w3": self.w3.eval(point)}
-
 
 def build_wmap(p: Params) -> WMap:
     m2, m3 = p.m2, p.m3

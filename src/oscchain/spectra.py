@@ -25,7 +25,7 @@ diagonalizable (always, when its eigenvalues are distinct), the xi^alpha
 are eigenvectors, D is diagonalizable on Sym^n V, and the eigenspace of
 each level has the dimension of its multiplicity, so the levels of every
 block follow from A's roots and the basis alone.  A non-diagonalizable A
-takes the per-block path.
+has them in closed form too, in two variables (below).
 
 A's roots in closed form.  A is k x k, k <= 3.  Put r0 = tr(A)/k,
 B = A - r0 I, so tr B = 0, and delta = tr(B^2)/2 = (tr(A^2) - k r0^2)/2.
@@ -35,9 +35,9 @@ certifies the roots r0 and r0 +/- sqrt(delta).  A delta that is not a
 rational square (delta < 0 included) gives the pair r0 +/- sqrt(delta)
 below.  A nonzero square gives distinct rational roots, so A is
 diagonalizable.  delta = 0 gives the single root r0, and then A is
-diagonalizable exactly when A = r0 I (in the molecular case a = -b makes
-A a nonzero nilpotent).  An A of size 3 with det B != 0 takes the
-per-block path.
+diagonalizable exactly when A = r0 I.  An A of size 3 with det B != 0,
+or with delta = 0 and A != r0 I, raises `RootCertificateError`: the next
+paragraph proves that no case operator has one.
 
 Why the certificate holds in the 3-variable harmonic cases (general3,
 equalmass3, isotropic3, atomic3), whatever the signs of the springs.
@@ -69,6 +69,20 @@ In onedim3 (d = 1, variables x12 and x13) V is the mode space itself
 and A is similar to B: its roots W1, W2 are real, and A = r0 I when they
 are equal.
 
+The nilpotent degree-1 block.  In two variables, delta = 0 and B != 0
+make B a nonzero nilpotent: B is traceless, so B^2 = -det(B) I = delta I
+= 0 by Cayley-Hamilton, and B has rank 1.  The molecular case at a = -b
+is one: A's roots 2 omega (a + b) and 4 omega (a + b) are both 0, so
+r0 = 0.  Take a basis e1, e2 of V with B e2 = e1 and B e1 = 0.  On a
+product of n linear forms D acts by A = r0 I + B on each factor in turn,
+so on Sym^n V it is n r0 plus the derivation D_B by B, and
+D_B e1^i e2^(n-i) = (n - i) e1^(i+1) e2^(n-i-1).  The chain
+e2^n -> e1 e2^(n-1) -> ... -> e1^n -> 0 has the nonzero coefficients
+n - i, so D_B is one nilpotent Jordan block of size n + 1.  Block n then
+has the one level n r0, with multiplicity n + 1, the eigenspace spanned
+by e1^n (dimension 1), and the minimal polynomial (x - n r0)^(n + 1) as
+its annihilator.
+
 Pair levels.  With rational roots lambda_i and the pair u +/- sqrt(delta)
 (u = r0), alpha . lambda = c + (n2 - n3) sqrt(delta) where
 c = sum n_i lambda_i + (n2 + n3) u: alpha with n2 = n3 give the rational
@@ -76,7 +90,7 @@ level c, and the others the pair c +/- k sqrt(delta), k = |n2 - n3|, the
 roots of (x - c)^2 - k^2 delta, which is irreducible over Q, so the cells
 that hold them come in closed form (`linalg`), as for any quadratic
 factor below.  When delta < 0 that pair is complex and the report ends in
-`DefectiveBlock`, as on the per-block path.
+`DefectiveBlock`.
 
 The QES block: a Jacobi matrix.  The sextic 2-body operator is
 h = -4 rho d^2 + (4 A rho^2 + 4 omega rho - 2d) d - 4 A N rho.  On rho^j
@@ -101,29 +115,25 @@ of levels above lam (Barth, Martin and Wilkinson, Numer. Math. 9 (1967)
 386).  A zero q_k(lam) can be skipped: for k <= N it gives
 q_(k+1)(lam) = -b_(k-1) c_(k-1) q_(k-1)(lam), nonzero and of the other
 sign, and at k = N + 1 the strict interlacing leaves the count above lam
-unchanged.  `linalg.tridiagonal_levels` scales T by the lcm L of the
-denominators of the a_j and of the products, so that LT has a monic
-integer char poly, whose rational roots are integers, and finds each
-level's grid cell by bisecting the grid indices with integer Sturm
-counts.  Its certificates, each an `if`: a rational level is the one
-integer candidate y in its cell with q(y) = 0 exactly; an irrational
-level's cell has the count fall by exactly one across it and the char
-poly strictly opposite signs at its ends (`linalg._grid_cell`).  It
-returns that char poly, L^(N+1) det(lam - T) in lam, as T's annihilator.
-`eigenvalues_graded` takes this path whenever the closed form above does
-not hold and the matrix is tridiagonal with every product > 0, all read
-off `M.cols`, never off the case.  A graded-triangular matrix of two or
-more rows never is, since its c_0 = M[1][0] would raise the degree and
-so is 0.  The 1 x 1 matrix at N = 0 always is, having no products: its
-one level is M_00.  A product <= 0 (the QES block at A < 0, hand-built
-matrices) keeps the per-block path.
+unchanged.  `linalg.tridiagonal_levels` finds and certifies each level
+on LT, L the lcm of the denominators of the a_j and the products, by
+integer Sturm counts, and returns the continuant L^(N+1) det(lam - T)
+in lam as T's annihilator.
 
-Per-block path: an A that fails the certificate or is not
-diagonalizable, and any matrix not assembled from an operator of that
-form and not a Jacobi matrix as above (the QES block at A < 0,
-hand-built matrices), factor each block's characteristic polynomial
-over Q, and a repeated rational level reads its eigenspace dim off the
-rank of the shifted block.
+At A < 0 every product is negative, and the levels may be complex.  But
+T is still unreduced, so each eigenspace still has dimension 1 (a
+repeated level is one Jordan block), and `linalg.real_roots_exact`
+factors the same continuant over Q.
+
+Two level routes, and no fallback.  `eigenvalues_graded` takes the closed
+form when `M.gl3_form` (the harmonic cases, twobody_qes at A = 0), else
+the tridiagonal route when M is tridiagonal with every product nonzero,
+read off `M.cols`, never off the case: the QES block at A != 0, and the
+1 x 1 matrix at N = 0, which has no products and the one level M_00.
+Any other matrix raises `UnsupportedMatrix` (exit 1); only tests build
+one (a zeroth-order term, a zero product, a hand-built matrix).  A
+graded-triangular matrix of two or more rows outside the closed form has
+no route, since its c_0 = M[1][0] would raise the degree and so is 0.
 
 Everything here is exact: rational eigenvalues are reported as Fractions,
 irrational ones as the cell [n, n + 1] / 2^64 of the dyadic grid that
@@ -134,18 +144,16 @@ integer bisection over the grid indices for a factor of higher degree
 matrix.  The matrix is held as the Fraction columns {j: {i: c}} that
 assembly writes, column j the image of basis monomial j (only nonzero
 entries are stored); the triangularity scan, the degree-1 block, the
-Jacobi path and, as integer numerators over one denominator, the
-eigenvectors read them.  Its sparse sympy `DomainMatrix` over QQ is a
-view transposed into rows on first use, for the per-block path only, so
-the harmonic path, the QES block at A > 0, any matrix at N = 0 and
-importing this module do not load sympy.
+tridiagonal route and, as integer numerators over one denominator, the
+eigenvectors read them.  sympy is loaded only for a product < 0 on the
+tridiagonal route (the QES block at A < 0), never on importing this.
 
 Eigenfunctions: one route, by Cayley-Hamilton, for the rational levels
 lam that are simple across the grading.  Each diagonal block B_k has an
 annihilator a_k, a_k(B_k) = 0: prod (x - c) over its distinct rational
 levels times prod ((x - c)^2 - k^2 delta) over its distinct pairs on the
-closed-form path, as D is diagonalizable on Sym^n V; T's char poly on
-the Jacobi path; the block's char poly on the per-block path.  Divide
+closed-form path, as D is diagonalizable on Sym^n V, or (x - n r0)^(n+1)
+when B is nilpotent; T's continuant on the tridiagonal route.  Divide
 a_k(x) = (x - lam) q_k(x) + a_k(lam), so (B_k - lam) q_k(B_k) =
 -a_k(lam) I.  In the level's block n, a_n(lam) = 0, so every column of
 q_n(B_n) lies in the eigenspace, of dimension 1 as lam is simple; and
@@ -167,7 +175,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from itertools import combinations_with_replacement
 from math import comb, isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
@@ -184,6 +192,10 @@ class InvariantSubspaceViolation(RuntimeError):
         self.overflow = overflow
         super().__init__(
             f"operator leaves the span on {monomial!r}; overflow {overflow!r}")
+
+
+class UnsupportedMatrix(RuntimeError):
+    """A matrix that fits neither level route of `eigenvalues_graded`."""
 
 
 class DefectiveBlock(RuntimeError):
@@ -266,20 +278,6 @@ class OpMatrix:
         n = self.size
         return tuple(tuple(self.cols.get(j, {}).get(i, _ZERO)
                            for j in range(n)) for i in range(n))
-
-    @cached_property
-    def matrix(self):
-        """The columns, transposed into the rows of a sparse sympy
-        `DomainMatrix` over QQ, built on first use (empty rows left out:
-        sympy's sparse rref fails on them)."""
-        from sympy.polys.domains import QQ
-        from sympy.polys.matrices import DomainMatrix
-
-        rows: dict = {}
-        for j, col in self.cols.items():
-            for i, c in col.items():
-                rows.setdefault(i, {})[j] = QQ(c.numerator, c.denominator)
-        return DomainMatrix(rows, (self.size, self.size), QQ)
 
     def numerators(self, stop: int):
         """(L, {j: ((i, n), ...)}): the columns j < stop as integer
@@ -402,28 +400,6 @@ class SpectrumReport:
         return out
 
 
-def _shifted(A, lam: Fraction):
-    """A - lam I for a square DomainMatrix over QQ."""
-    return A - A.eye(A.shape[0], A.domain) * A.domain(lam)
-
-
-def _block_eigenvalues(block, degree: int):
-    """(levels, [char poly]) of one exact diagonal block (a DomainMatrix):
-    its eigenvalues, with eigenspace dims for repeated rational ones, from
-    its char poly, also returned (highest degree first) as the one factor
-    of its annihilator: the per-block path."""
-    n = block.shape[0]
-    cp = linalg.char_poly(block)
-    rational, irrational = linalg.real_roots_exact(cp)
-    out = []
-    for root, mult in rational:
-        dim = n - _shifted(block, root).rank() if mult > 1 else None
-        out.append(Eigenvalue(root, None, mult, degree, dim))
-    for (lo, hi), mult in irrational:
-        out.append(Eigenvalue(None, (lo, hi), mult, degree, None))
-    return out, [cp[::-1]]
-
-
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
     """sqrt(x) when it is rational, else None (x < 0 included)."""
     if x < 0:
@@ -435,42 +411,42 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
 
 
 def _degree1_roots(A):
-    """The roots of the degree-1 block A, k <= 3 rows of Fractions, in
-    closed form (module docstring): (lams, pair) with the rational roots
-    lams and pair = (r0, delta) for the roots r0 +/- sqrt(delta) when
-    delta is not a rational square (else None).  None when A is not
-    diagonalizable (delta = 0 and A != r0 I), or when k = 3 and
-    det(A - r0 I) != 0.  An empty A (N = 0) has no roots: ([], None)."""
+    """(lams, pair, nilpotent): the roots of the degree-1 block A, k <= 3
+    rows of Fractions, in closed form (module docstring).  lams are the
+    rational roots, pair = (r0, delta) for the roots r0 +/- sqrt(delta)
+    when delta is not a rational square (else None), and nilpotent is
+    True when A - r0 I is a nonzero nilpotent, in two variables.  An
+    empty A (N = 0) has no roots: ([], None, False).  RootCertificateError
+    when k = 3 and det(A - r0 I) != 0, or delta = 0 and A != r0 I."""
     k = len(A)
     if not k:
-        return [], None
+        return [], None, False
     r0 = sum(A[i][i] for i in range(k)) / k
     B = [[x - r0 if i == j else x for j, x in enumerate(row)]
          for i, row in enumerate(A)]
     delta = sum(B[i][j] * B[j][i] for i in range(k) for j in range(k)) / 2
-    lams: List[Fraction] = []
-    if k == 3:
-        if linalg.det(B):
-            return None
-        lams = [r0]
+    lams = [r0] if k == 3 else []
     root = _rational_sqrt(delta)
+    nilpotent = root == 0 and any(any(row) for row in B)
+    if k == 3 and (linalg.det(B) or nilpotent):
+        raise linalg.RootCertificateError(
+            "the 3-variable degree-1 block fails det(A - r0 I) = 0 or is "
+            "not diagonalizable")
     if root is None:
-        return lams, (r0, delta)
+        return lams, (r0, delta), False
     if root:
-        return lams + [r0 - root, r0 + root], None
-    if any(any(row) for row in B):
-        return None
-    return [r0] * k, None
+        return lams + [r0 - root, r0 + root], None, False
+    return [r0] * k, None, nilpotent
 
 
-def _gl3_levels(monomials, degree: int, lams, pair):
+def _gl3_levels(monomials, degree: int, lams, pair, nilpotent: bool):
     """(levels, factors) of the diagonal block of degree `degree`, spanned
-    by `monomials`, of a matrix of gl(3) form whose degree-1 block is
-    diagonalizable with the roots (lams, pair) of `_degree1_roots`
-    (module docstring): the levels ordered as `_block_eigenvalues` orders
-    them, and x - c for each distinct rational level c and
+    by `monomials`, of a matrix of gl(3) form whose degree-1 block has the
+    roots (lams, pair, nilpotent) of `_degree1_roots` (module docstring):
+    the levels ascending, rational before irrational, and x - c for each
+    distinct rational level c (n + 1 times when A - r0 I is nilpotent) and
     (x - c)^2 - k^2 delta for each distinct pair, highest degree first,
-    whose product annihilates the block, as D is diagonalizable on it."""
+    whose product annihilates the block."""
     rational: Counter = Counter()
     pairs: Counter = Counter()   # (c, k): c +/- k sqrt(delta)
     for alpha in monomials:
@@ -484,7 +460,8 @@ def _gl3_levels(monomials, degree: int, lams, pair):
             rational[c] += 1
         elif n2 > n3:
             pairs[c, n2 - n3] += 1
-    out = [Eigenvalue(value, None, mult, degree, mult if mult > 1 else None)
+    out = [Eigenvalue(value, None, mult, degree,
+                      None if mult == 1 else 1 if nilpotent else mult)
            for value, mult in sorted(rational.items())]
     quadratics = {(c, k): [1, -2 * c, c * c - k * k * pair[1]]
                   for c, k in pairs}
@@ -493,7 +470,9 @@ def _gl3_levels(monomials, degree: int, lams, pair):
     irrational.sort(key=lambda t: t[0][0])
     out += [Eigenvalue(None, iv, mult, degree, None)
             for iv, mult in irrational]
-    return out, [[1, -c] for c in rational] + list(quadratics.values())
+    return out, [[1, -c] for c, mult in rational.items()
+                 for _ in range(mult if nilpotent else 1)] \
+        + list(quadratics.values())
 
 
 def _product(polys):
@@ -592,59 +571,58 @@ def _eigenvector(M: OpMatrix, numerators, slices, annihilators,
 def _jacobi(M: OpMatrix):
     """(a, p): the diagonal a_j and the products p_j = M[j][j + 1]
     M[j + 1][j] of the opposite off-diagonal entries of M when M is
-    tridiagonal with every product > 0 (module docstring), else None."""
+    tridiagonal with every product nonzero (module docstring), else
+    None."""
     if any(abs(i - j) > 1 for j, col in M.cols.items() for i in col):
         return None
     cols = [M.cols.get(j, {}) for j in range(M.size)]
     a = [col.get(j, _ZERO) for j, col in enumerate(cols)]
     p = [cols[j + 1].get(j, _ZERO) * cols[j].get(j + 1, _ZERO)
          for j in range(M.size - 1)]
-    return (a, p) if all(x > 0 for x in p) else None
+    return (a, p) if all(p) else None
 
 
 def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
                        ground_energy: Optional[Fraction] = None,
                        want_eigenfunctions: bool = True) -> SpectrumReport:
     """Spectrum of a matrix on P_N: the union of its diagonal-block
-    spectra.  The blocks are the degree slices when the matrix is
-    graded-triangular, else the whole matrix is one block of degree N.
-    Each block's levels come in closed form when `M.gl3_form` and the
-    degree-1 block is diagonalizable with a certified closed form, from
-    integer Sturm counts when the matrix is a Jacobi matrix (`_jacobi`,
-    the 1 x 1 matrix at N = 0 included), else from its char poly (module
-    docstring).
+    spectra, by one of two level routes (module docstring).  When
+    `M.gl3_form` (and M is graded-triangular, as assembly makes it) the
+    blocks are the degree slices, and their levels come in closed form
+    from the degree-1 block.  Otherwise M must be tridiagonal with every
+    product of opposite off-diagonal entries nonzero (`_jacobi`), one
+    block of degree N whose levels come from its continuant; any other
+    matrix raises UnsupportedMatrix.
 
     Eigenfunctions are computed for the rational eigenvalues that are
     simple across the whole grading, each by `_eigenvector` from the
     blocks' annihilators, which are built only then.
     """
-    graded = M.is_graded_triangular()
-    slices = M.basis.degree_slices() if graded \
-        else [(M.basis.degree_cap, 0, M.size)]
-    roots = jacobi = None
-    if graded and M.gl3_form:    # the degree-1 block A, empty at N = 0
+    evs: List[Eigenvalue] = []
+    factors = []    # per block, polynomials whose product annihilates it
+    if M.gl3_form and M.is_graded_triangular():
+        slices = M.basis.degree_slices()
+        # the degree-1 block A, empty at N = 0
         one = range(1, min(M.size, 1 + len(M.basis.variables)))
         A = [[M.cols.get(j, {}).get(i, _ZERO) for j in one] for i in one]
         roots = _degree1_roots(A)
-    else:
-        jacobi = _jacobi(M)
-    evs: List[Eigenvalue] = []
-    factors = []    # per block, polynomials whose product annihilates it
-    if jacobi is not None:
-        levels, char_poly = linalg.tridiagonal_levels(*jacobi)
-        evs = [Eigenvalue(value, cell, 1, M.basis.degree_cap)
-               for value, cell in levels]
-        factors = [[char_poly]]
-    else:
         for degree, start, stop in slices:
-            if roots is not None:
-                levels, fs = _gl3_levels(M.basis.monomials[start:stop],
-                                         degree, *roots)
-            else:
-                levels, fs = _block_eigenvalues(
-                    M.matrix[start:stop, start:stop], degree)
+            levels, fs = _gl3_levels(M.basis.monomials[start:stop],
+                                     degree, *roots)
             evs.extend(levels)
             factors.append(fs)
+    else:
+        jacobi = _jacobi(M)
+        if jacobi is None:
+            raise UnsupportedMatrix(
+                "neither of gl(3) form nor tridiagonal with nonzero "
+                "off-diagonal products")
+        slices = [(M.basis.degree_cap, 0, M.size)]
+        levels, char_poly = linalg.tridiagonal_levels(*jacobi)
+        evs = [Eigenvalue(value, cell, mult, M.basis.degree_cap,
+                          1 if mult > 1 and cell is None else None)
+               for value, cell, mult in levels]
+        factors.append([char_poly])
     annihilator = cache(lambda k: _product(factors[k]))
     eigenfunctions = []
     if want_eigenfunctions:

@@ -46,6 +46,43 @@ def degree1_block(case, p):
     return A, r0, delta
 
 
+def char_poly(rows):
+    """det(x - B) of the square matrix B given as rows of Fractions, from
+    sympy's `Matrix.charpoly`: Fractions, lowest degree first."""
+    import sympy
+    return [Fraction(int(c.p), int(c.q))
+            for c in reversed(sympy.Matrix(rows).charpoly().all_coeffs())]
+
+
+def per_block(M):
+    """The levels of the OpMatrix M by the per-block path, the oracle of
+    the spectral engine's two level routes: the diagonal blocks are the
+    degree slices when M is graded-triangular, else M is one block of
+    degree N; each block's levels are the real roots of its `char_poly`
+    (`linalg.real_roots_exact`), and a repeated rational level's
+    eigenspace dim is the block size less sympy's rank of the shifted
+    block (over QQ: `Matrix.rank` takes minutes on a 21 x 21 block).
+    Ordered as `spectra.eigenvalues_graded` orders its levels."""
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+    from oscchain import linalg, spectra
+    slices = M.basis.degree_slices() if M.is_graded_triangular() \
+        else [(M.basis.degree_cap, 0, M.size)]
+    rows = M.entries
+    levels = []
+    for degree, lo, hi in slices:
+        block = [row[lo:hi] for row in rows[lo:hi]]
+        rational, irrational = linalg.real_roots_exact(char_poly(block))
+        for x, mult in rational:
+            shifted = sympy.Matrix(block) - x * sympy.eye(hi - lo)
+            dim = hi - lo - DomainMatrix.from_Matrix(shifted).rank() \
+                if mult > 1 else None
+            levels.append(spectra.Eigenvalue(x, None, mult, degree, dim))
+        levels += [spectra.Eigenvalue(None, cell, mult, degree)
+                   for cell, mult in irrational]
+    return tuple(sorted(levels, key=lambda e: (e.approx(), e.degree)))
+
+
 fractions_st = st.fractions(
     min_value=-100, max_value=100, max_denominator=50)
 

@@ -104,13 +104,56 @@ def test_qes_agrees_at_d1(capsys):
 
 def test_qes_at_negative_coupling_is_a_defective_block(capsys):
     """At A < 0 every product of opposite off-diagonal entries of the QES
-    block is negative: it takes the per-block path, which finds no real
-    level at N = 3."""
+    block is negative, but nonzero: its continuant is factored over Q,
+    and at N = 3 it has no real root."""
     code, out, err = run(capsys, "spectrum", "--case", "twobody_qes",
                          "--A", "-1", "--N", "3")
     assert code == 1 and out == ""
     assert "verification failed: DefectiveBlock" in err
     assert "Traceback" not in err
+
+
+def test_qes_at_a_small_negative_coupling_has_real_levels(capsys):
+    """At A = -1/100, omega = 5 the QES block's continuant has four real
+    irrational roots: four grid cells, equal to the per-block oracle's,
+    and exit 0.  `--A -1/100` reads as `--A=-1/100`."""
+    from oscchain import spectra
+    from oscchain.model import Params
+
+    from conftest import per_block
+    code, out, _ = run(capsys, "spectrum", "--case", "twobody_qes",
+                       "--A=-1/100", "--omega", "5", "--N", "3")
+    assert code == 0
+    assert run(capsys, "spectrum", "--case", "twobody_qes", "--A",
+               "-1/100", "--omega", "5", "--N", "3") == (0, out, "")
+    gauged = json.loads(out)["results"]["gauged"]
+    assert [(ev["degree"], ev["multiplicity"]) for ev in gauged] \
+        == [(3, 1)] * 4
+    assert all("interval" in ev for ev in gauged)
+    p = Params(A=Fraction(-1, 100), omega=5, N=3)
+    h = spectra.case_operator(Case.TWO_BODY_QES, p)
+    M = spectra.assemble_matrix(h, spectra.enumerate_basis(h.variables, 3))
+    assert [ev.to_json() for ev in per_block(M)] == gauged
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    ("spectrum --case general3 --a -3/2 --N 1",
+     "spectrum --case general3 --a=-3/2 --N 1"),
+    ("spectrum --case molecular3 --m2 inf --m3 inf --a 3/2 --b -3/2 --c 0"
+     " --rho23 3/2 --N 2",
+     "spectrum --case molecular3 --m2 inf --m3 inf --a 3/2 --b=-3/2 --c 0"
+     " --rho23 3/2 --N 2"),
+    ("curve --a -1/2 --rho23-range -1:1:1/2",
+     "curve --a=-1/2 --rho23-range=-1:1:1/2"),
+], ids=["a", "b", "range"])
+def test_a_negative_fraction_reads_as_after_an_equals_sign(
+        capsys, spaced, joined):
+    """argparse takes '-3/2' for an option, unlike '-1' and '-1.5'; the
+    CLI joins such a value to its flag, so `--a -3/2` prints the same
+    bytes as `--a=-3/2`."""
+    code, out, err = run(capsys, *spaced.split())
+    assert (code, err) == (0, "") and out
+    assert run(capsys, *joined.split()) == (0, out, "")
 
 
 def test_qes_failure_exit_code(capsys):
@@ -545,8 +588,8 @@ def test_harmonic_spectrum_commands_do_not_load_sympy():
     no rational eigenforms of A to start from, and molecular3 at N = 3.
     molecular3's degree-1 block has the roots 2 omega (a + b) and
     4 omega (a + b), so its delta = omega^2 (a + b)^2 is always a square;
-    only a = -b, where A is a nonzero nilpotent, takes the per-block
-    path."""
+    at a = -b, where A is a nonzero nilpotent, its levels come in closed
+    form too (the last two commands)."""
     import os
     import subprocess
     import sys
@@ -572,6 +615,10 @@ def test_harmonic_spectrum_commands_do_not_load_sympy():
         "spectrum --case onedim3 --m1 2 --m2 3 --m3 5/2 --d 1 --N 2",
         "spectrum --case molecular3 --m2 inf --m3 inf --a 1 --b 2 --c 0"
         " --rho23 3/2 --N 3",
+        "spectrum --case molecular3 --m2 inf --m3 inf --a 1 --b -1 --c 0"
+        " --rho23 3/2 --N 3",
+        "spectrum --case molecular3 --m2 inf --m3 inf --a 3/2 --b -3/2"
+        " --c 0 --rho23 3/2 --N 3",
     ]
     script = (
         "import contextlib, io, sys\n"
@@ -584,7 +631,7 @@ def test_harmonic_spectrum_commands_do_not_load_sympy():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["0 False"] * 16
+    assert out.splitlines() == ["0 False"] * 18
 
 
 def test_qes_and_verify_all_do_not_load_sympy():
@@ -613,3 +660,31 @@ def test_qes_and_verify_all_do_not_load_sympy():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["0 False"] * 3
+
+
+@pytest.mark.skipif(not __import__("os").path.exists("/dev/full"),
+                    reason="needs /dev/full")
+def test_a_failed_write_is_an_output_error():
+    """stdout on a full device: one stderr line `output error: ...` and
+    exit 2, with no traceback and no 'Exception ignored' line from the
+    flush at exit.  A --params file that cannot be read stays an input
+    error."""
+    import os
+    import subprocess
+    import sys
+
+    import oscchain
+    src = os.path.dirname(os.path.dirname(oscchain.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "oscchain.cli", "spectrum", "--case",
+           "general3", "--N", "1"]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(cmd, env=env, stdout=full,
+                              stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("output error: [Errno 28] ")
+    assert done.stderr.count("\n") == 1
+    done = subprocess.run(cmd + ["--params", os.devnull + "/missing"],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("input error: [Errno 20] ")

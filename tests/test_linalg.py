@@ -1,6 +1,7 @@
-"""Characteristic polynomials of DomainMatrix blocks and certified
-real-root extraction, cross-checked against numpy, against a Fraction
-bisection snapped to the same 2^-64 grid and against sympy's CRootOf."""
+"""Continuants, tridiagonal levels and certified real-root extraction,
+cross-checked against numpy, against sympy's char polys, against a
+Fraction bisection snapped to the same 2^-64 grid and against sympy's
+CRootOf."""
 import math
 import random
 from fractions import Fraction
@@ -12,37 +13,52 @@ from hypothesis import strategies as st
 
 from oscchain import linalg
 
+from conftest import char_poly
+
 
 def rand_matrix(rng, n, lo=-5, hi=5):
     return [[Fraction(rng.randint(lo, hi)) for _ in range(n)]
             for _ in range(n)]
 
 
-def domain_matrix(A):
-    """The sparse DomainMatrix over QQ that the spectral engine holds."""
-    from sympy.polys.domains import QQ
-    from sympy.polys.matrices import DomainMatrix
-    return DomainMatrix([[QQ(x) for x in row] for row in A],
-                        (len(A), len(A)), QQ).to_sparse()
+def rand_tridiagonal(rng, n):
+    """(T, diag, products): a tridiagonal matrix with rational entries,
+    its off-diagonal entries nonzero and of either sign."""
+    def entry():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 5),
+                        rng.randint(1, 3))
+    diag = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            for _ in range(n)]
+    upper, lower = ([entry() for _ in range(n - 1)] for _ in range(2))
+    T = [[diag[i] if i == j else upper[i] if j == i + 1
+          else lower[j] if i == j + 1 else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    return T, diag, [b * c for b, c in zip(upper, lower)]
 
 
 def test_char_poly_matches_numpy(rng):
-    for n in (2, 3, 4):
+    """The char poly that `tridiagonal_levels` returns for a tridiagonal
+    matrix T with products of either sign, its continuant, is
+    L^n det(lam - T), with L the lcm of the denominators of the diagonal
+    and the products."""
+    for n in (1, 2, 3, 4, 5):
         for _ in range(5):
-            A = rand_matrix(rng, n)
-            coeffs = linalg.char_poly(domain_matrix(A))
-            got = np.array([float(c) for c in coeffs])
-            want = np.poly(np.array(A, dtype=float))[::-1]
+            T, diag, products = rand_tridiagonal(rng, n)
+            _, coeffs = linalg.tridiagonal_levels(diag, products)
+            L = math.lcm(*(x.denominator for x in diag + products))
+            assert all(isinstance(c, int) for c in coeffs)
+            got = np.array([c / L ** n for c in coeffs])
+            want = np.poly(np.array(T, dtype=float))
             assert np.allclose(got, want, atol=1e-8)
 
 
 def test_char_poly_trace_and_det(rng):
-    A = rand_matrix(rng, 4)
-    coeffs = linalg.char_poly(domain_matrix(A))   # ascending, monic
-    assert coeffs[-1] == 1
-    assert coeffs[-2] == -sum(A[i][i] for i in range(4))
-    det = Fraction(round(np.linalg.det(np.array(A, dtype=float))))
-    assert coeffs[0] == det
+    T, diag, products = rand_tridiagonal(rng, 4)
+    _, coeffs = linalg.tridiagonal_levels(diag, products)   # highest first
+    monic = [Fraction(c, coeffs[0]) for c in coeffs]
+    assert monic == char_poly(T)[::-1]
+    assert monic[1] == -sum(diag)
+    assert monic[-1] == linalg.det(T)
 
 
 def test_real_roots_rational():
@@ -80,8 +96,7 @@ def test_real_roots_mixed():
 def test_eigenvalues_of_exact_matrix_match_numpy(rng):
     for _ in range(3):
         A = rand_matrix(rng, 4, -3, 3)
-        coeffs = linalg.char_poly(domain_matrix(A))
-        rational, irrational = linalg.real_roots_exact(coeffs)
+        rational, irrational = linalg.real_roots_exact(char_poly(A))
         mids = [float(v) for v, m in rational for _ in range(m)]
         mids += [(float(lo) + float(hi)) / 2
                  for (lo, hi), m in irrational for _ in range(m)]
@@ -327,17 +342,16 @@ def test_three_roots_in_one_cell_are_refused():
 
 def _levels_by_char_poly(diag, products):
     """The levels of the tridiagonal matrix with the super-diagonal 1 and
-    the sub-diagonal `products`, as (value, cell) pairs from its char
-    poly's factors (`real_roots_exact`)."""
+    the sub-diagonal `products`, as (value, cell, 1) from its char poly's
+    factors (`real_roots_exact`), all simple."""
     n = len(diag)
     A = [[diag[i] if i == j else Fraction(1) if j == i + 1
           else products[j] if i == j + 1 else Fraction(0)
           for j in range(n)] for i in range(n)]
-    rational, irrational = linalg.real_roots_exact(
-        linalg.char_poly(domain_matrix(A)))
+    rational, irrational = linalg.real_roots_exact(char_poly(A))
     assert all(m == 1 for _, m in rational + irrational)
-    return sorted([(x, None) for x, _ in rational]
-                  + [(None, iv) for iv, _ in irrational],
+    return sorted([(x, None, 1) for x, _ in rational]
+                  + [(None, iv, 1) for iv, _ in irrational],
                   key=lambda t: t[0] if t[1] is None else t[1][0])
 
 
@@ -351,16 +365,16 @@ def test_tridiagonal_levels_match_the_char_poly(diag, data):
         st.fractions(min_value=Fraction(1, 6), max_value=50,
                      max_denominator=6),
         min_size=len(diag) - 1, max_size=len(diag) - 1))
-    levels, char_poly = linalg.tridiagonal_levels(diag, products)
+    levels, continuant = linalg.tridiagonal_levels(diag, products)
     assert levels == _levels_by_char_poly(diag, products)
     # the char poly, returned as T's annihilator, is L^n det(lam - T)
     n = len(diag)
     T = [[diag[i] if i == j else Fraction(1) if j == i + 1
           else products[j] if i == j + 1 else Fraction(0)
           for j in range(n)] for i in range(n)]
-    monic = linalg.char_poly(domain_matrix(T))[::-1]
-    assert [Fraction(c, char_poly[0]) for c in char_poly] == monic
-    assert char_poly[0] > 0 and all(isinstance(c, int) for c in char_poly)
+    monic = char_poly(T)[::-1]
+    assert [Fraction(c, continuant[0]) for c in continuant] == monic
+    assert continuant[0] > 0 and all(isinstance(c, int) for c in continuant)
 
 
 def test_an_integer_level_just_above_an_irrational_one():
@@ -371,15 +385,17 @@ def test_an_integer_level_just_above_an_irrational_one():
     products = [Fraction(x) for x in products]
     levels, _ = linalg.tridiagonal_levels(diag, products)
     assert levels == _levels_by_char_poly(diag, products)
-    assert [v for v, _ in levels] == [None, -4, None]
+    assert [v for v, _, _ in levels] == [None, -4, None]
 
 
 def test_tridiagonal_levels_at_grid_points_are_values():
     F = Fraction
     assert linalg.tridiagonal_levels([F(0), F(0)], [F(1)])[0] \
-        == [(F(-1), None), (F(1), None)]
-    assert linalg.tridiagonal_levels([F(1, 3)], [])[0] == [(F(1, 3), None)]
-    (lo, _), (hi, _) = linalg.tridiagonal_levels([F(0), F(0)], [F(2)])[0]
+        == [(F(-1), None, 1), (F(1), None, 1)]
+    assert linalg.tridiagonal_levels([F(1, 3)], []) \
+        == ([(F(1, 3), None, 1)], [3, -1])
+    (lo, _, _), (hi, _, _) = linalg.tridiagonal_levels([F(0), F(0)],
+                                                       [F(2)])[0]
     assert lo is hi is None
 
 
@@ -395,3 +411,11 @@ def test_a_tridiagonal_cell_without_a_sign_change_is_refused(monkeypatch):
     monkeypatch.setattr(linalg, "_scaled_value", lambda coeffs, p, q: 1)
     with pytest.raises(linalg.RootCertificateError, match="no sign change"):
         linalg.tridiagonal_levels([Fraction(0), Fraction(0)], [Fraction(2)])
+
+
+def test_tridiagonal_levels_factor_the_continuant_unless_all_positive():
+    """diag (1, 2, 1), products (1, -1): the continuant (x - 1)^2 (x - 2)
+    is factored over Q, and the levels carry their multiplicities."""
+    F = Fraction
+    assert linalg.tridiagonal_levels([F(1), F(2), F(1)], [F(1), F(-1)]) \
+        == ([(1, None, 2), (2, None, 1)], [1, -4, 5, -2])

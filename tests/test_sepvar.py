@@ -159,7 +159,7 @@ def reference_pushforward(p, d, seed, n_points, test_functions, opham):
                   "w2": _poly_jet(wmap.w2, base, 3),
                   "w3": _poly_jet(wmap.w3.num, base, 3)
                   * _poly_jet(wmap.w3.den, base, 3).inverse()}
-        wpt = wmap.eval(pt)
+        wpt = {name: jet.value() for name, jet in w_jets.items()}
         for f, g in zip(test_functions, rhs):
             jet = _poly_jet(f, w_jets, 3)
             lhs = sum(c.eval(pt) * jet.derivative(derivs)

@@ -16,7 +16,7 @@ from oscchain import linalg, spectra
 from oscchain.exact import DiffOp, MultiPoly
 from oscchain.model import Case, Params, build_h_algebraic, nu_coefficients
 
-from conftest import degree1_block, draw_params
+from conftest import char_poly, degree1_block, draw_params, per_block
 
 
 def test_basis_sizes_and_order():
@@ -84,8 +84,9 @@ def test_equal_mass_degree_one_brute_force_oracle():
     basis = spectra.enumerate_basis(h.variables, 1)
     M = spectra.assemble_matrix(h, basis)
     _, start, stop = basis.degree_slices()[1]
+    block = [row[start:stop] for row in M.entries[start:stop]]
     exact = sorted(v for v, _ in linalg.real_roots_exact(
-        linalg.char_poly(M.matrix[start:stop, start:stop]))[0])
+        char_poly(block))[0])
     brute = np.linalg.eigvals(
         np.array(M.entries, dtype=float)[start:stop, start:stop])
     assert sorted(round(float(v), 9) for v in exact) \
@@ -136,13 +137,13 @@ def test_eigenfunctions_match_full_matrix_nullspace(case, rng):
     """Eigenvectors from the blocks' annihilators (Cayley-Hamilton) equal
     the normalised null vectors of the whole shifted matrix (sympy's
     nullspace as the oracle), one per rational level that is simple
-    across the grading.  The molecular draw with a = -b, where A is a
-    nonzero nilpotent, takes the per-block path; its one level 0 is
-    repeated, so it has no eigenfunction.  Above 35 basis monomials (the general3 draw of
+    across the grading.  In the molecular draw with a = -b, A is a
+    nonzero nilpotent; its one level 0 is repeated, so it has no
+    eigenfunction.  Above 35 basis monomials (the general3 draw of
     `FIXED_DRAWS`) sympy's dense nullspace takes seconds a level; there
-    each eigenvector must annihilate the whole shifted matrix exactly and
-    equal the per-block path's, whose char polys make its level simple,
-    so that the null space is one-dimensional."""
+    each eigenvector must be normalised and annihilate the whole shifted
+    matrix exactly, and its level be simple by the blocks' char polys
+    (`per_block`), so that the null space is one-dimensional."""
     import sympy
     from test_model import draw_case_params
     draws = [(draw_case_params(rng, case), rng.randint(1, 4))
@@ -163,13 +164,7 @@ def test_eigenfunctions_match_full_matrix_nullspace(case, rng):
         assert sorted(ef.eigenvalue for ef in rep.eigenfunctions) \
             == sorted(v for v, c in counts.items() if c == 1)
         if M.size > 35:
-            per_block = spectra.eigenvalues_graded(replace(M, gl3_form=False))
-            assert per_block.eigenfunctions == rep.eigenfunctions
-            for ef in rep.eigenfunctions:
-                assert all(sum(col.get(i, 0) * ef.coeffs[j]
-                               for j, col in M.cols.items())
-                           == ef.eigenvalue * ef.coeffs[i]
-                           for i in range(M.size))
+            assert exact_eigenfunctions(M, rep, per_block(M))
             continue
         full = sympy.Matrix(M.entries)
         for ef in rep.eigenfunctions:
@@ -177,6 +172,26 @@ def test_eigenfunctions_match_full_matrix_nullspace(case, rng):
             lead = next(x for x in null if x != 0)
             assert ef.coeffs == tuple(Fraction(int(x.p), int(x.q))
                                       for x in null / lead)
+
+
+def exact_eigenfunctions(M, rep, levels):
+    """True when `rep` has one eigenfunction per rational level that
+    `levels` makes simple across the grading, each normalised (its first
+    nonzero coordinate is 1) with M v = lam v exactly.  The null space of
+    M - lam is then one-dimensional, so v is the only such vector."""
+    counts = Counter()
+    for ev in levels:
+        if ev.value is not None:
+            counts[ev.value] += ev.multiplicity
+    if sorted(ef.eigenvalue for ef in rep.eigenfunctions) \
+            != sorted(v for v, c in counts.items() if c == 1):
+        return False
+    return all(next(x for x in ef.coeffs if x) == 1
+               and all(sum(col.get(i, 0) * ef.coeffs[j]
+                           for j, col in M.cols.items())
+                       == ef.eigenvalue * ef.coeffs[i]
+                       for i in range(M.size))
+               for ef in rep.eigenfunctions)
 
 
 def test_a_corrupted_annihilator_is_a_named_failure(monkeypatch, capsys):
@@ -216,11 +231,24 @@ def op_matrix(variables, N, rows):
 
 
 def test_eigenvalues_graded_on_a_hand_built_matrix():
-    """Zero rows, the 1x1 zero block of degree 0, and repeated levels with
-    eigenspaces of dimension 1 and 2; each level that is simple across
-    the grading gets the normalised null vector of the whole shifted
-    matrix (sympy's nullspace as the oracle)."""
+    """A hand-built matrix takes a level route only by its structure.
+    [[1, 1, 0], [1, 2, 1], [0, -1, 1]] is tridiagonal with the products
+    1 and -1: its continuant (x - 1)^2 (x - 2) is factored, the repeated
+    level 1 has a one-dimensional eigenspace, and the simple level 2 gets
+    the normalised null vector of the shifted matrix (sympy's nullspace as
+    the oracle).  A graded matrix with zero rows and repeated levels,
+    built by hand and so not of gl(3) form, fits neither route."""
     import sympy
+    M = op_matrix(("rho",), 2, {0: {0: 1, 1: 1}, 1: {0: 1, 1: 2, 2: 1},
+                                2: {1: -1, 2: 1}})
+    rep = spectra.eigenvalues_graded(M)
+    assert [(ev.value, ev.multiplicity, ev.degree, ev.eigenspace_dim)
+            for ev in rep.gauged] == [(1, 2, 2, 1), (2, 1, 2, None)]
+    assert rep.gauged == per_block(M)
+    (ef,) = rep.eigenfunctions
+    (null,) = (sympy.Matrix(M.entries) - 2 * sympy.eye(3)).nullspace()
+    assert ef.eigenvalue == 2 and ef.coeffs == tuple(null / null[0]) \
+        == (1, 1, -1)
     M = op_matrix(("x12", "x13"), 2, {
         # row 0 is zero: the degree-0 block is [0]
         1: {1: 3, 2: 1, 4: 1},           # degree 1: [[3, 1], [0, 3]]
@@ -231,17 +259,11 @@ def test_eigenvalues_graded_on_a_hand_built_matrix():
     })
     assert M.is_graded_triangular()
     assert M.entries[0] == (Fraction(0),) * 6
-    rep = spectra.eigenvalues_graded(M)
+    with pytest.raises(spectra.UnsupportedMatrix):
+        spectra.eigenvalues_graded(M)
     assert [(ev.value, ev.multiplicity, ev.degree, ev.eigenspace_dim)
-            for ev in rep.gauged] \
+            for ev in per_block(M)] \
         == [(0, 1, 0, None), (3, 2, 1, 1), (5, 2, 2, 2), (7, 1, 2, None)]
-    full = sympy.Matrix(M.entries)
-    assert [ef.eigenvalue for ef in rep.eigenfunctions] == [0, 7]
-    for ef in rep.eigenfunctions:
-        (null,) = (full - ef.eigenvalue * sympy.eye(M.size)).nullspace()
-        lead = next(x for x in null if x != 0)
-        assert ef.coeffs == tuple(Fraction(int(x.p), int(x.q))
-                                  for x in null / lead)
 
 
 def test_graded_triangularity_reads_the_stored_entries():
@@ -249,15 +271,20 @@ def test_graded_triangularity_reads_the_stored_entries():
     M = op_matrix(("x12", "x13"), 1, {1: {0: 1}})
     assert not M.is_graded_triangular()
     # so the whole matrix is one block of degree N = 1: [[0, 0, 0],
-    # [1, 0, 0], [0, 0, 0]] has the level 0, thrice, with a 2-dim eigenspace
+    # [1, 0, 0], [0, 0, 0]] has the level 0, thrice, with a 2-dim
+    # eigenspace, but it is tridiagonal with zero products: no route
     assert [(ev.value, ev.multiplicity, ev.degree, ev.eigenspace_dim)
-            for ev in spectra.eigenvalues_graded(M).gauged] \
-        == [(0, 3, 1, 2)]
+            for ev in per_block(M)] == [(0, 3, 1, 2)]
+    assert spectra._jacobi(M) is None
+    with pytest.raises(spectra.UnsupportedMatrix):
+        spectra.eigenvalues_graded(M)
 
 
 def test_defective_block_keeps_report():
     # a rotation in the degree-1 block: two complex levels
-    M = op_matrix(("x12", "x13"), 1, {1: {2: -1}, 2: {1: 1}})
+    M = spectra.assemble_matrix(_rotation(("x12", "x13")),
+                                spectra.enumerate_basis(("x12", "x13"), 1))
+    assert M.cols == {1: {2: 1}, 2: {1: -1}}
     with pytest.raises(spectra.DefectiveBlock) as info:
         spectra.eigenvalues_graded(M)
     Z, one = Fraction(0), Fraction(1)
@@ -319,13 +346,6 @@ def test_qes_block_is_the_spectrum_on_p_n(A):
                 == (es.gauged, es.eigenfunctions)
 
 
-def per_block(M):
-    """`spectra.eigenvalues_graded` of M with the tridiagonal path shut."""
-    from unittest import mock
-    with mock.patch.object(spectra, "_jacobi", lambda M: None):
-        return spectra.eigenvalues_graded(M)
-
-
 COUPLINGS = st.fractions(min_value=Fraction(1, 3), max_value=6,
                          max_denominator=3)
 
@@ -345,32 +365,40 @@ def test_qes_block_takes_the_tridiagonal_path(A, omega, d, N):
     """At A > 0 the QES block is tridiagonal with every product of
     opposite off-diagonal entries positive, so its levels come from
     integer Sturm counts and its rational levels' eigenfunctions from its
-    char poly as the annihilator; levels, cells and eigenfunctions equal
-    the per-block path's."""
+    char poly as the annihilator; levels and cells equal the per-block
+    oracle's, and each eigenfunction is exact."""
     p = Params(m1=1, m2=1, omega=omega, d=d, A=A, N=N)
     M = spectra.assemble_matrix(build_h_algebraic(Case.TWO_BODY_QES, p),
                                 spectra.enumerate_basis(("rho",), N))
     assert spectra._jacobi(M) is not None
-    got, want = spectra.eigenvalues_graded(M), per_block(M)
-    assert (got.gauged, got.eigenfunctions) \
-        == (want.gauged, want.eigenfunctions)
+    got = spectra.eigenvalues_graded(M)
+    assert got.gauged == per_block(M)
+    assert exact_eigenfunctions(M, got, got.gauged)
     assert all(ev.multiplicity == 1 for ev in got.gauged)
     assert len(got.eigenfunctions) \
         == sum(ev.value is not None for ev in got.gauged)
 
 
 @pytest.mark.parametrize("product", [-1, 0])
-def test_a_product_not_positive_takes_the_per_block_path(
-        product, char_poly_sizes):
+def test_a_product_not_positive_is_factored_or_refused(
+        product, factored_degrees):
     """[[0, 1, 0], [1, 5, b], [0, 1, 10]] with b = -1 or 0: tridiagonal
     and one block, but its second product is not positive, so it need not
-    be similar to a symmetric matrix and takes the per-block path."""
+    be similar to a symmetric matrix.  At b = -1 every product is
+    nonzero: its continuant is factored over Q, and the levels equal the
+    per-block oracle's.  At b = 0 it fits neither level route."""
     row1 = {0: 1, 1: 5, 2: product} if product else {0: 1, 1: 5}
     M = op_matrix(("rho",), 2, {0: {1: 1}, 1: row1, 2: {1: 1, 2: 10}})
-    assert not M.is_graded_triangular() and spectra._jacobi(M) is None
+    assert not M.is_graded_triangular()
+    if not product:
+        assert spectra._jacobi(M) is None
+        with pytest.raises(spectra.UnsupportedMatrix):
+            spectra.eigenvalues_graded(M)
+        assert factored_degrees == []
+        return
     rep = spectra.eigenvalues_graded(M)
-    assert char_poly_sizes == [3]
-    assert rep == per_block(M)
+    assert factored_degrees == [3]
+    assert rep.gauged == per_block(M)
     assert sum(ev.multiplicity for ev in rep.gauged) == 3
 
 
@@ -398,38 +426,36 @@ def test_spectrum_report_json():
     assert doc["physical"][0]["value"] == "3/1"
 
 
-# -- harmonic levels from the degree-1 block, against the per-block path ----
+# -- harmonic levels from the degree-1 block, against the per-block oracle --
 
 HARMONIC = [Case.GENERAL3, Case.EQUAL_MASS3, Case.ISOTROPIC3, Case.ATOMIC3,
             Case.MOLECULAR3, Case.ONE_DIM3, Case.TWO_BODY_ES]
 
 
-def both_paths(M):
-    """(outcome, levels, eigenfunctions) of M from the degree-1 block and
-    from each block's char poly; a DefectiveBlock reads its report."""
-    out = []
-    for m in (M, replace(M, gl3_form=False)):
-        try:
-            rep = spectra.eigenvalues_graded(m)
-            out.append(("ok", rep.gauged, rep.eigenfunctions))
-        except spectra.DefectiveBlock as e:
-            out.append(("defective", e.report.gauged,
-                        e.report.eigenfunctions))
-    return out
+def extract(M):
+    """(outcome, report) of `spectra.eigenvalues_graded(M)`: "ok", or
+    "defective" with the DefectiveBlock's report, or the name of the
+    named error raised with None."""
+    try:
+        return "ok", spectra.eigenvalues_graded(M)
+    except spectra.DefectiveBlock as e:
+        return "defective", e.report
+    except (spectra.UnsupportedMatrix, linalg.RootCertificateError) as e:
+        return type(e).__name__, None
 
 
 @pytest.fixture
-def char_poly_sizes(monkeypatch):
-    """The sizes of the blocks that `linalg.char_poly` is called on."""
-    sizes = []
-    char_poly = linalg.char_poly
+def factored_degrees(monkeypatch):
+    """The degrees of the polynomials `linalg.factor_over_q` factors."""
+    degrees = []
+    factor_over_q = linalg.factor_over_q
 
-    def spy(A):
-        sizes.append(A.shape[0])
-        return char_poly(A)
+    def spy(coeffs):
+        degrees.append(len(coeffs) - 1)
+        return factor_over_q(coeffs)
 
-    monkeypatch.setattr(linalg, "char_poly", spy)
-    return sizes
+    monkeypatch.setattr(linalg, "factor_over_q", spy)
+    return degrees
 
 
 @settings(max_examples=40, deadline=None)
@@ -437,18 +463,16 @@ def char_poly_sizes(monkeypatch):
        st.integers(1, 6))
 def test_harmonic_levels_match_block_char_polys(case, seed, N):
     """Every harmonic case is of gl(3) form, and the levels read from the
-    degree-1 block equal each block's char-poly levels, eigenspace dims
-    included."""
+    degree-1 block equal each block's char-poly levels (the per-block
+    oracle), eigenspace dims included."""
     from test_model import draw_case_params
     p = draw_case_params(random.Random(seed), case)
     h = spectra.case_operator(case, p)
     assert spectra.is_gl3_form(h)
     M = spectra.assemble_matrix(h, spectra.enumerate_basis(h.variables, N))
     assert M.gl3_form
-    args = case, Fraction(0), False
-    assert spectra.eigenvalues_graded(M, *args).gauged \
-        == spectra.eigenvalues_graded(replace(M, gl3_form=False),
-                                      *args).gauged
+    assert spectra.eigenvalues_graded(M, case, Fraction(0), False).gauged \
+        == per_block(M)
 
 
 SPRINGS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -494,15 +518,16 @@ def harmonic_params(draw, cases):
                                   rho23=Fraction(3, 2))), 3)  # A nilpotent
 def test_levels_match_at_any_springs(case_params, N):
     """Zero, negative and positive springs, and delta = 0, a nonzero
-    square or not a square: the levels and eigenfunctions from the
-    degree-1 block equal the per-block path's, and every level is real.
-    In the molecular case a = -b makes A a nonzero nilpotent, so the
-    eigenspace dims come from the blocks' ranks."""
+    square or not a square: the levels from the degree-1 block equal the
+    per-block oracle's, every level is real and every eigenfunction is
+    exact.  In the molecular case a = -b makes A a nonzero nilpotent,
+    whose blocks are one Jordan block each."""
     case, p = case_params
     h = spectra.case_operator(case, p)
     M = spectra.assemble_matrix(h, spectra.enumerate_basis(h.variables, N))
-    structural, per_block = both_paths(M)
-    assert structural == per_block and structural[0] == "ok"
+    outcome, rep = extract(M)
+    assert outcome == "ok" and rep.gauged == per_block(M)
+    assert exact_eigenfunctions(M, rep, rep.gauged)
 
 
 def normal_mode_invariants(p):
@@ -548,65 +573,56 @@ def test_degree1_block_from_the_normal_modes(case_params):
         == ((x - r0_) * ((x - r0_) ** 2 - delta_)).expand()
 
 
-@pytest.fixture
-def per_block_stages(monkeypatch):
-    """The names of the per-block stages called: `linalg.char_poly`,
-    `linalg.factor_over_q` and `DomainMatrix.rank`."""
-    from sympy.polys.matrices import DomainMatrix
-    calls = []
-    for owner, name in ((linalg, "char_poly"), (linalg, "factor_over_q"),
-                        (DomainMatrix, "rank")):
-        def spy(*args, real=getattr(owner, name), name=name):
-            calls.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(owner, name, spy)
-    return calls
-
-
-def test_harmonic_cases_compute_no_char_poly(per_block_stages, rng):
+def test_harmonic_cases_compute_no_char_poly(factored_degrees, rng):
     """The closed form of the degree-1 block certifies itself in every
-    harmonic case, so no char poly, factoring or rank is computed: at the
-    README parameters, in the all-rational regime (springs 1, 2, 2) and
-    at a random draw of each case, for every N <= 6."""
+    harmonic case, so no polynomial is factored: at the README
+    parameters, in the all-rational regime (springs 1, 2, 2), at a
+    = -b in the molecular case and at a random draw of each case, for
+    every N <= 6."""
     from test_model import draw_case_params
     m = dict(m1=2, m2=3, m3=Fraction(5, 2))
     draws = [(Case.GENERAL3, Params(**m, a=1, b=2, c=Fraction(3, 2))),
              (Case.GENERAL3, Params(**m, a=1, b=2, c=2))]
     draws += [(case, draw_case_params(rng, case)) for case in HARMONIC]
+    draws.append((Case.MOLECULAR3, Params(m1=2, m2=None, m3=None, a=1, b=-1,
+                                          c=0, rho23=Fraction(3, 2))))
     for case, p in draws:
         for N in range(1, 7):
             rep = spectra.spectrum(case, p, N)
             assert sum(ev.multiplicity for ev in rep.gauged) \
                 == rep.basis.size
-    assert per_block_stages == []
+    assert factored_degrees == []
 
 
-def test_qes_and_zeroth_order_operators_take_the_per_block_path(
-        char_poly_sizes):
-    """The QES block at A < 0, where every product of opposite
-    off-diagonal entries is negative, and a degree-preserving operator
-    with a zeroth-order term take the per-block path.  At A > 0 the QES
-    block is a Jacobi matrix and computes no char poly."""
+def _zeroth_order(vs):  # x d_x + y d_y + 1: degree-preserving
+    x, y = (MultiPoly.var(vs, v) for v in vs)
+    return DiffOp(vs, {(1, 0): x, (0, 1): y, (0, 0): 1})
+
+
+def test_qes_below_zero_is_factored_and_a_zeroth_order_term_is_refused(
+        factored_degrees):
+    """At A > 0 the QES block is a Jacobi matrix and factors nothing.  At
+    A < 0 every product of opposite off-diagonal entries is negative, but
+    nonzero: its continuant is factored over Q, and at N = 3 it has no
+    real root.  A degree-preserving operator with a zeroth-order term is
+    not of gl(3) form, and its matrix (diagonal, levels 1, 2, 2, 3, 3, 3,
+    4, 4, 4, 4) is not tridiagonal with nonzero products: it fits neither
+    level route."""
     p = Params(m1=1, m2=1, A=2, N=3)
     qes = build_h_algebraic(Case.TWO_BODY_QES, p)
     assert not spectra.is_gl3_form(qes)
     spectra.qes_2body_block(p)
-    assert char_poly_sizes == []
-    with pytest.raises(spectra.DefectiveBlock):
+    assert factored_degrees == []
+    with pytest.raises(spectra.DefectiveBlock) as info:
         spectra.qes_2body_block(replace(p, A=-2))
-    assert char_poly_sizes == [4]
-    # x d_x + y d_y + 1: degree-preserving, but with a zeroth-order term
-    vs = ("x", "y")
-    x, y = MultiPoly.var(vs, "x"), MultiPoly.var(vs, "y")
-    op = DiffOp(vs, {(1, 0): x, (0, 1): y, (0, 0): 1})
+    assert factored_degrees == [4] and info.value.report.gauged == ()
+    op = _zeroth_order(("x", "y"))
     assert not spectra.is_gl3_form(op)
-    M = spectra.assemble_matrix(op, spectra.enumerate_basis(vs, 3))
-    assert not M.gl3_form
-    char_poly_sizes.clear()
-    rep = spectra.eigenvalues_graded(M)
-    assert char_poly_sizes == [1, 2, 3, 4]
-    assert rep.rational_gauged() == [1, 2, 2, 3, 3, 3, 4, 4, 4, 4]
+    M = spectra.assemble_matrix(op, spectra.enumerate_basis(op.variables, 3))
+    assert not M.gl3_form and M.is_graded_triangular()
+    with pytest.raises(spectra.UnsupportedMatrix):
+        spectra.eigenvalues_graded(M)
+    assert factored_degrees == [4]
 
 
 def _rotation(vs):      # y d_x - x d_y + d_x^2: A has roots +/- i
@@ -625,32 +641,76 @@ def _cubic(vs):         # A has the irreducible char poly t^3 - 3t + 1
                        (1, 1, 0): 1})
 
 
-@pytest.mark.parametrize("build, variables, outcome, char_polys", [
-    (_rotation, ("x", "y"), "defective", []),
-    (_jordan, ("x", "y"), "ok", [1, 2, 3, 4, 5]),
-    (_cubic, ("x", "y", "z"), "ok", [1, 3, 6, 10, 15]),
+@pytest.mark.parametrize("build, variables, outcome", [
+    (_rotation, ("x", "y"), "defective"),
+    (_jordan, ("x", "y"), "ok"),
+    (_cubic, ("x", "y", "z"), "RootCertificateError"),
 ], ids=["rotation", "jordan", "cubic"])
 def test_gl3_form_edge_cases_match_the_per_block_path(
-        build, variables, outcome, char_polys, char_poly_sizes):
-    """A rotation (complex roots of A: the same DefectiveBlock report), a
-    Jordan block (A is not diagonalizable) and an irreducible cubic (the
-    closed form's certificate fails): the last two take the per-block
-    path, with eigenspace dims from the rank.
-    `char_polys` lists the blocks whose char poly the path from the
-    degree-1 block computes; the per-block path then computes one per
-    block."""
+        build, variables, outcome, factored_degrees):
+    """A rotation (complex roots of A: the DefectiveBlock report keeps the
+    real levels), a Jordan block (A = I + a nonzero nilpotent, in closed
+    form: Sym^n of a Jordan block is one Jordan block) and an irreducible
+    cubic (the certificate det(A - r0 I) = 0 fails, a named error).  The
+    first two levels equal the per-block oracle's, with nothing factored,
+    and their eigenfunctions are exact."""
     M = spectra.assemble_matrix(build(variables),
                                 spectra.enumerate_basis(variables, 4))
     assert M.gl3_form
-    structural, per_block = both_paths(M)
-    assert char_poly_sizes == char_polys + [
-        stop - start for _, start, stop in M.basis.degree_slices()]
-    assert structural == per_block and structural[0] == outcome
-    if build is _jordan:
-        # Sym^n of a Jordan block is one Jordan block: level n, dim 1
+    got, rep = extract(M)
+    assert got == outcome and factored_degrees == []
+    if rep is None:
+        return
+    assert rep.gauged == per_block(M)
+    assert exact_eigenfunctions(M, rep, rep.gauged)
+    if build is _jordan:    # level n, dim 1; only level 0 is simple
         assert [(ev.value, ev.multiplicity, ev.eigenspace_dim)
-                for ev in structural[1]] \
+                for ev in rep.gauged] \
             == [(n, n + 1, 1 if n else None) for n in range(5)]
+        assert [ef.eigenvalue for ef in rep.eigenfunctions] == [0]
+
+
+@pytest.mark.parametrize("build, variables, error", [
+    (_zeroth_order, ("rho12", "rho13"), "UnsupportedMatrix"),
+    (_cubic, ("rho12", "rho13", "rho23"), "RootCertificateError"),
+], ids=["no-route", "cubic"])
+def test_a_matrix_without_a_level_route_exits_1(
+        monkeypatch, capsys, build, variables, error):
+    """Put in for a case's gauged operator, an operator whose matrix fits
+    neither level route, or of gl(3) form with a 3-variable A that fails
+    det(A - r0 I) = 0, ends the CLI run in a named error with exit 1."""
+    from oscchain import cli
+    monkeypatch.setattr(spectra, "case_operator",
+                        lambda case, p: build(variables))
+    assert cli.main(["spectrum", "--case", "general3", "--N", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"verification failed: {error}: ")
+    assert "Traceback" not in err
+
+
+def test_molecular_nilpotent_block_in_closed_form(factored_degrees):
+    """molecular3 at a = -b: A's roots 2 omega (a + b) and 4 omega (a + b)
+    are both 0 and A != 0, so A is a nonzero nilpotent, and block n has
+    the one level 0 with multiplicity n + 1 and eigenspace dim 1
+    (`spectra` docstring), in closed form with nothing factored, as the
+    per-block oracle finds.  Level 0 is repeated at every N >= 1, so no
+    eigenfunction is returned there."""
+    draws = [Params(m1=2, m2=None, m3=None, a=1, b=-1, c=0,
+                    rho23=Fraction(3, 2)),
+             Params(m1=Fraction(1, 3), m2=None, m3=None, a=Fraction(-3, 2),
+                    b=Fraction(3, 2), c=0, omega=Fraction(5, 2),
+                    rho23=Fraction(1, 7))]
+    reports = {(p, N): spectra.spectrum(Case.MOLECULAR3, p, N)
+               for p in draws for N in range(6)}
+    assert factored_degrees == []
+    for (p, N), rep in reports.items():
+        assert [(ev.value, ev.multiplicity, ev.degree, ev.eigenspace_dim)
+                for ev in rep.gauged] \
+            == [(0, n + 1, n, 1 if n else None) for n in range(N + 1)]
+        assert len(rep.eigenfunctions) == (N == 0)
+        M = spectra.assemble_matrix(spectra.case_operator(Case.MOLECULAR3, p),
+                                    rep.basis)
+        assert rep.gauged == per_block(M)
 
 
 def test_basis_is_built_once_per_variables_and_degree():
