@@ -31,6 +31,14 @@ class VerificationFailure(RuntimeError):
     """Raised when a named invariant fails; .args[0] names it."""
 
 
+# the named verification failures: each exits 1
+VERIFICATION_ERRORS = (
+    VerificationFailure, spectra.DefectiveBlock,
+    spectra.InvariantSubspaceViolation, spectra.EigenvectorCertificateError,
+    spectra.UnsupportedMatrix, linalg.RootCertificateError,
+    sepvar.PotentialMismatch, SingularSampleError)
+
+
 _INF = "__infinite__"   # sentinel distinguishing an explicit 'inf' flag
 MAX_RANGE_VALUES = 10_000   # most values one lo:hi:step range may produce
 _INT_FLAGS = {"d": "space dimension", "N": "polynomial degree cap / level"}
@@ -219,10 +227,12 @@ def cmd_verify_all(args) -> None:
     checks = {}
 
     def run(name, fn):
-        ok = bool(fn())
-        checks[name] = ok
-        if not ok:
-            raise VerificationFailure(name)
+        """Run every check: one that returns false or raises a named
+        verification failure fails under its own name."""
+        try:
+            checks[name] = bool(fn())
+        except VERIFICATION_ERRORS:
+            checks[name] = False
 
     for c in (Case.GENERAL3, Case.EQUAL_MASS3, Case.ISOTROPIC3,
               Case.TWO_BODY_ES):
@@ -239,7 +249,10 @@ def cmd_verify_all(args) -> None:
     run("qes-grid-cross-validation", lambda: _check_qes(p))
     run("bo-series-coefficients", lambda: _check_bo(p))
     run("molecular-curve-linearity", _check_curve)
-    _emit(args, case, p, {"checks": checks, "all_ok": True})
+    failed = [name for name, ok in checks.items() if not ok]
+    _emit(args, case, p, {"checks": checks, "all_ok": not failed})
+    if failed:
+        raise VerificationFailure(", ".join(failed))
 
 
 def _one(case: Case):
@@ -358,10 +371,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except VerificationFailure as e:
         print(f"verification failed: {e.args[0]}", file=sys.stderr)
         return 1
-    except (spectra.DefectiveBlock, spectra.InvariantSubspaceViolation,
-            spectra.EigenvectorCertificateError, spectra.UnsupportedMatrix,
-            linalg.RootCertificateError, sepvar.PotentialMismatch,
-            SingularSampleError) as e:
+    except VERIFICATION_ERRORS as e:
         print(f"verification failed: {type(e).__name__}: {e}",
               file=sys.stderr)
         return 1

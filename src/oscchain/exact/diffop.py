@@ -1,21 +1,43 @@
 """Linear differential operators with polynomial (or rational) coefficients.
 
 Canonical form is normal-ordered: every term is a coefficient on the left
-times a mixed partial-derivative multi-index.  Composition re-normal-orders
-via the Leibniz expansion, so equality of operators is syntactic equality
-of the canonical term maps.  Coefficients are MultiPoly (integer numerators
-over one denominator) or RationalFn, and the expansion is MultiPoly
-arithmetic; a commutator leaves out the leading Leibniz terms, which
-cancel.
+times a mixed partial-derivative multi-index, so equality of operators is
+syntactic equality of the canonical term maps.  Coefficients are MultiPoly
+(integer numerators over one denominator) or RationalFn.
+
+Composition is Leibniz's rule,
+
+    P d^alpha o Q d^beta = sum_{gamma <= alpha} C(alpha, gamma)
+                           P (d^gamma Q) d^(alpha-gamma+beta),
+
+and a commutator leaves out gamma = 0, whose terms P Q d^(alpha+beta)
+cancel.  Gauge conjugation by g = exp(q) has the closed form
+
+    g^-1 P d^alpha g = P sum_{gamma <= alpha} C(alpha, gamma) Y_gamma
+                       d^(alpha-gamma),
+
+with Y_gamma = g^-1 d^gamma g the polynomials Y_0 = 1 and
+Y_(gamma+e_i) = d_i Y_gamma + (d_i q) Y_gamma, each formed once per call.
+
+Both are one-pass integer kernels, as is `phase.poisson_bracket`.  The
+coefficients of each operand are brought to one common denominator, each
+exponent tuple is packed into one int (`poly.packing`, field widths from
+the operands' `tops()`), the integer products of all pairs of terms are
+summed into one map per output derivative, and each output coefficient is
+normalised once; no MultiPoly is built per product or partial sum.  The
+kernels read integer numerators, so they take polynomial coefficients
+only; `apply` takes rational ones too.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, perm
+from operator import add, gt, sub
 from typing import Mapping, Sequence, Union
 
 from .gaussian import GaussFn
-from .poly import MultiPoly, RationalFn, VariableMismatch
+from .poly import (MultiPoly, RationalFn, VariableMismatch, pack, packing,
+                   unpacked)
 
 Coeffable = Union[int, Fraction, MultiPoly, RationalFn]
 
@@ -28,46 +50,84 @@ def _binom_multi(alpha, gamma) -> int:
 
 
 def _sub_multi_indices(alpha):
-    """All gamma with 0 <= gamma <= alpha componentwise."""
+    """All gamma with 0 <= gamma <= alpha componentwise, gamma = 0 first."""
     idx = [()]
     for a in alpha:
         idx = [g + (k,) for g in idx for k in range(a + 1)]
     return idx
 
 
-def _leibniz_into(a: dict, b: dict, out: dict, sign: int,
-                  skip_leading: bool) -> None:
-    """Add the terms of sign * (A o B) to out, for operators A and B given
-    by their term maps {derivs: MultiPoly}.
+def _over_one_den(coeffs: dict, n: int) -> tuple:
+    """(den, terms, tops) for the polynomials in n variables `coeffs`
+    ({key: MultiPoly}): den the lcm of their denominators, terms {key:
+    ({exps: numerator over den}, its tops())}, and tops the highest
+    exponent of each variable over them all."""
+    for c in coeffs.values():
+        if not isinstance(c, MultiPoly):
+            raise TypeError(f"needs polynomial coefficients, not "
+                            f"{type(c).__name__}")
+    den = lcm(*(c.den for c in coeffs.values()))
+    terms = {key: ({e: x * (den // c.den) for e, x in c.num.items()},
+                   c.tops()) for key, c in coeffs.items()}
+    tops = [max(col) for col in zip(*(top for _, top in terms.values()))] \
+        if terms else [0] * n
+    return den, terms, tops
 
-    P d^alpha (Q d^beta f) = sum_gamma C(alpha,gamma) P (d^gamma Q)
-    d^(alpha-gamma+beta) f; skip_leading leaves out gamma = 0, the term
-    P Q d^(alpha+beta) that cancels in a commutator.  Each d^gamma Q is
-    formed once, and the factors that multiply one P in one derivative
-    term are summed before the product.
+
+def _partial_packed(num: dict, gamma, shifts) -> list:
+    """d^gamma of the polynomial with numerators `num`, as [(packed
+    exponent, numerator)]."""
+    out = []
+    for e, c in num.items():
+        for k, m in zip(e, gamma):
+            if k < m:
+                break
+            c *= perm(k, m)
+        else:
+            out.append((pack(map(sub, e, gamma), shifts), c))
+    return out
+
+
+def _leibniz_into(a: dict, b: dict, out: dict, sign: int,
+                  skip_leading: bool, shifts) -> None:
+    """Add the numerators of sign * (A o B) to out ({derivs: {packed
+    exponent: numerator}}), for A and B given as {derivs: (numerators,
+    tops)} by `_over_one_den`.
+
+    skip_leading leaves out gamma = 0 (module docstring).  Each d^gamma Q
+    is formed once, none beyond Q's tops, and the factors that multiply
+    one P in one derivative term are summed before the products with P's
+    terms.
     """
     derived: dict = {}
-    for alpha, P in a.items():
-        gammas = _sub_multi_indices(alpha)   # gammas[0] is gamma = 0
+    for alpha, (P, _) in a.items():
+        gammas = _sub_multi_indices(alpha)
         if skip_leading:
             gammas = gammas[1:]
         factors: dict = {}
         for gamma in gammas:
             scale = sign * _binom_multi(alpha, gamma)
-            for beta, Q in b.items():
-                if (beta, gamma) not in derived:
-                    derived[beta, gamma] = Q.partial(gamma)
-                dQ = derived[beta, gamma]
-                if dQ.is_zero():
+            lowered = tuple(map(sub, alpha, gamma))
+            for beta, (Q, top) in b.items():
+                if any(map(gt, gamma, top)):
                     continue
-                if scale != 1:
-                    dQ = dQ * scale
-                derivs = tuple(x - g + y for x, g, y in zip(alpha, gamma, beta))
-                factors[derivs] = factors[derivs] + dQ if derivs in factors \
-                    else dQ
+                if (beta, gamma) not in derived:
+                    derived[beta, gamma] = _partial_packed(Q, gamma, shifts)
+                dQ = derived[beta, gamma]
+                if not dQ:
+                    continue
+                derivs = tuple(map(add, lowered, beta))
+                S = factors.setdefault(derivs, {})
+                for e, c in dQ:
+                    S[e] = S.get(e, 0) + scale * c
+        P = [(pack(e, shifts), c) for e, c in P.items()]
         for derivs, S in factors.items():
-            term = P * S
-            out[derivs] = out[derivs] + term if derivs in out else term
+            acc = out.setdefault(derivs, {})
+            S = [(e, c) for e, c in S.items() if c]
+            for e1, c1 in P:
+                for e2, c2 in S:
+                    k = e1 + e2
+                    acc[k] = acc.get(k, 0) + c1 * c2
 
 
 class DiffOp:
@@ -158,16 +218,6 @@ class DiffOp:
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for derivs in sorted(self.terms, key=lambda d: (sum(d), d)):
-            ds = "".join(f" d_{v}^{k}" if k > 1 else f" d_{v}"
-                         for v, k in zip(self.variables, derivs) if k)
-            parts.append(f"[{self.terms[derivs]!r}]{ds}")
-        return " + ".join(parts)
-
     # -- action ------------------------------------------------------------
     def apply(self, f):
         """Apply to a MultiPoly or GaussFn; the result is of the same kind,
@@ -189,13 +239,26 @@ class DiffOp:
         return f * 0 if out is None else out
 
     def _products(self, other: "DiffOp", commutator: bool) -> "DiffOp":
-        """self o other, or with `commutator` self o other - other o self."""
+        """self o other, or with `commutator` self o other - other o self,
+        over the product of the two operands' common denominators."""
         self._check(other)
-        terms: dict = {}
-        _leibniz_into(self.terms, other.terms, terms, 1, commutator)
+        n = len(self.variables)
+        da, a, ta = _over_one_den(self.terms, n)
+        db, b, tb = _over_one_den(other.terms, n)
+        fields = packing(list(map(add, ta, tb)))
+        out: dict = {}
+        _leibniz_into(a, b, out, 1, commutator, fields[0])
         if commutator:
-            _leibniz_into(other.terms, self.terms, terms, -1, True)
-        return self._make(self.variables, terms)
+            _leibniz_into(b, a, out, -1, True, fields[0])
+        return self._from_numerators(out, da * db, fields)
+
+    def _from_numerators(self, out: dict, den: int, fields) -> "DiffOp":
+        """The operator over self's variables with the numerators `out`
+        ({derivs: {packed exponent: numerator}}) over den."""
+        return self._make(self.variables, {
+            derivs: MultiPoly._make(self.variables, unpacked(num, fields),
+                                    den)
+            for derivs, num in out.items()})
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Operator product self o other in canonical form."""
@@ -248,31 +311,51 @@ class DiffOp:
 
     # -- gauge rotation ----------------------------------------------------
     def gauge_conjugate(self, g: GaussFn, shift=0) -> "DiffOp":
-        """Exact g^-1 (self - shift) g for unit-prefactor Gaussian g.
-
-        Conjugation sends each d_i to d_i + (d_i q) where q is the exponent
-        of g; the result has polynomial coefficients again.
-        """
+        """Exact g^-1 (self - shift) g for unit-prefactor Gaussian g, shift
+        a number or a polynomial, by the closed form of the module
+        docstring; the result has polynomial coefficients again."""
         if not (g.prefactor.is_constant()
                 and g.prefactor.constant_value() == 1):
             raise ValueError("gauge factor must have prefactor 1")
         if g.variables != self.variables:
             raise VariableMismatch(f"{g.variables} vs {self.variables}")
-        q = g.exponent
-        shifted = [DiffOp(self.variables,
-                          {tuple(1 if j == i else 0
-                                 for j in range(len(self.variables))): 1,
-                           (0,) * len(self.variables): q.diff(v)})
-                   for i, v in enumerate(self.variables)]
-        out = DiffOp.zero(self.variables)
-        for alpha, P in self.terms.items():
-            term = DiffOp.identity(self.variables)
-            for i, k in enumerate(alpha):
-                for _ in range(k):
-                    term = shifted[i].compose(term)
-            out = out + DiffOp.mul_by(P).compose(term)
-        if isinstance(shift, MultiPoly):
-            out = out - DiffOp.mul_by(shift)
-        elif shift != 0:
-            out = out - shift * DiffOp.identity(self.variables)
-        return out
+        variables, n = self.variables, len(self.variables)
+        if not isinstance(shift, MultiPoly):
+            shift = MultiPoly.const(variables, shift)
+        elif shift.variables != variables:
+            raise VariableMismatch(f"{shift.variables} vs {variables}")
+        grad = [g.exponent.diff(v) for v in variables]
+        Y = {(0,) * n: MultiPoly.const(variables, 1)}
+        for alpha in self.terms:
+            for gamma in _sub_multi_indices(alpha):
+                if gamma in Y:
+                    continue
+                i = next(i for i, k in enumerate(gamma) if k)
+                prev = Y[gamma[:i] + (gamma[i] - 1,) + gamma[i + 1:]]
+                Y[gamma] = prev.diff(variables[i]) + grad[i] * prev
+        dp, nums, tp = _over_one_den(self.terms, n)
+        dy, ys, ty = _over_one_den(Y, n)
+        den = lcm(dp * dy, shift.den)
+        m = den // (dp * dy)
+        fields = packing([max(x + y, z) for x, y, z
+                          in zip(tp, ty, shift.tops())])
+        shifts = fields[0]
+        ys = {gamma: [(pack(e, shifts), c) for e, c in num.items()]
+              for gamma, (num, _) in ys.items()}
+        out: dict = {}
+        for alpha, (num, _) in nums.items():
+            P = [(pack(e, shifts), c * m) for e, c in num.items()]
+            for gamma in _sub_multi_indices(alpha):
+                acc = out.setdefault(tuple(map(sub, alpha, gamma)), {})
+                scale = _binom_multi(alpha, gamma)
+                for e1, c1 in P:
+                    c1 *= scale
+                    for e2, c2 in ys[gamma]:
+                        k = e1 + e2
+                        acc[k] = acc.get(k, 0) + c1 * c2
+        acc = out.setdefault((0,) * n, {})
+        scale = den // shift.den
+        for e, c in shift.num.items():
+            k = pack(e, shifts)
+            acc[k] = acc.get(k, 0) - c * scale
+        return self._from_numerators(out, den, fields)

@@ -55,14 +55,3 @@ class GaussFn:
                 return self
             raise ValueError("cannot add GaussFn with different exponents")
         return GaussFn(self.prefactor + other.prefactor, self.exponent)
-
-    def __eq__(self, other):
-        if not isinstance(other, GaussFn):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return (self.prefactor == other.prefactor
-                and self.exponent == other.exponent)
-
-    def __repr__(self):
-        return f"({self.prefactor!r}) * exp({self.exponent!r})"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, perm
-from operator import add
+from operator import add, lshift
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -65,6 +65,33 @@ def table_sum(num: Mapping[tuple, int], rows) -> int:
             c *= row[k]
         total += c
     return total
+
+
+def packing(tops: Sequence[int]) -> tuple:
+    """The fields of a packed exponent: (shifts, masks), one field per
+    variable, each wide enough for that variable's entry of `tops`.  The
+    exponent tuple e packs to the int sum_i e_i << shifts[i], so adding
+    packed ints adds the tuples, while no entry of a sum exceeds its top,
+    and a kernel's inner loop adds one int where it would build a tuple."""
+    shifts, masks, at = [], [], 0
+    for top in tops:
+        width = top.bit_length()
+        shifts.append(at)
+        masks.append((1 << width) - 1)
+        at += width
+    return shifts, masks
+
+
+def pack(exps: Iterable[int], shifts: Sequence[int]) -> int:
+    return sum(map(lshift, exps, shifts))
+
+
+def unpacked(num: Mapping[int, int], fields: tuple) -> dict:
+    """{exponent tuple: numerator} of the nonzero packed numerators, with
+    `fields` from `packing`."""
+    shifts, masks = fields
+    return {tuple(key >> s & m for s, m in zip(shifts, masks)): c
+            for key, c in num.items() if c}
 
 
 class VariableMismatch(ValueError):
@@ -367,7 +394,3 @@ class RationalFn:
         if isinstance(other, MultiPoly):
             other = RationalFn(other)
         return (self.num * other.den) == (other.num * self.den)
-
-    def __repr__(self):
-        return f"({self.num!r}) / ({self.den!r})"
-

@@ -608,10 +608,6 @@ class Cometric:
     determinant: MultiPoly
     factored_determinant: MultiPoly
 
-    @property
-    def size(self):
-        return len(self.matrix)
-
 
 def cometric(case: Case, p: Params) -> Cometric:
     """Second-derivative coefficient matrix, with its factored determinant.

@@ -186,6 +186,9 @@ from .model import (Case, CaseError, Params, build_h_algebraic, ground_state,
                     validate_case)
 
 
+MAX_BASIS_SIZE = 100_000   # most monomials of one basis
+
+
 class InvariantSubspaceViolation(RuntimeError):
     def __init__(self, monomial, overflow):
         self.monomial = monomial
@@ -230,17 +233,23 @@ class MonomialBasis:
 
 def enumerate_basis(variables: Sequence[str], N: int) -> MonomialBasis:
     """Monomials of total degree <= N, graded-lex ordered; one shared
-    (frozen) basis per (variables, N)."""
+    (frozen) basis per (variables, N).  A basis of more than
+    MAX_BASIS_SIZE monomials is refused before it is built."""
+    k = len(variables)
+    if k not in (1, 2, 3):
+        raise ValueError("supported variable counts: 1, 2, 3")
+    if N < 0:
+        raise ValueError("degree cap must be nonnegative")
+    if comb(N + k, k) > MAX_BASIS_SIZE:
+        raise ValueError(f"a basis of degree <= {N} in {k} variables has "
+                         f"{comb(N + k, k)} monomials, more than "
+                         f"{MAX_BASIS_SIZE}")
     return _enumerate_basis(tuple(variables), N)
 
 
 @lru_cache(maxsize=64)
 def _enumerate_basis(variables: Tuple[str, ...], N: int) -> MonomialBasis:
     k = len(variables)
-    if k not in (1, 2, 3):
-        raise ValueError("supported variable counts: 1, 2, 3")
-    if N < 0:
-        raise ValueError("degree cap must be nonnegative")
     monos = tuple(tuple(c.count(i) for i in range(k)) for n in range(N + 1)
                   for c in combinations_with_replacement(range(k), n))
     basis = MonomialBasis(variables, N, monos)
@@ -375,13 +384,6 @@ class SpectrumReport:
                      replace(ev, interval=(ev.interval[0] + e0,
                                            ev.interval[1] + e0))
                      for ev in self.gauged)
-
-    def rational_gauged(self) -> list:
-        out = []
-        for ev in self.gauged:
-            if ev.value is not None:
-                out.extend([ev.value] * ev.multiplicity)
-        return sorted(out)
 
     def to_json(self) -> dict:
         out = {

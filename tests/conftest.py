@@ -1,10 +1,13 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import strategies as st
 
-from oscchain.exact import MultiPoly, random_rational
+from oscchain.exact import (CANONICAL_PAIRS, DiffOp, MultiPoly,
+                            random_rational)
 from oscchain.model import Params
 
 
@@ -81,6 +84,131 @@ def per_block(M):
         levels += [spectra.Eigenvalue(None, cell, mult, degree)
                    for cell, mult in irrational]
     return tuple(sorted(levels, key=lambda e: (e.approx(), e.degree)))
+
+
+def rational_gauged(rep):
+    """The rational gauged levels of a SpectrumReport, each repeated by
+    its multiplicity, sorted."""
+    out = []
+    for ev in rep.gauged:
+        if ev.value is not None:
+            out.extend([ev.value] * ev.multiplicity)
+    return sorted(out)
+
+
+# -- the exact kernel's oracle: compose, commutator, poisson_bracket and
+# gauge_conjugate in MultiPoly arithmetic, one MultiPoly per derivative,
+# product and partial sum, as they were before their one-pass integer
+# kernels; every kernel result must equal the oracle's under ==
+
+def _binom_multi(alpha, gamma) -> int:
+    out = 1
+    for a, g in zip(alpha, gamma):
+        out *= comb(a, g)
+    return out
+
+
+def _sub_multi_indices(alpha):
+    """All gamma with 0 <= gamma <= alpha componentwise."""
+    idx = [()]
+    for a in alpha:
+        idx = [g + (k,) for g in idx for k in range(a + 1)]
+    return idx
+
+
+def _leibniz_into(a: dict, b: dict, out: dict, sign: int,
+                  skip_leading: bool) -> None:
+    """Add the terms of sign * (A o B) to out, for operators A and B given
+    by their term maps {derivs: MultiPoly}.
+
+    P d^alpha (Q d^beta f) = sum_gamma C(alpha,gamma) P (d^gamma Q)
+    d^(alpha-gamma+beta) f; skip_leading leaves out gamma = 0, the term
+    P Q d^(alpha+beta) that cancels in a commutator.
+    """
+    derived: dict = {}
+    for alpha, P in a.items():
+        gammas = _sub_multi_indices(alpha)   # gammas[0] is gamma = 0
+        if skip_leading:
+            gammas = gammas[1:]
+        factors: dict = {}
+        for gamma in gammas:
+            scale = sign * _binom_multi(alpha, gamma)
+            for beta, Q in b.items():
+                if (beta, gamma) not in derived:
+                    derived[beta, gamma] = Q.partial(gamma)
+                dQ = derived[beta, gamma]
+                if dQ.is_zero():
+                    continue
+                if scale != 1:
+                    dQ = dQ * scale
+                derivs = tuple(x - g + y for x, g, y in zip(alpha, gamma, beta))
+                factors[derivs] = factors[derivs] + dQ if derivs in factors \
+                    else dQ
+        for derivs, S in factors.items():
+            term = P * S
+            out[derivs] = out[derivs] + term if derivs in out else term
+
+
+def _products(A, B, commutator: bool):
+    A._check(B)
+    terms: dict = {}
+    _leibniz_into(A.terms, B.terms, terms, 1, commutator)
+    if commutator:
+        _leibniz_into(B.terms, A.terms, terms, -1, True)
+    return DiffOp._make(A.variables, terms)
+
+
+def oracle_compose(A, B):
+    return _products(A, B, False)
+
+
+def oracle_commutator(A, B):
+    return _products(A, B, True)
+
+
+def oracle_poisson_bracket(f, g):
+    """{f, g} = sum_i df/dq_i dg/dp_i - df/dp_i dg/dq_i."""
+    if f.variables != g.variables:
+        raise ValueError("f and g must share a phase space")
+    out = MultiPoly.zero(f.variables)
+    for q, p in CANONICAL_PAIRS:
+        out = out + f.diff(q) * g.diff(p) - f.diff(p) * g.diff(q)
+    return out
+
+
+def oracle_gauge_conjugate(A, g, shift=0):
+    """g^-1 (A - shift) g: each d_i becomes d_i + (d_i q), q the exponent
+    of g, composed term by term."""
+    n = len(A.variables)
+    q = g.exponent
+    shifted = [DiffOp(A.variables,
+                      {tuple(1 if j == i else 0 for j in range(n)): 1,
+                       (0,) * n: q.diff(v)})
+               for i, v in enumerate(A.variables)]
+    out = DiffOp.zero(A.variables)
+    for alpha, P in A.terms.items():
+        term = DiffOp.identity(A.variables)
+        for i, k in enumerate(alpha):
+            for _ in range(k):
+                term = oracle_compose(shifted[i], term)
+        out = out + oracle_compose(DiffOp.mul_by(P), term)
+    if isinstance(shift, MultiPoly):
+        out = out - DiffOp.mul_by(shift)
+    elif shift != 0:
+        out = out - shift * DiffOp.identity(A.variables)
+    return out
+
+
+@contextmanager
+def oracle_kernels():
+    """Within the block, DiffOp.compose, DiffOp.commutator and the
+    battery's poisson_bracket are the oracle's."""
+    from oscchain import integrals
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DiffOp, "compose", oracle_compose)
+        mp.setattr(DiffOp, "commutator", oracle_commutator)
+        mp.setattr(integrals, "poisson_bracket", oracle_poisson_bracket)
+        yield
 
 
 fractions_st = st.fractions(

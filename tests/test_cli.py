@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, deterministic output, and formats."""
 import argparse
 import json
+import time
 from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oscchain import spectra
 from oscchain.cli import MAX_RANGE_VALUES, build_parser, main, parse_range
 from oscchain.model import Case, case_variables
 from oscchain.numerics import MAX_GRID_POINTS
@@ -508,8 +510,47 @@ def test_verify_all_catches_a_wrong_2body_operator(capsys, monkeypatch):
     monkeypatch.setattr(spectra, "build_h_algebraic", wrong)
     code, out, err = run(capsys, "verify-all", "--m1", "2", "--m2", "3",
                          "--m3", "5")
-    assert code == 1 and out == ""
-    assert "verification failed: harmonic-2body-spectrum" in err
+    assert code == 1
+    assert err == "verification failed: harmonic-2body-spectrum\n"
+    results = json.loads(out)["results"]
+    assert results["all_ok"] is False
+    assert [name for name, ok in results["checks"].items() if not ok] \
+        == ["harmonic-2body-spectrum"]
+    assert len(results["checks"]) == 10
+
+
+def test_verify_all_runs_every_check_past_a_raised_failure(capsys,
+                                                           monkeypatch):
+    # singular samples raise SingularSampleError in the push-forward, and
+    # a false QES cross-check fails by its value; every other check runs
+    _singular_samples(monkeypatch)
+    from oscchain import cli
+    monkeypatch.setattr(cli, "_check_qes", lambda p: False)
+    code, out, err = run(capsys, "verify-all", "--m1", "1", "--m2", "1",
+                         "--m3", "1")
+    assert code == 1
+    assert err == ("verification failed: w-coordinate-pushforward, "
+                   "qes-grid-cross-validation\n")
+    results = json.loads(out)["results"]
+    assert results["all_ok"] is False and len(results["checks"]) == 10
+    assert {name for name, ok in results["checks"].items() if not ok} \
+        == {"w-coordinate-pushforward", "qes-grid-cross-validation"}
+
+
+def test_an_unbounded_basis_is_refused(capsys, monkeypatch):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "--case", "general3",
+                         "--N", "100000000")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and "more than 100000" in err
+    # a basis exactly at the cap is still enumerated, one above it is not;
+    # at the cap itself (one variable, N = 99,999) enumerating takes a
+    # minute, so the boundary is checked at a cap of 10 = comb(3 + 2, 2)
+    monkeypatch.setattr(spectra, "MAX_BASIS_SIZE", 10)
+    assert spectra.enumerate_basis(("x", "y"), 3).size == 10
+    with pytest.raises(ValueError):
+        spectra.enumerate_basis(("x", "y"), 4)
 
 
 def _singular_samples(monkeypatch):

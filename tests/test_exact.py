@@ -6,14 +6,19 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oscchain import integrals
 from oscchain.exact import (CANONICAL_PAIRS, PHASE_VARS, DiffOp, GaussFn,
-                            MultiPoly, RationalFn, phase_var, poisson_bracket,
-                            power_table, random_rational, table_sum)
+                            MultiPoly, RationalFn, VariableMismatch,
+                            phase_var, poisson_bracket, power_table,
+                            random_rational, table_sum)
 
-from conftest import draw_poly, fractions_st, polys_st
+from conftest import (draw_params, draw_poly, fractions_st, oracle_commutator,
+                      oracle_compose, oracle_gauge_conjugate, oracle_kernels,
+                      oracle_poisson_bracket, polys_st)
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -317,6 +322,113 @@ def test_poisson_bracket_matches_the_fraction_formula(f, g):
     for q, p in CANONICAL_PAIRS:
         want += F.diff(sym[q]) * G.diff(sym[p]) - F.diff(sym[p]) * G.diff(sym[q])
     assert poisson_bracket(f, g).terms == sympy_terms(want)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass integer kernels against the oracle in conftest
+
+MIXED_FRACTIONS = st.fractions(min_value=-20, max_value=20,
+                               max_denominator=12)
+
+
+@st.composite
+def kernel_operands(draw):
+    """Two operators over 1, 2 or 3 shared variables, of order <= 3, with
+    coefficients of degree <= 3 over mixed denominators, some zero or
+    constant; a quadratic Gaussian exponent; and a shift that is 0, a
+    number or a polynomial."""
+    n = draw(st.integers(1, 3))
+    variables = XYZ[:n]
+    indices = [e for e in itertools.product(range(4), repeat=n)
+               if sum(e) <= 3]
+    quadratic = [e for e in indices if sum(e) <= 2]
+
+    def poly(monomials):
+        terms = draw(st.lists(st.tuples(st.sampled_from(monomials),
+                                        MIXED_FRACTIONS), max_size=4))
+        return MultiPoly(variables, dict(terms))
+
+    def coefficient():
+        kind = draw(st.sampled_from(("zero", "constant", "polynomial")))
+        if kind == "zero":
+            return MultiPoly.zero(variables)
+        if kind == "constant":
+            return MultiPoly.const(variables, draw(MIXED_FRACTIONS))
+        return poly(indices)
+
+    def operator():
+        derivs = draw(st.lists(st.sampled_from(indices), unique=True,
+                               max_size=4))
+        return DiffOp(variables, {d: coefficient() for d in derivs})
+
+    shift = draw(st.sampled_from((0, "number", "polynomial")))
+    if shift == "number":
+        shift = draw(MIXED_FRACTIONS)
+    elif shift == "polynomial":
+        shift = poly(indices)
+    return operator(), operator(), poly(quadratic), shift
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_operands())
+def test_operator_kernels_equal_the_oracle(operands):
+    A, B, q, shift = operands
+    assert A.compose(B) == oracle_compose(A, B)
+    assert A.commutator(B) == oracle_commutator(A, B)
+    assert B.commutator(A) == oracle_commutator(B, A)
+    g = GaussFn.from_exponent(q)
+    assert A.gauge_conjugate(g, shift) \
+        == oracle_gauge_conjugate(A, g, shift)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys_st(PHASE_VARS, max_degree=3, max_terms=6),
+       polys_st(PHASE_VARS, max_degree=3, max_terms=6))
+def test_poisson_bracket_equals_the_oracle(f, g):
+    assert poisson_bracket(f, g) == oracle_poisson_bracket(f, g)
+
+
+def test_kernels_refuse_what_they_cannot_read():
+    with pytest.raises(VariableMismatch):
+        poisson_bracket(phase_var("rho12"), MultiPoly.var(XY, "x"))
+    x = MultiPoly.var(XY, "x")
+    rational = DiffOp(XY, {(1, 0): RationalFn(x, x + 1)})
+    with pytest.raises(TypeError):
+        rational.compose(DiffOp.identity(XY))
+
+
+def draw_nus(p, relations, rng):
+    """Frequencies nu12, nu13, nu23 for the masses of p at which exactly
+    the given pairwise relations r1, r2, r3 hold."""
+    m1, m2, m3 = p.masses
+    while True:
+        lam = random_rational(rng)
+        free = random_rational(rng)
+        nus = {(True, True, True): integrals.maximal_nus(p, lam),
+               (True, False, False): (lam * m2, lam * m3, free),
+               (False, True, False): (free, lam * m1, lam * m2),
+               (False, False, True): (lam * m1, free, lam * m3),
+               (False, False, False): (lam, free, random_rational(rng)),
+               }[relations]
+        if integrals.classify_superintegrability(
+                p.masses, nus).relations == relations:
+            return nus
+
+
+@pytest.mark.parametrize("relations", [
+    (True, True, True), (True, False, False), (False, True, False),
+    (False, False, True), (False, False, False)],
+    ids=["maximal", "minimal-r1", "minimal-r2", "minimal-r3", "none"])
+def test_battery_report_equals_the_oracle(relations):
+    rng = random.Random(20261019)
+    for _ in range(2):
+        p = draw_params(rng)
+        nus = draw_nus(p, relations, rng)
+        got = integrals.battery(p, nus).to_json()
+        with oracle_kernels():
+            want = integrals.battery(p, nus).to_json()
+        assert got == want
+        assert got["consistent"]
 
 
 # ---------------------------------------------------------------------------
