@@ -11,33 +11,38 @@ Composition is Leibniz's rule,
                            P (d^gamma Q) d^(alpha-gamma+beta),
 
 and a commutator leaves out gamma = 0, whose terms P Q d^(alpha+beta)
-cancel.  Gauge conjugation by g = exp(q) has the closed form
+cancel.  Gauge conjugation by g = exp(q) is composition with the
+multiplication by g, divided by g:
 
     g^-1 P d^alpha g = P sum_{gamma <= alpha} C(alpha, gamma) Y_gamma
                        d^(alpha-gamma),
 
 with Y_gamma = g^-1 d^gamma g the polynomials Y_0 = 1 and
 Y_(gamma+e_i) = d_i Y_gamma + (d_i q) Y_gamma, each formed once per call.
+It is the one way a Gaussian enters an operator: (A psi) / psi is
+A.gauge_conjugate(psi) applied to 1.
 
-Both are one-pass integer kernels, as is `phase.poisson_bracket`.  The
-coefficients of each operand are brought to one common denominator, each
-exponent tuple is packed into one int (`poly.packing`, field widths from
-the operands' `tops()`), the integer products of all pairs of terms are
-summed into one map per output derivative, and each output coefficient is
-normalised once; no MultiPoly is built per product or partial sum.  The
-kernels read integer numerators, so they take polynomial coefficients
-only; `apply` takes rational ones too.
+All three run on one Leibniz kernel, `_leibniz_into`, which reads the
+d^gamma Q from a table (`_partials`, or the Y_gamma).  It is a one-pass
+integer kernel, as is `phase.poisson_bracket`.  The coefficients of each
+operand are brought to one common denominator, each exponent tuple is
+packed into one int (`poly.packing`, field widths from the operands'
+`tops()`), the integer products of all pairs of terms are summed into one
+map per output derivative, and each output coefficient is normalised once;
+no MultiPoly is built per product or partial sum.  The kernel reads
+integer numerators, so it takes polynomial coefficients only; `apply`
+takes rational ones too, and only a polynomial as its argument.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, perm
+from math import comb, lcm
 from operator import add, gt, sub
 from typing import Mapping, Sequence, Union
 
 from .gaussian import GaussFn
-from .poly import (MultiPoly, RationalFn, VariableMismatch, pack, packing,
-                   unpacked)
+from .poly import (MultiPoly, RationalFn, VariableMismatch, over_one_den,
+                   pack, packing, partial_numerators, unpacked)
 
 Coeffable = Union[int, Fraction, MultiPoly, RationalFn]
 
@@ -57,67 +62,34 @@ def _sub_multi_indices(alpha):
     return idx
 
 
-def _over_one_den(coeffs: dict, n: int) -> tuple:
-    """(den, terms, tops) for the polynomials in n variables `coeffs`
-    ({key: MultiPoly}): den the lcm of their denominators, terms {key:
-    ({exps: numerator over den}, its tops())}, and tops the highest
-    exponent of each variable over them all."""
-    for c in coeffs.values():
-        if not isinstance(c, MultiPoly):
-            raise TypeError(f"needs polynomial coefficients, not "
-                            f"{type(c).__name__}")
-    den = lcm(*(c.den for c in coeffs.values()))
-    terms = {key: ({e: x * (den // c.den) for e, x in c.num.items()},
-                   c.tops()) for key, c in coeffs.items()}
-    tops = [max(col) for col in zip(*(top for _, top in terms.values()))] \
-        if terms else [0] * n
-    return den, terms, tops
+def _partials(b: dict, a: dict, skip_leading: bool, shifts) -> dict:
+    """{gamma: [(beta, packed numerators of d^gamma Q)]} for the terms
+    Q d^beta of B ({beta: numerators}), over the gammas `_leibniz_into`
+    reads for A; a d^gamma Q with gamma beyond Q's tops is not formed."""
+    tops = {beta: [max(col) for col in zip(*Q)] for beta, Q in b.items()}
+    return {gamma: [(beta, [(pack(e, shifts), c) for e, c
+                            in partial_numerators(Q, gamma).items()])
+                    for beta, Q in b.items()
+                    if not any(map(gt, gamma, tops[beta]))]
+            for gamma in {g for alpha in a
+                          for g in _sub_multi_indices(alpha)[skip_leading:]}}
 
 
-def _partial_packed(num: dict, gamma, shifts) -> list:
-    """d^gamma of the polynomial with numerators `num`, as [(packed
-    exponent, numerator)]."""
-    out = []
-    for e, c in num.items():
-        for k, m in zip(e, gamma):
-            if k < m:
-                break
-            c *= perm(k, m)
-        else:
-            out.append((pack(map(sub, e, gamma), shifts), c))
-    return out
-
-
-def _leibniz_into(a: dict, b: dict, out: dict, sign: int,
+def _leibniz_into(a: dict, partials: Mapping, out: dict, sign: int,
                   skip_leading: bool, shifts) -> None:
     """Add the numerators of sign * (A o B) to out ({derivs: {packed
-    exponent: numerator}}), for A and B given as {derivs: (numerators,
-    tops)} by `_over_one_den`.
-
-    skip_leading leaves out gamma = 0 (module docstring).  Each d^gamma Q
-    is formed once, none beyond Q's tops, and the factors that multiply
-    one P in one derivative term are summed before the products with P's
-    terms.
-    """
-    derived: dict = {}
-    for alpha, (P, _) in a.items():
-        gammas = _sub_multi_indices(alpha)
-        if skip_leading:
-            gammas = gammas[1:]
+    exponent: numerator}}), for A as {alpha: numerators} from
+    `over_one_den` and B as the table `partials` of its d^gamma Q (from
+    `_partials`, or a gauge conjugation's Y_gamma); skip_leading leaves
+    out gamma = 0 (module docstring).  The factors that multiply one P in
+    one derivative term are summed before the products with P's terms."""
+    for alpha, P in a.items():
         factors: dict = {}
-        for gamma in gammas:
+        for gamma in _sub_multi_indices(alpha)[skip_leading:]:
             scale = sign * _binom_multi(alpha, gamma)
             lowered = tuple(map(sub, alpha, gamma))
-            for beta, (Q, top) in b.items():
-                if any(map(gt, gamma, top)):
-                    continue
-                if (beta, gamma) not in derived:
-                    derived[beta, gamma] = _partial_packed(Q, gamma, shifts)
-                dQ = derived[beta, gamma]
-                if not dQ:
-                    continue
-                derivs = tuple(map(add, lowered, beta))
-                S = factors.setdefault(derivs, {})
+            for beta, dQ in partials[gamma]:
+                S = factors.setdefault(tuple(map(add, lowered, beta)), {})
                 for e, c in dQ:
                     S[e] = S.get(e, 0) + scale * c
         P = [(pack(e, shifts), c) for e, c in P.items()]
@@ -219,10 +191,11 @@ class DiffOp:
         return self.variables == other.variables and self.terms == other.terms
 
     # -- action ------------------------------------------------------------
-    def apply(self, f):
-        """Apply to a MultiPoly or GaussFn; the result is of the same kind,
-        or a RationalFn where the coefficients are."""
-        if not isinstance(f, (MultiPoly, GaussFn)):
+    def apply(self, f: MultiPoly):
+        """Apply to a polynomial; the result is a MultiPoly, or a RationalFn
+        where the coefficients are.  A Gaussian factor enters an operator
+        only by `gauge_conjugate`."""
+        if not isinstance(f, MultiPoly):
             raise TypeError(f"cannot apply DiffOp to {type(f).__name__}")
         if f.variables != self.variables:
             raise VariableMismatch(f"{f.variables} vs {self.variables}")
@@ -243,13 +216,16 @@ class DiffOp:
         over the product of the two operands' common denominators."""
         self._check(other)
         n = len(self.variables)
-        da, a, ta = _over_one_den(self.terms, n)
-        db, b, tb = _over_one_den(other.terms, n)
+        da, a, ta = over_one_den(self.terms, n)
+        db, b, tb = over_one_den(other.terms, n)
         fields = packing(list(map(add, ta, tb)))
+        shifts = fields[0]
         out: dict = {}
-        _leibniz_into(a, b, out, 1, commutator, fields[0])
+        _leibniz_into(a, _partials(b, a, commutator, shifts), out, 1,
+                      commutator, shifts)
         if commutator:
-            _leibniz_into(b, a, out, -1, True, fields[0])
+            _leibniz_into(b, _partials(a, b, True, shifts), out, -1, True,
+                          shifts)
         return self._from_numerators(out, da * db, fields)
 
     def _from_numerators(self, out: dict, den: int, fields) -> "DiffOp":
@@ -311,21 +287,20 @@ class DiffOp:
 
     # -- gauge rotation ----------------------------------------------------
     def gauge_conjugate(self, g: GaussFn, shift=0) -> "DiffOp":
-        """Exact g^-1 (self - shift) g for unit-prefactor Gaussian g, shift
-        a number or a polynomial, by the closed form of the module
-        docstring; the result has polynomial coefficients again."""
-        if not (g.prefactor.is_constant()
-                and g.prefactor.constant_value() == 1):
-            raise ValueError("gauge factor must have prefactor 1")
-        if g.variables != self.variables:
-            raise VariableMismatch(f"{g.variables} vs {self.variables}")
+        """Exact g^-1 (self - shift) g for the Gaussian g, shift a number or
+        a polynomial: the composition self o g on the Leibniz kernel, with
+        Y_gamma in place of d^gamma g and the output seeded with -shift
+        (module docstring); the result has polynomial coefficients."""
         variables, n = self.variables, len(self.variables)
+        if g.exponent.variables != variables:
+            raise VariableMismatch(f"{g.exponent.variables} vs {variables}")
         if not isinstance(shift, MultiPoly):
             shift = MultiPoly.const(variables, shift)
         elif shift.variables != variables:
             raise VariableMismatch(f"{shift.variables} vs {variables}")
         grad = [g.exponent.diff(v) for v in variables]
-        Y = {(0,) * n: MultiPoly.const(variables, 1)}
+        zero = (0,) * n
+        Y = {zero: MultiPoly.const(variables, 1)}
         for alpha in self.terms:
             for gamma in _sub_multi_indices(alpha):
                 if gamma in Y:
@@ -333,29 +308,17 @@ class DiffOp:
                 i = next(i for i, k in enumerate(gamma) if k)
                 prev = Y[gamma[:i] + (gamma[i] - 1,) + gamma[i + 1:]]
                 Y[gamma] = prev.diff(variables[i]) + grad[i] * prev
-        dp, nums, tp = _over_one_den(self.terms, n)
-        dy, ys, ty = _over_one_den(Y, n)
+        dp, nums, tp = over_one_den(self.terms, n)
+        dy, ys, ty = over_one_den(Y, n)
         den = lcm(dp * dy, shift.den)
-        m = den // (dp * dy)
+        m, scale = den // (dp * dy), den // shift.den
         fields = packing([max(x + y, z) for x, y, z
                           in zip(tp, ty, shift.tops())])
         shifts = fields[0]
-        ys = {gamma: [(pack(e, shifts), c) for e, c in num.items()]
-              for gamma, (num, _) in ys.items()}
-        out: dict = {}
-        for alpha, (num, _) in nums.items():
-            P = [(pack(e, shifts), c * m) for e, c in num.items()]
-            for gamma in _sub_multi_indices(alpha):
-                acc = out.setdefault(tuple(map(sub, alpha, gamma)), {})
-                scale = _binom_multi(alpha, gamma)
-                for e1, c1 in P:
-                    c1 *= scale
-                    for e2, c2 in ys[gamma]:
-                        k = e1 + e2
-                        acc[k] = acc.get(k, 0) + c1 * c2
-        acc = out.setdefault((0,) * n, {})
-        scale = den // shift.den
-        for e, c in shift.num.items():
-            k = pack(e, shifts)
-            acc[k] = acc.get(k, 0) - c * scale
+        partials = {gamma: [(zero, [(pack(e, shifts), c * m)
+                                    for e, c in num.items()])]
+                    for gamma, num in ys.items()}
+        out = {zero: {pack(e, shifts): -c * scale
+                      for e, c in shift.num.items()}}
+        _leibniz_into(nums, partials, out, 1, False, shifts)
         return self._from_numerators(out, den, fields)

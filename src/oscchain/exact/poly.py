@@ -8,7 +8,9 @@ arithmetic runs on integers; Fractions appear only at the interfaces
 (constructors, `terms`, `coeff`, `eval`).  The variable list is fixed per
 polynomial.  Evaluation has one integer evaluator, `power_table` with
 `table_sum`: one table of powers at a point serves every polynomial
-evaluated there, over one common scale.
+evaluated there, over one common scale.  The integer kernels above this
+module take their common denominators from `over_one_den`, and their
+derivatives, as `MultiPoly.partial` does, from `partial_numerators`.
 """
 from __future__ import annotations
 
@@ -92,6 +94,41 @@ def unpacked(num: Mapping[int, int], fields: tuple) -> dict:
     shifts, masks = fields
     return {tuple(key >> s & m for s, m in zip(shifts, masks)): c
             for key, c in num.items() if c}
+
+
+def partial_numerators(num: Mapping[tuple, int], alpha: Sequence[int]
+                       ) -> dict:
+    """The numerators of d^alpha of the polynomial with numerators `num`,
+    over the same denominator, alpha one order per variable; the terms
+    d^alpha kills are dropped."""
+    steps = [(i, m) for i, m in enumerate(alpha) if m]
+    out = {}
+    for e, c in num.items():
+        e = list(e)
+        for i, m in steps:
+            if e[i] < m:
+                break
+            c *= perm(e[i], m)
+            e[i] -= m
+        else:
+            out[tuple(e)] = c
+    return out
+
+
+def over_one_den(polys: Mapping, n: int) -> tuple:
+    """(den, numerators, tops) for the polynomials in n variables `polys`
+    ({key: MultiPoly}): den the lcm of their denominators, numerators
+    {key: {exponent tuple: numerator over den}}, and tops the highest
+    exponent of each variable over them all."""
+    for q in polys.values():
+        if not isinstance(q, MultiPoly):
+            raise TypeError(f"needs polynomials, not {type(q).__name__}")
+    den = lcm(*(q.den for q in polys.values()))
+    nums = {key: {e: c * (den // q.den) for e, c in q.num.items()}
+            for key, q in polys.items()}
+    tops = [max(col) for col in zip(*(q.tops() for q in polys.values()))] \
+        if polys else [0] * n
+    return den, nums, tops
 
 
 class VariableMismatch(ValueError):
@@ -255,20 +292,8 @@ class MultiPoly:
     def partial(self, alpha: Sequence[int]) -> "MultiPoly":
         """The mixed partial derivative d^alpha, alpha one order per
         variable."""
-        steps = [(i, m) for i, m in enumerate(alpha) if m]
-        if not steps:
-            return self
-        num = {}
-        for e, c in self.num.items():
-            e = list(e)
-            for i, m in steps:
-                if e[i] < m:
-                    break
-                c *= perm(e[i], m)
-                e[i] -= m
-            else:
-                num[tuple(e)] = c
-        return MultiPoly._make(self.variables, num, self.den)
+        return MultiPoly._make(self.variables,
+                               partial_numerators(self.num, alpha), self.den)
 
     def diff(self, name: str) -> "MultiPoly":
         i = self.variables.index(name)

@@ -321,13 +321,13 @@ def ground_state(case: Case, p: Params) -> GroundState:
         mu12, mu13, mu23 = reduced_masses(p)
         expo = _P({(1, 0, 0): -om * a * mu12, (0, 1, 0): -om * b * mu13,
                    (0, 0, 1): -om * c * mu23})
-        return GroundState(GaussFn.from_exponent(expo), energy)
+        return GroundState(GaussFn(expo), energy)
     if case is Case.MOLECULAR3:
         m = p.m1
         expo = _P({(1, 0, 0): -om * m * a, (0, 1, 0): -om * m * b})
         energy = _P({(0, 0, 0): om * d * (a + b),
                      (0, 0, 1): 2 * m * om ** 2 * a * b})
-        return GroundState(GaussFn.from_exponent(expo), energy)
+        return GroundState(GaussFn(expo), energy)
     if case is Case.ONE_DIM3:
         mu12, mu13, mu23 = reduced_masses(p)
         x12 = MultiPoly.var(X1D, "x12")
@@ -335,7 +335,7 @@ def ground_state(case: Case, p: Params) -> GroundState:
         expo = -om * (a * mu12 * x12 ** 2 + b * mu13 * x13 ** 2
                       + c * mu23 * (x13 - x12) ** 2)
         energy = MultiPoly.const(X1D, om * (a + b + c))
-        return GroundState(GaussFn.from_exponent(expo), energy)
+        return GroundState(GaussFn(expo), energy)
     mu = two_body_mu(p)
     rho = MultiPoly.var(RHO1, "rho")
     if case is Case.TWO_BODY_ES:
@@ -343,7 +343,7 @@ def ground_state(case: Case, p: Params) -> GroundState:
     else:
         expo = -mu * om * rho - mu ** 2 * p.A * rho ** 2
     energy = MultiPoly.const(RHO1, om * Fraction(d))
-    return GroundState(GaussFn.from_exponent(expo), energy)
+    return GroundState(GaussFn(expo), energy)
 
 
 # ---------------------------------------------------------------------------
@@ -723,12 +723,12 @@ def build_qes_primitive(p: Params):
     harm = ground_state(Case.GENERAL3, p)
     expo = harm.wavefunction.exponent \
         - (A12 * r12 ** 2 + A13 * r13 ** 2 + A23 * r23 ** 2)
-    psi = GaussFn.from_exponent(expo)
+    psi = GaussFn(expo)
 
     h_total = -build_radial_laplacian(Case.GENERAL3, p)
     v_total = build_potential(Case.GENERAL3, p) + v_anh
-    applied = (h_total + DiffOp.mul_by(v_total)).apply(psi)
-    quotient = applied.prefactor  # psi has prefactor 1
+    quotient = (h_total + DiffOp.mul_by(v_total)).gauge_conjugate(psi) \
+        .apply(MultiPoly.const(RHO3, 1))      # (H psi) / psi
     if not quotient.is_constant():
         raise ValueError("primitive QES quotient is not constant; "
                          "transcription bug")

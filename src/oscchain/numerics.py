@@ -65,39 +65,40 @@ def default_rmax(p: Params) -> float:
 
 def fd_radial_eigen(potential: Sequence[float], d: int, grid: Grid1D,
                     k: int = 1, richardson: bool = True) -> List[float]:
-    """k lowest eigenvalues of -[psi'' + (d-1)/r psi'] + V(r^2) psi, the
-    radial operator at mu = 1/2 (the gauge convention).
-
-    The r^((d-1)/2)-weighted transform removes the first-order term, leaving
-    -u'' + [V(r^2) + (d-1)(d-3)/(4 r^2)] u = E u with a Dirichlet wall at
-    r_max; symmetric second-order stencil, Richardson-extrapolated over
-    grids (h, h/2).  For d >= 2 u(0) = 0 is a Dirichlet wall too.  For
-    d = 1 the states are even in r (functions of rho = r^2), so r = 0 is a
-    grid point with the reflected ghost u(-h) = u(h): its row reads
-    (2 u_0 - 2 u_1) / h^2, and after symmetrising, the first off-diagonal
-    entry is -sqrt(2) / h^2.
-    """
+    """k lowest eigenvalues of -r^(1-d) (r^(d-1) psi')' + V(r^2) psi, the
+    radial operator at mu = 1/2 (the gauge convention), with a Dirichlet
+    wall at r_max; second-order stencils, Richardson-extrapolated over
+    grids (h, h/2).  For d <= 2, cell-centred finite volumes: centres
+    (i + 1/2) h, flux weight r^(d-1) at the faces, zero flux at r = 0 (at
+    d = 1 that selects the even states, functions of rho = r^2),
+    symmetrised by r^((d-1)/2) at the centres.  For d >= 3 the
+    r^((d-1)/2) transform leaves -u'' + [V + (d-1)(d-3)/(4 r^2)] u = E u
+    with u(0) = 0."""
     import numpy as np
     from scipy.linalg import eigh_tridiagonal
 
     potential = list(potential)
     if not potential or potential[-1] <= 0:
         raise NonConfiningPotential("leading potential coefficient must be > 0")
-    even = d == 1
 
     def solve(g: Grid1D):
         h = g.spacing
-        r = np.arange(0 if even else 1, g.npoints - 1) * h
+        r = (np.arange(g.npoints - 1) + 0.5) * h if d <= 2 \
+            else np.arange(1, g.npoints - 1) * h
         rho = r * r
         V = np.zeros_like(r)
         for c in reversed(potential):
             V = V * rho + c
-        if not even:
+        if d <= 2:
+            faces = (np.arange(g.npoints) * h) ** (d - 1)
+            faces[0] = 0.0                  # zero flux at r = 0
+            w = r ** (d - 1)
+            diag = (faces[:-1] + faces[1:]) / (h * h * w) + V
+            off = -faces[1:-1] / (h * h * np.sqrt(w[:-1] * w[1:]))
+        else:
             V = V + (d - 1) * (d - 3) / (4.0 * r * r)
-        diag = 2.0 / h ** 2 + V
-        off = np.full(len(r) - 1, -1.0 / h ** 2)
-        if even:
-            off[0] = -math.sqrt(2.0) / h ** 2
+            diag = 2.0 / h ** 2 + V
+            off = np.full(len(r) - 1, -1.0 / h ** 2)
         return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                 select_range=(0, k - 1))
 

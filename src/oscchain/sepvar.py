@@ -31,11 +31,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Optional, Sequence
 
 from .exact import (DiffOp, MultiPoly, RationalFn, SingularSampleError,
-                    power_table, ratio_str, random_point, table_sum)
+                    over_one_den, partial_numerators, power_table, ratio_str,
+                    random_point, table_sum)
 from .model import RHO3, Case, Params, build_radial_laplacian, nu_coefficients
 
 W3 = ("w1", "w2", "w3")
@@ -158,15 +158,9 @@ _ORDER2 = (_ZERO,) + _UNIT + tuple(
 
 def _derivative_numerators(poly: MultiPoly) -> dict:
     """{alpha: the numerators of d^alpha poly over poly.den} for
-    |alpha| <= 2, the zero ones dropped (a partial's own denominator
-    divides its parent's)."""
-    out = {}
-    for alpha in _ORDER2:
-        q = poly.partial(alpha)
-        if q.num:
-            k = poly.den // q.den
-            out[alpha] = {e: c * k for e, c in q.num.items()}
-    return out
+    |alpha| <= 2, the zero ones dropped."""
+    return {alpha: num for alpha in _ORDER2
+            if (num := partial_numerators(poly.num, alpha))}
 
 
 def _jet_numerators(derivs: dict, rows) -> tuple:
@@ -237,19 +231,6 @@ def _pushed_coefficients(delta_at: Dict[tuple, int],
     return C
 
 
-def _common_numerators(polys: Dict[tuple, MultiPoly]) -> tuple:
-    """(e, {key: numerators over e}): the polynomials brought over the one
-    denominator e, the lcm of theirs, the zero ones dropped."""
-    e = lcm(*(q.den for q in polys.values()))
-    return e, {key: {x: c * (e // q.den) for x, c in q.num.items()}
-               for key, q in polys.items() if q.num}
-
-
-def _tops(polys: Sequence[MultiPoly]) -> list:
-    """The highest exponent of each variable over `polys`."""
-    return [max(col) for col in zip(*(q.tops() for q in polys))]
-
-
 def verify_pushforward(p: Params, seed: int = 0, n_points: int = 50) -> bool:
     """Exact two-route check of the w-coordinate form of Delta_rad.
 
@@ -273,10 +254,14 @@ def verify_pushforward(p: Params, seed: int = 0, n_points: int = 50) -> bool:
     delta = build_radial_laplacian(Case.GENERAL3, p)
     opham = build_opham(p)
     maps = (wmap.w1, wmap.w2, wmap.w3.num, wmap.w3.den)
-    tops = _tops([*maps, wmap.denominator_root, *delta.terms.values()])
+    _, _, tops = over_one_den(
+        dict(enumerate([*maps, wmap.denominator_root, *delta.terms.values()])),
+        3)
     jet_nums = [_derivative_numerators(q) for q in maps]
-    e, delta_nums = _common_numerators(delta.terms)
-    wtops = _tops([q for c in opham.terms.values() for q in (c.num, c.den)])
+    e, delta_nums, _ = over_one_den(delta.terms, 3)
+    _, _, wtops = over_one_den(
+        {(alpha, k): q for alpha, c in opham.terms.items()
+         for k, q in enumerate((c.num, c.den))}, 3)
     # O_alpha = (P / (c.num.den * ws)) / (Q / (c.den.den * ws))
     wterms = [(alpha, c.num.num, c.den.num, c.num.den, c.den.den)
               for alpha, c in opham.terms.items()]

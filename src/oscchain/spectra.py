@@ -176,7 +176,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations_with_replacement
 from math import comb, isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -247,11 +246,19 @@ def enumerate_basis(variables: Sequence[str], N: int) -> MonomialBasis:
     return _enumerate_basis(tuple(variables), N)
 
 
+def _exponents(n: int, k: int) -> list:
+    """The exponent tuples of total degree n in k variables,
+    lexicographically descending."""
+    if k == 1:
+        return [(n,)]
+    return [(a,) + rest for a in range(n, -1, -1)
+            for rest in _exponents(n - a, k - 1)]
+
+
 @lru_cache(maxsize=64)
 def _enumerate_basis(variables: Tuple[str, ...], N: int) -> MonomialBasis:
     k = len(variables)
-    monos = tuple(tuple(c.count(i) for i in range(k)) for n in range(N + 1)
-                  for c in combinations_with_replacement(range(k), n))
+    monos = tuple(e for n in range(N + 1) for e in _exponents(n, k))
     basis = MonomialBasis(variables, N, monos)
     assert basis.size == comb(N + k, k)
     return basis

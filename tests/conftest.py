@@ -199,6 +199,20 @@ def oracle_gauge_conjugate(A, g, shift=0):
     return out
 
 
+def oracle_apply_gaussian(A, f, q):
+    """The polynomial r with A(f e^q) = r e^q, by the product rule
+    d_i (f e^q) = (d_i f + f d_i q) e^q, one derivative at a time: the
+    oracle of the ground-state checks, which use no gauge conjugation."""
+    out = MultiPoly.zero(A.variables)
+    for alpha, P in A.terms.items():
+        r = f
+        for v, k in zip(A.variables, alpha):
+            for _ in range(k):
+                r = r.diff(v) + r * q.diff(v)
+        out = out + P * r
+    return out
+
+
 @contextmanager
 def oracle_kernels():
     """Within the block, DiffOp.compose, DiffOp.commutator and the

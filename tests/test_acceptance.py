@@ -18,7 +18,8 @@ from oscchain.model import (Case, Params, build_h_algebraic, build_potential,
                             build_qes_primitive, build_radial_laplacian,
                             ground_state, nu_coefficients)
 
-from conftest import draw_fraction, draw_params, rational_gauged
+from conftest import (draw_fraction, draw_params, oracle_apply_gaussian,
+                      rational_gauged)
 from test_model import draw_case_params, GAUGEABLE
 
 
@@ -56,9 +57,9 @@ def test_criterion_1_exact_ground_states():
                 rho = MultiPoly.var(h.variables, "rho")
                 ok &= (h.apply(one) == -4 * p.A * p.N * rho)
                 continue
-            out = (-delta + DiffOp.mul_by(V)).apply(gs.wavefunction)
-            ok &= (out.prefactor == gs.energy * gs.wavefunction.prefactor
-                   and out.exponent == gs.wavefunction.exponent)
+            ok &= oracle_apply_gaussian(
+                -delta + DiffOp.mul_by(V), MultiPoly.const(delta.variables, 1),
+                gs.wavefunction.exponent) == gs.energy
     elapsed = time.monotonic() - t0
     ok &= elapsed < 10
     report("criterion 1: exact ground states (20 draws/case)", ok, elapsed)

@@ -104,6 +104,16 @@ def test_qes_agrees_at_d1(capsys):
     assert doc["agree"] is True and max(doc["relative_error"]) < 1e-9
 
 
+def test_qes_agrees_at_d2(capsys):
+    """At d = 2 the cell-centred grid oracle carries no 1/r^2 term, so it
+    converges like the others (the r^(1/2) transform read 0.018, 0.105
+    and 0.050 here)."""
+    code, out, _ = run(capsys, "qes", "--N", "2", "--A", "1", "--omega",
+                       "1", "--d", "2")
+    assert code == 0
+    assert json.loads(out)["results"]["agree"] is True
+
+
 def test_qes_at_negative_coupling_is_a_defective_block(capsys):
     """At A < 0 every product of opposite off-diagonal entries of the QES
     block is negative, but nonzero: its continuant is factored over Q,

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from oscchain import integrals
 from oscchain.exact import (CANONICAL_PAIRS, PHASE_VARS, DiffOp, GaussFn,
                             MultiPoly, RationalFn, VariableMismatch,
-                            phase_var, poisson_bracket, power_table,
-                            random_rational, table_sum)
+                            over_one_den, partial_numerators, phase_var,
+                            poisson_bracket, power_table, random_rational,
+                            table_sum)
 
-from conftest import (draw_params, draw_poly, fractions_st, oracle_commutator,
-                      oracle_compose, oracle_gauge_conjugate, oracle_kernels,
+from conftest import (draw_params, draw_poly, fractions_st,
+                      oracle_apply_gaussian, oracle_commutator, oracle_compose,
+                      oracle_gauge_conjugate, oracle_kernels,
                       oracle_poisson_bracket, polys_st)
 
 XY = ("x", "y")
@@ -134,6 +136,23 @@ def test_kernel_matches_sympy_poly(p, q, alpha, values, subs):
             assert got.constant_value() == Fraction(str(want))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(polys_st(XYZ, max_terms=5), max_size=4),
+       st.tuples(*[st.integers(0, 3)] * 3))
+def test_numerator_helpers_keep_every_polynomial(polys, alpha):
+    """over_one_den writes each polynomial over the one den, and
+    partial_numerators over that den is MultiPoly.partial."""
+    den, nums, tops = over_one_den(dict(enumerate(polys)), 3)
+    assert len(nums) == len(polys)
+    for p, num in zip(polys, nums.values()):
+        assert MultiPoly._make(XYZ, num, den) == p
+        assert all(e <= t for exps in num for e, t in zip(exps, tops))
+        assert MultiPoly._make(XYZ, partial_numerators(num, alpha), den) \
+            == p.partial(alpha)
+    want = [max((p.tops()[i] for p in polys), default=0) for i in range(3)]
+    assert tops == want
+
+
 def test_graded_lex_term_order():
     p = MultiPoly(XY, {(0, 2): 1, (1, 0): 2, (2, 0): 3, (1, 1): 4})
     exps = [e for e, _ in p.sorted_terms()]
@@ -169,16 +188,6 @@ def draw_quadratic(rng):
     choices = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     return MultiPoly(XY, {e: random_rational(rng)
                           for e in rng.sample(choices, 4)})
-
-
-def test_gaussfn_product_rule(rng):
-    q = draw_quadratic(rng)
-    pre = draw_poly(rng, XY, max_degree=2, n_terms=3)
-    g = GaussFn(pre, q)
-    dg = g.diff("x")
-    # (pre e^q)' = (pre' + pre q') e^q
-    assert dg.exponent == q
-    assert dg.prefactor == pre.diff("x") + pre * q.diff("x")
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +270,25 @@ def test_gauge_conjugation_round_trip(rng):
     for _ in range(5):
         A = _random_op(rng)
         q = draw_quadratic(rng)
-        g = GaussFn.from_exponent(q)
-        ginv = GaussFn.from_exponent(-q)
+        g = GaussFn(q)
+        ginv = GaussFn(-q)
         assert A.gauge_conjugate(g).gauge_conjugate(ginv) == A
 
 
 def test_gauge_conjugation_matches_function_level(rng):
-    """g^-1 (A (g f)) must equal (conjugated A) f as Gaussian functions."""
+    """g^-1 (A (g f)) by the product rule must equal (conjugated A) f."""
+    for _ in range(5):
+        A = _random_op(rng)
+        q = draw_quadratic(rng)
+        f = draw_poly(rng, XY, max_degree=2, n_terms=3)
+        assert A.gauge_conjugate(GaussFn(q)).apply(f) \
+            == oracle_apply_gaussian(A, f, q)
+
+
+def test_apply_refuses_a_gaussian(rng):
     A = _random_op(rng)
-    q = draw_quadratic(rng)
-    f = draw_poly(rng, XY, max_degree=2, n_terms=3)
-    g = GaussFn.from_exponent(q)
-    lhs = A.apply(GaussFn(f, q))          # A(f e^q)
-    rhs = GaussFn(A.gauge_conjugate(g).apply(f), q)
-    assert lhs.prefactor == rhs.prefactor and lhs.exponent == rhs.exponent
+    with pytest.raises(TypeError):
+        A.apply(GaussFn(draw_quadratic(rng)))
 
 
 def test_principal_symbol():
@@ -376,7 +390,7 @@ def test_operator_kernels_equal_the_oracle(operands):
     assert A.compose(B) == oracle_compose(A, B)
     assert A.commutator(B) == oracle_commutator(A, B)
     assert B.commutator(A) == oracle_commutator(B, A)
-    g = GaussFn.from_exponent(q)
+    g = GaussFn(q)
     assert A.gauge_conjugate(g, shift) \
         == oracle_gauge_conjugate(A, g, shift)
 

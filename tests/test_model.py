@@ -16,7 +16,7 @@ from oscchain.model import (Case, CaseError, Params, build_h_algebraic,
                             nu_coefficients, params_from_json, reduced_masses,
                             two_body_mu, validate_case)
 
-from conftest import draw_fraction, draw_params
+from conftest import draw_fraction, draw_params, oracle_apply_gaussian
 
 
 def draw_case_params(rng, case):
@@ -94,10 +94,10 @@ def test_ground_state_killed_by_full_hamiltonian(rng):
         delta = build_radial_laplacian(case, p)
         V = build_potential(case, p)
         gs = ground_state(case, p)
-        out = (-delta + DiffOp.mul_by(V)).apply(gs.wavefunction)
-        # H psi0 = E0 psi0 exactly
-        assert out.prefactor == gs.energy * gs.wavefunction.prefactor
-        assert out.exponent == gs.wavefunction.exponent
+        # H psi0 = E0 psi0 exactly, by the product rule
+        assert oracle_apply_gaussian(-delta + DiffOp.mul_by(V),
+                                     MultiPoly.const(delta.variables, 1),
+                                     gs.wavefunction.exponent) == gs.energy
 
 
 def test_nu_coefficients_worked_example():
@@ -181,7 +181,12 @@ def test_primitive_qes_residual_zero(rng):
         p = draw_case_params(rng, Case.PRIMITIVE3_QES)
         v_anh, psi, residual = build_qes_primitive(p)
         assert residual == 0
-        assert psi.prefactor.is_constant()
+        # (H psi) / psi is the harmonic ground energy, by the product rule
+        H = -build_radial_laplacian(Case.GENERAL3, p) \
+            + DiffOp.mul_by(build_potential(Case.GENERAL3, p) + v_anh)
+        assert oracle_apply_gaussian(H, MultiPoly.const(H.variables, 1),
+                                     psi.exponent) \
+            == ground_state(Case.GENERAL3, p).energy
 
 
 def test_primitive_qes_reduces_to_harmonic():

@@ -53,10 +53,10 @@ def test_harmonic_energies_other_dimension_and_frequency():
 
 
 def test_d1_oracle_reads_the_even_states():
-    """At d = 1 the S-states are even in r: r = 0 is a grid point with the
-    reflected ghost u(-h) = u(h), so the oracle gives the harmonic levels
-    4n + 1 and the QES levels, not the odd states 4n + 3 that a Dirichlet
-    wall at r = 0 selects."""
+    """At d = 1 the S-states are even in r: zero flux at r = 0 selects
+    them, so the oracle gives the harmonic levels 4n + 1 and the QES
+    levels, not the odd states 4n + 3 that a Dirichlet wall at r = 0
+    selects."""
     from oscchain import spectra
     es = numerics.fd_two_body_energies(Params(m1=1, m2=1, omega=1, d=1),
                                        Case.TWO_BODY_ES, k=4)
@@ -71,6 +71,20 @@ def test_d1_oracle_reads_the_even_states():
                                            k=len(algebraic))
         for x, y in zip(algebraic, fd):
             assert abs(x - y) / max(1.0, abs(x)) < 1e-8
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("A, omega, N", [(1, 1, 2), (2, 1, 3), (1, 3, 4),
+                                         (3, 2, 2), (Fraction(1, 2), 1, 1)])
+def test_cell_centred_oracle_matches_the_algebraic_levels(d, A, omega, N):
+    from oscchain import spectra
+    p = Params(m1=1, m2=1, omega=omega, d=d, A=A, N=N)
+    algebraic = sorted(ev.approx()
+                       for ev in spectra.qes_2body_block(p).physical)
+    fd = numerics.fd_two_body_energies(p, Case.TWO_BODY_QES,
+                                       k=len(algebraic))
+    for x, y in zip(algebraic, fd):
+        assert abs(x - y) / max(1.0, abs(x)) < 1e-6
 
 
 def test_second_order_convergence_ratio():

@@ -20,6 +20,29 @@ from conftest import (char_poly, degree1_block, draw_params, per_block,
                       rational_gauged)
 
 
+def test_basis_order_is_the_counted_combinations():
+    """Each degree's exponent tuples in the order of the sorted variable
+    multisets that `combinations_with_replacement` gives, counted."""
+    from itertools import combinations_with_replacement
+    for k, variables in ((1, ("rho",)), (2, ("x12", "x13")),
+                         (3, ("rho12", "rho13", "rho23"))):
+        for N in range(9):
+            want = tuple(tuple(c.count(i) for i in range(k))
+                         for n in range(N + 1)
+                         for c in combinations_with_replacement(range(k), n))
+            assert spectra.enumerate_basis(variables, N).monomials == want
+
+
+def test_a_basis_at_the_cap_is_built_in_linear_time():
+    import time
+    spectra._enumerate_basis.cache_clear()
+    t0 = time.perf_counter()
+    basis = spectra.enumerate_basis(("rho",), spectra.MAX_BASIS_SIZE - 1)
+    assert time.perf_counter() - t0 < 2
+    assert basis.size == spectra.MAX_BASIS_SIZE
+    spectra._enumerate_basis.cache_clear()
+
+
 def test_basis_sizes_and_order():
     for k, variables in ((1, ("rho",)), (2, ("x12", "x13")),
                          (3, ("rho12", "rho13", "rho23"))):
