@@ -36,7 +36,8 @@ VERIFICATION_ERRORS = (
     VerificationFailure, spectra.DefectiveBlock,
     spectra.InvariantSubspaceViolation, spectra.EigenvectorCertificateError,
     spectra.UnsupportedMatrix, linalg.RootCertificateError,
-    sepvar.PotentialMismatch, SingularSampleError)
+    sepvar.PotentialMismatch, SingularSampleError,
+    numerics.GridOracleFailure)
 
 
 _INF = "__infinite__"   # sentinel distinguishing an explicit 'inf' flag

@@ -3,13 +3,19 @@
 A finite-difference radial eigensolver cross-checks the exact 2-body
 algebraic energies; Born-Oppenheimer routines quantify the approximation
 error against the exactly known ground energy; potential-curve tables are
-emitted exactly (the curve is linear).  numpy and scipy are imported
-inside the two functions that use them, so commands without a grid or a
-fit never load them.
+emitted exactly (the curve is linear).  numpy is imported inside the
+functions that use it, so commands without a grid or a fit never load it.
+The grid oracle calls LAPACK's dstebz through scipy's f2py module
+`scipy/linalg/_flapack`, which `_flapack` loads by itself: importing the
+`scipy.linalg` package would cost more than the solve.
 """
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -47,11 +53,19 @@ class NonConfiningPotential(ValueError):
     pass
 
 
+class GridOracleFailure(RuntimeError):
+    """LAPACK returned a nonzero info for the grid oracle's eigenproblem."""
+
+
 def potential_coeffs(p: Params, case: Case) -> List[float]:
     """Coefficients of V as a polynomial in rho = r^2, constant term first."""
     V = build_potential(case, p)
     deg = V.total_degree()
-    return [float(V.coeff((j,))) for j in range(deg + 1)]
+    try:
+        return [float(V.coeff((j,))) for j in range(deg + 1)]
+    except OverflowError:
+        raise ValueError("a coefficient of the potential does not fit a "
+                         "float") from None
 
 
 def default_rmax(p: Params) -> float:
@@ -61,6 +75,36 @@ def default_rmax(p: Params) -> float:
     om = float(p.omega)
     # exp(-mu om r^2) < 1e-12  =>  r^2 > 12 ln10 / (mu om); pad by 40%
     return 1.4 * math.sqrt(12 * math.log(10.0) / (mu * om))
+
+
+@functools.cache
+def _flapack():
+    """scipy's f2py LAPACK module, loaded from scipy's install directory
+    without running the `scipy` or `scipy.linalg` package init."""
+    linalg = [os.path.join(path, "linalg") for path in
+              importlib.util.find_spec("scipy").submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", linalg)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tridiagonal_lowest(diag, off, k: int):
+    """The k lowest eigenvalues, ascending, of the symmetric tridiagonal
+    matrix with diagonal `diag` and off-diagonal `off`: the dstebz call
+    (range 'I', il = 1, iu = k, abstol = 0, order 'E') and the checks of
+    `scipy.linalg.eigh_tridiagonal(..., eigvals_only=True, select="i")`,
+    so the floats are the same."""
+    import numpy as np
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if not 1 <= k <= len(diag):
+        raise ValueError("select_range out of bounds")
+    m, w, _, _, info = _flapack().dstebz(diag, off, 2, 0.0, 0.0, 1, k, 0.0,
+                                         "E")
+    if info:
+        raise GridOracleFailure(f"LAPACK dstebz info {info}")
+    return w[:m]
 
 
 def fd_radial_eigen(potential: Sequence[float], d: int, grid: Grid1D,
@@ -73,9 +117,9 @@ def fd_radial_eigen(potential: Sequence[float], d: int, grid: Grid1D,
     d = 1 that selects the even states, functions of rho = r^2),
     symmetrised by r^((d-1)/2) at the centres.  For d >= 3 the
     r^((d-1)/2) transform leaves -u'' + [V + (d-1)(d-3)/(4 r^2)] u = E u
-    with u(0) = 0."""
+    with u(0) = 0.  Each grid's levels come from `_tridiagonal_lowest`; a
+    potential that overflows on the grid is a ValueError."""
     import numpy as np
-    from scipy.linalg import eigh_tridiagonal
 
     potential = list(potential)
     if not potential or potential[-1] <= 0:
@@ -87,8 +131,9 @@ def fd_radial_eigen(potential: Sequence[float], d: int, grid: Grid1D,
             else np.arange(1, g.npoints - 1) * h
         rho = r * r
         V = np.zeros_like(r)
-        for c in reversed(potential):
-            V = V * rho + c
+        with np.errstate(over="ignore"):     # checked finite below
+            for c in reversed(potential):
+                V = V * rho + c
         if d <= 2:
             faces = (np.arange(g.npoints) * h) ** (d - 1)
             faces[0] = 0.0                  # zero flux at r = 0
@@ -99,8 +144,7 @@ def fd_radial_eigen(potential: Sequence[float], d: int, grid: Grid1D,
             V = V + (d - 1) * (d - 3) / (4.0 * r * r)
             diag = 2.0 / h ** 2 + V
             off = np.full(len(r) - 1, -1.0 / h ** 2)
-        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                select_range=(0, k - 1))
+        return _tridiagonal_lowest(diag, off, k)
 
     if not richardson:
         return list(solve(grid)[:k])

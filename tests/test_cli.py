@@ -482,6 +482,34 @@ def test_qes_rejects_bad_rtol_and_npoints(capsys, flag, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "qes --N 1 --A 1e200 --omega 1 --d 3",
+    "qes --N 1 --A 1 --omega 1e300 --d 3",
+    "verify-all --omega 1e300",
+])
+def test_an_oracle_potential_beyond_floats_exits_2(capsys, argv):
+    # the sextic's coefficients hold A^2 and omega^2, past 1.8e308 here
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err == ("input error: a coefficient of the potential does not "
+                   "fit a float\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    ("qes --N 1 --A 1", "GridOracleFailure: LAPACK dstebz info 4"),
+    ("verify-all", "qes-grid-cross-validation")])
+def test_a_lapack_failure_in_the_grid_oracle_exits_1(capsys, monkeypatch,
+                                                     argv, line):
+    from types import SimpleNamespace
+
+    from oscchain import numerics
+    fake = SimpleNamespace(dstebz=lambda *args: (0, None, None, None, 4))
+    monkeypatch.setattr(numerics, "_flapack", lambda: fake)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1
+    assert err == f"verification failed: {line}\n"
+
+
 @pytest.mark.parametrize("error", ["defective", "violation"])
 def test_spectral_failures_exit_1(capsys, monkeypatch, error):
     from oscchain import spectra
@@ -685,12 +713,14 @@ def test_harmonic_spectrum_commands_do_not_load_sympy():
     assert out.splitlines() == ["0 False"] * 18
 
 
-def test_qes_and_verify_all_do_not_load_sympy():
+def test_qes_and_verify_all_load_neither_sympy_nor_scipy_linalg():
     """The QES block at A > 0 is a Jacobi matrix: its levels come from
     integer Sturm counts and its rational levels' eigenfunctions from its
     char poly as the annihilator (`spectra` docstring), so the README qes
     and verify-all commands run without sympy.  At N = 0 the one level is
-    the degree-0 block's entry, with e_0 as its eigenfunction."""
+    the degree-0 block's entry, with e_0 as its eigenfunction.  The grid
+    oracle calls LAPACK through scipy's extension module alone, so the
+    scipy.linalg package is not imported either."""
     import os
     import subprocess
     import sys
@@ -705,12 +735,13 @@ def test_qes_and_verify_all_do_not_load_sympy():
         f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main(argv.split())\n"
-        "    print(code, 'sympy' in sys.modules)\n")
+        "    print(code, 'sympy' in sys.modules,\n"
+        "          'scipy.linalg' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(oscchain.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["0 False"] * 3
+    assert out.splitlines() == ["0 False False"] * 3
 
 
 @pytest.mark.skipif(not __import__("os").path.exists("/dev/full"),

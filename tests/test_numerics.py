@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscchain import numerics
 from oscchain.model import Case, Params
@@ -35,6 +37,108 @@ def test_grid_refuses_more_points_than_the_cap():
 def test_nonconfining_potential_rejected():
     with pytest.raises(numerics.NonConfiningPotential):
         numerics.fd_radial_eigen([0.0, -1.0], 3, numerics.Grid1D(8.0, 401))
+
+
+@pytest.mark.parametrize("d, k", [(3, 0), (3, 199), (2, 200)])
+def test_oracle_refuses_a_level_count_the_grid_lacks(d, k):
+    """200 points give 198 unknowns at d >= 3 (a wall at each end) and 199
+    at d <= 2 (cell centres)."""
+    grid = numerics.Grid1D(8.0, 200)
+    with pytest.raises(ValueError, match="select_range out of bounds"):
+        numerics.fd_radial_eigen([0.0, 1.0], d, grid, k=k, richardson=False)
+
+
+@pytest.mark.parametrize("potential", [[math.nan, 1.0], [0.0, math.inf],
+                                       [0.0, 1e308]], ids=str)
+def test_oracle_refuses_a_potential_that_is_not_finite_on_the_grid(potential):
+    # 1e308 rho overflows at rho > 1.8
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        numerics.fd_radial_eigen(potential, 3, numerics.Grid1D(8.0, 200))
+
+
+def test_qes_with_an_oracle_potential_that_overflows_exits_2(capsys):
+    """At omega = 1e-300 the grid reaches r ~ 1e151, where the sextic
+    overflows: one input-error line, no numpy warning and no LAPACK
+    failure."""
+    import warnings
+
+    from oscchain.cli import main
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main("qes --N 1 --A 1 --omega 1e-300 --d 3".split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "input error: array must not contain infs or NaNs\n"
+
+
+def _eigh_tridiagonal(diag, off, k):
+    from scipy.linalg import eigh_tridiagonal
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                            select_range=(0, k - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dstebz_call_is_scipys_bit_for_bit(data):
+    import numpy as np
+    n = data.draw(st.integers(2, 40))
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    diag = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
+    off = np.array(data.draw(st.lists(entries, min_size=n - 1,
+                                      max_size=n - 1)))
+    k = data.draw(st.integers(1, n))
+    assert numerics._tridiagonal_lowest(diag, off, k).tobytes() \
+        == _eigh_tridiagonal(diag, off, k).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 5), k=st.integers(1, 5), A=st.integers(1, 6),
+       omega=st.integers(1, 3), N=st.integers(1, 4))
+def test_oracle_tridiagonals_solve_as_in_scipy_bit_for_bit(d, k, A, omega, N):
+    """Both Richardson grids of the QES oracle, at every d."""
+    from unittest import mock
+    lowest = numerics._tridiagonal_lowest
+    seen = []
+
+    def spy(diag, off, k):
+        seen.append((diag, off, k))
+        return lowest(diag, off, k)
+
+    p = Params(m1=1, m2=1, omega=omega, d=d, A=A, N=N)
+    with mock.patch.object(numerics, "_tridiagonal_lowest", spy):
+        numerics.fd_two_body_energies(p, Case.TWO_BODY_QES, k=k)
+    assert len(seen) == 2
+    for diag, off, levels in seen:
+        assert lowest(diag, off, levels).tobytes() \
+            == _eigh_tridiagonal(diag, off, levels).tobytes()
+
+
+def test_scipy_linalg_imports_after_the_oracle_ran():
+    """The oracle loads scipy's LAPACK module without scipy.linalg; the
+    package still imports afterwards, and its solver agrees."""
+    import os
+    import subprocess
+    import sys
+
+    import oscchain
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from oscchain import numerics\n"
+        "grid = numerics.Grid1D(8.0, 400)\n"
+        "levels = numerics.fd_radial_eigen([0.0, 1.0], 3, grid, k=3)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "from scipy.linalg import eigh_tridiagonal\n"
+        "diag, off = np.linspace(1, 2, 50), np.full(49, 0.5)\n"
+        "ours = numerics._tridiagonal_lowest(diag, off, 3)\n"
+        "print(ours.tobytes() == eigh_tridiagonal(\n"
+        "    diag, off, eigvals_only=True, select='i',\n"
+        "    select_range=(0, 2)).tobytes())\n")
+    src = os.path.dirname(os.path.dirname(oscchain.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["False", "True"]
 
 
 def test_harmonic_energies_match_closed_form():
