@@ -4,8 +4,10 @@ Subcommands cover the spectral engine, the conservation battery, the
 change-of-variables checks, the Born-Oppenheimer analysis, the
 grid-oracle cross-validation, the molecular potential curve, and a
 bundled verify-all sweep.  Output is deterministic JSON (or CSV for
-tables); exit status 0 = success, 1 = a named verification failure,
-2 = bad input.
+tables); exit status 0 = success, 1 = a named verification failure
+(`VerificationFailure` or any other `oscchain.VerificationError`),
+2 = bad input.  Each handler imports the layers it runs in its own body,
+so a command compiles and loads only those.
 """
 from __future__ import annotations
 
@@ -19,25 +21,14 @@ from dataclasses import fields, replace
 from fractions import Fraction
 from typing import List, Optional
 
-from . import __version__
-from .exact import SingularSampleError, ratio_str
+from . import VerificationError, __version__
+from .exact import MultiPoly, ratio_str
 from .model import (Case, CaseError, Params, case_variables, degenerate,
                     params_from_json, validate_case)
-from . import integrals as integrals_mod
-from . import linalg, numerics, sepvar, spectra
 
 
-class VerificationFailure(RuntimeError):
+class VerificationFailure(VerificationError):
     """Raised when a named invariant fails; .args[0] names it."""
-
-
-# the named verification failures: each exits 1
-VERIFICATION_ERRORS = (
-    VerificationFailure, spectra.DefectiveBlock,
-    spectra.InvariantSubspaceViolation, spectra.EigenvectorCertificateError,
-    spectra.UnsupportedMatrix, linalg.RootCertificateError,
-    sepvar.PotentialMismatch, SingularSampleError,
-    numerics.GridOracleFailure)
 
 
 _INF = "__infinite__"   # sentinel distinguishing an explicit 'inf' flag
@@ -155,6 +146,7 @@ def _emit(args, case, p, results) -> None:
 # subcommands
 
 def cmd_spectrum(args) -> None:
+    from . import spectra
     case, p = _build_params(args)
     if p.N is None:
         raise CaseError("spectrum needs --N")
@@ -162,8 +154,9 @@ def cmd_spectrum(args) -> None:
 
 
 def cmd_integrals(args) -> None:
+    from . import integrals
     case, p = _build_params(args, Case.GENERAL3)
-    rep = integrals_mod.battery(p)
+    rep = integrals.battery(p)
     _emit(args, case, p, rep.to_json())
     if not rep.consistent:
         raise VerificationFailure(
@@ -171,6 +164,7 @@ def cmd_integrals(args) -> None:
 
 
 def cmd_sepvar(args) -> None:
+    from . import sepvar
     case, p = _build_params(args, Case.GENERAL3)
     ok = sepvar.verify_pushforward(p, seed=args.seed, n_points=args.points)
     results = {"pushforward_ok": ok, "A": None, "B": None, "potential": None}
@@ -184,6 +178,7 @@ def cmd_sepvar(args) -> None:
 
 
 def cmd_bo(args) -> None:
+    from . import numerics
     case, p = _build_params(args, Case.GENERAL3)
     grid = None
     if args.m1_grid:
@@ -210,6 +205,7 @@ def cmd_qes(args) -> None:
 
 
 def cmd_curve(args) -> None:
+    from . import numerics
     case, p = _build_params(args, Case.MOLECULAR3,
                             overrides={"m2": None, "m3": None,
                                        "c": Fraction(0),
@@ -224,6 +220,7 @@ def cmd_curve(args) -> None:
 
 
 def cmd_verify_all(args) -> None:
+    from . import integrals, sepvar, spectra
     case, p = _build_params(args, Case.GENERAL3)
     checks = {}
 
@@ -232,7 +229,7 @@ def cmd_verify_all(args) -> None:
         verification failure fails under its own name."""
         try:
             checks[name] = bool(fn())
-        except VERIFICATION_ERRORS:
+        except VerificationError:
             checks[name] = False
 
     for c in (Case.GENERAL3, Case.EQUAL_MASS3, Case.ISOTROPIC3,
@@ -242,7 +239,7 @@ def cmd_verify_all(args) -> None:
             lambda q=q, c=c: spectra.case_operator(c, q).apply(
                 _one(c)).is_zero())
     run("conservation-battery",
-        lambda: integrals_mod.battery(p).consistent)
+        lambda: integrals.battery(p).consistent)
     run("w-coordinate-pushforward",
         lambda: sepvar.verify_pushforward(p, seed=args.seed, n_points=50))
     run("harmonic-2body-spectrum", lambda: spectra.laguerre_verify(
@@ -257,13 +254,13 @@ def cmd_verify_all(args) -> None:
 
 
 def _one(case: Case):
-    from .exact import MultiPoly
     return MultiPoly.const(case_variables(case), Fraction(1))
 
 
 def _qes_levels(p: Params, npoints: int = 4000):
     """(algebraic, grid-oracle, relative errors) of the 2-body QES levels,
     each list sorted."""
+    from . import numerics, spectra
     rep = spectra.qes_2body_block(p)
     algebraic = sorted(ev.approx() for ev in rep.physical)
     fd = numerics.fd_two_body_energies(p, Case.TWO_BODY_QES,
@@ -278,6 +275,7 @@ def _check_qes(p: Params) -> bool:
 
 
 def _check_bo(p: Params) -> bool:
+    from . import numerics
     q = Params(m1=Fraction(1, 100), m2=1, m3=1, a=p.a, b=p.b,
                c=p.c if p.c != 0 else Fraction(1), omega=p.omega, d=p.d)
     rep = numerics.bo_report_with_fit(q, numerics.DEFAULT_FIT_GRID)
@@ -287,6 +285,7 @@ def _check_bo(p: Params) -> bool:
 
 
 def _check_curve() -> bool:
+    from . import numerics
     p = Params(m1=1, m2=None, m3=None, c=0, rho23=Fraction(1), d=3)
     rows = numerics.potential_curve(
         p, [Fraction(k, 2) for k in range(7)])
@@ -372,7 +371,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except VerificationFailure as e:
         print(f"verification failed: {e.args[0]}", file=sys.stderr)
         return 1
-    except VERIFICATION_ERRORS as e:
+    except VerificationError as e:
         print(f"verification failed: {type(e).__name__}: {e}",
               file=sys.stderr)
         return 1

@@ -11,8 +11,10 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from .. import VerificationError
 
-class SingularSampleError(RuntimeError):
+
+class SingularSampleError(VerificationError):
     """Raised when resampling cannot avoid denominator zeros."""
 
 

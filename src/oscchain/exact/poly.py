@@ -31,6 +31,15 @@ def ratio_str(x: Optional[Fraction]) -> Optional[str]:
     return None if x is None else f"{x.numerator}/{x.denominator}"
 
 
+def to_float(x: Scalar, what: str) -> float:
+    """float(x); a value past the float range is bad input, a ValueError
+    that names it as `what`."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} does not fit a float") from None
+
+
 def _pair(x: Scalar) -> tuple:
     return x.numerator, x.denominator
 

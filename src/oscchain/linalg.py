@@ -29,6 +29,8 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
+from . import VerificationError
+
 
 def det(B):
     """det(B) by expansion along the first row, for a small square matrix
@@ -39,7 +41,7 @@ def det(B):
 
 # -- certified real roots ----------------------------------------------------
 
-class RootCertificateError(RuntimeError):
+class RootCertificateError(VerificationError):
     """A grid cell whose ends do not have strictly opposite signs."""
 
 

@@ -23,7 +23,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from . import linalg
 from .exact import DiffOp, GaussFn, MultiPoly, RationalFn
 
 RHO3 = ("rho12", "rho13", "rho23")
@@ -615,6 +614,7 @@ def cometric(case: Case, p: Params) -> Cometric:
     Normalizations follow the source expressions: the 3x3 matrices are read
     from Delta_rad, the molecular 2x2 from (1/2) Delta_rad.
     """
+    from . import linalg
     validate_case(case, p)
     if case in (Case.TWO_BODY_ES, Case.TWO_BODY_QES, Case.ONE_DIM3):
         raise CaseError("case has no rho-space co-metric")

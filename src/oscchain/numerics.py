@@ -20,6 +20,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from . import VerificationError
+from .exact import to_float
 from .model import Case, Params, build_potential, ground_state, \
     reduced_masses, nu_coefficients, validate_case
 
@@ -53,19 +55,15 @@ class NonConfiningPotential(ValueError):
     pass
 
 
-class GridOracleFailure(RuntimeError):
+class GridOracleFailure(VerificationError):
     """LAPACK returned a nonzero info for the grid oracle's eigenproblem."""
 
 
 def potential_coeffs(p: Params, case: Case) -> List[float]:
     """Coefficients of V as a polynomial in rho = r^2, constant term first."""
     V = build_potential(case, p)
-    deg = V.total_degree()
-    try:
-        return [float(V.coeff((j,))) for j in range(deg + 1)]
-    except OverflowError:
-        raise ValueError("a coefficient of the potential does not fit a "
-                         "float") from None
+    return [to_float(V.coeff((j,)), "a coefficient of the potential")
+            for j in range(V.total_degree() + 1)]
 
 
 def default_rmax(p: Params) -> float:
@@ -207,21 +205,23 @@ def bo_energies(p: Params) -> BOReport:
     """Zero-point nuclear energy, exact energy, and their gap."""
     if p.m2 is None or p.m3 is None or p.m2 != p.m3:
         raise ValueError("Born-Oppenheimer analysis expects finite m2 = m3")
-    exact_e0 = float(ground_state(Case.GENERAL3, p).energy_value)
+
+    def fl(x):
+        return to_float(x, "a Born-Oppenheimer term")
+
+    exact_e0 = fl(ground_state(Case.GENERAL3, p).energy_value)
     if p.a <= 0 or p.b <= 0:
         raise ValueError("need a, b > 0")
-    m = float(p.m1)
-    mu = float(reduced_masses(p)[2])
-    nu23 = float(nu_coefficients(p)[2])
-    a, b = float(p.a), float(p.b)
-    om, d = float(p.omega), float(p.d)
+    m, a, b, om, d = fl(p.m1), fl(p.a), fl(p.b), fl(p.omega), fl(p.d)
+    mu = fl(reduced_masses(p)[2])
+    nu23 = fl(nu_coefficients(p)[2])
     nuclear_e0 = om * d * (a + b) \
         + om * d * math.sqrt((a * b * m / mu) * (1 + nu23 / (a * b * m)))
     gap = nuclear_e0 - exact_e0
     c1f = c2f = None
     if p.c != 0:
         c1, c2 = bo_series_coefficients(p)
-        c1f, c2f = float(c1), float(c2)
+        c1f, c2f = fl(c1), fl(c2)
     return BOReport(exact_e0, nuclear_e0, gap, c1f, c2f)
 
 
@@ -237,7 +237,7 @@ def bo_series_fit(p: Params, m1_grid: Sequence[float] = DEFAULT_FIT_GRID
     """
     import numpy as np
 
-    m1_grid = [float(m) for m in m1_grid]
+    m1_grid = [to_float(m, "an m1 grid value") for m in m1_grid]
     if len(m1_grid) < 6:
         raise ValueError("need at least 6 grid points")
     if any(m <= 0 or m > 0.1 for m in m1_grid):
@@ -283,5 +283,6 @@ def potential_curve(p: Params, rho23_values: Sequence[Fraction]
 def curve_csv(rows) -> str:
     lines = ["rho23,E0"]
     for r, e in rows:
-        lines.append(f"{float(r):.15g},{float(e):.15g}")
+        lines.append(f"{to_float(r, 'a curve value'):.15g},"
+                     f"{to_float(e, 'a curve value'):.15g}")
     return "\n".join(lines) + "\n"

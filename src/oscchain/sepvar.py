@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
+from . import VerificationError
 from .exact import (DiffOp, MultiPoly, RationalFn, SingularSampleError,
                     over_one_den, partial_numerators, power_table, ratio_str,
                     random_point, table_sum)
@@ -44,7 +45,7 @@ MAX_RESAMPLES = 100
 MIN_POINTS = 50         # fewest sample points verify_pushforward accepts
 
 
-class PotentialMismatch(RuntimeError):
+class PotentialMismatch(VerificationError):
     """The w-coordinate potential does not reproduce the rho-space one."""
 
 

@@ -179,8 +179,8 @@ from functools import cache, lru_cache
 from math import comb, isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from . import linalg
-from .exact import DiffOp, MultiPoly, ratio_str
+from . import VerificationError, linalg
+from .exact import DiffOp, MultiPoly, ratio_str, to_float
 from .model import (Case, CaseError, Params, build_h_algebraic, ground_state,
                     validate_case)
 
@@ -188,7 +188,7 @@ from .model import (Case, CaseError, Params, build_h_algebraic, ground_state,
 MAX_BASIS_SIZE = 100_000   # most monomials of one basis
 
 
-class InvariantSubspaceViolation(RuntimeError):
+class InvariantSubspaceViolation(VerificationError):
     def __init__(self, monomial, overflow):
         self.monomial = monomial
         self.overflow = overflow
@@ -196,11 +196,11 @@ class InvariantSubspaceViolation(RuntimeError):
             f"operator leaves the span on {monomial!r}; overflow {overflow!r}")
 
 
-class UnsupportedMatrix(RuntimeError):
+class UnsupportedMatrix(VerificationError):
     """A matrix that fits neither level route of `eigenvalues_graded`."""
 
 
-class DefectiveBlock(RuntimeError):
+class DefectiveBlock(VerificationError):
     """Fewer real eigenvalues than the basis size; `.report` keeps the
     spectrum that was found."""
 
@@ -346,10 +346,11 @@ class Eigenvalue:
     eigenspace_dim: Optional[int] = None
 
     def approx(self) -> float:
-        if self.value is not None:
-            return float(self.value)
-        lo, hi = self.interval
-        return float((lo + hi) / 2)
+        value = self.value
+        if value is None:
+            lo, hi = self.interval
+            value = (lo + hi) / 2
+        return to_float(value, "a level")
 
     def to_json(self) -> dict:
         out = {"multiplicity": self.multiplicity, "degree": self.degree}
@@ -494,7 +495,7 @@ def _product(polys):
     return out
 
 
-class EigenvectorCertificateError(RuntimeError):
+class EigenvectorCertificateError(VerificationError):
     """An eigenvector that does not satisfy (M - lam) v = 0 exactly."""
 
 

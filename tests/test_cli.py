@@ -482,17 +482,27 @@ def test_qes_rejects_bad_rtol_and_npoints(capsys, flag, value):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    "qes --N 1 --A 1e200 --omega 1 --d 3",
-    "qes --N 1 --A 1 --omega 1e300 --d 3",
-    "verify-all --omega 1e300",
-])
-def test_an_oracle_potential_beyond_floats_exits_2(capsys, argv):
-    # the sextic's coefficients hold A^2 and omega^2, past 1.8e308 here
+@pytest.mark.parametrize("argv, what", [
+    pytest.param(argv, what, id=argv) for argv, what in [
+        ("qes --N 1 --A 1e200 --omega 1 --d 3",
+         "a coefficient of the potential"),
+        ("qes --N 1 --A 1 --omega 1e300 --d 3",
+         "a coefficient of the potential"),
+        ("verify-all --omega 1e300", "a coefficient of the potential"),
+        ("qes --N 1 --A 1 --omega 1e400", "a level"),
+        ("spectrum --case twobody_qes --N 1 --A 1 --omega 1e400", "a level"),
+        ("bo --a 1e300", "a Born-Oppenheimer term"),
+        ("verify-all --a 1e300", "a Born-Oppenheimer term"),
+        ("bo --m1-grid 1e400:6e400:1e400", "an m1 grid value"),
+        ("curve --omega 1e400 --format csv", "a curve value"),
+    ]])
+def test_an_oracle_potential_beyond_floats_exits_2(capsys, argv, what):
+    # past 1.8e308: the sextic's coefficients hold A^2 and omega^2, its
+    # levels omega, the Born-Oppenheimer series coefficient c2 a^2, and
+    # the molecular curve's energies omega
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and out == ""
-    assert err == ("input error: a coefficient of the potential does not "
-                   "fit a float\n")
+    assert err == f"input error: {what} does not fit a float\n"
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -508,6 +518,32 @@ def test_a_lapack_failure_in_the_grid_oracle_exits_1(capsys, monkeypatch,
     code, out, err = run(capsys, *argv.split())
     assert code == 1
     assert err == f"verification failed: {line}\n"
+
+
+def test_the_named_verification_failures_share_one_base():
+    """The nine named verification failures, and no other class of the
+    package, subclass VerificationError, which `main` maps to exit 1."""
+    import inspect
+    import pkgutil
+    from importlib import import_module
+
+    import oscchain
+    from oscchain import VerificationError
+    found = set()
+    for info in pkgutil.walk_packages(oscchain.__path__, "oscchain."):
+        for name, obj in vars(import_module(info.name)).items():
+            if inspect.isclass(obj) and obj is not VerificationError \
+                    and issubclass(obj, VerificationError):
+                found.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert found == {
+        "oscchain.cli.VerificationFailure", "oscchain.spectra.DefectiveBlock",
+        "oscchain.spectra.InvariantSubspaceViolation",
+        "oscchain.spectra.EigenvectorCertificateError",
+        "oscchain.spectra.UnsupportedMatrix",
+        "oscchain.linalg.RootCertificateError",
+        "oscchain.sepvar.PotentialMismatch",
+        "oscchain.exact.idtest.SingularSampleError",
+        "oscchain.numerics.GridOracleFailure"}
 
 
 @pytest.mark.parametrize("error", ["defective", "violation"])
@@ -636,7 +672,26 @@ def test_broken_root_certificate_exits_1(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_commands_without_a_grid_do_not_load_numpy_or_scipy():
+# each README command, the oscchain layers it loads besides cli, model and
+# exact, and whether it loads numpy; scipy's package is loaded by none
+README_LOADS = [
+    ("spectrum --case general3 --m1 2 --m2 3 --m3 5/2 --N 4",
+     "spectra linalg", False),
+    ("integrals --m1 2 --m2 3 --m3 5/2", "integrals", False),
+    ("sepvar --m1 1 --m2 1 --m3 1 --points 50", "sepvar", False),
+    ("qes --N 2 --A 1 --omega 1 --d 3", "spectra linalg numerics", True),
+    ("bo --m1 1/100 --a 1 --b 1 --c 1", "numerics", True),
+    ("curve --rho23-range 0:3:1/4 --format csv", "numerics", False),
+    ("verify-all --m1 2 --m2 3 --m3 5",
+     "spectra linalg numerics integrals sepvar", True),
+]
+
+
+@pytest.mark.parametrize("argv, layers, numpy", README_LOADS,
+                         ids=[argv.split()[0] for argv, _, _ in README_LOADS])
+def test_each_command_loads_only_its_layers(argv, layers, numpy):
+    """Each handler imports its layers in its own body, so a fresh
+    interpreter compiles only the modules its command runs."""
     import os
     import subprocess
     import sys
@@ -645,16 +700,19 @@ def test_commands_without_a_grid_do_not_load_numpy_or_scipy():
     script = (
         "import contextlib, io, sys\n"
         "from oscchain.cli import main\n"
-        "loaded = lambda: sorted({'numpy', 'scipy'} & set(sys.modules))\n"
-        "print(loaded())\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['spectrum', '--case', 'general3', '--N', '2'])\n"
-        "print(code, loaded())\n")
+        f"    code = main({argv.split()!r})\n"
+        "print(code)\n"
+        "print(' '.join(sorted({name.split('.')[1] for name in sys.modules\n"
+        "                       if name.startswith('oscchain.')})))\n"
+        "print(' '.join(sorted({'numpy', 'scipy'} & set(sys.modules))))\n")
     src = os.path.dirname(os.path.dirname(oscchain.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["[]", "0 []"]
+    assert out.split("\n") == [
+        "0", " ".join(sorted({"cli", "model", "exact", *layers.split()})),
+        "numpy" if numpy else "", ""]
 
 
 def test_harmonic_spectrum_commands_do_not_load_sympy():
