@@ -32,12 +32,15 @@ def ratio_str(x: Optional[Fraction]) -> Optional[str]:
 
 
 def to_float(x: Scalar, what: str) -> float:
-    """float(x); a value past the float range is bad input, a ValueError
-    that names it as `what`."""
+    """float(x); a value past the float range, or a nonzero one that
+    rounds to 0.0, is bad input, a ValueError that names it as `what`."""
     try:
-        return float(x)
+        out = float(x)
     except OverflowError:
-        raise ValueError(f"{what} does not fit a float") from None
+        out = None
+    if out is None or (not out and x):
+        raise ValueError(f"{what} does not fit a float")
+    return out
 
 
 def _pair(x: Scalar) -> tuple:

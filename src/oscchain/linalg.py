@@ -8,7 +8,9 @@ builds a tridiagonal matrix's char poly, the continuant, from its
 three-term recurrence on integers, and finds the levels by integer Sturm
 counts when every product of opposite off-diagonal entries is positive
 (no sympy), else by `real_roots_exact`.  The continuant is also the
-annihilator that `spectra` hands to its one eigenvector routine.
+annihilator that `spectra` hands to its one eigenvector routine.  Every
+polynomial here, and in `spectra`, is a list of its coefficients, highest
+degree first.
 
 Real roots: sympy factors a polynomial over Q, built straight from its
 coefficient list (`factor_over_q`).  A factor of degree >= 2 is
@@ -43,13 +45,6 @@ def det(B):
 
 class RootCertificateError(VerificationError):
     """A grid cell whose ends do not have strictly opposite signs."""
-
-
-def poly_trim(coeffs: Sequence[Fraction]) -> List[Fraction]:
-    out = list(coeffs)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out or [Fraction(0)]
 
 
 def _scaled_value(coeffs: Sequence[int], p: int, q: int) -> int:
@@ -128,15 +123,14 @@ def _integer_coeffs(coeffs) -> List[int]:
 
 
 def factor_over_q(coeffs) -> List[Tuple[List[int], int]]:
-    """The irreducible factors over Q of a nonconstant polynomial with
-    rational coefficients [c0, ..., cn], each as primitive integer
-    coefficients (highest degree first) with its multiplicity."""
+    """The irreducible factors over Q of a polynomial with rational
+    coefficients, each as primitive integer coefficients with its
+    multiplicity."""
     from sympy import Poly, Symbol
     from sympy.polys.domains import QQ
 
-    poly = Poly.from_list([QQ(c.numerator, c.denominator)
-                           for c in reversed(coeffs)], Symbol("lam"),
-                          domain=QQ)
+    poly = Poly.from_list([QQ(c.numerator, c.denominator) for c in coeffs],
+                          Symbol("lam"), domain=QQ)
     return [(_integer_coeffs(fac.rep.to_list()), mult)
             for fac, mult in poly.factor_list()[1]]
 
@@ -218,14 +212,14 @@ def tridiagonal_levels(diag: Sequence[Fraction], products: Sequence[Fraction]
     d = [int(x * L) for x in diag]
     P = [0] + [int(x * L * L) for x in products]
     n = len(d)
-    prev, cur = [0], [1]             # q_{k-1}, q_k, lowest degree first
+    prev, cur = [0], [1]             # q_{k-1}, q_k
     for dk, pk in zip(d, P):
         prev, cur = cur, [s - dk * c - pk * p for s, c, p
-                          in zip([0, *cur], [*cur, 0], [*prev, 0, 0])]
-    # q_n(L lam) in lam, highest degree first, for `_grid_cell`
-    lam_coeffs = [c * L ** i for i, c in reversed(list(enumerate(cur)))]
+                          in zip([*cur, 0], [0, *cur], [0, 0, *prev])]
+    # q_n(L lam) in lam, whose coefficient of lam^(n - i) is L^(n - i) cur_i
+    lam_coeffs = [c * L ** (n - i) for i, c in enumerate(cur)]
     if not all(x > 0 for x in products):
-        rational, irrational = real_roots_exact(lam_coeffs[::-1])
+        rational, irrational = real_roots_exact(lam_coeffs)
         return [(x, None, m) for x, m in rational] \
             + [(None, cell, m) for cell, m in irrational], lam_coeffs
     # Gershgorin on the symmetric form: |y - d_k| <= sqrt P_{k-1} + sqrt P_k
@@ -252,7 +246,7 @@ def tridiagonal_levels(diag: Sequence[Fraction], products: Sequence[Fraction]
 
 
 def real_roots_exact(coeffs):
-    """All real roots of a Fraction-coefficient polynomial.
+    """All real roots of a polynomial with rational coefficients.
 
     Returns (rational, irrational): rational as [(Fraction, multiplicity)],
     irrational as [((lo, hi), multiplicity)] with the certified grid cells
@@ -260,9 +254,6 @@ def real_roots_exact(coeffs):
     (`factor_over_q`) and the roots of each factor of degree >= 2
     (`isolate_irreducible`).
     """
-    coeffs = poly_trim(coeffs)
-    if len(coeffs) <= 1:
-        return [], []
     rational: List[Tuple[Fraction, int]] = []
     irrational = []
     for fcoeffs, mult in factor_over_q(coeffs):

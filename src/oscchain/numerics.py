@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import VerificationError
 from .exact import to_float
 from .model import Case, Params, build_potential, ground_state, \
-    reduced_masses, nu_coefficients, validate_case
+    reduced_masses, nu_coefficients, two_body_mu, validate_case
 
 
 MAX_GRID_POINTS = 1_000_000   # most points of a grid, the halved one included
@@ -68,11 +68,9 @@ def potential_coeffs(p: Params, case: Case) -> List[float]:
 
 def default_rmax(p: Params) -> float:
     """Radius where the ground-state Gaussian tail drops below 1e-12."""
-    from .model import two_body_mu
-    mu = float(two_body_mu(p))
-    om = float(p.omega)
+    mu_om = to_float(two_body_mu(p) * p.omega, "mu omega")
     # exp(-mu om r^2) < 1e-12  =>  r^2 > 12 ln10 / (mu om); pad by 40%
-    return 1.4 * math.sqrt(12 * math.log(10.0) / (mu * om))
+    return 1.4 * math.sqrt(12 * math.log(10.0) / mu_om)
 
 
 @functools.cache
@@ -212,11 +210,12 @@ def bo_energies(p: Params) -> BOReport:
     exact_e0 = fl(ground_state(Case.GENERAL3, p).energy_value)
     if p.a <= 0 or p.b <= 0:
         raise ValueError("need a, b > 0")
-    m, a, b, om, d = fl(p.m1), fl(p.a), fl(p.b), fl(p.omega), fl(p.d)
+    a, b, om, d = fl(p.a), fl(p.b), fl(p.omega), fl(p.d)
+    abm = fl(p.a * p.b * p.m1)      # one rounding, so an underflow is caught
     mu = fl(reduced_masses(p)[2])
     nu23 = fl(nu_coefficients(p)[2])
     nuclear_e0 = om * d * (a + b) \
-        + om * d * math.sqrt((a * b * m / mu) * (1 + nu23 / (a * b * m)))
+        + om * d * math.sqrt((abm / mu) * (1 + nu23 / abm))
     gap = nuclear_e0 - exact_e0
     c1f = c2f = None
     if p.c != 0:
@@ -228,30 +227,29 @@ def bo_energies(p: Params) -> BOReport:
 DEFAULT_FIT_GRID = tuple(Fraction(i, 500) for i in range(1, 11))  # (0, 0.02]
 
 
-def bo_series_fit(p: Params, m1_grid: Sequence[float] = DEFAULT_FIT_GRID
+def bo_series_fit(p: Params, m1_grid: Sequence[Fraction] = DEFAULT_FIT_GRID
                   ) -> Tuple[float, float]:
     """Leading coefficients of gap(m1) = c1 m1 + c2 m1^2 + ... by fit.
 
     A quartic (no constant term) least-squares model absorbs the cubic and
-    quartic tail so c1, c2 are clean on grids up to m1 ~ 0.05.
+    quartic tail so c1, c2 are clean on grids up to m1 ~ 0.05.  The gaps
+    are taken at the exact grid values; floats enter only the design
+    matrix.
     """
     import numpy as np
 
-    m1_grid = [to_float(m, "an m1 grid value") for m in m1_grid]
-    if len(m1_grid) < 6:
+    xs = [to_float(m, "an m1 grid value") for m in m1_grid]
+    if len(xs) < 6:
         raise ValueError("need at least 6 grid points")
-    if any(m <= 0 or m > 0.1 for m in m1_grid):
+    if any(x <= 0 or x > 0.1 for x in xs):
         raise ValueError("m1 grid must lie in (0, 0.1]")
-    gaps = []
-    for m1 in m1_grid:
-        q = replace(p, m1=Fraction(m1).limit_denominator(10 ** 12))
-        gaps.append(bo_energies(q).gap)
-    A = np.array([[m ** j for j in range(1, 5)] for m in m1_grid])
+    gaps = [bo_energies(replace(p, m1=m)).gap for m in m1_grid]
+    A = np.array([[x ** j for j in range(1, 5)] for x in xs])
     sol, *_ = np.linalg.lstsq(A, np.array(gaps), rcond=None)
     return float(sol[0]), float(sol[1])
 
 
-def bo_report_with_fit(p: Params, m1_grid: Sequence[float]) -> BOReport:
+def bo_report_with_fit(p: Params, m1_grid: Sequence[Fraction]) -> BOReport:
     base = bo_energies(p)
     c1, c2 = bo_series_fit(p, m1_grid)
     return replace(base, c1_fit=c1, c2_fit=c2)

@@ -141,12 +141,16 @@ holds them, certified by a strict sign change at its ends: from one
 integer square root for a quadratic factor, from sympy's isolation and an
 integer bisection over the grid indices for a factor of higher degree
 (`linalg.isolate_irreducible`), and from Sturm counts for a Jacobi
-matrix.  The matrix is held as the Fraction columns {j: {i: c}} that
-assembly writes, column j the image of basis monomial j (only nonzero
-entries are stored); the triangularity scan, the degree-1 block, the
-tridiagonal route and, as integer numerators over one denominator, the
-eigenvectors read them.  sympy is loaded only for a product < 0 on the
-tridiagonal route (the QES block at A < 0), never on importing this.
+matrix.  The matrix is held as integer numerators over one denominator,
+as `MultiPoly` is: the columns {j: {i: n}} that assembly writes, column j
+the image of basis monomial j (only nonzero entries are stored), over the
+lcm of the denominators of the operator's coefficients.  The
+triangularity scan and the eigenvectors read the integers; the degree-1
+block and the tridiagonal route read Fraction entries (`OpMatrix.entry`).
+The levels are ordered exactly, by value (a cell by its midpoint), then
+degree, so no float is made while a spectrum is computed.  sympy is
+loaded only for a product < 0 on the tridiagonal route (the QES block at
+A < 0), never on importing this.
 
 Eigenfunctions: one route, by Cayley-Hamilton, for the rational levels
 lam that are simple across the grading.  Each diagonal block B_k has an
@@ -180,7 +184,7 @@ from math import comb, isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import VerificationError, linalg
-from .exact import DiffOp, MultiPoly, ratio_str, to_float
+from .exact import DiffOp, MultiPoly, over_one_den, ratio_str, to_float
 from .model import (Case, CaseError, Params, build_h_algebraic, ground_state,
                     validate_case)
 
@@ -279,7 +283,8 @@ _ZERO = Fraction(0)   # shared by every zero coordinate
 @dataclass(frozen=True)
 class OpMatrix:
     basis: MonomialBasis
-    cols: dict  # {j: {i: Fraction}}, the nonzero entries only
+    den: int
+    cols: dict  # {j: {i: int}}: entry (i, j) is cols[j][i] / den, nonzero only
     # assembled from an operator of gl(3) form: block n is the degree-1
     # block acting on Sym^n
     gl3_form: bool = False
@@ -288,22 +293,17 @@ class OpMatrix:
     def size(self) -> int:
         return self.basis.size
 
+    def entry(self, i: int, j: int) -> Fraction:
+        """The entry of row i and column j."""
+        x = self.cols.get(j, {}).get(i)
+        return Fraction(x, self.den) if x else _ZERO
+
     @property
     def entries(self) -> tuple:
         """The dense rows, as tuples of Fraction."""
         n = self.size
-        return tuple(tuple(self.cols.get(j, {}).get(i, _ZERO)
-                           for j in range(n)) for i in range(n))
-
-    def numerators(self, stop: int):
-        """(L, {j: ((i, n), ...)}): the columns j < stop as integer
-        numerators n over the lcm L of their entries' denominators."""
-        cols = {j: self.cols[j] for j in range(stop) if j in self.cols}
-        L = lcm(*(x.denominator for col in cols.values()
-                  for x in col.values()))
-        return L, {j: tuple((i, x.numerator * (L // x.denominator))
-                            for i, x in col.items())
-                   for j, col in cols.items()}
+        return tuple(tuple(self.entry(i, j) for j in range(n))
+                     for i in range(n))
 
     def is_graded_triangular(self) -> bool:
         degree = [sum(m) for m in self.basis.monomials]
@@ -313,15 +313,19 @@ class OpMatrix:
 
 def assemble_matrix(op: DiffOp, basis: MonomialBasis) -> OpMatrix:
     """Matrix of `op` on the span of `basis`: column j is the image of
-    monomial j.  Only nonzero entries are stored, so a zero column is
-    absent from the column dict."""
+    monomial j, as integer numerators over the lcm of the denominators of
+    op's coefficients, which every image's denominator divides.  Only
+    nonzero entries are stored, so a zero column is absent from the column
+    dict."""
     if op.variables != basis.variables:
         raise ValueError(
             f"operator variables {op.variables} != basis {basis.variables}")
+    den = over_one_den(op.terms, len(basis.variables))[0]
     index = {m: i for i, m in enumerate(basis.monomials)}
     cols: dict = {}
     for j, mono in enumerate(basis.monomials):
         image = op.apply(MultiPoly(basis.variables, {mono: 1}))
+        scale = den // image.den
         for exps, c in image.num.items():
             i = index.get(exps)
             if i is None:
@@ -329,8 +333,8 @@ def assemble_matrix(op: DiffOp, basis: MonomialBasis) -> OpMatrix:
                     MultiPoly(basis.variables, {mono: 1}),
                     MultiPoly(basis.variables,
                               {exps: Fraction(c, image.den)}))
-            cols.setdefault(j, {})[i] = Fraction(c, image.den)
-    return OpMatrix(basis, cols, is_gl3_form(op))
+            cols.setdefault(j, {})[i] = c * scale
+    return OpMatrix(basis, den, cols, is_gl3_form(op))
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +349,15 @@ class Eigenvalue:
     degree: int
     eigenspace_dim: Optional[int] = None
 
+    def midpoint(self) -> Fraction:
+        """The value when rational, else the midpoint of its cell."""
+        if self.value is not None:
+            return self.value
+        lo, hi = self.interval
+        return (lo + hi) / 2
+
     def approx(self) -> float:
-        value = self.value
-        if value is None:
-            lo, hi = self.interval
-            value = (lo + hi) / 2
-        return to_float(value, "a level")
+        return to_float(self.midpoint(), "a level")
 
     def to_json(self) -> dict:
         out = {"multiplicity": self.multiplicity, "degree": self.degree}
@@ -509,37 +516,35 @@ def _divide(a, lam: Fraction):
     return out[:-1], out[-1]
 
 
-def _horner(q, cols, lo: int, hi: int, L: int, w):
+def _horner(q, M: OpMatrix, lo: int, hi: int, w):
     """(h, s) with q(B) w = h / s, for the rational polynomial q (highest
-    degree first), the diagonal block B of the rows and columns lo:hi,
-    held in `cols` as integer numerators over L, and an integer vector w
-    on the block.  With D the lcm of q's denominators and e = deg q,
-    D L^e q(x) = sum_i D q_i L^i (L x)^(e - i) has integer coefficients,
-    so Horner's rule runs on integers."""
-    D = lcm(*(c.denominator for c in q))
+    degree first), the diagonal block B of M's rows and columns lo:hi, and
+    an integer vector w on the block.  With D the lcm of q's denominators,
+    L = M.den and e = deg q, D L^e q(x) = sum_i D q_i L^i (L x)^(e - i)
+    has integer coefficients, so Horner's rule runs on integers."""
+    D, L = lcm(*(c.denominator for c in q)), M.den
     acc = [0] * (hi - lo)
     for e, c in enumerate(q):           # acc <- (L B) acc + D q_e L^e w
         c = int(c * D) * L ** e
         nxt = [c * x for x in w]
         for j, x in enumerate(acc, lo):
             if x:
-                for i, m in cols.get(j, ()):
+                for i, m in M.cols.get(j, {}).items():
                     if i >= lo:
                         nxt[i - lo] += m * x
         acc = nxt
     return acc, D * L ** max(len(q) - 1, 0)
 
 
-def _eigenvector(M: OpMatrix, numerators, slices, annihilators,
-                 lam: Fraction, top: int) -> Eigenfunction:
+def _eigenvector(M: OpMatrix, slices, annihilators, lam: Fraction,
+                 top: int) -> Eigenfunction:
     """The eigenfunction of the level lam of block `top` of `slices`,
     rational and simple across the grading, from the annihilator
     `annihilators(k)` of each diagonal block k (highest degree first) by
-    Cayley-Hamilton (module docstring), with M's columns up to block
-    `top` at least as `M.numerators`.  v and L M v are held as integers
-    up to one scale.  (M - lam) v = 0 exactly is the certificate;
-    otherwise EigenvectorCertificateError."""
-    L, cols = numerators
+    Cayley-Hamilton (module docstring).  v and L M v, L = M.den, are held
+    as integers up to one scale.  (M - lam) v = 0 exactly is the
+    certificate; otherwise EigenvectorCertificateError."""
+    L = M.den
     _, start, stop = slices[top]
     v, Mv = [0] * stop, [0] * stop
     for k in range(top, -1, -1):
@@ -547,7 +552,7 @@ def _eigenvector(M: OpMatrix, numerators, slices, annihilators,
         q, rest = _divide(annihilators(k), lam)
         if k == top:                # v_top = q(B) e_j, the first nonzero
             for j in range(lo, hi):
-                x, _ = _horner(q, cols, lo, hi, L,
+                x, _ = _horner(q, M, lo, hi,
                                [int(i == j) for i in range(lo, hi)])
                 if any(x):
                     break
@@ -558,7 +563,7 @@ def _eigenvector(M: OpMatrix, numerators, slices, annihilators,
             raise EigenvectorCertificateError(
                 f"the level {lam} is a root of a lower block's annihilator")
         else:                       # v_k = q(B) r_k / a_k(lam)
-            x, s = _horner(q, cols, lo, hi, L, Mv[lo:hi])
+            x, s = _horner(q, M, lo, hi, Mv[lo:hi])
             # r_k = Mv_k / L, so v_k = x a.den / (s L a.num), a = a_k(lam):
             # scale v and Mv by s L a.num instead of dividing v_k
             s *= L * rest.numerator
@@ -567,7 +572,7 @@ def _eigenvector(M: OpMatrix, numerators, slices, annihilators,
         v[lo:hi] = x
         for j in range(lo, hi):
             if v[j]:
-                for i, m in cols.get(j, ()):
+                for i, m in M.cols.get(j, {}).items():
                     Mv[i] += m * v[j]
     p, d = lam.numerator, lam.denominator
     if any(d * y != p * L * x for x, y in zip(v, Mv)):
@@ -585,10 +590,8 @@ def _jacobi(M: OpMatrix):
     None."""
     if any(abs(i - j) > 1 for j, col in M.cols.items() for i in col):
         return None
-    cols = [M.cols.get(j, {}) for j in range(M.size)]
-    a = [col.get(j, _ZERO) for j, col in enumerate(cols)]
-    p = [cols[j + 1].get(j, _ZERO) * cols[j].get(j + 1, _ZERO)
-         for j in range(M.size - 1)]
+    a = [M.entry(j, j) for j in range(M.size)]
+    p = [M.entry(j, j + 1) * M.entry(j + 1, j) for j in range(M.size - 1)]
     return (a, p) if all(p) else None
 
 
@@ -614,7 +617,7 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
         slices = M.basis.degree_slices()
         # the degree-1 block A, empty at N = 0
         one = range(1, min(M.size, 1 + len(M.basis.variables)))
-        A = [[M.cols.get(j, {}).get(i, _ZERO) for j in one] for i in one]
+        A = [[M.entry(i, j) for j in one] for i in one]
         roots = _degree1_roots(A)
         for degree, start, stop in slices:
             levels, fs = _gl3_levels(M.basis.monomials[start:stop],
@@ -642,11 +645,9 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
         at = {degree: k for k, (degree, _, _) in enumerate(slices)}
         simple = [(ev.value, at[ev.degree]) for ev in evs
                   if ev.value is not None and counts[ev.value] == 1]
-        ints = M.numerators(max((slices[k][2] for _, k in simple),
-                                default=0))
-        eigenfunctions = [_eigenvector(M, ints, slices, annihilator, lam, k)
+        eigenfunctions = [_eigenvector(M, slices, annihilator, lam, k)
                           for lam, k in simple]
-    evs.sort(key=lambda e: (e.approx(), e.degree))
+    evs.sort(key=lambda e: (e.midpoint(), e.degree))
     report = SpectrumReport(case, M.basis, tuple(evs),
                             ground_energy, tuple(eigenfunctions))
     total = sum(ev.multiplicity for ev in evs)

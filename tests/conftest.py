@@ -51,10 +51,10 @@ def degree1_block(case, p):
 
 def char_poly(rows):
     """det(x - B) of the square matrix B given as rows of Fractions, from
-    sympy's `Matrix.charpoly`: Fractions, lowest degree first."""
+    sympy's `Matrix.charpoly`: Fractions, highest degree first."""
     import sympy
     return [Fraction(int(c.p), int(c.q))
-            for c in reversed(sympy.Matrix(rows).charpoly().all_coeffs())]
+            for c in sympy.Matrix(rows).charpoly().all_coeffs()]
 
 
 def per_block(M):
@@ -65,7 +65,8 @@ def per_block(M):
     (`linalg.real_roots_exact`), and a repeated rational level's
     eigenspace dim is the block size less sympy's rank of the shifted
     block (over QQ: `Matrix.rank` takes minutes on a 21 x 21 block).
-    Ordered as `spectra.eigenvalues_graded` orders its levels."""
+    Ordered as `spectra.eigenvalues_graded` orders its levels: by exact
+    value, a cell by its midpoint, then by degree."""
     import sympy
     from sympy.polys.matrices import DomainMatrix
     from oscchain import linalg, spectra
@@ -83,7 +84,7 @@ def per_block(M):
             levels.append(spectra.Eigenvalue(x, None, mult, degree, dim))
         levels += [spectra.Eigenvalue(None, cell, mult, degree)
                    for cell, mult in irrational]
-    return tuple(sorted(levels, key=lambda e: (e.approx(), e.degree)))
+    return tuple(sorted(levels, key=lambda e: (e.midpoint(), e.degree)))
 
 
 def rational_gauged(rep):

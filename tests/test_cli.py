@@ -490,19 +490,51 @@ def test_qes_rejects_bad_rtol_and_npoints(capsys, flag, value):
          "a coefficient of the potential"),
         ("verify-all --omega 1e300", "a coefficient of the potential"),
         ("qes --N 1 --A 1 --omega 1e400", "a level"),
-        ("spectrum --case twobody_qes --N 1 --A 1 --omega 1e400", "a level"),
         ("bo --a 1e300", "a Born-Oppenheimer term"),
         ("verify-all --a 1e300", "a Born-Oppenheimer term"),
         ("bo --m1-grid 1e400:6e400:1e400", "an m1 grid value"),
         ("curve --omega 1e400 --format csv", "a curve value"),
+        ("qes --N 1 --A 1e-200 --omega 1", "a coefficient of the potential"),
+        ("qes --N 1 --A 1 --omega 1e-400", "a coefficient of the potential"),
+        ("verify-all --omega 1e-400", "a coefficient of the potential"),
+        ("bo --m1 1e-400", "a Born-Oppenheimer term"),
+        ("bo --a 1e-200 --b 1e-200 --m1 1/100", "a Born-Oppenheimer term"),
+        ("verify-all --a 1e-200 --b 1e-200", "a Born-Oppenheimer term"),
+        ("curve --omega 1e-400 --format csv", "a curve value"),
     ]])
 def test_an_oracle_potential_beyond_floats_exits_2(capsys, argv, what):
     # past 1.8e308: the sextic's coefficients hold A^2 and omega^2, its
     # levels omega, the Born-Oppenheimer series coefficient c2 a^2, and
-    # the molecular curve's energies omega
+    # the molecular curve's energies omega; below the least subnormal a
+    # nonzero value rounds to 0.0, as A^2, omega^2, the product a b m1 of
+    # the Born-Oppenheimer energy and the curve's energies do here
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and out == ""
     assert err == f"input error: {what} does not fit a float\n"
+
+
+@pytest.mark.parametrize("case", ["twobody_es", "general3"])
+@pytest.mark.parametrize("omega", ["1e400", "1e-400"])
+def test_spectrum_beyond_floats_is_exact(capsys, case, omega):
+    """`spectrum` makes no float: at omega past the float range, either
+    way, it exits 0 with omega times the levels at omega = 1 (all
+    rational at the default masses and springs), 4 omega n for
+    twobody_es."""
+    code, out, err = run(capsys, "spectrum", "--case", case, "--N", "3",
+                         "--omega", omega)
+    assert code == 0 and err == ""
+    _, unit, _ = run(capsys, "spectrum", "--case", case, "--N", "3")
+
+    def levels(text, scale):
+        return [(scale * Fraction(ev["value"]), ev["multiplicity"],
+                 ev["degree"])
+                for ev in json.loads(text)["results"]["gauged"]]
+
+    omega = Fraction(omega)
+    assert levels(out, 1) == levels(unit, omega)
+    if case == "twobody_es":
+        assert [x for x, _, _ in levels(out, 1)] \
+            == [4 * omega * n for n in range(4)]
 
 
 @pytest.mark.parametrize("argv, line", [

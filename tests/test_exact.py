@@ -15,7 +15,7 @@ from oscchain.exact import (CANONICAL_PAIRS, PHASE_VARS, DiffOp, GaussFn,
                             MultiPoly, RationalFn, VariableMismatch,
                             over_one_den, partial_numerators, phase_var,
                             poisson_bracket, power_table, random_rational,
-                            table_sum)
+                            table_sum, to_float)
 
 from conftest import (draw_params, draw_poly, fractions_st,
                       oracle_apply_gaussian, oracle_commutator, oracle_compose,
@@ -157,6 +157,18 @@ def test_graded_lex_term_order():
     p = MultiPoly(XY, {(0, 2): 1, (1, 0): 2, (2, 0): 3, (1, 1): 4})
     exps = [e for e, _ in p.sorted_terms()]
     assert exps == [(1, 0), (2, 0), (1, 1), (0, 2)]
+
+
+def test_to_float_refuses_what_no_float_holds():
+    """A value past the float range, or a nonzero one that rounds to 0.0,
+    is a ValueError naming it; zero and the subnormals convert."""
+    assert to_float(Fraction(1, 3), "x") == 1 / 3
+    assert to_float(0, "x") == 0.0
+    assert to_float(Fraction(-1, 10 ** 320), "x") == -1e-320
+    for x in (10 ** 400, -(10 ** 400), Fraction(1, 10 ** 400),
+              Fraction(-1, 10 ** 400)):
+        with pytest.raises(ValueError, match="^x does not fit a float$"):
+            to_float(x, "x")
 
 
 def test_rename_and_extend():

@@ -56,14 +56,14 @@ def test_char_poly_trace_and_det(rng):
     T, diag, products = rand_tridiagonal(rng, 4)
     _, coeffs = linalg.tridiagonal_levels(diag, products)   # highest first
     monic = [Fraction(c, coeffs[0]) for c in coeffs]
-    assert monic == char_poly(T)[::-1]
+    assert monic == char_poly(T)
     assert monic[1] == -sum(diag)
     assert monic[-1] == linalg.det(T)
 
 
 def test_real_roots_rational():
     # (x-2)^2 (x+1/3) = x^3 - 11/3 x^2 + 8/3 x + 4/3
-    coeffs = [Fraction(4, 3), Fraction(8, 3), Fraction(-11, 3), Fraction(1)]
+    coeffs = [Fraction(1), Fraction(-11, 3), Fraction(8, 3), Fraction(4, 3)]
     rational, irrational = linalg.real_roots_exact(coeffs)
     assert not irrational
     roots = sorted(rational)
@@ -72,7 +72,7 @@ def test_real_roots_rational():
 
 def test_real_roots_irrational_intervals():
     # x^2 - 2: roots +/- sqrt(2), certified to width 2^-64
-    coeffs = [Fraction(-2), Fraction(0), Fraction(1)]
+    coeffs = [Fraction(1), Fraction(0), Fraction(-2)]
     rational, irrational = linalg.real_roots_exact(coeffs)
     assert not rational
     assert len(irrational) == 2
@@ -87,7 +87,7 @@ def test_real_roots_irrational_intervals():
 
 def test_real_roots_mixed():
     # (x - 3)(x^2 - 5)
-    coeffs = [Fraction(15), Fraction(-5), Fraction(-3), Fraction(1)]
+    coeffs = [Fraction(1), Fraction(-3), Fraction(-5), Fraction(15)]
     rational, irrational = linalg.real_roots_exact(coeffs)
     assert rational == [(Fraction(3), 1)]
     assert len(irrational) == 2
@@ -124,7 +124,7 @@ def test_refine_matches_width_exactly():
 
 def _fraction_eval(coeffs, x):
     out = Fraction(0)
-    for c in reversed(coeffs):
+    for c in coeffs:
         out = out * x + c
     return out
 
@@ -138,14 +138,13 @@ def _reference_roots(coeffs):
     the cell of lo, unless its ends have the same sign."""
     import sympy
     lam = sympy.Symbol("lam")
-    poly = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator)
-                          * lam ** k for k, c in enumerate(coeffs)),
-                      lam, domain="QQ")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in coeffs], lam, domain="QQ")
     rational, irrational = [], []
     for fac, mult in poly.factor_list()[1]:
-        fc = [Fraction(str(c)) for c in reversed(fac.all_coeffs())]
+        fc = [Fraction(str(c)) for c in fac.all_coeffs()]
         if fac.degree() == 1:
-            rational.append((-fc[0] / fc[1], mult))
+            rational.append((-fc[1] / fc[0], mult))
             continue
         for (lo, hi), _ in fac.intervals():
             lo, hi = Fraction(str(lo)), Fraction(str(hi))
@@ -169,12 +168,12 @@ small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 @st.composite
 def factored_polys(draw):
-    """Ascending coefficients of a product of rational linear factors and
+    """The coefficients of a product of rational linear factors and
     quadratics/cubics with small coefficients, multiplicities 1-3."""
     coeffs = [Fraction(1)]
     for _ in range(draw(st.integers(1, 4))):
         degree = draw(st.integers(1, 3))
-        factor = [draw(small_rationals) for _ in range(degree)] + [Fraction(1)]
+        factor = [Fraction(1)] + [draw(small_rationals) for _ in range(degree)]
         for _ in range(draw(st.integers(1, 3))):
             out = [Fraction(0)] * (len(coeffs) + len(factor) - 1)
             for i, a in enumerate(coeffs):
@@ -197,7 +196,7 @@ def test_real_roots_match_fraction_bisection(coeffs):
         assert _fraction_eval(fc, lo) * _fraction_eval(fc, hi) < 0
     import sympy
     lam = sympy.Symbol("lam")
-    poly = sympy.Poly(list(reversed(coeffs)), lam, domain="QQ")
+    poly = sympy.Poly(coeffs, lam, domain="QQ")
     assert sum(m for _, m in rational) + sum(m for _, m in irrational) \
         == len(sympy.real_roots(poly))
 
@@ -210,7 +209,7 @@ def test_isolate_irreducible_ignores_the_scale_of_the_factor():
     monic = [1, Fraction(-1, 3), Fraction(-5, 6)]      # (6t^2 - 2t - 5) / 6
     intervals = linalg.isolate_irreducible(monic)
     assert intervals == linalg.isolate_irreducible([6, -2, -5])
-    assert linalg.factor_over_q(list(reversed(monic))) == [([6, -2, -5], 1)]
+    assert linalg.factor_over_q(monic) == [([6, -2, -5], 1)]
     assert len(intervals) == 2
     for lo, hi in intervals:
         assert 0 < hi - lo <= Fraction(1, 2 ** 64)
@@ -246,8 +245,7 @@ def _crootof_cells(icoeffs):
 
 def _is_certified_cell(icoeffs, lo, hi):
     return (hi - lo == CELL and (lo / CELL).denominator == 1
-            and _fraction_eval(icoeffs[::-1], lo)
-            * _fraction_eval(icoeffs[::-1], hi) < 0)
+            and _fraction_eval(icoeffs, lo) * _fraction_eval(icoeffs, hi) < 0)
 
 
 def test_close_roots_get_their_grid_cells():
@@ -262,7 +260,7 @@ def test_close_roots_get_their_grid_cells():
     want = _crootof_cells(icoeffs)
     assert len(want) == 2
     assert linalg.isolate_irreducible(coeffs) == want
-    rational, irrational = linalg.real_roots_exact(coeffs[::-1])
+    rational, irrational = linalg.real_roots_exact(coeffs)
     assert not rational and irrational == [(iv, 1) for iv in want]
     poly = sympy.Poly(icoeffs, sympy.Symbol("x"))
     sympy_ivs = [(Fraction(str(lo)), Fraction(str(hi)))
@@ -372,7 +370,7 @@ def test_tridiagonal_levels_match_the_char_poly(diag, data):
     T = [[diag[i] if i == j else Fraction(1) if j == i + 1
           else products[j] if i == j + 1 else Fraction(0)
           for j in range(n)] for i in range(n)]
-    monic = char_poly(T)[::-1]
+    monic = char_poly(T)
     assert [Fraction(c, continuant[0]) for c in continuant] == monic
     assert continuant[0] > 0 and all(isinstance(c, int) for c in continuant)
 

@@ -275,6 +275,27 @@ def test_bo_series_fit_recovers_exact_coefficients():
         assert abs(c2 - float(c2x)) <= 1e-3 * max(1, abs(float(c2x))), M
 
 
+def test_bo_series_fit_takes_the_gaps_at_the_exact_grid_values(monkeypatch):
+    """Each gap is that of the grid value itself, which no float holds
+    here, and not of a rational recovered from its float."""
+    grid = [Fraction(i, 500) + Fraction(1, 3 * 10 ** 15) for i in range(1, 11)]
+    seen = []
+    bo_energies = numerics.bo_energies
+
+    def spy(q):
+        seen.append(q.m1)
+        return bo_energies(q)
+
+    monkeypatch.setattr(numerics, "bo_energies", spy)
+    numerics.bo_series_fit(Params(m1=Fraction(1, 100), m2=1, m3=1), grid)
+    assert seen == grid
+
+
+def test_default_rmax_refuses_an_underflow():
+    with pytest.raises(ValueError, match="^mu omega does not fit a float$"):
+        numerics.default_rmax(Params(m1=1, m2=1, omega=Fraction(1, 10 ** 400)))
+
+
 def test_bo_fit_grid_validation():
     p = Params(m1=Fraction(1, 100), m2=1, m3=1)
     with pytest.raises(ValueError):

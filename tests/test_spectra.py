@@ -213,7 +213,7 @@ def exact_eigenfunctions(M, rep, levels):
     return all(next(x for x in ef.coeffs if x) == 1
                and all(sum(col.get(i, 0) * ef.coeffs[j]
                            for j, col in M.cols.items())
-                       == ef.eigenvalue * ef.coeffs[i]
+                       == M.den * ef.eigenvalue * ef.coeffs[i]
                        for i in range(M.size))
                for ef in rep.eigenfunctions)
 
@@ -246,12 +246,14 @@ def test_a_corrupted_annihilator_is_a_named_failure(monkeypatch, capsys):
 
 def op_matrix(variables, N, rows):
     """A hand-built OpMatrix from a row dict {i: {j: value}}, held as the
-    columns {j: {i: Fraction}}."""
+    columns {j: {i: numerator}} over the lcm of the denominators."""
+    den = math.lcm(*(Fraction(x).denominator
+                     for row in rows.values() for x in row.values()))
     cols = {}
     for i, row in rows.items():
         for j, x in row.items():
-            cols.setdefault(j, {})[i] = Fraction(x)
-    return spectra.OpMatrix(spectra.enumerate_basis(variables, N), cols)
+            cols.setdefault(j, {})[i] = int(Fraction(x) * den)
+    return spectra.OpMatrix(spectra.enumerate_basis(variables, N), den, cols)
 
 
 def test_eigenvalues_graded_on_a_hand_built_matrix():
@@ -308,7 +310,7 @@ def test_defective_block_keeps_report():
     # a rotation in the degree-1 block: two complex levels
     M = spectra.assemble_matrix(_rotation(("x12", "x13")),
                                 spectra.enumerate_basis(("x12", "x13"), 1))
-    assert M.cols == {1: {2: 1}, 2: {1: -1}}
+    assert M.den == 1 and M.cols == {1: {2: 1}, 2: {1: -1}}
     with pytest.raises(spectra.DefectiveBlock) as info:
         spectra.eigenvalues_graded(M)
     Z, one = Fraction(0), Fraction(1)
@@ -497,6 +499,33 @@ def test_harmonic_levels_match_block_char_polys(case, seed, N):
     assert M.gl3_form
     assert spectra.eigenvalues_graded(M, case, Fraction(0), False).gauged \
         == per_block(M)
+
+
+def _no_float(x, what):
+    raise AssertionError(f"{what} made a float")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(HARMONIC + [Case.TWO_BODY_QES]),
+       st.integers(0, 2 ** 32), st.integers(0, 5), st.sampled_from([1, -1]))
+def test_levels_ascend_in_exact_value_then_degree(case, seed, N, sign):
+    """`rep.gauged` ascends in exact value, an irrational level at the
+    midpoint of its cell, with the degree breaking ties, and no level is
+    turned into a float on the way (twobody_qes at A > 0 and A < 0, a
+    DefectiveBlock's report included)."""
+    from test_model import draw_case_params
+    p = draw_case_params(random.Random(seed), case)
+    if case is Case.TWO_BODY_QES:
+        p = replace(p, A=sign * p.A, N=N)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "to_float", _no_float)
+        try:
+            rep = spectra.spectrum(case, p, N)
+        except spectra.DefectiveBlock as e:
+            rep = e.report
+    keys = [(ev.value if ev.value is not None else sum(ev.interval) / 2,
+             ev.degree) for ev in rep.gauged]
+    assert keys == sorted(keys)
 
 
 SPRINGS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
