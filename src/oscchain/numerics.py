@@ -108,13 +108,14 @@ def fd_radial_eigen(potential: Sequence[float], d: int, grid: Grid1D,
     """k lowest eigenvalues of -r^(1-d) (r^(d-1) psi')' + V(r^2) psi, the
     radial operator at mu = 1/2 (the gauge convention), with a Dirichlet
     wall at r_max; second-order stencils, Richardson-extrapolated over
-    grids (h, h/2).  For d <= 2, cell-centred finite volumes: centres
+    grids (h, h/2).  One rule: cell-centred finite volumes, centres
     (i + 1/2) h, flux weight r^(d-1) at the faces, zero flux at r = 0 (at
     d = 1 that selects the even states, functions of rho = r^2),
-    symmetrised by r^((d-1)/2) at the centres.  For d >= 3 the
-    r^((d-1)/2) transform leaves -u'' + [V + (d-1)(d-3)/(4 r^2)] u = E u
-    with u(0) = 0.  Each grid's levels come from `_tridiagonal_lowest`; a
-    potential that overflows on the grid is a ValueError."""
+    symmetrised by r^((d-1)/2) at the centres.  Its one exception is
+    d = 3, whose node stencil -u'' + V u = E u, u = r psi, u(0) = 0, keeps
+    the floats it has always given.  Each grid's levels come from
+    `_tridiagonal_lowest`; a stencil that overflows on the grid is a
+    ValueError."""
     import numpy as np
 
     potential = list(potential)
@@ -123,23 +124,22 @@ def fd_radial_eigen(potential: Sequence[float], d: int, grid: Grid1D,
 
     def solve(g: Grid1D):
         h = g.spacing
-        r = (np.arange(g.npoints - 1) + 0.5) * h if d <= 2 \
-            else np.arange(1, g.npoints - 1) * h
-        rho = r * r
-        V = np.zeros_like(r)
-        with np.errstate(over="ignore"):     # checked finite below
+        with np.errstate(all="ignore"):     # checked finite below
+            r = np.arange(1, g.npoints - 1) * h if d == 3 \
+                else (np.arange(g.npoints - 1) + 0.5) * h
+            rho = r * r
+            V = np.zeros_like(r)
             for c in reversed(potential):
                 V = V * rho + c
-        if d <= 2:
-            faces = (np.arange(g.npoints) * h) ** (d - 1)
-            faces[0] = 0.0                  # zero flux at r = 0
-            w = r ** (d - 1)
-            diag = (faces[:-1] + faces[1:]) / (h * h * w) + V
-            off = -faces[1:-1] / (h * h * np.sqrt(w[:-1] * w[1:]))
-        else:
-            V = V + (d - 1) * (d - 3) / (4.0 * r * r)
-            diag = 2.0 / h ** 2 + V
-            off = np.full(len(r) - 1, -1.0 / h ** 2)
+            if d == 3:
+                diag = 2.0 / h ** 2 + V
+                off = np.full(len(r) - 1, -1.0 / h ** 2)
+            else:
+                faces = (np.arange(g.npoints) * h) ** (d - 1)
+                faces[0] = 0.0              # zero flux at r = 0
+                w = r ** (d - 1)
+                diag = (faces[:-1] + faces[1:]) / (h * h * w) + V
+                off = -faces[1:-1] / (h * h * np.sqrt(w[:-1] * w[1:]))
         return _tridiagonal_lowest(diag, off, k)
 
     if not richardson:

@@ -186,7 +186,11 @@ def test_criterion_6_separating_coordinates():
 
 def test_criterion_7_qes_grid_cross_validation():
     """Sextic algebraic energies at levels 0..2 agree with the grid oracle
-    to 1e-6 relative, and the scheme converges at second order, under 30 s."""
+    to 1e-6 relative, and the scheme converges at second order on the
+    harmonic levels d and 4 + d at every d = 1..5, under 30 s.  The d = 4
+    ground level is left out of the order check: the cell-centred
+    stencil's h^2 term vanishes on it (single-grid error 3.6e-10 at 1000
+    points, against 5.4e-5 on level 4 + d), so its ratio reads 1358."""
     t0 = time.monotonic()
     ok = True
     for N in (0, 1, 2):
@@ -197,14 +201,18 @@ def test_criterion_7_qes_grid_cross_validation():
                                            k=len(algebraic))
         ok &= all(abs(float(x) - y) / max(1.0, abs(float(x))) <= 1e-6
                   for x, y in zip(algebraic, fd))
-    pes = Params(m1=1, m2=1, omega=1, d=3)
-    coeffs = numerics.potential_coeffs(pes, Case.TWO_BODY_ES)
-    grid = numerics.Grid1D(numerics.default_rmax(pes), 1000)
-    e_h = numerics.fd_radial_eigen(coeffs, 3, grid, richardson=False)[0]
-    e_h2 = numerics.fd_radial_eigen(coeffs, 3, grid.halved(),
-                                    richardson=False)[0]
-    ratio = (e_h - 3.0) / (e_h2 - 3.0)
-    ok &= abs(ratio - 4.0) <= 0.5
+    for d in range(1, 6):
+        pes = Params(m1=1, m2=1, omega=1, d=d)
+        coeffs = numerics.potential_coeffs(pes, Case.TWO_BODY_ES)
+        grid = numerics.Grid1D(numerics.default_rmax(pes), 1000)
+        e_h = numerics.fd_radial_eigen(coeffs, d, grid, k=2,
+                                       richardson=False)
+        e_h2 = numerics.fd_radial_eigen(coeffs, d, grid.halved(), k=2,
+                                        richardson=False)
+        for n in (1,) if d == 4 else (0, 1):
+            exact = 4 * n + d
+            ratio = (e_h[n] - exact) / (e_h2[n] - exact)
+            ok &= abs(ratio - 4.0) <= 0.5
     elapsed = time.monotonic() - t0
     ok &= elapsed < 30
     report("criterion 7: sextic levels vs grid oracle + convergence order",

@@ -114,6 +114,17 @@ def test_qes_agrees_at_d2(capsys):
     assert json.loads(out)["results"]["agree"] is True
 
 
+def test_qes_agrees_at_d4(capsys):
+    """At d = 4 the cell-centred grid oracle reads the level 0.567 of this
+    draw to 7.7e-9 relative.  The r^((d-1)/2) transform read 2.1e-6 and
+    failed it: its 3/(4 r^2) term leaves u ~ r^(3/2) at r = 0."""
+    code, out, _ = run(capsys, "qes", "--N", "5", "--A", "10", "--omega",
+                       "2", "--d", "4")
+    assert code == 0
+    doc = json.loads(out)["results"]
+    assert doc["agree"] is True and max(doc["relative_error"]) < 1e-7
+
+
 def test_qes_at_negative_coupling_is_a_defective_block(capsys):
     """At A < 0 every product of opposite off-diagonal entries of the QES
     block is negative, but nonzero: its continuant is factored over Q,

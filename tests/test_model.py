@@ -208,6 +208,48 @@ def test_degeneration_chain(rng):
     assert degenerate(p, Case.TWO_BODY_ES) == Params(m1=p.m1, m2=p.m1, omega=p.omega, d=p.d)
 
 
+def _coefficients(op: DiffOp) -> dict:
+    """{(derivative, monomial): Fraction} of every term of `op`."""
+    return {(alpha, e): c for alpha, poly in op.terms.items()
+            for e, c in poly.terms.items()}
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 4])   # d = 2, 5, 3, 4
+def test_atomic3_is_the_infinite_m1_limit_of_general3(seed):
+    """The atomic limit, one infinite mass.  At m2 = m3 = M the reduced
+    masses are mu12 = mu13 = m1 M / (m1 + M) and mu23 = M / 2, so every
+    coefficient of the gauged general3 operator is built from
+    1/mu12 = 1/M + t and 1/m1 = t, t = 1/m1: a rational function of t
+    whose numerator and denominator have degree <= 1.  Each is rebuilt
+    exactly by sympy's `rational_interpolate` from three sample masses and
+    checked at two more; its value at t = 0, the limit m1 -> oo, is
+    atomic3's coefficient.  The operator is the gauge conjugate of
+    -Laplacian + V, not the general3 transcription."""
+    import sympy
+    from sympy.polys.polyfuncs import rational_interpolate
+
+    q = draw_case_params(random.Random(seed), Case.ATOMIC3)
+    samples, checks = (1, 2, 3), (5, 7)
+    ops = {}
+    for m1 in samples + checks:
+        p = replace(q, m1=Fraction(m1))
+        gs = ground_state(Case.GENERAL3, p)
+        H = -build_radial_laplacian(Case.GENERAL3, p) \
+            + DiffOp.mul_by(build_potential(Case.GENERAL3, p))
+        ops[m1] = _coefficients(H.gauge_conjugate(gs.wavefunction,
+                                                  gs.energy))
+        assert gs.energy_value == ground_state(Case.ATOMIC3, q).energy_value
+    atomic = _coefficients(build_h_algebraic(Case.ATOMIC3, q))
+    t = sympy.Symbol("t")
+    for key in set(atomic).union(*ops.values()):
+        f = sympy.cancel(rational_interpolate(
+            [(Fraction(1, m1), ops[m1].get(key, 0)) for m1 in samples], 1,
+            X=t))
+        assert all(f.subs(t, Fraction(1, m1)) == ops[m1].get(key, 0)
+                   for m1 in checks), key
+        assert f.subs(t, 0) == atomic.get(key, 0), key
+
+
 def test_validate_case_rejects_bad_params():
     with pytest.raises(CaseError):
         validate_case(Case.MOLECULAR3, Params(m1=1, m2=1, m3=1, c=0))

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscchain import numerics
@@ -39,10 +39,10 @@ def test_nonconfining_potential_rejected():
         numerics.fd_radial_eigen([0.0, -1.0], 3, numerics.Grid1D(8.0, 401))
 
 
-@pytest.mark.parametrize("d, k", [(3, 0), (3, 199), (2, 200)])
+@pytest.mark.parametrize("d, k", [(3, 0), (3, 199), (2, 200), (4, 200)])
 def test_oracle_refuses_a_level_count_the_grid_lacks(d, k):
-    """200 points give 198 unknowns at d >= 3 (a wall at each end) and 199
-    at d <= 2 (cell centres)."""
+    """200 points give 198 unknowns at d = 3 (nodes, a wall at each end)
+    and 199 at every other d (cell centres)."""
     grid = numerics.Grid1D(8.0, 200)
     with pytest.raises(ValueError, match="select_range out of bounds"):
         numerics.fd_radial_eigen([0.0, 1.0], d, grid, k=k, richardson=False)
@@ -56,16 +56,17 @@ def test_oracle_refuses_a_potential_that_is_not_finite_on_the_grid(potential):
         numerics.fd_radial_eigen(potential, 3, numerics.Grid1D(8.0, 200))
 
 
-def test_qes_with_an_oracle_potential_that_overflows_exits_2(capsys):
-    """At omega = 1e-300 the grid reaches r ~ 1e151, where the sextic
-    overflows: one input-error line, no numpy warning and no LAPACK
-    failure."""
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_qes_with_an_oracle_potential_that_overflows_exits_2(capsys, d):
+    """At omega = 1e-300 the grid reaches r ~ 1e151, where the sextic and
+    the flux weights r^(d-1) overflow: one input-error line, no numpy
+    warning and no LAPACK failure, at every d."""
     import warnings
 
     from oscchain.cli import main
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = main("qes --N 1 --A 1 --omega 1e-300 --d 3".split())
+        code = main(f"qes --N 1 --A 1 --omega 1e-300 --d {d}".split())
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "input error: array must not contain infs or NaNs\n"
@@ -149,11 +150,27 @@ def test_harmonic_energies_match_closed_form():
 
 
 def test_harmonic_energies_other_dimension_and_frequency():
-    p = Params(m1=1, m2=1, omega=Fraction(3, 2), d=5)
-    vals = numerics.fd_two_body_energies(p, Case.TWO_BODY_ES, k=3)
-    for n, v in enumerate(vals):
-        want = 1.5 * (4 * n + 5)
-        assert abs(v - want) / want < 1e-7
+    for d in range(1, 6):
+        p = Params(m1=1, m2=1, omega=Fraction(3, 2), d=d)
+        vals = numerics.fd_two_body_energies(p, Case.TWO_BODY_ES, k=3)
+        for n, v in enumerate(vals):
+            want = 1.5 * (4 * n + d)
+            assert abs(v - want) / want < 1e-7, (d, n)
+
+
+@settings(max_examples=40, deadline=None)
+@example(d=4, omega=Fraction(2), A=Fraction(10), N=5)
+@given(d=st.integers(1, 5),
+       omega=st.fractions(1, 5, max_denominator=8),
+       A=st.fractions(0, 20, max_denominator=8).filter(lambda A: A > 0),
+       N=st.integers(0, 6))
+def test_oracle_matches_the_algebraic_levels_at_every_d(d, omega, A, N):
+    """The grid oracle against the exact sextic levels within qes's rtol.
+    omega stays >= 1: `default_rmax` sizes the grid from omega alone, so
+    a small omega with a large A leaves too few points inside the well."""
+    from oscchain.cli import _qes_levels
+    p = Params(m1=1, m2=1, omega=omega, d=d, A=A, N=N)
+    assert max(_qes_levels(p)[2]) <= 1e-6
 
 
 def test_d1_oracle_reads_the_even_states():

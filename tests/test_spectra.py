@@ -43,6 +43,14 @@ def test_a_basis_at_the_cap_is_built_in_linear_time():
     spectra._enumerate_basis.cache_clear()
 
 
+def test_the_basis_cap_message_counts_the_monomials():
+    """comb(83 + 3, 3) = 102,340 monomials of degree <= 83 in 3 variables,
+    the first N past the cap of 10^5; refused before any is built."""
+    with pytest.raises(ValueError, match="^a basis of degree <= 83 in 3 "
+                       "variables has 102340 monomials, more than 100000$"):
+        spectra.enumerate_basis(("rho12", "rho13", "rho23"), 83)
+
+
 def test_basis_sizes_and_order():
     for k, variables in ((1, ("rho",)), (2, ("x12", "x13")),
                          (3, ("rho12", "rho13", "rho23"))):
@@ -442,6 +450,15 @@ def test_laguerre_polynomials_known_values():
     assert polys[1] == Fraction(3, 2) * one - rho
     assert polys[2] == Fraction(15, 8) * one - Fraction(5, 2) * rho \
         + Fraction(1, 2) * rho * rho
+
+
+def test_laguerre_polynomials_at_nmax_0_and_1():
+    alpha, scale = Fraction(3, 2), Fraction(2, 3)
+    rho = MultiPoly.var(("rho",), "rho")
+    one = MultiPoly.const(("rho",), 1)
+    assert spectra.laguerre_polynomials(0, alpha, scale) == [one]
+    assert spectra.laguerre_polynomials(1, alpha, scale) \
+        == [one, Fraction(5, 2) * one - scale * rho]
 
 
 def test_spectrum_report_json():
