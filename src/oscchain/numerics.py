@@ -90,10 +90,15 @@ def _tridiagonal_lowest(diag, off, k: int):
     matrix with diagonal `diag` and off-diagonal `off`: the dstebz call
     (range 'I', il = 1, iu = k, abstol = 0, order 'E') and the checks of
     `scipy.linalg.eigh_tridiagonal(..., eigvals_only=True, select="i")`,
-    so the floats are the same."""
+    so the floats are the same.  An overflow of D(j) D(j-1) (its splitting
+    test) or E(j)^2 (its pivot bound) is a ValueError too."""
     import numpy as np
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("array must not contain infs or NaNs")
+    with np.errstate(over="ignore"):
+        products = np.concatenate((diag[1:] * diag[:-1], off * off))
+    if not np.isfinite(products).all():
+        raise ValueError("a product that dstebz forms overflows")
     if not 1 <= k <= len(diag):
         raise ValueError("select_range out of bounds")
     m, w, _, _, info = _flapack().dstebz(diag, off, 2, 0.0, 0.0, 1, k, 0.0,

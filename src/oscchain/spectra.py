@@ -19,13 +19,13 @@ forms it acts by the degree-1 block A on each factor in turn.  Over the
 algebraic closure take a basis xi of V in which A is upper triangular with
 diagonal lambda: then D xi^alpha = (alpha . lambda) xi^alpha plus
 monomials in which a factor xi_j became an xi_i with i < j, so D is
-triangular on the xi^alpha and the levels of block n, with their algebraic
-multiplicities, are {alpha . lambda : |alpha| = n}.  When A is
-diagonalizable (always, when its eigenvalues are distinct), the xi^alpha
-are eigenvectors, D is diagonalizable on Sym^n V, and the eigenspace of
-each level has the dimension of its multiplicity, so the levels of every
-block follow from A's roots and the basis alone.  A non-diagonalizable A
-has them in closed form too, in two variables (below).
+triangular on the xi^alpha, and block n has one level alpha . lambda,
+counted with algebraic multiplicity, per exponent alpha with |alpha| = n.
+When A is diagonalizable (always, when its eigenvalues are distinct), the
+xi^alpha are eigenvectors, D is diagonalizable on Sym^n V, and the
+eigenspace of each level has the dimension of its multiplicity.  So the
+levels of every block follow from A's roots alone, in closed form below;
+a non-diagonalizable A has them too, in two variables.
 
 A's roots in closed form.  A is k x k, k <= 3.  Put r0 = tr(A)/k,
 B = A - r0 I, so tr B = 0, and delta = tr(B^2)/2 = (tr(A^2) - k r0^2)/2.
@@ -83,14 +83,23 @@ has the one level n r0, with multiplicity n + 1, the eigenspace spanned
 by e1^n (dimension 1), and the minimal polynomial (x - n r0)^(n + 1) as
 its annihilator.
 
-Pair levels.  With rational roots lambda_i and the pair u +/- sqrt(delta)
-(u = r0), alpha . lambda = c + (n2 - n3) sqrt(delta) where
-c = sum n_i lambda_i + (n2 + n3) u: alpha with n2 = n3 give the rational
-level c, and the others the pair c +/- k sqrt(delta), k = |n2 - n3|, the
-roots of (x - c)^2 - k^2 delta, which is irreducible over Q, so the cells
-that hold them come in closed form (`linalg`), as for any quadratic
-factor below.  When delta < 0 that pair is complex and the report ends in
-`DefectiveBlock`.
+The levels in closed form.  Order xi so that lambda is (r0, r0 - s,
+r0 + s), (r0 - s, r0 + s) or (r0) for k = 3, 2 or 1, s = sqrt(delta),
+and let a and b be the exponents in alpha at r0 - s and r0 + s.  Then
+alpha . lambda = n r0 + j s with j = b - a: block n has the levels
+n r0 + j s, the multiplicity of j being the number of alpha with
+|alpha| = n and that j.  For k = 3 and j >= 0 they are
+(n - j - 2i, i, i + j), i = 0 .. floor((n - j)/2), and swapping a and b
+maps j to -j: floor((n - |j|)/2) + 1 for |j| <= n.  For k = 2, a + b = n
+and b - a = j meet once when j = n (mod 2) and |j| <= n.  For k = 1,
+j = 0, once.  These sum to comb(n + k - 1, k - 1), the block's size, for
+every delta.  When s is rational, delta = 0 included, the levels are
+rational and equal values merge.  Otherwise j = 0 gives the rational
+level n r0, and each j > 0 the pair n r0 +/- j s, the roots of
+(x - n r0)^2 - j^2 delta, which is irreducible over Q, so their cells
+come in closed form (`linalg`), as for any quadratic factor below; when
+delta < 0 the pair is complex and the report ends in `DefectiveBlock`.
+No monomial is visited.
 
 The QES block: a Jacobi matrix.  The sextic 2-body operator is
 h = -4 rho d^2 + (4 A rho^2 + 4 omega rho - 2d) d - 4 A N rho.  On rho^j
@@ -145,8 +154,8 @@ matrix.  The matrix is held as integer numerators over one denominator,
 as `MultiPoly` is: the columns {j: {i: n}} that assembly writes, column j
 the image of basis monomial j (only nonzero entries are stored), over the
 lcm of the denominators of the operator's coefficients.  The
-triangularity scan and the eigenvectors read the integers; the degree-1
-block and the tridiagonal route read Fraction entries (`OpMatrix.entry`).
+eigenvectors read the integers; the degree-1 block and the tridiagonal
+route read Fraction entries (`OpMatrix.entry`).
 The levels are ordered exactly, by value (a cell by its midpoint), then
 degree, so no float is made while a spectrum is computed.  sympy is
 loaded only for a product < 0 on the tridiagonal route (the QES block at
@@ -155,7 +164,7 @@ A < 0), never on importing this.
 Eigenfunctions: one route, by Cayley-Hamilton, for the rational levels
 lam that are simple across the grading.  Each diagonal block B_k has an
 annihilator a_k, a_k(B_k) = 0: prod (x - c) over its distinct rational
-levels times prod ((x - c)^2 - k^2 delta) over its distinct pairs on the
+levels times prod ((x - c)^2 - j^2 delta) over its distinct pairs on the
 closed-form path, as D is diagonalizable on Sym^n V, or (x - n r0)^(n+1)
 when B is nilpotent; T's continuant on the tridiagonal route.  Divide
 a_k(x) = (x - lam) q_k(x) + a_k(lam), so (B_k - lam) q_k(B_k) =
@@ -305,11 +314,6 @@ class OpMatrix:
         return tuple(tuple(self.entry(i, j) for j in range(n))
                      for i in range(n))
 
-    def is_graded_triangular(self) -> bool:
-        degree = [sum(m) for m in self.basis.monomials]
-        return all(degree[i] <= degree[j]
-                   for j, col in self.cols.items() for i in col)
-
 
 def assemble_matrix(op: DiffOp, basis: MonomialBasis) -> OpMatrix:
     """Matrix of `op` on the span of `basis`: column j is the image of
@@ -428,66 +432,57 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
 
 
 def _degree1_roots(A):
-    """(lams, pair, nilpotent): the roots of the degree-1 block A, k <= 3
-    rows of Fractions, in closed form (module docstring).  lams are the
-    rational roots, pair = (r0, delta) for the roots r0 +/- sqrt(delta)
-    when delta is not a rational square (else None), and nilpotent is
-    True when A - r0 I is a nonzero nilpotent, in two variables.  An
-    empty A (N = 0) has no roots: ([], None, False).  RootCertificateError
-    when k = 3 and det(A - r0 I) != 0, or delta = 0 and A != r0 I."""
+    """(r0, delta, nilpotent) for the degree-1 block A, k <= 3 rows of
+    Fractions (module docstring): A's roots are r0 and r0 +/- sqrt(delta)
+    when k = 3, r0 +/- sqrt(delta) when k = 2 and r0 when k = 1, and
+    nilpotent is True when A - r0 I is a nonzero nilpotent, in two
+    variables.  An empty A (N = 0) gives (0, 0, False).
+    RootCertificateError when k = 3 and det(A - r0 I) != 0, or delta = 0
+    and A != r0 I."""
     k = len(A)
     if not k:
-        return [], None, False
+        return _ZERO, _ZERO, False
     r0 = sum(A[i][i] for i in range(k)) / k
     B = [[x - r0 if i == j else x for j, x in enumerate(row)]
          for i, row in enumerate(A)]
     delta = sum(B[i][j] * B[j][i] for i in range(k) for j in range(k)) / 2
-    lams = [r0] if k == 3 else []
-    root = _rational_sqrt(delta)
-    nilpotent = root == 0 and any(any(row) for row in B)
+    nilpotent = not delta and any(any(row) for row in B)
     if k == 3 and (linalg.det(B) or nilpotent):
         raise linalg.RootCertificateError(
             "the 3-variable degree-1 block fails det(A - r0 I) = 0 or is "
             "not diagonalizable")
-    if root is None:
-        return lams, (r0, delta), False
-    if root:
-        return lams + [r0 - root, r0 + root], None, False
-    return [r0] * k, None, nilpotent
+    return r0, delta, nilpotent
 
 
-def _gl3_levels(monomials, degree: int, lams, pair, nilpotent: bool):
-    """(levels, factors) of the diagonal block of degree `degree`, spanned
-    by `monomials`, of a matrix of gl(3) form whose degree-1 block has the
-    roots (lams, pair, nilpotent) of `_degree1_roots` (module docstring):
-    the levels ascending, rational before irrational, and x - c for each
-    distinct rational level c (n + 1 times when A - r0 I is nilpotent) and
-    (x - c)^2 - k^2 delta for each distinct pair, highest degree first,
-    whose product annihilates the block."""
+def _gl3_levels(k: int, n: int, r0: Fraction, delta: Fraction,
+                nilpotent: bool):
+    """(levels, factors) of the diagonal block of degree n of a matrix of
+    gl(3) form in k variables whose degree-1 block has (r0, delta,
+    nilpotent) from `_degree1_roots`: the levels n r0 + j sqrt(delta)
+    with their multiplicities in closed form (module docstring), the
+    rational ones first and ascending; and x - c for each distinct
+    rational level c (n + 1 times when A - r0 I is nilpotent) and
+    (x - c)^2 - j^2 delta for each pair, highest degree first, whose
+    product annihilates the block."""
+    root, c = _rational_sqrt(delta), n * r0
     rational: Counter = Counter()
-    pairs: Counter = Counter()   # (c, k): c +/- k sqrt(delta)
-    for alpha in monomials:
-        c = sum((n * lam for n, lam in zip(alpha, lams)), Fraction(0))
-        if pair is None:
-            rational[c] += 1
-            continue
-        n2, n3 = alpha[-2:]
-        c += (n2 + n3) * pair[0]
-        if n2 == n3:
-            rational[c] += 1
-        elif n2 > n3:
-            pairs[c, n2 - n3] += 1
-    out = [Eigenvalue(value, None, mult, degree,
+    pairs = {}      # j > 0: the multiplicity of c +/- j sqrt(delta)
+    for j in range(-n, n + 1, 1 if k == 3 else 2) if k > 1 else [0]:
+        mult = (n - abs(j)) // 2 + 1 if k == 3 else 1
+        if root is not None:
+            rational[c + j * root] += mult
+        elif j == 0:
+            rational[c] += mult
+        elif j > 0:
+            pairs[j] = mult
+    out = [Eigenvalue(value, None, mult, n,
                       None if mult == 1 else 1 if nilpotent else mult)
            for value, mult in sorted(rational.items())]
-    quadratics = {(c, k): [1, -2 * c, c * c - k * k * pair[1]]
-                  for c, k in pairs}
-    irrational = [(iv, pairs[ck]) for ck, f in quadratics.items()
-                  for iv in linalg.isolate_irreducible(f)]
-    irrational.sort(key=lambda t: t[0][0])
-    out += [Eigenvalue(None, iv, mult, degree, None)
-            for iv, mult in irrational]
-    return out, [[1, -c] for c, mult in rational.items()
+    quadratics = {j: [1, -2 * c, c * c - j * j * delta] for j in pairs}
+    out += [Eigenvalue(None, cell, pairs[j], n)
+            for j, f in quadratics.items()
+            for cell in linalg.isolate_irreducible(f)]
+    return out, [[1, -x] for x, mult in rational.items()
                  for _ in range(mult if nilpotent else 1)] \
         + list(quadratics.values())
 
@@ -600,12 +595,12 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
                        want_eigenfunctions: bool = True) -> SpectrumReport:
     """Spectrum of a matrix on P_N: the union of its diagonal-block
     spectra, by one of two level routes (module docstring).  When
-    `M.gl3_form` (and M is graded-triangular, as assembly makes it) the
-    blocks are the degree slices, and their levels come in closed form
-    from the degree-1 block.  Otherwise M must be tridiagonal with every
-    product of opposite off-diagonal entries nonzero (`_jacobi`), one
-    block of degree N whose levels come from its continuant; any other
-    matrix raises UnsupportedMatrix.
+    `M.gl3_form`, which makes M graded-triangular, the blocks are the
+    degree slices, and their levels come in closed form from the degree-1
+    block.  Otherwise M must be tridiagonal with every product of opposite
+    off-diagonal entries nonzero (`_jacobi`), one block of degree N whose
+    levels come from its continuant; any other matrix raises
+    UnsupportedMatrix.
 
     Eigenfunctions are computed for the rational eigenvalues that are
     simple across the whole grading, each by `_eigenvector` from the
@@ -613,15 +608,14 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
     """
     evs: List[Eigenvalue] = []
     factors = []    # per block, polynomials whose product annihilates it
-    if M.gl3_form and M.is_graded_triangular():
+    if M.gl3_form:
         slices = M.basis.degree_slices()
         # the degree-1 block A, empty at N = 0
-        one = range(1, min(M.size, 1 + len(M.basis.variables)))
-        A = [[M.entry(i, j) for j in one] for i in one]
-        roots = _degree1_roots(A)
-        for degree, start, stop in slices:
-            levels, fs = _gl3_levels(M.basis.monomials[start:stop],
-                                     degree, *roots)
+        k = len(M.basis.variables)
+        one = range(1, min(M.size, 1 + k))
+        roots = _degree1_roots([[M.entry(i, j) for j in one] for i in one])
+        for degree, _, _ in slices:
+            levels, fs = _gl3_levels(k, degree, *roots)
             evs.extend(levels)
             factors.append(fs)
     else:

@@ -57,6 +57,15 @@ def char_poly(rows):
             for c in sympy.Matrix(rows).charpoly().all_coeffs()]
 
 
+def is_graded_triangular(M):
+    """True when no stored entry of the OpMatrix M maps a monomial to one
+    of higher degree: deg(i) <= deg(j) for every entry (i, j) of
+    `M.cols`."""
+    degree = [sum(m) for m in M.basis.monomials]
+    return all(degree[i] <= degree[j]
+               for j, col in M.cols.items() for i in col)
+
+
 def per_block(M):
     """The levels of the OpMatrix M by the per-block path, the oracle of
     the spectral engine's two level routes: the diagonal blocks are the
@@ -70,7 +79,7 @@ def per_block(M):
     import sympy
     from sympy.polys.matrices import DomainMatrix
     from oscchain import linalg, spectra
-    slices = M.basis.degree_slices() if M.is_graded_triangular() \
+    slices = M.basis.degree_slices() if is_graded_triangular(M) \
         else [(M.basis.degree_cap, 0, M.size)]
     rows = M.entries
     levels = []

@@ -16,7 +16,8 @@ from oscchain.model import (Case, CaseError, Params, build_h_algebraic,
                             nu_coefficients, params_from_json, reduced_masses,
                             two_body_mu, validate_case)
 
-from conftest import draw_fraction, draw_params, oracle_apply_gaussian
+from conftest import (degree1_block, draw_fraction, draw_params,
+                      oracle_apply_gaussian)
 
 
 def draw_case_params(rng, case):
@@ -220,17 +221,40 @@ def test_atomic3_is_the_infinite_m1_limit_of_general3(seed):
     masses are mu12 = mu13 = m1 M / (m1 + M) and mu23 = M / 2, so every
     coefficient of the gauged general3 operator is built from
     1/mu12 = 1/M + t and 1/m1 = t, t = 1/m1: a rational function of t
-    whose numerator and denominator have degree <= 1.  Each is rebuilt
-    exactly by sympy's `rational_interpolate` from three sample masses and
-    checked at two more; its value at t = 0, the limit m1 -> oo, is
-    atomic3's coefficient.  The operator is the gauge conjugate of
-    -Laplacian + V, not the general3 transcription."""
+    whose numerator and denominator have degree <= 1.  The operator is
+    the gauge conjugate of -Laplacian + V, not the general3 transcription.
+
+    r0 and delta of the degree-1 block A (`conftest.degree1_block`, read
+    off the transcription).  A's entries are the linear parts of the
+    first-order coefficients c12, c13, c23: 2 omega times the springs
+    times 2, mu23/M = 1/2, mu13/m1 = mu12/m1 = M t / (1 + M t) or
+    mu12/M = mu13/M = 1 / (1 + M t).  So each entry is u(t) / (1 + M t)
+    with deg u <= 1: r0 = tr(A)/3 has numerator and denominator of degree
+    <= 1, and delta = (tr(A^2) - 3 r0^2)/2, over (1 + M t)^2, of degree
+    <= 2.
+
+    Each function of degree <= g is rebuilt exactly by sympy's
+    `rational_interpolate` from 2g + 1 sample masses and checked at two
+    more; its value at t = 0, the limit m1 -> oo, is atomic3's
+    coefficient, r0 or delta."""
     import sympy
     from sympy.polys.polyfuncs import rational_interpolate
 
     q = draw_case_params(random.Random(seed), Case.ATOMIC3)
-    samples, checks = (1, 2, 3), (5, 7)
-    ops = {}
+    samples, checks = (1, 2, 3, 4, 6), (5, 7)
+    t = sympy.Symbol("t")
+
+    def limit(values, g):
+        """The value at t = 0 of the rational function of degree <= g
+        through values[m1] at t = 1/m1."""
+        f = sympy.cancel(rational_interpolate(
+            [(Fraction(1, m1), values[m1]) for m1 in samples[:2 * g + 1]],
+            g, X=t))
+        assert all(f.subs(t, Fraction(1, m1)) == values[m1]
+                   for m1 in checks)
+        return f.subs(t, 0)
+
+    ops, blocks = {}, {}
     for m1 in samples + checks:
         p = replace(q, m1=Fraction(m1))
         gs = ground_state(Case.GENERAL3, p)
@@ -238,16 +262,15 @@ def test_atomic3_is_the_infinite_m1_limit_of_general3(seed):
             + DiffOp.mul_by(build_potential(Case.GENERAL3, p))
         ops[m1] = _coefficients(H.gauge_conjugate(gs.wavefunction,
                                                   gs.energy))
+        blocks[m1] = degree1_block(Case.GENERAL3, p)[1:]
         assert gs.energy_value == ground_state(Case.ATOMIC3, q).energy_value
     atomic = _coefficients(build_h_algebraic(Case.ATOMIC3, q))
-    t = sympy.Symbol("t")
     for key in set(atomic).union(*ops.values()):
-        f = sympy.cancel(rational_interpolate(
-            [(Fraction(1, m1), ops[m1].get(key, 0)) for m1 in samples], 1,
-            X=t))
-        assert all(f.subs(t, Fraction(1, m1)) == ops[m1].get(key, 0)
-                   for m1 in checks), key
-        assert f.subs(t, 0) == atomic.get(key, 0), key
+        assert limit({m1: op.get(key, 0) for m1, op in ops.items()}, 1) \
+            == atomic.get(key, 0), key
+    r0, delta = degree1_block(Case.ATOMIC3, q)[1:]
+    assert limit({m1: b[0] for m1, b in blocks.items()}, 1) == r0
+    assert limit({m1: b[1] for m1, b in blocks.items()}, 2) == delta
 
 
 def test_validate_case_rejects_bad_params():

@@ -59,17 +59,42 @@ def test_oracle_refuses_a_potential_that_is_not_finite_on_the_grid(potential):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_qes_with_an_oracle_potential_that_overflows_exits_2(capsys, d):
     """At omega = 1e-300 the grid reaches r ~ 1e151, where the sextic and
-    the flux weights r^(d-1) overflow: one input-error line, no numpy
-    warning and no LAPACK failure, at every d."""
+    the flux weights r^(d-1) overflow.  At omega = 1.5e148 and 1e150 the
+    stencil is finite at d <= 3, but a product that dstebz forms
+    overflows: at 1.5e148 it would split every row and return the
+    diagonal as the levels, at 1e150 it would fail with info 4.  Each is
+    one input-error line, with no numpy warning and no LAPACK failure, at
+    every d."""
     import warnings
 
     from oscchain.cli import main
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = main(f"qes --N 1 --A 1 --omega 1e-300 --d {d}".split())
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == "input error: array must not contain infs or NaNs\n"
+    for omega in ("1e-300", "1.5e148", "1e150"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(f"qes --N 1 --A 1 --omega {omega} --d {d}".split())
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", omega
+        assert captured.err.startswith("input error: ") \
+            and captured.err.count("\n") == 1 \
+            and captured.err.endswith("\n"), omega
+        if omega == "1e-300":
+            assert captured.err \
+                == "input error: array must not contain infs or NaNs\n"
+
+
+def test_dstebz_products_must_not_overflow():
+    """tridiag(-e, 2e, -e) has the levels e (2 - sqrt 2), 2e and
+    e (2 + sqrt 2).  At e = 6e153 the products D(j) D(j-1) = 4e^2 and
+    E(j)^2 = e^2 that dstebz forms are finite, and it solves; at
+    e = 8e153, 4e^2 overflows, and the stencil is refused."""
+    import numpy as np
+    e = 6e153
+    got = numerics._tridiagonal_lowest(np.full(3, 2 * e), np.full(2, -e), 3)
+    want = e * np.array([2 - math.sqrt(2), 2, 2 + math.sqrt(2)])
+    assert np.allclose(got, want, rtol=1e-14, atol=0)
+    e = 8e153
+    with pytest.raises(ValueError, match="overflow"):
+        numerics._tridiagonal_lowest(np.full(3, 2 * e), np.full(2, -e), 3)
 
 
 def _eigh_tridiagonal(diag, off, k):

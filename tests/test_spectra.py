@@ -16,8 +16,8 @@ from oscchain import linalg, spectra
 from oscchain.exact import DiffOp, MultiPoly
 from oscchain.model import Case, Params, build_h_algebraic, nu_coefficients
 
-from conftest import (char_poly, degree1_block, draw_params, per_block,
-                      rational_gauged)
+from conftest import (char_poly, degree1_block, draw_params,
+                      is_graded_triangular, per_block, rational_gauged)
 
 
 def test_basis_order_is_the_counted_combinations():
@@ -75,7 +75,7 @@ def test_graded_triangularity_of_case_operators(rng):
         p = draw_case_params(rng, case)
         h = build_h_algebraic(case, p)
         M = spectra.assemble_matrix(h, spectra.enumerate_basis(h.variables, 3))
-        assert M.is_graded_triangular()
+        assert is_graded_triangular(M)
 
 
 def test_invariant_subspace_violation_is_detected():
@@ -291,7 +291,7 @@ def test_eigenvalues_graded_on_a_hand_built_matrix():
         4: {3: 1, 4: 7},                 #            [1, 7, 0],
         5: {5: 5},                       #            [0, 0, 5]]
     })
-    assert M.is_graded_triangular()
+    assert is_graded_triangular(M)
     assert M.entries[0] == (Fraction(0),) * 6
     with pytest.raises(spectra.UnsupportedMatrix):
         spectra.eigenvalues_graded(M)
@@ -303,7 +303,7 @@ def test_eigenvalues_graded_on_a_hand_built_matrix():
 def test_graded_triangularity_reads_the_stored_entries():
     # an entry from degree 1 down into degree 0 breaks the grading
     M = op_matrix(("x12", "x13"), 1, {1: {0: 1}})
-    assert not M.is_graded_triangular()
+    assert not is_graded_triangular(M)
     # so the whole matrix is one block of degree N = 1: [[0, 0, 0],
     # [1, 0, 0], [0, 0, 0]] has the level 0, thrice, with a 2-dim
     # eigenspace, but it is tridiagonal with zero products: no route
@@ -423,7 +423,7 @@ def test_a_product_not_positive_is_factored_or_refused(
     per-block oracle's.  At b = 0 it fits neither level route."""
     row1 = {0: 1, 1: 5, 2: product} if product else {0: 1, 1: 5}
     M = op_matrix(("rho",), 2, {0: {1: 1}, 1: row1, 2: {1: 1, 2: 10}})
-    assert not M.is_graded_triangular()
+    assert not is_graded_triangular(M)
     if not product:
         assert spectra._jacobi(M) is None
         with pytest.raises(spectra.UnsupportedMatrix):
@@ -643,6 +643,64 @@ def test_degree1_block_from_the_normal_modes(case_params):
         == ((x - r0_) * ((x - r0_) ** 2 - delta_)).expand()
 
 
+def _holds(cell, x, j, delta):
+    """True when the cell holds x + j sqrt(delta), exactly, for delta > 0
+    and j != 0."""
+    lo, hi = (y - x for y in cell)
+    if j < 0:
+        lo, hi, j = -hi, -lo, -j
+    return (lo < 0 or lo * lo < j * j * delta) \
+        and hi > 0 and hi * hi > j * j * delta
+
+
+@pytest.mark.parametrize("delta", [Fraction(9, 4), Fraction(2, 3), 0],
+                         ids=["square", "non-square", "zero"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_closed_form_levels_match_the_monomial_walk(k, delta):
+    """The walk that the closed form replaced is its oracle.  Each
+    exponent alpha, |alpha| = n <= 12, in k variables has the level
+    n r0 + (alpha . w) sqrt(delta), w the root weights (0), (-1, 1) or
+    (-1, 0, 1), counted once.  `_gl3_levels` gives the same multiset:
+    rational levels of equal value merged, ascending and first, and each
+    irrational level a cell that holds exactly one n r0 + j sqrt(delta)
+    and carries the count of j.  The multiplicities sum to
+    comb(n + k - 1, k - 1), the block's size."""
+    from itertools import product
+    r0, delta = Fraction(7, 3), Fraction(delta)
+    w = {1: (0,), 2: (-1, 1), 3: (-1, 0, 1)}[k]
+    root = spectra._rational_sqrt(delta)
+    for n in range(13):
+        walk = Counter(sum(a * x for a, x in zip(alpha, w))
+                       for alpha in product(range(n + 1), repeat=k)
+                       if sum(alpha) == n)
+        levels, _ = spectra._gl3_levels(k, n, r0, delta, False)
+        assert sum(ev.multiplicity for ev in levels) == comb(n + k - 1, k - 1)
+        assert all(ev.degree == n for ev in levels)
+        rational = [ev for ev in levels if ev.value is not None]
+        assert levels[:len(rational)] == rational
+        assert [ev.value for ev in rational] \
+            == sorted({ev.value for ev in rational})
+        assert all(ev.eigenspace_dim == (None if ev.multiplicity == 1
+                                         else ev.multiplicity)
+                   for ev in rational)
+        want = Counter()
+        for j, mult in walk.items():
+            if root is not None:
+                want[n * r0 + j * root] += mult
+            elif j == 0:
+                want[n * r0] += mult
+        assert {ev.value: ev.multiplicity for ev in rational} == want
+        if root is None:
+            held = [[j for j in walk if j and _holds(ev.interval, n * r0, j,
+                                                     delta)]
+                    for ev in levels[len(rational):]]
+            assert all(len(js) == 1 for js in held)
+            assert sorted(js[0] for js in held) \
+                == sorted(j for j in walk if j)
+            assert all(ev.multiplicity == walk[js[0]] for ev, js
+                       in zip(levels[len(rational):], held))
+
+
 def test_harmonic_cases_compute_no_char_poly(factored_degrees, rng):
     """The closed form of the degree-1 block certifies itself in every
     harmonic case, so no polynomial is factored: at the README
@@ -689,7 +747,7 @@ def test_qes_below_zero_is_factored_and_a_zeroth_order_term_is_refused(
     op = _zeroth_order(("x", "y"))
     assert not spectra.is_gl3_form(op)
     M = spectra.assemble_matrix(op, spectra.enumerate_basis(op.variables, 3))
-    assert not M.gl3_form and M.is_graded_triangular()
+    assert not M.gl3_form and is_graded_triangular(M)
     with pytest.raises(spectra.UnsupportedMatrix):
         spectra.eigenvalues_graded(M)
     assert factored_degrees == [4]
