@@ -24,14 +24,14 @@ from typing import List, Optional
 from . import VerificationError, __version__
 from .exact import MultiPoly, ratio_str
 from .model import (Case, CaseError, Params, case_variables, degenerate,
-                    params_from_json, validate_case)
+                    params_from_json, parse_mass, validate_case)
 
 
 class VerificationFailure(VerificationError):
     """Raised when a named invariant fails; .args[0] names it."""
 
 
-_INF = "__infinite__"   # sentinel distinguishing an explicit 'inf' flag
+_MASSES = ("m1", "m2", "m3")
 MAX_RANGE_VALUES = 10_000   # most values one lo:hi:step range may produce
 _INT_FLAGS = {"d": "space dimension", "N": "polynomial degree cap / level"}
 
@@ -41,12 +41,6 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from e
-
-
-def _parse_mass(text: str):
-    if text in ("inf", "infinite", "none"):
-        return _INF
-    return _parse_fraction(text)
 
 
 def parse_range(text: str) -> List[Fraction]:
@@ -79,8 +73,8 @@ def _add_param_flags(sub: argparse.ArgumentParser, reads: str) -> None:
                      help="JSON parameter file; flags below override it")
     sub.add_argument("--case", choices=[c.value for c in Case])
     for name in reads.split():
-        if name in ("m1", "m2", "m3"):
-            sub.add_argument(f"--{name}", type=_parse_mass,
+        if name in _MASSES:     # read by `parse_mass`, as in a file
+            sub.add_argument(f"--{name}",
                              help=f"mass {name} (rational or 'inf')")
         elif name in _INT_FLAGS:
             sub.add_argument(f"--{name}", type=int, help=_INT_FLAGS[name])
@@ -116,7 +110,7 @@ def _build_params(args, default_case: Optional[Case] = None,
     for name in reads:
         v = getattr(args, name)
         if v is not None:
-            changes[name] = None if v is _INF else v
+            changes[name] = parse_mass(v) if name in _MASSES else v
     p = replace(base, **changes)
     validate_case(case, p)
     return case, p

@@ -18,9 +18,9 @@ multiplication by g, divided by g:
                        d^(alpha-gamma),
 
 with Y_gamma = g^-1 d^gamma g the polynomials Y_0 = 1 and
-Y_(gamma+e_i) = d_i Y_gamma + (d_i q) Y_gamma, each formed once per call.
-It is the one way a Gaussian enters an operator: (A psi) / psi is
-A.gauge_conjugate(psi) applied to 1.
+Y_(gamma+e_i) = d_i Y_gamma + (d_i q) Y_gamma, each formed once per call;
+this is exact for any polynomial q.  It is the one way a factor e^q
+enters an operator: (A e^q) / e^q is A.gauge_conjugate(q) applied to 1.
 
 All three run on one Leibniz kernel, `_leibniz_into`, which reads the
 d^gamma Q from a table (`_partials`, or the Y_gamma).  It is a one-pass
@@ -40,7 +40,6 @@ from math import comb, lcm
 from operator import add, gt, sub
 from typing import Mapping, Sequence, Union
 
-from .gaussian import GaussFn
 from .poly import (MultiPoly, RationalFn, VariableMismatch, over_one_den,
                    pack, packing, partial_numerators, unpacked)
 
@@ -141,10 +140,6 @@ class DiffOp:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def zero(cls, variables):
-        return cls(variables)
-
-    @classmethod
     def identity(cls, variables):
         variables = tuple(variables)
         return cls(variables, {(0,) * len(variables): 1})
@@ -193,8 +188,8 @@ class DiffOp:
     # -- action ------------------------------------------------------------
     def apply(self, f: MultiPoly):
         """Apply to a polynomial; the result is a MultiPoly, or a RationalFn
-        where the coefficients are.  A Gaussian factor enters an operator
-        only by `gauge_conjugate`."""
+        where the coefficients are.  A factor e^q enters an operator only
+        by `gauge_conjugate`."""
         if not isinstance(f, MultiPoly):
             raise TypeError(f"cannot apply DiffOp to {type(f).__name__}")
         if f.variables != self.variables:
@@ -245,17 +240,12 @@ class DiffOp:
         which cancel because polynomial multiplication commutes."""
         return self._products(other, True)
 
-    def order(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(d) for d in self.terms)
-
     def principal_symbol(self, momentum_names: Sequence[str]) -> MultiPoly:
         """Top-order coefficients with each derivative replaced by a momentum.
 
         Returns a polynomial over variables + momentum_names.
         """
-        top = self.order()
+        top = max(map(sum, self.terms), default=0)
         variables = self.variables + tuple(momentum_names)
         out = MultiPoly.zero(variables)
         for derivs, coeff in self.terms.items():
@@ -286,19 +276,19 @@ class DiffOp:
         return self._make(keep, terms)
 
     # -- gauge rotation ----------------------------------------------------
-    def gauge_conjugate(self, g: GaussFn, shift=0) -> "DiffOp":
-        """Exact g^-1 (self - shift) g for the Gaussian g, shift a number or
-        a polynomial: the composition self o g on the Leibniz kernel, with
+    def gauge_conjugate(self, q: MultiPoly, shift=0) -> "DiffOp":
+        """Exact g^-1 (self - shift) g for g = exp(q), shift a number or a
+        polynomial: the composition self o g on the Leibniz kernel, with
         Y_gamma in place of d^gamma g and the output seeded with -shift
         (module docstring); the result has polynomial coefficients."""
         variables, n = self.variables, len(self.variables)
-        if g.exponent.variables != variables:
-            raise VariableMismatch(f"{g.exponent.variables} vs {variables}")
+        if q.variables != variables:
+            raise VariableMismatch(f"{q.variables} vs {variables}")
         if not isinstance(shift, MultiPoly):
             shift = MultiPoly.const(variables, shift)
         elif shift.variables != variables:
             raise VariableMismatch(f"{shift.variables} vs {variables}")
-        grad = [g.exponent.diff(v) for v in variables]
+        grad = [q.diff(v) for v in variables]
         zero = (0,) * n
         Y = {zero: MultiPoly.const(variables, 1)}
         for alpha in self.terms:

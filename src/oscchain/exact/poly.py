@@ -364,16 +364,13 @@ class MultiPoly:
         return MultiPoly._make(variables, num, self.den)
 
     # -- presentation ------------------------------------------------------
-    def sorted_terms(self):
-        """Graded-lex ordered (exps, coeff) pairs, low degree first."""
-        return sorted(self.terms.items(),
-                      key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
-
     def __repr__(self):
+        """The terms in graded-lex order, low degree first."""
         if not self.num:
             return "0"
         parts = []
-        for exps, c in self.sorted_terms():
+        for exps, c in sorted(self.terms.items(), key=lambda kv: (
+                sum(kv[0]), tuple(-e for e in kv[0]))):
             mono = "*".join(f"{v}^{e}" if e > 1 else v
                             for v, e in zip(self.variables, exps) if e)
             if mono:

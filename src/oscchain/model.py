@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .exact import DiffOp, GaussFn, MultiPoly, RationalFn
+from .exact import DiffOp, MultiPoly, RationalFn
 
 RHO3 = ("rho12", "rho13", "rho23")
 X1D = ("x12", "x13")
@@ -301,7 +301,8 @@ def build_potential(case: Case, p: Params) -> MultiPoly:
 
 @dataclass(frozen=True)
 class GroundState:
-    wavefunction: GaussFn
+    """Psi0 = exp(wavefunction): the ground state is held as its exponent."""
+    wavefunction: MultiPoly
     energy: MultiPoly  # constant except in the molecular case
 
     @property
@@ -315,18 +316,18 @@ def ground_state(case: Case, p: Params) -> GroundState:
     if case in THREE_BODY_CASES:
         energy = _P({(0, 0, 0): om * d * (a + b + c)})
         if case is Case.PRIMITIVE3_QES:
-            _, psi, _ = build_qes_primitive(p)
-            return GroundState(psi, energy)
+            _, expo, _ = build_qes_primitive(p)
+            return GroundState(expo, energy)
         mu12, mu13, mu23 = reduced_masses(p)
         expo = _P({(1, 0, 0): -om * a * mu12, (0, 1, 0): -om * b * mu13,
                    (0, 0, 1): -om * c * mu23})
-        return GroundState(GaussFn(expo), energy)
+        return GroundState(expo, energy)
     if case is Case.MOLECULAR3:
         m = p.m1
         expo = _P({(1, 0, 0): -om * m * a, (0, 1, 0): -om * m * b})
         energy = _P({(0, 0, 0): om * d * (a + b),
                      (0, 0, 1): 2 * m * om ** 2 * a * b})
-        return GroundState(GaussFn(expo), energy)
+        return GroundState(expo, energy)
     if case is Case.ONE_DIM3:
         mu12, mu13, mu23 = reduced_masses(p)
         x12 = MultiPoly.var(X1D, "x12")
@@ -334,7 +335,7 @@ def ground_state(case: Case, p: Params) -> GroundState:
         expo = -om * (a * mu12 * x12 ** 2 + b * mu13 * x13 ** 2
                       + c * mu23 * (x13 - x12) ** 2)
         energy = MultiPoly.const(X1D, om * (a + b + c))
-        return GroundState(GaussFn(expo), energy)
+        return GroundState(expo, energy)
     mu = two_body_mu(p)
     rho = MultiPoly.var(RHO1, "rho")
     if case is Case.TWO_BODY_ES:
@@ -342,7 +343,7 @@ def ground_state(case: Case, p: Params) -> GroundState:
     else:
         expo = -mu * om * rho - mu ** 2 * p.A * rho ** 2
     energy = MultiPoly.const(RHO1, om * Fraction(d))
-    return GroundState(GaussFn(expo), energy)
+    return GroundState(expo, energy)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +687,8 @@ def gauge_factor_gamma(p: Params):
 # primitive QES problem
 
 def build_qes_primitive(p: Params):
-    """(anharmonic potential, ground state, residual energy).
+    """(anharmonic potential, ground-state exponent q, residual energy),
+    with Psi = exp(q).
 
     The residual is the constant value of (H Psi)/Psi minus the harmonic
     ground energy; a non-constant quotient signals a transcription bug.
@@ -721,19 +723,18 @@ def build_qes_primitive(p: Params):
     v_anh = cubic + quadratic + linear
 
     harm = ground_state(Case.GENERAL3, p)
-    expo = harm.wavefunction.exponent \
-        - (A12 * r12 ** 2 + A13 * r13 ** 2 + A23 * r23 ** 2)
-    psi = GaussFn(expo)
+    expo = harm.wavefunction - (A12 * r12 ** 2 + A13 * r13 ** 2
+                                + A23 * r23 ** 2)
 
     h_total = -build_radial_laplacian(Case.GENERAL3, p)
     v_total = build_potential(Case.GENERAL3, p) + v_anh
-    quotient = (h_total + DiffOp.mul_by(v_total)).gauge_conjugate(psi) \
+    quotient = (h_total + DiffOp.mul_by(v_total)).gauge_conjugate(expo) \
         .apply(MultiPoly.const(RHO3, 1))      # (H psi) / psi
     if not quotient.is_constant():
         raise ValueError("primitive QES quotient is not constant; "
                          "transcription bug")
     residual = quotient.constant_value() - harm.energy_value
-    return v_anh, psi, residual
+    return v_anh, expo, residual
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +758,9 @@ def _json_rational(key: str, x) -> Fraction:
         raise ValueError(f"params {key!r}: not a rational: {x!r}") from e
 
 
-def _json_mass(x) -> Optional[Fraction]:
-    """A mass: a rational, or None for "inf" or null (infinite)."""
+def parse_mass(x) -> Optional[Fraction]:
+    """A mass from a parameter file or a flag: a rational, or None for
+    "inf" or null (infinite)."""
     if x is None or x == "inf":
         return None
     return _json_rational("m", x)
@@ -785,7 +787,7 @@ def params_from_json(data) -> Tuple[Case, Params]:
     A = data.get("A", [0, 0, 0])
     a, b, c = (_json_rational("springs", x) for x in springs)
     kwargs = dict(
-        m1=_json_mass(m[0]), m2=_json_mass(m[1]), m3=_json_mass(m[2]),
+        m1=parse_mass(m[0]), m2=parse_mass(m[1]), m3=parse_mass(m[2]),
         a=a, b=b, c=c,
         omega=_json_rational("omega", data.get("omega", 1)),
         d=_json_int(data, "d", 3),

@@ -186,16 +186,15 @@ def oracle_poisson_bracket(f, g):
     return out
 
 
-def oracle_gauge_conjugate(A, g, shift=0):
-    """g^-1 (A - shift) g: each d_i becomes d_i + (d_i q), q the exponent
-    of g, composed term by term."""
+def oracle_gauge_conjugate(A, q, shift=0):
+    """g^-1 (A - shift) g for g = exp(q): each d_i becomes d_i + (d_i q),
+    composed term by term."""
     n = len(A.variables)
-    q = g.exponent
     shifted = [DiffOp(A.variables,
                       {tuple(1 if j == i else 0 for j in range(n)): 1,
                        (0,) * n: q.diff(v)})
                for i, v in enumerate(A.variables)]
-    out = DiffOp.zero(A.variables)
+    out = DiffOp(A.variables)
     for alpha, P in A.terms.items():
         term = DiffOp.identity(A.variables)
         for i, k in enumerate(alpha):

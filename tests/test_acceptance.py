@@ -59,7 +59,7 @@ def test_criterion_1_exact_ground_states():
                 continue
             ok &= oracle_apply_gaussian(
                 -delta + DiffOp.mul_by(V), MultiPoly.const(delta.variables, 1),
-                gs.wavefunction.exponent) == gs.energy
+                gs.wavefunction) == gs.energy
     elapsed = time.monotonic() - t0
     ok &= elapsed < 10
     report("criterion 1: exact ground states (20 draws/case)", ok, elapsed)

@@ -318,6 +318,23 @@ def test_infinite_mass_flag(capsys):
     assert doc["params"]["m"][1] == "inf"
 
 
+@pytest.mark.parametrize("mass", ["inf", "infinite", "none", "2"])
+def test_a_mass_reads_the_same_in_a_flag_and_in_a_params_file(
+        tmp_path, capsys, mass):
+    """One parser reads a mass from a flag and from a file: `inf` is the
+    one spelling of an infinite mass, and any other word is bad input."""
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"case": "atomic3", "m": [mass, 3, 3]}))
+    code, out, err = run(capsys, "spectrum", "--case", "atomic3",
+                         "--m1", mass, "--m2", "3", "--m3", "3", "--N", "1")
+    assert run(capsys, "spectrum", "--params", str(f), "--N", "1")[:2] \
+        == (code, out)
+    assert code == (0 if mass == "inf" else 2)
+    if code:
+        assert out == "" and err.startswith("input error: ")
+        assert err.count("\n") == 1
+
+
 def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify-all", "--m1", "2", "--m2", "3",
                        "--m3", "5")

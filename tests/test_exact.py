@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscchain import integrals
-from oscchain.exact import (CANONICAL_PAIRS, PHASE_VARS, DiffOp, GaussFn,
-                            MultiPoly, RationalFn, VariableMismatch,
-                            over_one_den, partial_numerators, phase_var,
-                            poisson_bracket, power_table, random_rational,
-                            table_sum, to_float)
+from oscchain.exact import (CANONICAL_PAIRS, PHASE_VARS, DiffOp, MultiPoly,
+                            RationalFn, VariableMismatch, over_one_den,
+                            partial_numerators, phase_var, poisson_bracket,
+                            power_table, random_rational, table_sum,
+                            to_float)
 
 from conftest import (draw_params, draw_poly, fractions_st,
                       oracle_apply_gaussian, oracle_commutator, oracle_compose,
@@ -155,8 +155,7 @@ def test_numerator_helpers_keep_every_polynomial(polys, alpha):
 
 def test_graded_lex_term_order():
     p = MultiPoly(XY, {(0, 2): 1, (1, 0): 2, (2, 0): 3, (1, 1): 4})
-    exps = [e for e, _ in p.sorted_terms()]
-    assert exps == [(1, 0), (2, 0), (1, 1), (0, 2)]
+    assert repr(p) == "(2)*x + (3)*x^2 + (4)*x*y + y^2"
 
 
 def test_to_float_refuses_what_no_float_holds():
@@ -282,9 +281,7 @@ def test_gauge_conjugation_round_trip(rng):
     for _ in range(5):
         A = _random_op(rng)
         q = draw_quadratic(rng)
-        g = GaussFn(q)
-        ginv = GaussFn(-q)
-        assert A.gauge_conjugate(g).gauge_conjugate(ginv) == A
+        assert A.gauge_conjugate(q).gauge_conjugate(-q) == A
 
 
 def test_gauge_conjugation_matches_function_level(rng):
@@ -293,14 +290,16 @@ def test_gauge_conjugation_matches_function_level(rng):
         A = _random_op(rng)
         q = draw_quadratic(rng)
         f = draw_poly(rng, XY, max_degree=2, n_terms=3)
-        assert A.gauge_conjugate(GaussFn(q)).apply(f) \
+        assert A.gauge_conjugate(q).apply(f) \
             == oracle_apply_gaussian(A, f, q)
 
 
 def test_apply_refuses_a_gaussian(rng):
+    """A factor e^q enters an operator only by `gauge_conjugate`: `apply`
+    takes a polynomial and refuses any other function, here a RationalFn."""
     A = _random_op(rng)
     with pytest.raises(TypeError):
-        A.apply(GaussFn(draw_quadratic(rng)))
+        A.apply(RationalFn(draw_quadratic(rng)))
 
 
 def test_principal_symbol():
@@ -402,9 +401,8 @@ def test_operator_kernels_equal_the_oracle(operands):
     assert A.compose(B) == oracle_compose(A, B)
     assert A.commutator(B) == oracle_commutator(A, B)
     assert B.commutator(A) == oracle_commutator(B, A)
-    g = GaussFn(q)
-    assert A.gauge_conjugate(g, shift) \
-        == oracle_gauge_conjugate(A, g, shift)
+    assert A.gauge_conjugate(q, shift) \
+        == oracle_gauge_conjugate(A, q, shift)
 
 
 @settings(max_examples=80, deadline=None)

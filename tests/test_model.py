@@ -5,8 +5,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oscchain.exact import DiffOp, GaussFn, MultiPoly
+from oscchain.exact import DiffOp, MultiPoly
 from oscchain.model import (Case, CaseError, Params, build_h_algebraic,
                             build_potential, build_qes_primitive,
                             build_radial_laplacian, case_variables, cometric,
@@ -98,7 +100,7 @@ def test_ground_state_killed_by_full_hamiltonian(rng):
         # H psi0 = E0 psi0 exactly, by the product rule
         assert oracle_apply_gaussian(-delta + DiffOp.mul_by(V),
                                      MultiPoly.const(delta.variables, 1),
-                                     gs.wavefunction.exponent) == gs.energy
+                                     gs.wavefunction) == gs.energy
 
 
 def test_nu_coefficients_worked_example():
@@ -186,7 +188,7 @@ def test_primitive_qes_residual_zero(rng):
         H = -build_radial_laplacian(Case.GENERAL3, p) \
             + DiffOp.mul_by(build_potential(Case.GENERAL3, p) + v_anh)
         assert oracle_apply_gaussian(H, MultiPoly.const(H.variables, 1),
-                                     psi.exponent) \
+                                     psi) \
             == ground_state(Case.GENERAL3, p).energy
 
 
@@ -195,7 +197,7 @@ def test_primitive_qes_reduces_to_harmonic():
     v_anh, psi, residual = build_qes_primitive(p)
     assert v_anh.is_zero()
     assert residual == 0
-    assert psi.exponent == ground_state(Case.GENERAL3, p).wavefunction.exponent
+    assert psi == ground_state(Case.GENERAL3, p).wavefunction
 
 
 def test_degeneration_chain(rng):
@@ -217,6 +219,18 @@ def _coefficients(op: DiffOp) -> dict:
 
 @pytest.mark.parametrize("seed", [0, 2, 3, 4])   # d = 2, 5, 3, 4
 def test_atomic3_is_the_infinite_m1_limit_of_general3(seed):
+    _check_atomic3_limit(seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_atomic3_limit_over_drawn_seeds(seed):
+    """The atomic-limit check of `_check_atomic3_limit` on Hypothesis
+    draws of the parameter seed."""
+    _check_atomic3_limit(seed)
+
+
+def _check_atomic3_limit(seed):
     """The atomic limit, one infinite mass.  At m2 = m3 = M the reduced
     masses are mu12 = mu13 = m1 M / (m1 + M) and mu23 = M / 2, so every
     coefficient of the gauged general3 operator is built from
