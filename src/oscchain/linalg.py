@@ -15,21 +15,22 @@ degree first.
 Real roots: sympy factors a polynomial over Q, built straight from its
 coefficient list (`factor_over_q`).  A factor of degree >= 2 is
 irreducible, so its roots are irrational, and each is reported as the
-cell [n, n + 1] / 2^64 of the dyadic grid that holds it, n = floor(r 2^64)
-(`isolate_irreducible`).  A quadratic's cells are in closed form, from
-one integer square root; a factor of higher degree is isolated by sympy,
-and the cell in each interval [lo, hi] is found by integer bisection over
-the grid indices n in [floor(lo 2^64), ceil(hi 2^64)], the sign of f at
-n / 2^64 taken from 2^(64 d) f(n / 2^64) by integer Horner.  A cell
-whose ends do not have strictly opposite signs raises
-`RootCertificateError`.  `tridiagonal_levels` finds its cells on the same
-grid by Sturm counts, and certifies each cell the same way.
+cell [n, n + 1] / 2^64 of the dyadic grid that holds it, n = floor(r 2^64),
+held as its one integer n (`isolate_irreducible`).  A quadratic's cells
+are in closed form, from one integer square root; a factor of higher
+degree is isolated by sympy, and the cell in each interval [lo, hi] is
+found by integer bisection over the grid indices n in
+[floor(lo 2^64), ceil(hi 2^64)], the sign of f at n / 2^64 taken from
+2^(64 d) f(n / 2^64) by integer Horner.  A cell whose ends do not have
+strictly opposite signs raises `RootCertificateError`.
+`tridiagonal_levels` finds its cells on the same grid by Sturm counts,
+and certifies each cell the same way.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import VerificationError
 
@@ -61,19 +62,18 @@ def _scaled_value(coeffs: Sequence[int], p: int, q: int) -> int:
 GRID = 2 ** 64   # an irrational root is reported as a cell [n, n + 1] / GRID
 
 
-def _grid_cell(coeffs: Sequence[int], n: int) -> Tuple[Fraction, Fraction]:
-    """The cell [n, n + 1] / GRID, certified by the strictly opposite signs
-    of the integer polynomial `coeffs` (highest degree first) at its ends;
-    otherwise RootCertificateError."""
+def _grid_cell(coeffs: Sequence[int], n: int) -> int:
+    """n, the cell [n, n + 1] / GRID held as its one integer, certified by
+    the strictly opposite signs of the integer polynomial `coeffs` (highest
+    degree first) at its ends; otherwise RootCertificateError."""
     if _scaled_value(coeffs, n, GRID) \
             * _scaled_value(coeffs, n + 1, GRID) >= 0:
         raise RootCertificateError(
             f"no sign change over the grid cell [{n}, {n + 1}] / 2^64")
-    return _dyadic(n), _dyadic(n + 1)
+    return n
 
 
-def _grid_search(coeffs: Sequence[int], lo: Fraction, hi: Fraction
-                 ) -> Tuple[Fraction, Fraction]:
+def _grid_search(coeffs: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     """The grid cell (`_grid_cell`) of a root at which the integer
     polynomial `coeffs` (highest degree first, irreducible of degree >= 2,
     so no grid point is a root) changes sign over [lo, hi]: bisection over
@@ -98,24 +98,6 @@ def _bisect(keeps, a: int, b: int) -> int:
     return a
 
 
-# one int per power-of-two denominator, shared by every end that has it
-_POWERS_OF_TWO: Dict[int, int] = {}
-
-
-def _dyadic(n: int) -> Fraction:
-    """Fraction(n, GRID), whose denominator, a power of two, is the one int
-    of that value kept in `_POWERS_OF_TWO`.
-
-    A spectrum keeps two ends per irrational level, and sharing their
-    denominators takes about a fifth off what its intervals hold.
-    `Fraction` keeps its denominator in `_denominator`; an int of the same
-    value there leaves the Fraction unchanged.
-    """
-    x = Fraction(n, GRID)
-    x._denominator = _POWERS_OF_TWO.setdefault(x.denominator, x.denominator)
-    return x
-
-
 def _integer_coeffs(coeffs) -> List[int]:
     """A rational coefficient list times the lcm of its denominators."""
     den = math.lcm(*(int(c.denominator) for c in coeffs))
@@ -135,10 +117,11 @@ def factor_over_q(coeffs) -> List[Tuple[List[int], int]]:
             for fac, mult in poly.factor_list()[1]]
 
 
-def isolate_irreducible(coeffs) -> List[Tuple[Fraction, Fraction]]:
+def isolate_irreducible(coeffs) -> List[int]:
     """The grid cells (`_grid_cell`) of the real roots of a polynomial
     irreducible over Q of degree >= 2, given by rational coefficients,
-    highest degree first and the first positive, in increasing order.
+    highest degree first and the first positive, in increasing order, each
+    held as its integer n.
 
     A quadratic a x^2 + b x + e (a > 0, D = b^2 - 4ae not a square) has
     the roots (-b +/- sqrt(D)) / 2a.  With R = isqrt(D GRID^2), GRID
@@ -190,7 +173,8 @@ def tridiagonal_levels(diag: Sequence[Fraction], products: Sequence[Fraction]
     """(levels, char poly) of a tridiagonal matrix T with the diagonal
     `diag` and the nonzero products b_k c_k of its opposite off-diagonal
     entries: each level (value, None, multiplicity) when rational, else
-    (None, cell, multiplicity) with its grid cell (`_grid_cell`), and
+    (None, n, multiplicity) with its grid cell [n, n + 1] / GRID held as
+    the integer n (`_grid_cell`), and
     q_n(L lam) = L^n det(lam - T), integers, highest degree first.
 
     With L the lcm of the denominators, LT has the integer diagonal
@@ -249,8 +233,8 @@ def real_roots_exact(coeffs):
     """All real roots of a polynomial with rational coefficients.
 
     Returns (rational, irrational): rational as [(Fraction, multiplicity)],
-    irrational as [((lo, hi), multiplicity)] with the certified grid cells
-    of width 1/GRID that hold them, from the factors over Q
+    irrational as [(n, multiplicity)], each root held as the integer n of
+    its certified grid cell [n, n + 1] / GRID, from the factors over Q
     (`factor_over_q`) and the roots of each factor of degree >= 2
     (`isolate_irreducible`).
     """
@@ -261,8 +245,7 @@ def real_roots_exact(coeffs):
             # c1 lam + c0
             rational.append((Fraction(-fcoeffs[1], fcoeffs[0]), mult))
             continue
-        irrational.extend((iv, mult)
-                          for iv in isolate_irreducible(fcoeffs))
+        irrational.extend((n, mult) for n in isolate_irreducible(fcoeffs))
     rational.sort(key=lambda t: t[0])
-    irrational.sort(key=lambda t: t[0][0])
+    irrational.sort(key=lambda t: t[0])
     return rational, irrational

@@ -146,15 +146,17 @@ no route, since its c_0 = M[1][0] would raise the degree and so is 0.
 
 Everything here is exact: rational eigenvalues are reported as Fractions,
 irrational ones as the cell [n, n + 1] / 2^64 of the dyadic grid that
-holds them, certified by a strict sign change at its ends: from one
-integer square root for a quadratic factor, from sympy's isolation and an
-integer bisection over the grid indices for a factor of higher degree
-(`linalg.isolate_irreducible`), and from Sturm counts for a Jacobi
-matrix.  The matrix is held as integer numerators over one denominator,
-as `MultiPoly` is: the columns {j: {i: n}} that assembly writes, column j
-the image of basis monomial j (only nonzero entries are stored), over the
-lcm of the denominators of the operator's coefficients.  The
-eigenvectors read the integers; the degree-1 block and the tridiagonal
+holds them, held as the one integer n (`Eigenvalue.cell`), from which its
+ends, midpoint and JSON are derived; a physical level adds E0 to both
+ends exactly.  Each cell is certified by a strict sign change at its
+ends: from one integer square root for a quadratic factor, from sympy's
+isolation and an integer bisection over the grid indices for a factor of
+higher degree (`linalg.isolate_irreducible`), and from Sturm counts for a
+Jacobi matrix.  The matrix is held as integer numerators over one
+denominator, as `MultiPoly` is: the columns {j: {i: n}} that assembly
+writes, column j the image of basis monomial j (only nonzero entries are
+stored), over the lcm of the denominators of the operator's coefficients.
+The eigenvectors read the integers; the degree-1 block and the tridiagonal
 route read Fraction entries (`OpMatrix.entry`).
 The levels are ordered exactly, by value (a cell by its midpoint), then
 degree, so no float is made while a spectrum is computed.  sympy is
@@ -346,19 +348,29 @@ def assemble_matrix(op: DiffOp, basis: MonomialBasis) -> OpMatrix:
 
 @dataclass(frozen=True, slots=True)
 class Eigenvalue:
-    """Exact value when rational, else a certified isolating interval."""
+    """Exact value when rational, else the certified grid cell
+    [cell, cell + 1] / 2^64 that holds the level, held as the integer
+    `cell`, its ends moved by `shift` (E0 on a physical level)."""
     value: Optional[Fraction]
-    interval: Optional[Tuple[Fraction, Fraction]]
+    cell: Optional[int]
     multiplicity: int
     degree: int
     eigenspace_dim: Optional[int] = None
+    shift: int | Fraction = 0
+
+    @property
+    def interval(self) -> Optional[Tuple[Fraction, Fraction]]:
+        """The ends of the cell plus `shift`; None when rational."""
+        if self.cell is None:
+            return None
+        return (Fraction(self.cell, linalg.GRID) + self.shift,
+                Fraction(self.cell + 1, linalg.GRID) + self.shift)
 
     def midpoint(self) -> Fraction:
-        """The value when rational, else the midpoint of its cell."""
+        """The value when rational, else the midpoint of its interval."""
         if self.value is not None:
             return self.value
-        lo, hi = self.interval
-        return (lo + hi) / 2
+        return Fraction(2 * self.cell + 1, 2 * linalg.GRID) + self.shift
 
     def approx(self) -> float:
         return to_float(self.midpoint(), "a level")
@@ -400,8 +412,7 @@ class SpectrumReport:
         e0 = self.ground_energy
         return tuple(replace(ev, value=ev.value + e0)
                      if ev.value is not None else
-                     replace(ev, interval=(ev.interval[0] + e0,
-                                           ev.interval[1] + e0))
+                     replace(ev, shift=ev.shift + e0)
                      for ev in self.gauged)
 
     def to_json(self) -> dict:

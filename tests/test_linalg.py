@@ -71,16 +71,15 @@ def test_real_roots_rational():
 
 
 def test_real_roots_irrational_intervals():
-    # x^2 - 2: roots +/- sqrt(2), certified to width 2^-64
+    # x^2 - 2: roots +/- sqrt(2), each held as its certified grid cell n
     coeffs = [Fraction(1), Fraction(0), Fraction(-2)]
     rational, irrational = linalg.real_roots_exact(coeffs)
     assert not rational
     assert len(irrational) == 2
-    import math
-    for (lo, hi), mult in irrational:
+    for n, mult in irrational:
         assert mult == 1
-        assert hi - lo <= Fraction(1, 2 ** 64)
-    approx = sorted((float(lo) + float(hi)) / 2 for (lo, hi), _ in irrational)
+        assert _is_certified_cell([1, 0, -2], n)
+    approx = sorted(float(_midpoint(n)) for n, _ in irrational)
     assert abs(approx[0] + math.sqrt(2)) < 1e-12
     assert abs(approx[1] - math.sqrt(2)) < 1e-12
 
@@ -98,8 +97,8 @@ def test_eigenvalues_of_exact_matrix_match_numpy(rng):
         A = rand_matrix(rng, 4, -3, 3)
         rational, irrational = linalg.real_roots_exact(char_poly(A))
         mids = [float(v) for v, m in rational for _ in range(m)]
-        mids += [(float(lo) + float(hi)) / 2
-                 for (lo, hi), m in irrational for _ in range(m)]
+        mids += [float(_midpoint(n)) for n, m in irrational
+                 for _ in range(m)]
         want = sorted(v.real for v in np.linalg.eigvals(
             np.array(A, dtype=float)) if abs(v.imag) < 1e-9)
         got = sorted(mids)
@@ -114,9 +113,10 @@ def test_refine_rejects_an_interval_without_a_sign_change():
 
 
 def test_refine_matches_width_exactly():
-    # lam^2 - 2 on [1, 2]: 64 halvings reach width 2^-64
-    lo, hi = linalg._grid_search([1, 0, -2], Fraction(1), Fraction(2))
-    assert hi - lo == Fraction(1, 2 ** 64)
+    # lam^2 - 2 on [1, 2]: 64 halvings reach the one cell of width 2^-64
+    n = linalg._grid_search([1, 0, -2], Fraction(1), Fraction(2))
+    lo, hi = _ends(n)
+    assert type(n) is int and hi - lo == Fraction(1, 2 ** 64)
     assert lo * lo < 2 < hi * hi
 
 
@@ -132,10 +132,27 @@ def _fraction_eval(coeffs, x):
 CELL = Fraction(1, 2 ** 64)
 
 
+def _ends(n):
+    """The ends of the grid cell held as the integer n."""
+    return n * CELL, (n + 1) * CELL
+
+
+def _midpoint(n):
+    return (n + Fraction(1, 2)) * CELL
+
+
+def _is_certified_cell(icoeffs, n):
+    """n is an int, and the polynomial has strictly opposite signs at the
+    ends n / 2^64 and (n + 1) / 2^64 of its cell, 2^-64 apart."""
+    lo, hi = _ends(n)
+    return (type(n) is int and hi - lo == CELL
+            and _fraction_eval(icoeffs, lo) * _fraction_eval(icoeffs, hi) < 0)
+
+
 def _reference_roots(coeffs):
     """sympy factors and intervals, refined by Fraction bisection to width
     2^-64 and snapped to the cell [n, n + 1] / 2^64 that holds the root:
-    the cell of lo, unless its ends have the same sign."""
+    the cell of lo, unless its ends have the same sign; each root as n."""
     import sympy
     lam = sympy.Symbol("lam")
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
@@ -155,12 +172,13 @@ def _reference_roots(coeffs):
                     lo = mid
                 else:
                     hi = mid
-            lo = math.floor(lo / CELL) * CELL
-            if _fraction_eval(fc, lo) * _fraction_eval(fc, lo + CELL) > 0:
-                lo += CELL
-            irrational.append(((lo, lo + CELL), mult, fc))
+            n = math.floor(lo / CELL)
+            if _fraction_eval(fc, n * CELL) \
+                    * _fraction_eval(fc, (n + 1) * CELL) > 0:
+                n += 1
+            irrational.append((n, mult, fc))
     return (sorted(rational),
-            sorted(irrational, key=lambda t: t[0][0]))
+            sorted(irrational, key=lambda t: t[0]))
 
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -190,10 +208,9 @@ def test_real_roots_match_fraction_bisection(coeffs):
     rational, irrational = linalg.real_roots_exact(coeffs)
     want_rational, want_irrational = _reference_roots(coeffs)
     assert rational == want_rational
-    assert irrational == [(iv, m) for iv, m, _ in want_irrational]
-    for (lo, hi), _, fc in want_irrational:
-        assert 0 < hi - lo <= Fraction(1, 2 ** 64)
-        assert _fraction_eval(fc, lo) * _fraction_eval(fc, hi) < 0
+    assert irrational == [(n, m) for n, m, _ in want_irrational]
+    for n, _, fc in want_irrational:
+        assert _is_certified_cell(fc, n)
     import sympy
     lam = sympy.Symbol("lam")
     poly = sympy.Poly(coeffs, lam, domain="QQ")
@@ -207,45 +224,24 @@ def test_isolate_irreducible_ignores_the_scale_of_the_factor():
     factors from `factor_over_q` and those built from the degree-1 block
     must."""
     monic = [1, Fraction(-1, 3), Fraction(-5, 6)]      # (6t^2 - 2t - 5) / 6
-    intervals = linalg.isolate_irreducible(monic)
-    assert intervals == linalg.isolate_irreducible([6, -2, -5])
+    cells = linalg.isolate_irreducible(monic)
+    assert cells == linalg.isolate_irreducible([6, -2, -5])
     assert linalg.factor_over_q(monic) == [([6, -2, -5], 1)]
-    assert len(intervals) == 2
-    for lo, hi in intervals:
-        assert 0 < hi - lo <= Fraction(1, 2 ** 64)
-        assert (6 * lo * lo - 2 * lo - 5) * (6 * hi * hi - 2 * hi - 5) < 0
-
-
-def test_refined_ends_share_their_power_of_two_denominators():
-    """Ends with equal power-of-two denominators hold one int object."""
-    ends = [x for coeffs in ([1, 0, -2], [1, 0, -3], [2, -1, -7])
-            for iv in linalg.isolate_irreducible(coeffs) for x in iv]
-    by_value = {}
-    for x in ends:
-        d = x.denominator
-        assert d & (d - 1) == 0
-        assert by_value.setdefault(d, d) is d
-    assert len(by_value) < len(ends)
+    assert len(cells) == 2
+    for n in cells:
+        assert _is_certified_cell([6, -2, -5], n)
 
 
 # -- the grid cells in closed form -------------------------------------------
 
 def _crootof_cells(icoeffs):
-    """The cells [n, n + 1] / 2^64, n = floor(r 2^64), of the real roots r
-    of an integer polynomial (highest degree first), from sympy's exact
-    CRootOf: a route that shares nothing with the code under test."""
+    """The cells [n, n + 1] / 2^64, as n = floor(r 2^64), of the real
+    roots r of an integer polynomial (highest degree first), from sympy's
+    exact CRootOf: a route that shares nothing with the code under test."""
     import sympy
     poly = sympy.Poly(icoeffs, sympy.Symbol("x"))
-    cells = []
-    for k in range(poly.count_roots()):
-        n = int(sympy.floor(sympy.CRootOf(poly, k) * 2 ** 64))
-        cells.append((n * CELL, (n + 1) * CELL))
-    return cells
-
-
-def _is_certified_cell(icoeffs, lo, hi):
-    return (hi - lo == CELL and (lo / CELL).denominator == 1
-            and _fraction_eval(icoeffs, lo) * _fraction_eval(icoeffs, hi) < 0)
+    return [int(sympy.floor(sympy.CRootOf(poly, k) * 2 ** 64))
+            for k in range(poly.count_roots())]
 
 
 def test_close_roots_get_their_grid_cells():
@@ -261,15 +257,15 @@ def test_close_roots_get_their_grid_cells():
     assert len(want) == 2
     assert linalg.isolate_irreducible(coeffs) == want
     rational, irrational = linalg.real_roots_exact(coeffs)
-    assert not rational and irrational == [(iv, 1) for iv in want]
+    assert not rational and irrational == [(n, 1) for n in want]
     poly = sympy.Poly(icoeffs, sympy.Symbol("x"))
     sympy_ivs = [(Fraction(str(lo)), Fraction(str(hi)))
                  for (lo, hi), _ in poly.intervals()]
     assert sympy_ivs == [(Fraction(2537, 2), c), (c, Fraction(1269))]
     assert [linalg._grid_search(icoeffs, lo, hi)
             for lo, hi in sympy_ivs] == want
-    for lo, hi in want:
-        assert _is_certified_cell(icoeffs, lo, hi)
+    for n in want:
+        assert _is_certified_cell(icoeffs, n)
 
 
 def test_quadratic_without_real_roots_has_no_cells():
@@ -320,8 +316,8 @@ def test_irreducible_cubic_goes_through_sympy_and_is_snapped(monkeypatch):
                     QES_QUINTIC):
         cells = linalg.isolate_irreducible(icoeffs)
         assert cells == _crootof_cells(icoeffs)
-        for lo, hi in cells:
-            assert _is_certified_cell(icoeffs, lo, hi)
+        for n in cells:
+            assert _is_certified_cell(icoeffs, n)
     assert len(calls) == 4
 
 
@@ -350,7 +346,7 @@ def _levels_by_char_poly(diag, products):
     assert all(m == 1 for _, m in rational + irrational)
     return sorted([(x, None, 1) for x, _ in rational]
                   + [(None, iv, 1) for iv, _ in irrational],
-                  key=lambda t: t[0] if t[1] is None else t[1][0])
+                  key=lambda t: t[0] if t[1] is None else t[1] * CELL)
 
 
 JACOBI_ENTRIES = st.fractions(min_value=-20, max_value=20, max_denominator=6)

@@ -844,3 +844,92 @@ def test_molecular_nilpotent_block_in_closed_form(factored_degrees):
 def test_basis_is_built_once_per_variables_and_degree():
     assert spectra.enumerate_basis(["x", "y"], 3) \
         is spectra.enumerate_basis(("x", "y"), 3)
+
+
+# -- an irrational level is held as its one integer grid cell ----------------
+
+@pytest.mark.parametrize("case, p", [
+    (Case.GENERAL3, Params(m1=2, m2=3, m3=Fraction(5, 2), a=1, b=2,
+                           c=Fraction(3, 2))),
+    (Case.TWO_BODY_QES, Params(m1=1, m2=1, A=1, N=6)),
+], ids=["general3", "twobody_qes"])
+def test_an_irrational_level_is_held_as_its_integer_cell(case, p):
+    """At N = 6, each irrational gauged level stores the int n of its cell
+    and no tuple or Fraction; its interval is (n, n + 1) / 2^64, and its
+    physical interval is that plus E0, exactly."""
+    from dataclasses import fields
+    rep = spectra.spectrum(case, p, 6)
+    e0 = rep.ground_energy
+    assert e0
+    cells = [(ev, phys) for ev, phys in zip(rep.gauged, rep.physical)
+             if ev.value is None]
+    assert cells
+    for ev, phys in cells:
+        n = ev.cell
+        assert type(n) is int
+        assert not any(isinstance(getattr(ev, f.name), (tuple, Fraction))
+                       for f in fields(ev))
+        lo, hi = Fraction(n, 2 ** 64), Fraction(n + 1, 2 ** 64)
+        assert ev.interval == (lo, hi)
+        assert phys.cell == n and phys.interval == (lo + e0, hi + e0)
+        assert phys.midpoint() == (lo + hi) / 2 + e0
+
+
+# draws that yield cells in every case that has them, and molecular3, whose
+# degree-1 block has rational roots only: (case, params, N, sha256 of the
+# sorted-key JSON of the report), recorded while each cell was still held as
+# its two Fraction ends
+JSON_DIGESTS = [
+    (Case.GENERAL3, dict(m1=2, m2=3, m3="5/2", a=1, b=2, c="3/2"), 6,
+     "b7866ddc73f6da146c82311095772ec21299c2b817a83421231477130f589fe9"),
+    (Case.GENERAL3, dict(m1="5/3", m2=2, m3="5/2", a="3/4", b="3/4",
+                         c="3/2"), 3,
+     "b6c2c0766e0e65fdeb250813d727d4721bacde26f01795e17760074a78af347e"),
+    (Case.GENERAL3, dict(m1="4/3", m2="5/4", m3="1/2", a="5/2", b=2,
+                         c="4/3"), 5,
+     "5c24733efbdb0dc8b82b5194992c71fa0c852babee2852cf598cab9644d2334a"),
+    (Case.EQUAL_MASS3, dict(m1="3/4", m2="3/4", m3="3/4", a="1/2", b="4/3",
+                            c=3), 4,
+     "d7ea593672083c6449b1c26c48e250234c8f4ae853a90144b8714f6404aa30c2"),
+    (Case.EQUAL_MASS3, dict(m1="2/3", m2="2/3", m3="2/3", a="5/2", b=3,
+                            c="3/2"), 6,
+     "d2fe8a2e1903895a97e2e1bc22b4364901472400178e0eb05b23fb887c57ced1"),
+    (Case.ATOMIC3, dict(m1=None, m2=2, m3=2, a="2/3", b=3, c="2/3"), 6,
+     "46c1ebe32a287de1638e4ef228df8d38534a52d01003e18d36dc099b5fe8282e"),
+    (Case.ATOMIC3, dict(m1=None, m2="3/2", m3="3/2", a="5/4", b=3, c="5/2"),
+     4, "8dd09c6f4b15237e35d893cf302bab5526b0df794d98b5edcf163ff4a02cffc6"),
+    (Case.ONE_DIM3, dict(m1="2/3", m2=3, m3="3/2", d=1), 5,
+     "df2ea27b5e67846ad186708e72d6fd6e3641e2c5f03948b045727487fc479f66"),
+    (Case.ONE_DIM3, dict(m1=3, m2=3, m3="4/3", a="5/2", b="1/2", c=2, d=1),
+     6, "2a258600a810e57e69de954f605a6163f96830b90aea83184fa036d519bec24a"),
+    (Case.MOLECULAR3, dict(m1="1/2", m2=None, m3=None, a=1, b=3, c=0,
+                           rho23=2), 4,
+     "32bb59c5ae95a0884d88df253b2cd36b86a64835d1e040aba275a4179fa162df"),
+    (Case.MOLECULAR3, dict(m1="5/2", m2=None, m3=None, a="3/4", b=2, c=0,
+                           rho23="3/2"), 5,
+     "047be6a5bfcabb67676d6df0c256a5b657d546116722f0207a428b27a72a3079"),
+    (Case.TWO_BODY_QES, dict(omega="3/2", A="3/4", N=4), 4,
+     "860ce4cb3eed20ef7cfef4f69461918b3a04402760e920e9b35130ebe26fcc1f"),
+    (Case.TWO_BODY_QES, dict(omega="1/2", A="3/4", N=5), 5,
+     "9227bbbf0f94743d6c2b02434c4ce018673054fdfbbbecfd711bcd1cf73ea087"),
+    (Case.TWO_BODY_QES, dict(omega=1, A=1, N=6), 6,
+     "a4e3817b589955b004307140c95ea4233f8c8060d089c0a39b881c272588d66a"),
+    # A < 0: the continuant is factored over Q (`linalg.real_roots_exact`)
+    (Case.TWO_BODY_QES, dict(omega=3, A="-1/20", N=3), 3,
+     "94418840da93d5eba3fcbc1d1af825d56d637329414e5b16f6a59a6ac4a0c5ef"),
+    (Case.TWO_BODY_QES, dict(omega=5, A="-1/4", N=4), 4,
+     "ea681fac2d9d717ed428e97e590539f7740dae4a9f5e9ac89630b3e49b3d8f08"),
+]
+
+
+@pytest.mark.parametrize("case, kw, N, digest", JSON_DIGESTS,
+                         ids=[f"{c.value}-N{N}-{d[:6]}"
+                              for c, _, N, d in JSON_DIGESTS])
+def test_report_json_matches_its_recorded_digest(case, kw, N, digest):
+    import hashlib
+    import json
+    p = Params(**{k: Fraction(v) if isinstance(v, str) else v
+                  for k, v in kw.items()})
+    rep = spectra.spectrum(case, p, N)
+    text = json.dumps(rep.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
