@@ -188,18 +188,17 @@ class DiffOp:
     # -- action ------------------------------------------------------------
     def apply(self, f: MultiPoly):
         """Apply to a polynomial; the result is a MultiPoly, or a RationalFn
-        where the coefficients are.  A factor e^q enters an operator only
-        by `gauge_conjugate`."""
+        where the coefficients are.  Each term takes its mixed partial
+        d^derivs f in one `MultiPoly.partial`, one normalised polynomial per
+        term, and a term whose order exceeds f's degree adds nothing.  A
+        factor e^q enters an operator only by `gauge_conjugate`."""
         if not isinstance(f, MultiPoly):
             raise TypeError(f"cannot apply DiffOp to {type(f).__name__}")
         if f.variables != self.variables:
             raise VariableMismatch(f"{f.variables} vs {self.variables}")
         out = None
         for derivs, coeff in self.terms.items():
-            g = f
-            for v, k in zip(self.variables, derivs):
-                for _ in range(k):
-                    g = g.diff(v)
+            g = f.partial(derivs)
             if g.is_zero():
                 continue
             term = coeff * g

@@ -144,15 +144,20 @@ one (a zeroth-order term, a zero product, a hand-built matrix).  A
 graded-triangular matrix of two or more rows outside the closed form has
 no route, since its c_0 = M[1][0] would raise the degree and so is 0.
 
-Everything here is exact: rational eigenvalues are reported as Fractions,
-irrational ones as the cell [n, n + 1] / 2^64 of the dyadic grid that
-holds them, held as the one integer n (`Eigenvalue.cell`), from which its
-ends, midpoint and JSON are derived; a physical level adds E0 to both
-ends exactly.  Each cell is certified by a strict sign change at its
-ends: from one integer square root for a quadratic factor, from sympy's
-isolation and an integer bisection over the grid indices for a factor of
-higher degree (`linalg.isolate_irreducible`), and from Sturm counts for a
-Jacobi matrix.  The matrix is held as integer numerators over one
+Everything here is exact, and a report keeps each result in integers
+where it can.  A rational level is a `RationalLevel`, its value a
+Fraction; an irrational one is a `CellLevel`, the cell [n, n + 1] / 2^64
+of the dyadic grid that holds it, held as the one integer n, from which
+its ends, midpoint and JSON are derived; a physical level adds E0 to both
+ends exactly.  Each is an object of four slots.  An `Eigenfunction` holds
+integer numerators over one positive denominator, which its first
+nonzero numerator equals, up to the last coordinate of its level's
+degree block, as v vanishes above that block; `coeffs` pads them back to
+the basis size as Fractions.  Each cell is certified by a strict sign
+change at its ends: from one integer square root for a quadratic factor,
+from sympy's isolation and an integer bisection over the grid indices for
+a factor of higher degree (`linalg.isolate_irreducible`), and from Sturm
+counts for a Jacobi matrix.  The matrix is held as integer numerators over one
 denominator, as `MultiPoly` is: the columns {j: {i: n}} that assembly
 writes, column j the image of basis monomial j (only nonzero entries are
 stored), over the lcm of the denominators of the operator's coefficients.
@@ -191,7 +196,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import VerificationError, linalg
@@ -346,31 +351,12 @@ def assemble_matrix(op: DiffOp, basis: MonomialBasis) -> OpMatrix:
 # ---------------------------------------------------------------------------
 # spectrum extraction
 
-@dataclass(frozen=True, slots=True)
-class Eigenvalue:
-    """Exact value when rational, else the certified grid cell
-    [cell, cell + 1] / 2^64 that holds the level, held as the integer
-    `cell`, its ends moved by `shift` (E0 on a physical level)."""
-    value: Optional[Fraction]
-    cell: Optional[int]
-    multiplicity: int
-    degree: int
-    eigenspace_dim: Optional[int] = None
-    shift: int | Fraction = 0
+class Level:
+    """A level of a report, a `RationalLevel` or a `CellLevel`; both give
+    their float and JSON from `midpoint`, `value`, `interval` and
+    `eigenspace_dim`."""
 
-    @property
-    def interval(self) -> Optional[Tuple[Fraction, Fraction]]:
-        """The ends of the cell plus `shift`; None when rational."""
-        if self.cell is None:
-            return None
-        return (Fraction(self.cell, linalg.GRID) + self.shift,
-                Fraction(self.cell + 1, linalg.GRID) + self.shift)
-
-    def midpoint(self) -> Fraction:
-        """The value when rational, else the midpoint of its interval."""
-        if self.value is not None:
-            return self.value
-        return Fraction(2 * self.cell + 1, 2 * linalg.GRID) + self.shift
+    __slots__ = ()
 
     def approx(self) -> float:
         return to_float(self.midpoint(), "a level")
@@ -387,26 +373,75 @@ class Eigenvalue:
 
 
 @dataclass(frozen=True, slots=True)
+class RationalLevel(Level):
+    """A level known exactly; `eigenspace_dim` is set when it is
+    repeated."""
+    value: Fraction
+    multiplicity: int
+    degree: int
+    eigenspace_dim: Optional[int] = None
+    cell = interval = None
+
+    def midpoint(self) -> Fraction:
+        return self.value
+
+
+@dataclass(frozen=True, slots=True)
+class CellLevel(Level):
+    """An irrational level, held as the integer `cell` of the certified
+    grid cell [cell, cell + 1] / 2^64 that holds it, its ends moved by
+    `shift` (E0 on a physical level)."""
+    cell: int
+    multiplicity: int
+    degree: int
+    shift: int | Fraction = 0
+    value = eigenspace_dim = None
+
+    @property
+    def interval(self) -> Tuple[Fraction, Fraction]:
+        """The ends of the cell plus `shift`."""
+        return (Fraction(self.cell, linalg.GRID) + self.shift,
+                Fraction(self.cell + 1, linalg.GRID) + self.shift)
+
+    def midpoint(self) -> Fraction:
+        return Fraction(2 * self.cell + 1, 2 * linalg.GRID) + self.shift
+
+
+@dataclass(frozen=True, slots=True)
 class Eigenfunction:
+    """The eigenfunction of a simple rational level: its coordinates in
+    the monomial basis are numerators[i] / den up to the end of the
+    level's degree block, and 0 above it up to `size` (module
+    docstring)."""
     eigenvalue: Fraction
-    coeffs: Tuple[Fraction, ...]  # coordinates in the monomial basis
+    numerators: Tuple[int, ...]
+    den: int
+    size: int
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coordinates as Fractions, one per basis monomial."""
+        return tuple(Fraction(x, self.den) if x else _ZERO
+                     for x in self.numerators) \
+            + (_ZERO,) * (self.size - len(self.numerators))
 
     def as_poly(self, basis: MonomialBasis) -> MultiPoly:
-        return MultiPoly(basis.variables,
-                         {m: c for m, c in zip(basis.monomials, self.coeffs)
-                          if c != 0})
+        return MultiPoly._make(basis.variables,
+                               {m: x for m, x in zip(basis.monomials,
+                                                     self.numerators) if x},
+                               self.den)
 
 
 @dataclass(frozen=True, slots=True)
 class SpectrumReport:
     case: Optional[Case]
     basis: MonomialBasis
-    gauged: Tuple[Eigenvalue, ...]
+    gauged: Tuple[Level, ...]
     ground_energy: Optional[Fraction]
     eigenfunctions: Tuple[Eigenfunction, ...] = ()
 
     @property
-    def physical(self) -> Tuple[Eigenvalue, ...]:
+    def physical(self) -> Tuple[Level, ...]:
         if self.ground_energy is None:
             return self.gauged
         e0 = self.ground_energy
@@ -486,11 +521,11 @@ def _gl3_levels(k: int, n: int, r0: Fraction, delta: Fraction,
             rational[c] += mult
         elif j > 0:
             pairs[j] = mult
-    out = [Eigenvalue(value, None, mult, n,
-                      None if mult == 1 else 1 if nilpotent else mult)
+    out = [RationalLevel(value, mult, n,
+                         None if mult == 1 else 1 if nilpotent else mult)
            for value, mult in sorted(rational.items())]
     quadratics = {j: [1, -2 * c, c * c - j * j * delta] for j in pairs}
-    out += [Eigenvalue(None, cell, pairs[j], n)
+    out += [CellLevel(cell, pairs[j], n)
             for j, f in quadratics.items()
             for cell in linalg.isolate_irreducible(f)]
     return out, [[1, -x] for x, mult in rational.items()
@@ -584,9 +619,9 @@ def _eigenvector(M: OpMatrix, slices, annihilators, lam: Fraction,
     if any(d * y != p * L * x for x, y in zip(v, Mv)):
         raise EigenvectorCertificateError(
             f"(M - lam) v != 0 at the level {lam}")
-    lead = next(x for x in v if x)          # set to 1
-    return Eigenfunction(lam, tuple(Fraction(x, lead) if x else _ZERO
-                                    for x in v + [0] * (M.size - stop)))
+    lead = next(x for x in v if x)          # v / lead: lead becomes 1
+    g = gcd(*v) * (1 if lead > 0 else -1)
+    return Eigenfunction(lam, tuple(x // g for x in v), lead // g, M.size)
 
 
 def _jacobi(M: OpMatrix):
@@ -617,7 +652,7 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
     simple across the whole grading, each by `_eigenvector` from the
     blocks' annihilators, which are built only then.
     """
-    evs: List[Eigenvalue] = []
+    evs: List[Level] = []
     factors = []    # per block, polynomials whose product annihilates it
     if M.gl3_form:
         slices = M.basis.degree_slices()
@@ -637,8 +672,9 @@ def eigenvalues_graded(M: OpMatrix, case: Optional[Case] = None,
                 "off-diagonal products")
         slices = [(M.basis.degree_cap, 0, M.size)]
         levels, char_poly = linalg.tridiagonal_levels(*jacobi)
-        evs = [Eigenvalue(value, cell, mult, M.basis.degree_cap,
-                          1 if mult > 1 and cell is None else None)
+        N = M.basis.degree_cap
+        evs = [RationalLevel(value, mult, N, 1 if mult > 1 else None)
+               if cell is None else CellLevel(cell, mult, N)
                for value, cell, mult in levels]
         factors.append([char_poly])
     annihilator = cache(lambda k: _product(factors[k]))

@@ -90,8 +90,8 @@ def per_block(M):
             shifted = sympy.Matrix(block) - x * sympy.eye(hi - lo)
             dim = hi - lo - DomainMatrix.from_Matrix(shifted).rank() \
                 if mult > 1 else None
-            levels.append(spectra.Eigenvalue(x, None, mult, degree, dim))
-        levels += [spectra.Eigenvalue(None, cell, mult, degree)
+            levels.append(spectra.RationalLevel(x, mult, degree, dim))
+        levels += [spectra.CellLevel(cell, mult, degree)
                    for cell, mult in irrational]
     return tuple(sorted(levels, key=lambda e: (e.midpoint(), e.degree)))
 
@@ -106,10 +106,26 @@ def rational_gauged(rep):
     return sorted(out)
 
 
-# -- the exact kernel's oracle: compose, commutator, poisson_bracket and
-# gauge_conjugate in MultiPoly arithmetic, one MultiPoly per derivative,
-# product and partial sum, as they were before their one-pass integer
-# kernels; every kernel result must equal the oracle's under ==
+# -- the exact kernel's oracle: apply, compose, commutator,
+# poisson_bracket and gauge_conjugate in MultiPoly arithmetic, one
+# MultiPoly per derivative, product and partial sum, as they were before
+# their one-pass kernels; every kernel result must equal the oracle's
+
+def oracle_apply(A, f):
+    """A f with each term's derivative taken one variable and one order at
+    a time, a new MultiPoly per `diff`."""
+    out = None
+    for derivs, coeff in A.terms.items():
+        g = f
+        for v, k in zip(A.variables, derivs):
+            for _ in range(k):
+                g = g.diff(v)
+        if g.is_zero():
+            continue
+        term = coeff * g
+        out = term if out is None else out + term
+    return f * 0 if out is None else out
+
 
 def _binom_multi(alpha, gamma) -> int:
     out = 1

@@ -16,8 +16,10 @@ from oscchain.exact import (CANONICAL_PAIRS, PHASE_VARS, DiffOp, MultiPoly,
                             partial_numerators, phase_var, poisson_bracket,
                             power_table, random_rational, table_sum,
                             to_float)
+from oscchain.model import Params
+from oscchain.sepvar import W3, build_opham
 
-from conftest import (draw_params, draw_poly, fractions_st,
+from conftest import (draw_params, draw_poly, fractions_st, oracle_apply,
                       oracle_apply_gaussian, oracle_commutator, oracle_compose,
                       oracle_gauge_conjugate, oracle_kernels,
                       oracle_poisson_bracket, polys_st)
@@ -296,10 +298,13 @@ def test_gauge_conjugation_matches_function_level(rng):
 
 def test_apply_refuses_a_gaussian(rng):
     """A factor e^q enters an operator only by `gauge_conjugate`: `apply`
-    takes a polynomial and refuses any other function, here a RationalFn."""
+    takes a polynomial and refuses any other function, here a RationalFn,
+    and a polynomial over other variables."""
     A = _random_op(rng)
     with pytest.raises(TypeError):
         A.apply(RationalFn(draw_quadratic(rng)))
+    with pytest.raises(VariableMismatch):
+        A.apply(MultiPoly.var(XYZ, "x"))
 
 
 def test_principal_symbol():
@@ -403,6 +408,49 @@ def test_operator_kernels_equal_the_oracle(operands):
     assert B.commutator(A) == oracle_commutator(B, A)
     assert A.gauge_conjugate(q, shift) \
         == oracle_gauge_conjugate(A, q, shift)
+
+
+@st.composite
+def apply_operands(draw):
+    """An operator and a polynomial to apply it to: either MultiPoly
+    coefficients in x, y with derivative orders up to 5, above the
+    polynomial's degree 3, or RationalFn coefficients shaped like
+    `sepvar.build_opham`'s, a first- and a second-order derivative in each
+    of w1, w2, w3, over a nonzero linear denominator."""
+    if draw(st.booleans()):
+        terms = draw(st.dictionaries(st.tuples(st.integers(0, 5),
+                                               st.integers(0, 5)),
+                                     polys_st(), max_size=4))
+        return DiffOp(XY, terms), draw(polys_st())
+    orders = [tuple(k * (i == j) for j in range(3))
+              for i in range(3) for k in (1, 2)]
+    nonzero = polys_st(W3, max_degree=1, max_terms=2).filter(
+        lambda q: not q.is_zero())
+    terms = {derivs: RationalFn(draw(polys_st(W3, max_degree=2)),
+                                draw(nonzero))
+             for derivs in draw(st.lists(st.sampled_from(orders),
+                                         unique=True, max_size=6))}
+    return DiffOp(W3, terms), draw(polys_st(W3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(apply_operands())
+@example((build_opham(Params(m1=2, m2=3, m3=Fraction(5, 2), d=3)),
+          MultiPoly(W3, {(2, 1, 3): Fraction(-3, 4), (0, 0, 1): 5,
+                         (1, 0, 0): 1})))
+@example((DiffOp(XY, {(4, 0): MultiPoly.var(XY, "y"), (0, 5): 2}),
+          MultiPoly(XY, {(3, 2): 7, (1, 4): Fraction(1, 3)})))
+def test_apply_equals_the_oracle(operands):
+    """One partial per term gives what one derivative at a time gave: the
+    same MultiPoly, or a RationalFn with the same numerator and
+    denominator; a term whose order is above f's degree adds nothing."""
+    A, f = operands
+    got, want = A.apply(f), oracle_apply(A, f)
+    assert type(got) is type(want)
+    if isinstance(want, RationalFn):
+        assert (got.num, got.den) == (want.num, want.den)
+    else:
+        assert got == want
 
 
 @settings(max_examples=80, deadline=None)

@@ -401,6 +401,17 @@ def test_two_levels_in_one_grid_cell_are_refused():
         linalg.tridiagonal_levels([s, s], [2 * t * t])
 
 
+def test_levels_in_adjacent_grid_cells_are_each_certified():
+    """diag (0, 2^-66), product 2^-200: the levels are about -2^-134 and
+    2^-66, in the adjacent cells [-1, 0] and [0, 1] / 2^64.  The count
+    falls by one across each cell, read at its two ends; read one cell
+    further, it would span both levels and refuse them."""
+    F = Fraction
+    assert linalg.tridiagonal_levels([F(0), F(1, 2 ** 66)],
+                                     [F(1, 2 ** 200)])[0] \
+        == [(None, -1, 1), (None, 0, 1)]
+
+
 def test_a_tridiagonal_cell_without_a_sign_change_is_refused(monkeypatch):
     monkeypatch.setattr(linalg, "_scaled_value", lambda coeffs, p, q: 1)
     with pytest.raises(linalg.RootCertificateError, match="no sign change"):

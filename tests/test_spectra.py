@@ -875,6 +875,42 @@ def test_an_irrational_level_is_held_as_its_integer_cell(case, p):
         assert phys.midpoint() == (lo + hi) / 2 + e0
 
 
+def test_a_report_keeps_each_eigenfunction_as_ints_up_to_its_block(rng):
+    """Over seeded reports of every harmonic case and of twobody_qes at
+    A > 0 (N <= 6), and the commensurate general3 draw of `FIXED_DRAWS`
+    (10 eigenfunctions): each eigenfunction holds int numerators over a
+    denominator > 0, the first nonzero one equal to it, and none past the
+    last coordinate of its level's degree block; `coeffs` is them over
+    the denominator, padded with zeros to the basis size.  Every level,
+    gauged or physical, is an object of at most 64 bytes (four slots)."""
+    import sys
+    from test_model import draw_case_params
+    draws = [(case, draw_case_params(rng, case), rng.randint(1, 6))
+             for case in HARMONIC for _ in range(2)]
+    for _ in range(3):
+        N = rng.randint(1, 6)
+        draws.append((Case.TWO_BODY_QES,
+                      replace(draw_case_params(rng, Case.TWO_BODY_QES), N=N),
+                      N))
+    p, N = FIXED_DRAWS[Case.GENERAL3]
+    draws.append((Case.GENERAL3, p, N))
+    for case, p, N in draws:
+        rep = spectra.spectrum(case, p, N)
+        assert all(sys.getsizeof(ev) <= 64
+                   for ev in rep.gauged + rep.physical)
+        stop = {n: stop for n, _, stop in rep.basis.degree_slices()}
+        for ef in rep.eigenfunctions:
+            (level,) = [ev for ev in rep.gauged if ev.value == ef.eigenvalue]
+            nums, den = ef.numerators, ef.den
+            assert type(den) is int and den > 0
+            assert all(type(x) is int for x in nums)
+            assert next(x for x in nums if x) == den
+            assert len(nums) <= stop[level.degree]
+            assert ef.coeffs == tuple(Fraction(x, den) for x in nums) \
+                + (0,) * (rep.basis.size - len(nums))
+    assert len(rep.eigenfunctions) == 10
+
+
 # draws that yield cells in every case that has them, and molecular3, whose
 # degree-1 block has rational roots only: (case, params, N, sha256 of the
 # sorted-key JSON of the report), recorded while each cell was still held as
