@@ -163,7 +163,7 @@ def cmd_sepvar(args) -> None:
     ok = sepvar.verify_pushforward(p, seed=args.seed, n_points=args.points)
     results = {"pushforward_ok": ok, "A": None, "B": None, "potential": None}
     if ok:   # the separated form and the potential presume the push-forward
-        form = sepvar.separated_form(p, p.d)
+        form = sepvar.separated_form(p)
         results.update(A=ratio_str(form.A), B=ratio_str(form.B),
                        potential=sepvar.potential_in_w(p).to_json())
     _emit(args, case, p, results)

@@ -300,7 +300,8 @@ def classify_superintegrability(masses: Sequence[Fraction],
     The verdict covers integrals of order <= 2 in the momenta only, the
     first- and second-order integrals the paper searches.  Against the
     normal-mode frequencies W1, W2 (`spectra` docstring), sampled draws
-    (tests/test_integrals.py) give `maximal` exactly when W1 = W2 and
+    (tests/test_integrals.py) give `maximal` exactly when W1^2 = W2^2,
+    that is r0^2 delta = 0 (delta = 0 for positive springs), and
     `minimal` only when W1:W2 is rational.  A rational W1:W2 also comes
     with `none`: such commensurate modes may carry integrals of higher
     order, which are not searched here.

@@ -11,8 +11,9 @@ Conventions:
   * The molecular case keeps rho23 in the variable list as a symbolic
     parameter of the coefficient ring; no derivative ever acts on it.
   * The d=1 case lives in (x12, x13) with x23 = x13 - x12.
-  * 2-body gauged operators use the m1 = m2 = 1 convention (mu = 1/2);
-    ungauged 2-body objects keep general mu.
+  * 2-body cases are mu = 1/2 (m1 = m2 = 1) throughout: their levels do
+    not depend on mu, so they do not read the masses beyond refusing two
+    infinite ones.
   * Infinite masses are flagged (None) and never substituted into the
     general-mass formulas; atomic and molecular builders are dedicated.
 """
@@ -23,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .exact import DiffOp, MultiPoly, RationalFn
+from .exact import DiffOp, MultiPoly
 
 RHO3 = ("rho12", "rho13", "rho23")
 X1D = ("x12", "x13")
@@ -119,8 +120,10 @@ def validate_case(case: Case, p: Params) -> None:
             raise CaseError(f"{case.value} requires finite masses")
         if case is Case.ONE_DIM3 and p.d != 1:
             raise CaseError("one-dimensional case requires d = 1")
-    elif case is Case.TWO_BODY_QES:
-        if p.N is None:
+    elif case in (Case.TWO_BODY_ES, Case.TWO_BODY_QES):
+        if p.m1 is INFINITE and p.m2 is INFINITE:
+            raise CaseError("both masses of a pair are infinite")
+        if case is Case.TWO_BODY_QES and p.N is None:
             raise CaseError("2-body QES case requires the level N")
 
 
@@ -173,10 +176,6 @@ def nu_coefficients(p: Params):
     nu23 = c * c * mu23 + a * c * mu12 * mu23 * i2 + b * c * mu13 * mu23 * i3 \
         - a * b * mu12 * mu13 * i1
     return nu12, nu13, nu23
-
-
-def two_body_mu(p: Params) -> Fraction:
-    return _pair_mu(p.m1, p.m2)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +247,9 @@ def build_radial_laplacian(case: Case, p: Params) -> DiffOp:
             (0, 2): Fraction(1, 2) / mu13,
             (1, 1): _inv(p.m1),
         })
-    # 2-body
-    mu = two_body_mu(p)
+    # 2-body, mu = 1/2
     rho = MultiPoly.var(RHO1, "rho")
-    return DiffOp(RHO1, {(2,): (2 / mu) * rho,
-                         (1,): MultiPoly.const(RHO1, Fraction(d) / mu)})
+    return DiffOp(RHO1, {(2,): 4 * rho, (1,): MultiPoly.const(RHO1, 2 * d)})
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +282,14 @@ def build_potential(case: Case, p: Params) -> MultiPoly:
         x13 = MultiPoly.var(X1D, "x13")
         return w2 * ((nu12 + nu23) * x12 ** 2 + (nu13 + nu23) * x13 ** 2
                      - 2 * nu23 * x12 * x13)
-    mu = two_body_mu(p)
+    # 2-body, mu = 1/2
     rho = MultiPoly.var(RHO1, "rho")
     if case is Case.TWO_BODY_ES:
-        return 2 * mu * p.omega ** 2 * rho
+        return p.omega ** 2 * rho
     # sextic 2-body QES potential; requires the level N
     A, om, N, d = p.A, p.omega, p.N, p.d
-    return 2 * mu * ((om ** 2 - A * (4 * N + d + 2)) * rho
-                     + 4 * mu * A * om * rho ** 2
-                     + 4 * mu ** 2 * A ** 2 * rho ** 3)
+    return ((om ** 2 - A * (4 * N + d + 2)) * rho + 2 * A * om * rho ** 2
+            + A ** 2 * rho ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +332,11 @@ def ground_state(case: Case, p: Params) -> GroundState:
                       + c * mu23 * (x13 - x12) ** 2)
         energy = MultiPoly.const(X1D, om * (a + b + c))
         return GroundState(expo, energy)
-    mu = two_body_mu(p)
+    # 2-body, mu = 1/2
     rho = MultiPoly.var(RHO1, "rho")
-    if case is Case.TWO_BODY_ES:
-        expo = -mu * om * rho
-    else:
-        expo = -mu * om * rho - mu ** 2 * p.A * rho ** 2
+    expo = -om / 2 * rho
+    if case is Case.TWO_BODY_QES:
+        expo = expo - p.A / 4 * rho ** 2
     energy = MultiPoly.const(RHO1, om * Fraction(d))
     return GroundState(expo, energy)
 
@@ -441,7 +436,7 @@ def build_h_algebraic(case: Case, p: Params) -> DiffOp:
             (1, 1): MultiPoly.const(X1D, -1 / m1),
             (1, 0): c12, (0, 1): c13,
         })
-    # 2-body, gauged convention mu = 1/2
+    # 2-body, mu = 1/2
     rho = MultiPoly.var(RHO1, "rho")
     if case is Case.TWO_BODY_ES:
         return DiffOp(RHO1, {(2,): -4 * rho,
@@ -647,40 +642,6 @@ def cometric(case: Case, p: Params) -> Cometric:
         factored = (2 * (m1 + m2 + m3) / (m1 * m2 * m3) ** 2) \
             * mass_weighted_linear(p) * area
     return Cometric(mat, det, factored)
-
-
-# ---------------------------------------------------------------------------
-# effective potentials and the gauge factor
-
-def effective_potential(case: Case, p: Params) -> RationalFn:
-    validate_case(case, p)
-    d = Fraction(p.d)
-    if case in (Case.TWO_BODY_ES, Case.TWO_BODY_QES):
-        rho = MultiPoly.var(RHO1, "rho")
-        return RationalFn(MultiPoly.const(RHO1, (d - 1) * (d - 3) / 4), rho)
-    if case is Case.MOLECULAR3:
-        m = p.m1
-        r23 = _v("rho23")
-        dmol = cometric(Case.MOLECULAR3, p).determinant
-        return RationalFn((d - 2) * (d - 4) * r23,
-                          16 * m ** 2 * dmol)
-    if case not in THREE_BODY_CASES:
-        raise CaseError(f"no effective potential for {case.value}")
-    m1, m2, m3 = p.masses
-    lin = mass_weighted_linear(p)
-    area = area_square_expr()
-    first = RationalFn(MultiPoly.const(RHO3, Fraction(3, 8) * (m1 + m2 + m3)),
-                       lin)
-    second = RationalFn((d - 2) * (d - 4) / 2 * lin, m1 * m2 * m3 * area)
-    return first + second
-
-
-def gauge_factor_gamma(p: Params):
-    """[(base polynomial, rational exponent), ...] for the Gamma factor."""
-    if not p.finite_masses():
-        raise CaseError("Gamma requires finite masses")
-    return [(area_square_expr(), Fraction(2 - p.d, 4)),
-            (mass_weighted_linear(p), Fraction(-1, 4))]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import VerificationError
 from .exact import to_float
 from .model import Case, Params, build_potential, ground_state, \
-    reduced_masses, nu_coefficients, two_body_mu, validate_case
+    reduced_masses, nu_coefficients, validate_case
 
 
 MAX_GRID_POINTS = 1_000_000   # most points of a grid, the halved one included
@@ -67,8 +67,9 @@ def potential_coeffs(p: Params, case: Case) -> List[float]:
 
 
 def default_rmax(p: Params) -> float:
-    """Radius where the ground-state Gaussian tail drops below 1e-12."""
-    mu_om = to_float(two_body_mu(p) * p.omega, "mu omega")
+    """Radius where the 2-body ground-state Gaussian tail drops below
+    1e-12, at mu = 1/2."""
+    mu_om = to_float(p.omega / 2, "mu omega")
     # exp(-mu om r^2) < 1e-12  =>  r^2 > 12 ln10 / (mu om); pad by 40%
     return 1.4 * math.sqrt(12 * math.log(10.0) / mu_om)
 
@@ -108,8 +109,32 @@ def _tridiagonal_lowest(diag, off, k: int):
     return w[:m]
 
 
+def _grid_levels(potential: Sequence[float], d: int, grid: Grid1D, k: int):
+    """The k lowest levels of `fd_radial_eigen`'s stencil on one grid."""
+    import numpy as np
+
+    h = grid.spacing
+    with np.errstate(all="ignore"):     # checked finite below
+        r = np.arange(1, grid.npoints - 1) * h if d == 3 \
+            else (np.arange(grid.npoints - 1) + 0.5) * h
+        rho = r * r
+        V = np.zeros_like(r)
+        for c in reversed(potential):
+            V = V * rho + c
+        if d == 3:
+            diag = 2.0 / h ** 2 + V
+            off = np.full(len(r) - 1, -1.0 / h ** 2)
+        else:
+            faces = (np.arange(grid.npoints) * h) ** (d - 1)
+            faces[0] = 0.0              # zero flux at r = 0
+            w = r ** (d - 1)
+            diag = (faces[:-1] + faces[1:]) / (h * h * w) + V
+            off = -faces[1:-1] / (h * h * np.sqrt(w[:-1] * w[1:]))
+    return _tridiagonal_lowest(diag, off, k)
+
+
 def fd_radial_eigen(potential: Sequence[float], d: int, grid: Grid1D,
-                    k: int = 1, richardson: bool = True) -> List[float]:
+                    k: int = 1) -> List[float]:
     """k lowest eigenvalues of -r^(1-d) (r^(d-1) psi')' + V(r^2) psi, the
     radial operator at mu = 1/2 (the gauge convention), with a Dirichlet
     wall at r_max; second-order stencils, Richardson-extrapolated over
@@ -119,51 +144,23 @@ def fd_radial_eigen(potential: Sequence[float], d: int, grid: Grid1D,
     symmetrised by r^((d-1)/2) at the centres.  Its one exception is
     d = 3, whose node stencil -u'' + V u = E u, u = r psi, u(0) = 0, keeps
     the floats it has always given.  Each grid's levels come from
-    `_tridiagonal_lowest`; a stencil that overflows on the grid is a
+    `_grid_levels`; a stencil that overflows on the grid is a
     ValueError."""
-    import numpy as np
-
     potential = list(potential)
     if not potential or potential[-1] <= 0:
         raise NonConfiningPotential("leading potential coefficient must be > 0")
-
-    def solve(g: Grid1D):
-        h = g.spacing
-        with np.errstate(all="ignore"):     # checked finite below
-            r = np.arange(1, g.npoints - 1) * h if d == 3 \
-                else (np.arange(g.npoints - 1) + 0.5) * h
-            rho = r * r
-            V = np.zeros_like(r)
-            for c in reversed(potential):
-                V = V * rho + c
-            if d == 3:
-                diag = 2.0 / h ** 2 + V
-                off = np.full(len(r) - 1, -1.0 / h ** 2)
-            else:
-                faces = (np.arange(g.npoints) * h) ** (d - 1)
-                faces[0] = 0.0              # zero flux at r = 0
-                w = r ** (d - 1)
-                diag = (faces[:-1] + faces[1:]) / (h * h * w) + V
-                off = -faces[1:-1] / (h * h * np.sqrt(w[:-1] * w[1:]))
-        return _tridiagonal_lowest(diag, off, k)
-
-    if not richardson:
-        return list(solve(grid)[:k])
     fine = grid.halved()    # a grid over the cap is refused before any solve
-    return list((4.0 * solve(fine) - solve(grid)) / 3.0)[:k]
+    return list((4.0 * _grid_levels(potential, d, fine, k)
+                 - _grid_levels(potential, d, grid, k)) / 3.0)[:k]
 
 
 def fd_two_body_energies(p: Params, case: Case, k: int = 1,
                          npoints: int = 4000) -> List[float]:
-    """Grid oracle for the 2-body cases, mu = 1/2 gauge convention.
-
-    `fd_radial_eigen` solves the radial operator at mu = 1/2, so the
-    potential is built at m1 = m2 = 1, as is the grid: in the paper's
-    parametrisation the 2-body spectra do not depend on mu."""
+    """Grid oracle for the 2-body cases, which are mu = 1/2 throughout,
+    as is `fd_radial_eigen`'s radial operator."""
     validate_case(case, p)
-    unit = replace(p, m1=1, m2=1)
-    coeffs = potential_coeffs(unit, case)
-    grid = Grid1D(default_rmax(unit), npoints)
+    coeffs = potential_coeffs(p, case)
+    grid = Grid1D(default_rmax(p), npoints)
     return fd_radial_eigen(coeffs, p.d, grid, k)
 
 

@@ -92,25 +92,27 @@ class SeparatedForm:
     w3_second: RationalFn     # shared w3-operator, second-order coefficient
     w3_first: RationalFn      # shared w3-operator, first-order coefficient
     weight: RationalFn        # 1/w1- and 1/w2-type multiplier of the w3 part
+    d: int                    # dimension
 
-    def operator(self, d: int) -> DiffOp:
+    def operator(self) -> DiffOp:
         """Delta_rad in w-coordinates, assembled from the three terms."""
         w1 = MultiPoly.var(W3, "w1")
         w2 = MultiPoly.var(W3, "w2")
         return DiffOp(W3, {
             (2, 0, 0): RationalFn(2 * self.A * w1),
-            (1, 0, 0): RationalFn(_wconst(self.A * d)),
+            (1, 0, 0): RationalFn(_wconst(self.A * self.d)),
             (0, 2, 0): RationalFn(2 * self.B * w2),
-            (0, 1, 0): RationalFn(_wconst(self.B * d)),
+            (0, 1, 0): RationalFn(_wconst(self.B * self.d)),
             (0, 0, 2): self.weight * self.w3_second,
             (0, 0, 1): self.weight * self.w3_first,
         })
 
 
-def separated_form(p: Params, d: int) -> SeparatedForm:
-    """The pieces of Delta_rad in w-coordinates in dimension d: A, B, the
+def separated_form(p: Params) -> SeparatedForm:
+    """The pieces of Delta_rad in w-coordinates in dimension p.d: A, B, the
     shared w3 operator and its weight A/w1 + B/w2."""
     m1, m2, m3 = p.masses
+    d = p.d
     A = Fraction(m2 + m3, 1) / (m2 * m3)
     B = (m2 + m3) * (m1 + m2 + m3) / m1
     w1 = MultiPoly.var(W3, "w1")
@@ -122,18 +124,19 @@ def separated_form(p: Params, d: int) -> SeparatedForm:
         w3_second=RationalFn(2 * w3 ** 2 * (4 * (m2 + m3) * w3 - _wconst(1))),
         w3_first=RationalFn(w3 * (12 * (m2 + m3) * w3 + _wconst(d - 4))),
         weight=RationalFn(_wconst(A), w1) + RationalFn(_wconst(B), w2),
+        d=d,
     )
 
 
 def build_opham(p: Params) -> DiffOp:
     """Delta_rad in w-coordinates: rational-coefficient operator."""
-    return separated_form(p, p.d).operator(p.d)
+    return separated_form(p).operator()
 
 
 def match_separated_template(op: DiffOp, p: Params) -> SeparatedForm:
     """Check `op` against the three-term separated structure and extract it."""
-    form = separated_form(p, p.d)
-    expected = form.operator(p.d)
+    form = separated_form(p)
+    expected = form.operator()
     residuals = []
     for derivs in set(op.terms) | set(expected.terms):
         zero = RationalFn(MultiPoly.zero(W3))

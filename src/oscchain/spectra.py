@@ -62,9 +62,12 @@ W1 + W2 and 2 W2.  It is diagonalizable over R; r0 = W1 + W2 is a root,
 which is the certificate; delta = (W1 - W2)^2 >= 0; and A = r0 I when
 W1 = W2.  For positive springs W1, W2 are the normal-mode frequencies
 2 omega sqrt(mu_k), mu_k the nonzero eigenvalues of M^-1 L_nu (L_nu the
-nu-weighted Laplacian of the pairs, M = diag(m)).  delta = 0 is the
-paper's maximal superintegrability, and delta a nonzero rational square
-is a rational ratio W1:W2 (Jauch and Hill, Phys. Rev. 57 (1940) 641).
+nu-weighted Laplacian of the pairs, M = diag(m)).  The paper's maximal
+superintegrability is W1^2 = W2^2, that is r0^2 delta = 0, since
+r0^2 delta = (W1^2 - W2^2)^2: with a negative spring W2 = -W1 can hold
+at delta != 0 (masses 2, 3, 5/2, springs 1, 2, -3: r0 = 0, delta =
+272/3).  delta a nonzero rational square is a rational ratio W1:W2
+(Jauch and Hill, Phys. Rev. 57 (1940) 641).
 In onedim3 (d = 1, variables x12 and x13) V is the mode space itself
 and A is similar to B: its roots W1, W2 are real, and A = r0 I when they
 are equal.

@@ -205,10 +205,8 @@ def test_criterion_7_qes_grid_cross_validation():
         pes = Params(m1=1, m2=1, omega=1, d=d)
         coeffs = numerics.potential_coeffs(pes, Case.TWO_BODY_ES)
         grid = numerics.Grid1D(numerics.default_rmax(pes), 1000)
-        e_h = numerics.fd_radial_eigen(coeffs, d, grid, k=2,
-                                       richardson=False)
-        e_h2 = numerics.fd_radial_eigen(coeffs, d, grid.halved(), k=2,
-                                        richardson=False)
+        e_h = numerics._grid_levels(coeffs, d, grid, 2)
+        e_h2 = numerics._grid_levels(coeffs, d, grid.halved(), 2)
         for n in (1,) if d == 4 else (0, 1):
             exact = 4 * n + d
             ratio = (e_h[n] - exact) / (e_h2[n] - exact)

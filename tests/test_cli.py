@@ -309,6 +309,23 @@ def test_both_2body_masses_infinite_exit_2(capsys):
         assert "input error" in err and "infinite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--case", "twobody_es", "--omega", "3/2", "--N", "3"),
+    ("spectrum", "--case", "twobody_qes", "--A", "2", "--N", "3"),
+    ("qes", "--A", "1", "--N", "2"),
+], ids=lambda argv: argv[argv.index("--case") + 1] if "--case" in argv
+    else argv[0])
+def test_2body_results_do_not_depend_on_the_masses(capsys, argv):
+    """The 2-body cases are mu = 1/2 throughout: masses 2, 3 give the
+    results of masses 1, 1."""
+    results = []
+    for m1, m2 in (("1", "1"), ("2", "3")):
+        code, out, _ = run(capsys, *argv, "--m1", m1, "--m2", m2)
+        assert code == 0
+        results.append(json.loads(out)["results"])
+    assert results[0] == results[1]
+
+
 def test_infinite_mass_flag(capsys):
     code, out, _ = run(capsys, "spectrum", "--case", "molecular3",
                        "--m2", "inf", "--m3", "inf", "--c", "0",

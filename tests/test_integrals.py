@@ -72,10 +72,13 @@ def is_nonzero_square(x: Fraction) -> bool:
     ((2, 2, 2), (1, 1, 1), "maximal", 0),
     ((5, 5, Fraction(5, 2)), (Fraction(2, 3), Fraction(5, 3), Fraction(1, 2)),
      "minimal", Fraction(49, 9)),
+    ((2, 3, Fraction(5, 2)), (1, 2, -3), "maximal", Fraction(272, 3)),
 ])
 def test_verdict_at_fixed_normal_modes(masses, springs, kind, delta):
     """Equal masses and springs: W1 = W2; masses 5, 5, 5/2 with springs
-    2/3, 5/3, 1/2: W1 - W2 = 7/3 at omega = 1."""
+    2/3, 5/3, 1/2: W1 - W2 = 7/3 at omega = 1.  Maximal is W1^2 = W2^2,
+    that is r0^2 delta = 0, not delta = 0: masses 2, 3, 5/2 with springs
+    1, 2, -3 give W2 = -W1, so r0 = W1 + W2 = 0 and delta = 272/3."""
     p = Params(*masses, *springs)
     assert itg.classify_superintegrability(
         p.masses, nu_coefficients(p)).kind == kind

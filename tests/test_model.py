@@ -12,11 +12,10 @@ from oscchain.exact import DiffOp, MultiPoly
 from oscchain.model import (Case, CaseError, Params, build_h_algebraic,
                             build_potential, build_qes_primitive,
                             build_radial_laplacian, case_variables, cometric,
-                            degenerate, effective_potential,
-                            gauge_factor_gamma, ground_state, lie_form,
+                            degenerate, ground_state, lie_form,
                             mass_weighted_linear, area_square_expr,
                             nu_coefficients, params_from_json, reduced_masses,
-                            two_body_mu, validate_case)
+                            validate_case)
 
 from conftest import (degree1_block, draw_fraction, draw_params,
                       oracle_apply_gaussian)
@@ -37,12 +36,9 @@ def draw_case_params(rng, case):
         return draw_params(rng, m1=m, m2=m, m3=m, a=a, b=a, c=a)
     if case is Case.ONE_DIM3:
         return draw_params(rng, d=1)
-    if case is Case.TWO_BODY_ES:
-        # the transcribed 2-body forms use the unit-mass (mu = 1/2) gauge
-        return draw_params(rng, m1=1, m2=1)
     if case is Case.TWO_BODY_QES:
-        return draw_params(rng, m1=1, m2=1, A=draw_fraction(rng),
-                           N=rng.randint(0, 3))
+        # any finite masses: the 2-body cases are mu = 1/2 throughout
+        return draw_params(rng, A=draw_fraction(rng), N=rng.randint(0, 3))
     if case is Case.PRIMITIVE3_QES:
         return draw_params(rng, A12=draw_fraction(rng),
                            A13=draw_fraction(rng), A23=draw_fraction(rng))
@@ -116,11 +112,6 @@ def test_reduced_masses_with_infinite_partner():
     assert mu23 == Fraction(15, 8)
 
 
-def test_two_body_mu():
-    assert two_body_mu(Params(m1=1, m2=1)) == Fraction(1, 2)
-    assert two_body_mu(Params(m1=None, m2=7)) == 7
-
-
 @pytest.mark.parametrize("case", [Case.GENERAL3, Case.ATOMIC3,
                                   Case.MOLECULAR3], ids=lambda c: c.value)
 def test_cometric_determinant_factorization(case, rng):
@@ -164,21 +155,6 @@ def test_cometric_general_factored_shape(rng):
     assert g.factored_determinant == expect
 
 
-def test_effective_potential_two_body():
-    p = Params(m1=1, m2=1, d=5)
-    v = effective_potential(Case.TWO_BODY_ES, p)
-    rho = MultiPoly.var(("rho",), "rho")
-    assert v.equals(type(v)(MultiPoly.const(("rho",), 2), rho))
-
-
-def test_gauge_factor_exponents(rng):
-    p = draw_params(rng, d=3)
-    factors = gauge_factor_gamma(p)
-    assert factors[0][1] == Fraction(2 - 3, 4)
-    assert factors[1][1] == Fraction(-1, 4)
-    assert factors[0][0] == area_square_expr()
-
-
 def test_primitive_qes_residual_zero(rng):
     for _ in range(3):
         p = draw_case_params(rng, Case.PRIMITIVE3_QES)
@@ -190,6 +166,18 @@ def test_primitive_qes_residual_zero(rng):
         assert oracle_apply_gaussian(H, MultiPoly.const(H.variables, 1),
                                      psi) \
             == ground_state(Case.GENERAL3, p).energy
+
+
+def test_primitive_qes_case_builders_give_its_ground_state(rng):
+    """The primitive3_qes branches of `build_potential` and
+    `ground_state`: (-Delta + V) e^q = E0 e^q."""
+    for _ in range(3):
+        p = draw_case_params(rng, Case.PRIMITIVE3_QES)
+        H = -build_radial_laplacian(Case.PRIMITIVE3_QES, p) \
+            + DiffOp.mul_by(build_potential(Case.PRIMITIVE3_QES, p))
+        gs = ground_state(Case.PRIMITIVE3_QES, p)
+        assert H.gauge_conjugate(gs.wavefunction, gs.energy) \
+            .apply(MultiPoly.const(H.variables, 1)).is_zero()
 
 
 def test_primitive_qes_reduces_to_harmonic():

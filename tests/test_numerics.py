@@ -45,7 +45,7 @@ def test_oracle_refuses_a_level_count_the_grid_lacks(d, k):
     and 199 at every other d (cell centres)."""
     grid = numerics.Grid1D(8.0, 200)
     with pytest.raises(ValueError, match="select_range out of bounds"):
-        numerics.fd_radial_eigen([0.0, 1.0], d, grid, k=k, richardson=False)
+        numerics._grid_levels([0.0, 1.0], d, grid, k)
 
 
 @pytest.mark.parametrize("potential", [[math.nan, 1.0], [0.0, math.inf],
@@ -237,9 +237,8 @@ def test_second_order_convergence_ratio():
     p = Params(m1=1, m2=1, omega=1, d=3)
     coeffs = numerics.potential_coeffs(p, Case.TWO_BODY_ES)
     grid = numerics.Grid1D(numerics.default_rmax(p), 1000)
-    e_h = numerics.fd_radial_eigen(coeffs, 3, grid, richardson=False)[0]
-    e_h2 = numerics.fd_radial_eigen(coeffs, 3, grid.halved(),
-                                    richardson=False)[0]
+    e_h = numerics._grid_levels(coeffs, 3, grid, 1)[0]
+    e_h2 = numerics._grid_levels(coeffs, 3, grid.halved(), 1)[0]
     ratio = (e_h - 3.0) / (e_h2 - 3.0)
     assert abs(ratio - 4.0) < 0.5
 
@@ -248,7 +247,7 @@ def test_richardson_improves_on_plain_grid():
     p = Params(m1=1, m2=1, omega=1, d=3)
     coeffs = numerics.potential_coeffs(p, Case.TWO_BODY_ES)
     grid = numerics.Grid1D(numerics.default_rmax(p), 1000)
-    plain = numerics.fd_radial_eigen(coeffs, 3, grid, richardson=False)[0]
+    plain = numerics._grid_levels(coeffs, 3, grid, 1)[0]
     extr = numerics.fd_radial_eigen(coeffs, 3, grid)[0]
     assert abs(extr - 3.0) < abs(plain - 3.0) / 10
 
